@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
 check, 3 Unknown verdict (monomial-condition search hit its bound).
+Running out of memory or of recursion depth also exits 2, with a one-line
+``internal check failed: ...`` message instead of a traceback.
 Reports go to standard output, diagnostics to standard error.
 """
 
@@ -34,6 +36,13 @@ EXIT_INTERNAL = 2
 EXIT_UNKNOWN = 3
 
 
+def _degree(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
+    return value
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="splicegenus",
@@ -53,7 +62,7 @@ def _build_parser():
     c = cmd("hilbert", help="eigenspace Hilbert series at a node")
     c.add_argument("--node")
     c.add_argument("--char")
-    c.add_argument("--max-degree", type=int)
+    c.add_argument("--max-degree", type=_degree)
     c = cmd("cv", help="the constant c_v^chi by both routes")
     c.add_argument("--node")
     c.add_argument("--char")
@@ -69,7 +78,7 @@ def _build_parser():
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--bound", type=int, default=64)
     c = cmd("oracle-verify", help="brute-force check of the Molien dimensions")
-    c.add_argument("--max-degree", type=int, default=10)
+    c.add_argument("--max-degree", type=_degree, default=10)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--bound", type=int, default=64)
     cmd("fundamental-cycle", help="Artin's fundamental cycle and p_a(Z)")
@@ -361,6 +370,11 @@ def run(argv=None) -> int:
         trace = getattr(exc, "trace", None)
         if trace is not None:
             print(json.dumps(trace, sort_keys=True), file=sys.stderr)
+        return EXIT_INTERNAL
+    except (MemoryError, RecursionError) as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"internal check failed: {type(exc).__name__}{detail}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -1,49 +1,88 @@
 """Exact arithmetic in Q(zeta_N) = Q[x] / Phi_N(x).
 
-Phi_N is computed by iterated exact division of x^N - 1 by the Phi_d for
-proper divisors d of N.  A CycloNumber is rational iff its non-constant
-coordinates vanish.
+Phi_N is computed from Phi_N = prod_{d | N} (x^d - 1)^{mu(N/d)} by exact
+multiplications and divisions by x^d - 1.  A CycloNumber is rational iff
+its non-constant coordinates vanish.
 
-The Molien kernel in :mod:`splicegenus.molien` works internally with
-length-N integer vectors (the group ring Z[x]/(x^N - 1)), where
-multiplication by a root of unity is a cyclic shift; ``reduce_group_ring``
-maps such a vector into Q[x]/Phi_N(x) for the final rationality check.
+Two users in :mod:`splicegenus.molien`: ``molien_ci`` evaluates Molien's sum
+over Q(zeta_N) with length-N integer vectors (the group ring
+Z[x]/(x^N - 1), where a root of unity acts by a cyclic shift) and maps them
+into Q[x]/Phi_N(x) with ``reduce_group_ring``; ``molien_closed`` cancels
+cyclotomic factors of a denominator with ``cyclotomic_quotient``.  The
+Hilbert tables themselves never leave the integers.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (coefficient lists, low first)."""
-    num = list(num)
-    dd = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
-    quot = [0] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        quot[i - dd] = c
-        for j, d in enumerate(den):
-            num[i - dd + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _prime_factors(n):
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _mobius_divisors(d):
+    """The e | d with mu(d/e) = +1, and those with mu(d/e) = -1."""
+    primes = _prime_factors(d)
+    plus, minus = [], []
+    for r in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, r):
+            (minus if r % 2 else plus).append(d // math.prod(combo))
+    return plus, minus
+
+
+def _reshape(q, times, divide):
+    """q * prod_times (x^e - 1) / prod_divide (x^e - 1), or None if a
+    division is not exact.  q has no trailing zeros and stays so."""
+    for e in times:
+        q = [a - b for a, b in zip([0] * e + q, q + [0] * e)]
+    for e in divide:
+        # q = (x^e - 1) r  <=>  r_i = r_{i-e} - q_i, with r_i = 0 for i >= n
+        n = len(q) - e
+        if n < 0:
+            return None
+        r = [-c for c in q[:e]] + [0] * max(0, n - e)
+        for i in range(e, n):
+            r[i] = r[i - e] - q[i]
+        if q[n:] != ([0] * e + r)[n:n + e]:
+            return None
+        q = r[:n]
+    return q
+
+
+def cyclotomic_quotient(poly, d):
+    """poly / Phi_d as an integer coefficient list, or None if Phi_d does
+    not divide poly.
+
+    Phi_d = prod_{e | d} (x^e - 1)^{mu(d/e)}, so the quotient is a few
+    multiplications and exact divisions by x^e - 1, each one pass over the
+    coefficients; every division is exact iff Phi_d divides poly.
+    """
+    q = list(poly)
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        return q
+    plus, minus = _mobius_divisors(d)
+    return _reshape(q, minus, plus)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int):
     """Coefficients of Phi_N, constant term first."""
     assert N >= 1
-    poly = [-1] + [0] * (N - 1) + [1]  # x^N - 1
-    for d in range(1, N):
-        if N % d == 0:
-            poly, rem = _poly_divmod_int(poly, cyclotomic_polynomial(d))
-            assert not rem
-    return tuple(poly)
+    plus, minus = _mobius_divisors(N)
+    return tuple(_reshape([1], plus, minus))
 
 
 @lru_cache(maxsize=None)

@@ -1,29 +1,35 @@
 """Eigenspace Hilbert series by Molien's formula, and the constants c_v.
 
 For a node v with weights m_vw, the chi-eigenspace Hilbert series of the
-associated graded ring is
+associated graded ring is Molien's sum
 
     H^chi(t) = 1/|H| * sum_h chi^{-1}(h) prod_w (1 - theta(h,E*_w) t^{m_vw})^{delta_w - 2}
 
-Per-h expansions are carried out in the group ring Z[x]/(x^N - 1) (a root of
-unity acts by a cyclic shift); the character sum is applied afterwards and
-each coefficient is reduced mod Phi_N and asserted to be a nonnegative
-integer times |H|.
+which is the [chi] coefficient of one product in the group ring Z[H^][[t]]
+of the character group H^:
+
+    prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2},   psi_w = theta(E*_w).
+
+Multiplying by a group element [psi] permutes the character indices, so
+every coefficient is an integer by construction: no roots of unity, no
+cyclotomic reduction, and O(|H| * degree * #factors) work for all
+characters at once.  The same kernel expanded at t = infinity gives the
+polynomial part of H^chi from its first a(G) + 1 coefficients, hence
+c_v^chi = p(1) (the periodic-constant view of Braun-Nemethi).  Route A
+(partial sums P^chi(m a_v) minus a quadratic term) and Route B (p(1) from
+the closed rational form) stay as independent checks, and ``molien_ci``
+evaluates Molien's sum over Q(zeta) as a reference for the kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cyclo import (
-    _power_table,
-    cyclotomic_polynomial,
-    euler_phi,
-    reduce_group_ring,
-)
+from .cyclo import cyclotomic_polynomial, cyclotomic_quotient, reduce_group_ring
 from .discgroup import Character, GroupData, mod1
 from .errors import (
     InternalCheckError,
@@ -57,7 +63,268 @@ def truncation_m(g: ResolutionGraph, v) -> int:
     return m
 
 
-# -- group-ring series kernel ---------------------------------------------
+# -- the Z[H^] series kernel ------------------------------------------------
+
+
+def _zh_product(dims, factors, up_to):
+    """Expand prod (1 - [psi] t^m)^e in Z[H^][[t]] to degree up_to.
+
+    dims: invariant factors of the character group; characters are indexed
+    in the order of ``GroupData.characters()``, the trivial one first.
+    factors: (psi coords, m, e) with m >= 1; e may be negative.
+    Returns one coefficient list (degrees 0..up_to) per character.
+    """
+    chars = list(itertools.product(*(range(d) for d in dims)))
+    index = {c: k for k, c in enumerate(chars)}
+    zero = [0] * len(chars)
+    rows = [zero] * (up_to + 1)  # rows are replaced, never mutated
+    rows[0] = [1] + zero[1:]
+    for psi, m, e in factors:
+        if e == 0 or m > up_to:
+            continue
+        # multiplying by [psi] moves the coefficient of chi - psi to chi
+        perm = [index[tuple((x - y) % d for x, y, d in zip(c, psi, dims))]
+                for c in chars]
+        for _ in range(abs(e)):
+            if e > 0:  # times (1 - [psi] t^m), top-down
+                for i in range(up_to, m - 1, -1):
+                    src = rows[i - m]
+                    if src is not zero:
+                        rows[i] = [a - src[p] for a, p in zip(rows[i], perm)]
+            else:  # divided by it: the geometric series, bottom-up
+                for i in range(m, up_to + 1):
+                    src = rows[i - m]
+                    if src is not zero:
+                        rows[i] = [a + src[p] for a, p in zip(rows[i], perm)]
+    return [list(col) for col in zip(*rows)]
+
+
+def _node_factors(g, v):
+    """(psi_w, m_vw, delta_w - 2) for the vertices w of degree != 2, with
+    psi_w = theta(E*_w)."""
+    gd = group_data(g)
+    nw = g.node_weights(v)
+    if "psi" not in g._cache:
+        g._cache["psi"] = {
+            w: gd.theta(gd.class_of(gd.dual.dual_cycles[w])).coords
+            for w in g.ids if g.degree(w) != 2}
+    return [(psi, nw.m[w], g.degree(w) - 2)
+            for w, psi in g._cache["psi"].items()]
+
+
+def molien_coeffs(g: ResolutionGraph, v, up_to, chars=None):
+    """Coefficient tables dim G^chi_i for i <= up_to.
+
+    Returns a dict Character -> list of nonnegative ints (length up_to+1),
+    for every character or only those in ``chars``.  H^chi is the [chi]
+    coefficient of prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2}; the whole
+    table is computed at once and kept for the largest degree asked for.
+    """
+    gd = group_data(g)
+    key = ("molien", v)
+    tables = g._cache.get(key)
+    if tables is None or len(tables[gd.trivial_character]) <= up_to:
+        cols = _zh_product(gd.invariant_factors, _node_factors(g, v), up_to)
+        tables = dict(zip(gd.characters(), cols))
+        for chi, tab in tables.items():
+            if min(tab) < 0:
+                i = next(i for i, c in enumerate(tab) if c < 0)
+                raise NegativeDimension(f"dim G^{chi.coords}_{i} = {tab[i]}")
+        g._cache[key] = tables
+    wanted = gd.characters() if chars is None else chars
+    return {c: tables[c][: up_to + 1] for c in wanted}
+
+
+def P_chi(g, v, chi: Character, n: int) -> int:
+    """P^chi(n) = sum_{i<n} dim G^chi_i."""
+    if n <= 0:
+        return 0
+    return sum(molien_coeffs(g, v, n - 1, chars=[chi])[chi])
+
+
+def total_ci_coeffs(g, v, up_to):
+    """Coefficients of prod_nodes (1-t^m)^{delta-2} / prod_ends (1-t^m).
+
+    This is the Hilbert series of the full graded ring (all characters
+    summed); the Koszul identity equates it with sum_chi dim G^chi_i.
+    """
+    nw = g.node_weights(v)
+    factors = [((), nw.m[w], g.degree(w) - 2)
+               for w in g.ids if g.degree(w) != 2]
+    return _zh_product((), factors, up_to)[0]
+
+
+# -- closed forms ----------------------------------------------------------
+
+
+def _class_order(gd: GroupData, coords) -> int:
+    out = 1
+    for c, d in zip(coords, gd.invariant_factors):
+        out = math.lcm(out, d // math.gcd(d, c))
+    return out
+
+
+def _int_mul(p, q, up_to):
+    """Product of integer coefficient lists, truncated after t^up_to."""
+    out = [0] * (up_to + 1)
+    for i, a in enumerate(p[: up_to + 1]):
+        if a:
+            n = min(len(q), up_to + 1 - i)
+            out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], q)]
+    return out
+
+
+def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
+    """Exact closed form of H^chi(t) over Q.
+
+    G^chi is a finitely generated module over the invariant polynomial
+    subring generated by z_w^{n_w} (n_w = order of [E*_w] in H), so
+    H^chi * prod_ends (1 - t^{n_w m_vw}) is a polynomial of degree at most
+    deg(denominator) + a(G); it is recovered from the coefficient table and
+    reduced by cancelling cyclotomic factors of the denominator.
+    """
+    gd = group_data(g)
+    nw = g.node_weights(v)
+    ks = []
+    for w in g.ends():
+        n_w = _class_order(gd, gd.class_of(gd.dual.dual_cycles[w]).coords)
+        ks.append(n_w * nw.m[w])
+    deg_b = sum(ks)
+    a = a_invariant(g, v)
+    deg_a = deg_b + max(a, 0)
+    bound = deg_a + 1  # one spare coefficient to catch truncation bugs
+    coeffs = molien_coeffs(g, v, bound, chars=[chi])[chi]
+    B = [1]
+    for k in ks:
+        B = _int_mul(B, [1] + [0] * (k - 1) + [-1], len(B) + k - 1)
+    # A = (series) * B, truncated; must be a polynomial of degree <= deg_a
+    A = _int_mul(B, coeffs, bound)
+    if any(A[deg_a + 1:]):
+        raise InternalCheckError(
+            f"H^{chi.coords} * denominator is not a polynomial "
+            f"of the predicted degree at t^{deg_a + 1}")
+    A = A[: deg_a + 1]
+    # cancel cyclotomic factors: 1 - t^k = -prod_{d | k} Phi_d
+    mult = {}
+    for k in ks:
+        for d in range(1, k + 1):
+            if k % d == 0:
+                mult[d] = mult.get(d, 0) + 1
+    sign = (-1) ** len(ks)
+    if any(A):
+        for d in sorted(mult):
+            while mult[d] > 0:
+                # Phi_d divides A iff it divides A mod (t^d - 1)
+                folded = [sum(A[j::d]) for j in range(d)]
+                if cyclotomic_quotient(folded, d) is None:
+                    break
+                A = cyclotomic_quotient(A, d)
+                mult[d] -= 1
+    den = [1]
+    for d, e in sorted(mult.items()):
+        phi_d = cyclotomic_polynomial(d)
+        for _ in range(e):
+            den = _int_mul(den, phi_d, len(den) + len(phi_d) - 2)
+    # the closed form expands back to the table: den * series = sign * A
+    expect = [sign * c for c in A[: bound + 1]]
+    expect += [0] * (bound + 1 - len(expect))
+    assert _int_mul(den, coeffs, bound) == expect
+    return RationalFunctionQ(PolyQ(A) * sign, PolyQ(den), reduce=False)
+
+
+# -- the constants c_v^chi -------------------------------------------------
+
+
+def _cv_at_infinity(g, v):
+    """c_v^chi for every character, read off the expansion at t = infinity.
+
+    With s = 1/t, H^chi is the [chi] coefficient of
+    t^a(G) [g] prod_w (1 - [-psi_w] s^{m_vw})^{delta_w - 2}, where
+    g = sum_w (delta_w - 2) psi_w (the sign is +1 because
+    sum_w (delta_w - 2) = -2 on a tree).  The polynomial part p of H^chi
+    is t^a(G) times the s^0 .. s^a(G) part of the [chi - g] coefficient, so
+    c_v^chi = p(1) is the sum of those a(G) + 1 coefficients.
+    """
+    key = ("cv", v)
+    if key not in g._cache:
+        gd = group_data(g)
+        dims = gd.invariant_factors
+        a = a_invariant(g, v)
+        factors = _node_factors(g, v)
+        shift = Character(tuple(
+            -sum(e * psi[i] for psi, _, e in factors) % d
+            for i, d in enumerate(dims)))
+        inverse = [(tuple(-x % d for x, d in zip(psi, dims)), m, e)
+                   for psi, m, e in factors]
+        sums = ([sum(col) for col in _zh_product(dims, inverse, a)]
+                if a >= 0 else [0] * gd.order)
+        value = dict(zip(gd.characters(), sums))
+        g._cache[key] = {chi: value[gd.char_mul(chi, shift)]
+                         for chi in gd.characters()}
+    return g._cache[key]
+
+
+def _route_a_value(g, v, chi, m):
+    gd = group_data(g)
+    nw = g.node_weights(v)
+    K, _ = g.canonical_cycle()
+    c1 = gd.fractional_representative(chi)
+    # (K + 2 L_chi) . E*_v  with  D . E*_v = -(coefficient of D at v)
+    pairing = -K[v] - 2 * c1[v]
+    quad = Fraction(m * m * nw.a_v - m * nw.e * pairing, 2)
+    return P_chi(g, v, chi, m * nw.a_v) - quad
+
+
+def _route_a(g, v, chi: Character) -> Fraction:
+    """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
+    asserted stable under m -> m+1, m+2 above the threshold."""
+    m = truncation_m(g, v)
+    # build the table once, to the largest degree the three values use
+    molien_coeffs(g, v, (m + 2) * g.node_weights(v).a_v - 1, chars=())
+    value = _route_a_value(g, v, chi, m)
+    for mm in (m + 1, m + 2):
+        other = _route_a_value(g, v, chi, mm)
+        if other != value:
+            raise UnstableInM(
+                f"c_v^chi changed from {value} to {other} at m={mm} "
+                f"(node {v}, chi {chi.coords})")
+    return value
+
+
+def c_v_chi(g: ResolutionGraph, v, chi: Character,
+            check_stability=False) -> Fraction:
+    """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity.
+
+    With check_stability=True, Route A is also run at m, m+1 and m+2 and
+    must give the same value.
+    """
+    value = Fraction(_cv_at_infinity(g, v)[chi])
+    if check_stability:
+        route_a = _route_a(g, v, chi)
+        if route_a != value:
+            raise MismatchedRoutes(
+                f"c_v at node {v}, chi {chi.coords}: Route A {route_a} != "
+                f"{value} at t = infinity")
+    return value
+
+
+def c_v_chi_routes(g, v, chi: Character):
+    """Both routes: (Route A, Route B = p(1) from the closed form).
+
+    A mismatch for the trivial character is an error; for nontrivial
+    characters the caller decides how to report a discrepancy.
+    """
+    route_a = _route_a(g, v, chi)
+    p, _ = polynomial_part(molien_closed(g, v, chi))
+    route_b = p(Fraction(1))
+    trivial = all(c == 0 for c in chi.coords)
+    if trivial and route_a != route_b:
+        raise MismatchedRoutes(
+            f"c_v at node {v}: Route A {route_a} != Route B {route_b}")
+    return route_a, route_b
+
+
+# -- general complete-intersection Molien ---------------------------------
 
 
 def _rot(vec, k, N):
@@ -102,332 +369,6 @@ def _series_product(factors, up_to, N):
     return S
 
 
-def _pair_residues(gd: GroupData, h, N):
-    """N * theta(h, E*_w) for every vertex w, as integers."""
-    g = gd.graph
-    cache = g._cache.setdefault("residues", {})
-    if h not in cache:
-        rep = gd.lift(h)
-        out = {}
-        for w in g.ids:
-            val = N * mod1(g.intersect(rep, gd.dual.dual_cycles[w]))
-            assert val.denominator == 1
-            out[w] = int(val) % N
-        cache[h] = out
-    return cache[h]
-
-
-def molien_coeffs(g: ResolutionGraph, v, up_to, chars=None):
-    """Coefficient tables dim G^chi_i for i <= up_to.
-
-    Returns a dict Character -> list of nonnegative ints (length up_to+1).
-    With chars=None all characters are computed at once (the per-h products
-    are shared; this is the fast path for the genus recursion).  An explicit
-    subset keeps its own memo so that high-degree closed-form requests do
-    not pay for the whole character table.
-    """
-    gd = group_data(g)
-    if chars is None:
-        memo = g._cache.setdefault(("molien", v), {"up_to": -1, "tables": {}})
-        if up_to > memo["up_to"]:
-            memo["tables"] = _eigentable(g, v, up_to, list(gd.characters()))
-            memo["up_to"] = up_to
-        return {c: tab[: up_to + 1] for c, tab in memo["tables"].items()}
-    full = g._cache.get(("molien", v))
-    out = {}
-    single = g._cache.setdefault(("molien1", v), {})
-    for c in chars:
-        if full is not None and full["up_to"] >= up_to:
-            out[c] = full["tables"][c][: up_to + 1]
-            continue
-        if c not in single or len(single[c]) <= up_to:
-            single[c] = _eigentable(g, v, up_to, [c])[c]
-        out[c] = single[c][: up_to + 1]
-    return out
-
-
-def _coeff_bound(factors, up_to):
-    """Bound on |coefficients| of any per-h series (all signs made +)."""
-    b = [0] * (up_to + 1)
-    b[0] = 1
-    for _, m, e in factors:
-        if e == 0:
-            continue
-        if e < 0:
-            for _ in range(-e):
-                for i in range(m, up_to + 1):
-                    b[i] += b[i - m]
-        else:
-            new = b[:]
-            for j in range(1, e + 1):
-                if j * m > up_to:
-                    break
-                c = comb(e, j)
-                for i in range(j * m, up_to + 1):
-                    new[i] += c * b[i - j * m]
-            b = new
-    return max(b)
-
-
-def _packed_series(factors, up_to, N, W, full_mask):
-    """The per-h product as 2N big integers (positive/negative parts).
-
-    Coordinate j of the group ring holds its whole coefficient stream in one
-    integer with W-bit limbs, limb i = coefficient of x^j t^i; multiplying
-    by x^r is a cyclic permutation of the coordinates and multiplying by
-    t^m is a limb shift.
-    """
-    pos = [0] * N
-    neg = [0] * N
-    pos[0] = 1
-    for r, m, e in factors:
-        if e == 0:
-            continue
-        if e > 0:
-            npos = [0] * N
-            nneg = [0] * N
-            for j in range(e + 1):
-                if j * m > up_to:
-                    break
-                c = comb(e, j)
-                sh = W * j * m
-                rr = (r * j) % N
-                src_p, src_n = (pos, neg) if j % 2 == 0 else (neg, pos)
-                for q in range(N):
-                    npos[q] += (src_p[(q - rr) % N] << sh) * c
-                    nneg[q] += (src_n[(q - rr) % N] << sh) * c
-            pos = [x & full_mask for x in npos]
-            neg = [x & full_mask for x in nneg]
-        else:
-            for _ in range(-e):
-                # 1/(1 - x^r t^m) by doubling: P_{2k} = P_k + y^k P_k
-                k = 1
-                rr = r % N
-                while k * m <= up_to:
-                    sh = W * k * m
-                    op, on = pos, neg
-                    pos = [(op[q] + (op[(q - rr) % N] << sh)) & full_mask
-                           for q in range(N)]
-                    neg = [(on[q] + (on[(q - rr) % N] << sh)) & full_mask
-                           for q in range(N)]
-                    k *= 2
-                    rr = (rr * 2) % N
-    return pos, neg
-
-
-def _eigentable(g, v, up_to, chars):
-    gd = group_data(g)
-    N = gd.exponent
-    nw = g.node_weights(v)
-    order = gd.order
-    active = [w for w in g.ids if g.degree(w) != 2]
-    factors = [(0, nw.m[w], g.degree(w) - 2) for w in active]
-    deg = euler_phi(N)
-    powers = _power_table(N)  # x^j mod Phi_N, integer coordinate tuples
-    red_sum = max(sum(abs(powers[j][k]) for j in range(N)) for k in range(deg))
-    # limb width: limbs stay positive and below 2^W through the H-sum and
-    # the cyclotomic reduction applied to the packed integers
-    bound = _coeff_bound(factors, up_to) * order * red_sum
-    W = max(64, bound.bit_length() + 2)
-    full_mask = (1 << (W * (up_to + 1))) - 1
-    limb_mask = (1 << W) - 1
-    acc_p = {chi: [0] * N for chi in chars}
-    acc_n = {chi: [0] * N for chi in chars}
-    scale = [N // d for d in gd.invariant_factors]
-    for h in gd.elements():
-        res = _pair_residues(gd, h, N)
-        hfactors = [(res[w], nw.m[w], g.degree(w) - 2) for w in active]
-        pos, neg = _packed_series(hfactors, up_to, N, W, full_mask)
-        for chi in chars:
-            # rotation for chi^{-1}(h), as an integer multiple of 1/N
-            s = -sum(c * x * f for c, x, f in
-                     zip(chi.coords, h.coords, scale)) % N
-            ap = acc_p[chi]
-            an = acc_n[chi]
-            for q in range(N):
-                ap[q] += pos[(q - s) % N]
-                an[q] += neg[(q - s) % N]
-    out = {}
-    for chi in chars:
-        ap = acc_p[chi]
-        an = acc_n[chi]
-        # reduce mod Phi_N coordinatewise on the packed streams; the result
-        # is rational iff every non-constant coordinate cancels exactly
-        P0 = N0 = 0
-        for k in range(deg):
-            Pk = Nk = 0
-            for j in range(N):
-                c = powers[j][k]
-                if c > 0:
-                    Pk += c * ap[j]
-                    Nk += c * an[j]
-                elif c < 0:
-                    Pk -= c * an[j]
-                    Nk -= c * ap[j]
-            if k == 0:
-                P0, N0 = Pk, Nk
-            elif Pk != Nk:
-                raise IrrationalCoefficient(
-                    f"H^{chi.coords} has an irrational coefficient "
-                    f"(coordinate {k} of the reduction is nonzero)")
-        dims = []
-        for i in range(up_to + 1):
-            val = ((P0 >> (W * i)) & limb_mask) - ((N0 >> (W * i)) & limb_mask)
-            if val % order != 0:
-                raise IrrationalCoefficient(
-                    f"coefficient t^{i} of H^{chi.coords} is {val}/{order}")
-            dim = val // order
-            if dim < 0:
-                raise NegativeDimension(f"dim G^{chi.coords}_{i} = {dim}")
-            dims.append(dim)
-        out[chi] = dims
-    return out
-
-
-def P_chi(g, v, chi: Character, n: int) -> int:
-    """P^chi(n) = sum_{i<n} dim G^chi_i."""
-    if n <= 0:
-        return 0
-    table = molien_coeffs(g, v, n - 1)[chi]
-    return sum(table)
-
-
-def total_ci_coeffs(g, v, up_to):
-    """Coefficients of prod_nodes (1-t^m)^{delta-2} / prod_ends (1-t^m).
-
-    This is the Hilbert series of the full graded ring (all characters
-    summed); the Koszul identity equates it with sum_chi dim G^chi_i.
-    """
-    nw = g.node_weights(v)
-    factors = [(0, nw.m[w], g.degree(w) - 2)
-               for w in g.ids if g.degree(w) != 2]
-    S = _series_product(factors, up_to, 1)
-    return [vec[0] for vec in S]
-
-
-# -- closed forms ----------------------------------------------------------
-
-
-def _class_order(gd: GroupData, coords) -> int:
-    out = 1
-    for c, d in zip(coords, gd.invariant_factors):
-        out = math.lcm(out, d // math.gcd(d, c))
-    return out
-
-
-def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
-    """Exact closed form of H^chi(t) over Q.
-
-    G^chi is a finitely generated module over the invariant polynomial
-    subring generated by z_w^{n_w} (n_w = order of [E*_w] in H), so
-    H^chi * prod_ends (1 - t^{n_w m_vw}) is a polynomial of degree at most
-    deg(denominator) + a(G); it is recovered from the coefficient table and
-    reduced by cancelling cyclotomic factors of the denominator.
-    """
-    gd = group_data(g)
-    nw = g.node_weights(v)
-    ks = []
-    for w in g.ends():
-        n_w = _class_order(gd, gd.class_of(gd.dual.dual_cycles[w]).coords)
-        ks.append(n_w * nw.m[w])
-    deg_b = sum(ks)
-    a = a_invariant(g, v)
-    deg_a = deg_b + max(a, 0)
-    bound = deg_a + 1  # one spare coefficient to catch truncation bugs
-    coeffs = molien_coeffs(g, v, bound, chars=[chi])[chi]
-    B = PolyQ([1])
-    for k in ks:
-        B = B * PolyQ.one_minus_tk(k)
-    # A = (series) * B, truncated; must be a polynomial of degree <= deg_a
-    A_coeffs = [Fraction(0)] * (bound + 1)
-    for e, c in enumerate(B.coeffs):
-        if c:
-            for i in range(bound + 1 - e):
-                A_coeffs[e + i] += c * coeffs[i]
-    for i in range(deg_a + 1, bound + 1):
-        if A_coeffs[i] != 0:
-            raise InternalCheckError(
-                f"H^{chi.coords} * denominator is not a polynomial "
-                f"of the predicted degree at t^{i}")
-    A = PolyQ(A_coeffs[: deg_a + 1])
-    # cancel cyclotomic factors: 1 - t^k = -prod_{d | k} Phi_d
-    mult = {}
-    for k in ks:
-        for d in range(1, k + 1):
-            if k % d == 0:
-                mult[d] = mult.get(d, 0) + 1
-    sign = (-1) ** len(ks)
-    if not A.is_zero():
-        for d in sorted(mult):
-            phi_d = PolyQ(cyclotomic_polynomial(d))
-            while mult[d] > 0:
-                q, r = divmod(A, phi_d)
-                if not r.is_zero():
-                    break
-                A = q
-                mult[d] -= 1
-    den = PolyQ([1])
-    for d, e in sorted(mult.items()):
-        phi_d = PolyQ(cyclotomic_polynomial(d))
-        for _ in range(e):
-            den = den * phi_d
-    f = RationalFunctionQ(A * sign, den, reduce=False)
-    assert f.series_coefficients(bound) == [Fraction(c) for c in coeffs]
-    return f
-
-
-# -- the constants c_v^chi -------------------------------------------------
-
-
-def _route_a_value(g, v, chi, m):
-    gd = group_data(g)
-    nw = g.node_weights(v)
-    K, _ = g.canonical_cycle()
-    c1 = gd.fractional_representative(chi)
-    # (K + 2 L_chi) . E*_v  with  D . E*_v = -(coefficient of D at v)
-    pairing = -K[v] - 2 * c1[v]
-    quad = Fraction(m * m * nw.a_v - m * nw.e * pairing, 2)
-    return P_chi(g, v, chi, m * nw.a_v) - quad
-
-
-def c_v_chi(g: ResolutionGraph, v, chi: Character, check_stability=True) -> Fraction:
-    """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2.
-
-    Asserted stable under m -> m+1, m+2 above the threshold.
-    """
-    m = truncation_m(g, v)
-    top = ((m + 2) if check_stability else m) * g.node_weights(v).a_v
-    molien_coeffs(g, v, top - 1)  # one shared table for all P-sums below
-    value = _route_a_value(g, v, chi, m)
-    if check_stability:
-        for mm in (m + 1, m + 2):
-            other = _route_a_value(g, v, chi, mm)
-            if other != value:
-                raise UnstableInM(
-                    f"c_v^chi changed from {value} to {other} at m={mm} "
-                    f"(node {v}, chi {chi.coords})")
-    return value
-
-
-def c_v_chi_routes(g, v, chi: Character):
-    """Both routes: (Route A, Route B = p(1) from the closed form).
-
-    A mismatch for the trivial character is an error; for nontrivial
-    characters the caller decides how to report a discrepancy.
-    """
-    route_a = c_v_chi(g, v, chi)
-    p, _ = polynomial_part(molien_closed(g, v, chi))
-    route_b = p(Fraction(1))
-    trivial = all(c == 0 for c in chi.coords)
-    if trivial and route_a != route_b:
-        raise MismatchedRoutes(
-            f"c_v at node {v}: Route A {route_a} != Route B {route_b}")
-    return route_a, route_b
-
-
-# -- general complete-intersection Molien ---------------------------------
-
-
 def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
     """Molien series of a complete intersection with diagonal group action.
 
@@ -453,7 +394,6 @@ def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
     order = 1
     for o in orders:
         order *= o
-    import itertools
     acc = [[0] * N for _ in range(up_to + 1)]
     for gtup in itertools.product(*(range(o) for o in orders)):
         factors = []

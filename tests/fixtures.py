@@ -3,9 +3,13 @@
 fig1: the 14-vertex three-node graph with |H| = 36 and p_g = 7.
 exmc: the 6-vertex two-node graph whose splice system is
       z1^2 + z2^2 + z3 z4^2, z3^2 + z4^3 + z1 z2.
+star: a central curve with Hirzebruch-Jung legs, given by Seifert pairs.
 """
 
+import itertools
 import os
+from fractions import Fraction
+from math import gcd
 
 from splicegenus import ResolutionGraph
 
@@ -52,6 +56,53 @@ def a_chain(n, weight=-2) -> ResolutionGraph:
 
 def single(weight=-2) -> ResolutionGraph:
     return ResolutionGraph([("e", weight)], [])
+
+
+def hj_chain(alpha, omega):
+    """Weights -b_1, ..., -b_k with alpha/omega = [b_1, ..., b_k]."""
+    out = []
+    while omega:
+        b = -(-alpha // omega)
+        out.append(-b)
+        alpha, omega = omega, b * omega - alpha
+    return out
+
+
+def star(b, legs) -> ResolutionGraph:
+    """Central weight -b; leg i is the chain of alpha_i/omega_i, b_1 next
+    to the centre."""
+    vs, es = [("c", -b)], []
+    for i, (alpha, omega) in enumerate(legs):
+        prev = "c"
+        for j, weight in enumerate(hj_chain(alpha, omega)):
+            vid = f"l{i}_{j}"
+            vs.append((vid, weight))
+            es.append((prev, vid))
+            prev = vid
+    return ResolutionGraph(vs, es)
+
+
+def star_order(b, legs):
+    """|H| = prod alpha_i * (b - sum omega_i/alpha_i)."""
+    order = b - sum(Fraction(w, a) for a, w in legs)
+    for a, _ in legs:
+        order *= a
+    return int(order)
+
+
+def small_stars(max_order=16):
+    """Every star with 3-4 legs alpha/omega, alpha <= 5, and |H| <= max_order
+    (negative definite: b > sum omega_i/alpha_i), each up to isomorphism."""
+    leg_types = [(a, w) for a in range(2, 6) for w in range(1, a)
+                 if gcd(a, w) == 1]
+    out = []
+    for k in (3, 4):
+        for legs in itertools.combinations_with_replacement(leg_types, k):
+            b = int(sum(Fraction(w, a) for a, w in legs)) + 1
+            while star_order(b, legs) <= max_order:
+                out.append((b, legs))
+                b += 1
+    return out
 
 
 def graph_file(name) -> str:

@@ -159,3 +159,27 @@ def test_pg_on_chain_is_zero_with_warning(capsys):
     code, data, err = _payload(
         capsys, ["pg", "--input", graph_file("a3.dsl"), "--format", "json"])
     assert code == 0 and data["pg"] == 0 and "chain" in err
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_exits_2_without_traceback(monkeypatch, capsys,
+                                                       error):
+    import splicegenus.cli as cli
+
+    def exhausted(args):
+        raise error("maximum depth" if error is RecursionError else "")
+
+    monkeypatch.setitem(cli._HANDLERS, "pg", exhausted)
+    code, out, err = _json_out(
+        capsys, ["pg", "--input", graph_file("fig1.json")])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"internal check failed: {error.__name__}")
+
+
+@pytest.mark.parametrize("command", ["hilbert", "oracle-verify"])
+def test_negative_max_degree_exits_1(capsys, command):
+    code, out, err = _json_out(
+        capsys, [command, "--input", graph_file("d4.json"),
+                 "--max-degree", "-1"])
+    assert code == 1 and out == "" and "degree must be >= 0" in err

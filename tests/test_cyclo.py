@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from splicegenus.cyclo import (
     CycloNumber,
     cyclotomic_polynomial,
+    cyclotomic_quotient,
     euler_phi,
     reduce_group_ring,
 )
@@ -43,6 +44,35 @@ def test_product_over_divisors_is_xn_minus_1(n):
                     out[i + j] += a * b
             prod = out
     assert prod == [-1] + [0] * (n - 1) + [1]
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@given(st.integers(min_value=1, max_value=40),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=12))
+@settings(deadline=None)
+def test_cyclotomic_quotient_exact_division(d, q):
+    if not any(q):
+        return
+    while q[-1] == 0:
+        q.pop()
+    phi = list(cyclotomic_polynomial(d))
+    assert cyclotomic_quotient(_mul(q, phi), d) == q
+    assert cyclotomic_quotient(_mul(q, phi) + [0, 0], d) == q
+    # adding 1 breaks divisibility unless Phi_d divides 1, which it never does
+    p = _mul(q, phi)
+    p[0] += 1
+    assert cyclotomic_quotient(p, d) is None
+
+
+def test_cyclotomic_quotient_of_zero_is_zero():
+    assert cyclotomic_quotient([0, 0], 6) == []
 
 
 def test_zeta_pow_order():

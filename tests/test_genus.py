@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fixtures import a_chain, d4, e8, exmc, fig1
+from fixtures import a_chain, d4, e8, exmc, fig1, small_stars, star
+from splicegenus import genus
 from splicegenus.genus import (
     euler_char_on_cycle,
     genus_report,
@@ -191,3 +192,42 @@ def test_genus_report_chain():
     rep = genus_report(a_chain(3))
     assert rep.pg == 0 and rep.pg_uac == 0
     assert all(v == 0 for v in rep.per_character_h1.values())
+
+
+# -- Pinkham's formula on star graphs ----------------------------------------
+
+def _pinkham_pg(b, legs):
+    """p_g = sum_{l>=0} max(0, -l b + sum_i ceil(l omega_i/alpha_i) - 1) for
+    the weighted homogeneous singularity of a star (Pinkham, Math. Ann. 227,
+    1977).  A term is positive only while l (b - sum omega_i/alpha_i) is
+    below the number of legs."""
+    slack = b - sum(Fraction(w, a) for a, w in legs)
+    total, l = 0, 0
+    while l * slack < len(legs):
+        total += max(0, -l * b + sum(-(-l * w // a) for a, w in legs) - 1)
+        l += 1
+    return total
+
+
+def test_pg_matches_pinkham_on_small_stars():
+    stars = small_stars()
+    assert len(stars) == 96
+    for b, legs in stars:
+        assert pg(star(b, legs)) == _pinkham_pg(b, legs), (b, legs)
+
+
+def test_pg_brieskorn_237_is_one():
+    legs = [(2, 1), (3, 1), (7, 1)]
+    assert _pinkham_pg(1, legs) == 1
+    assert pg(star(1, legs)) == 1
+
+
+def test_h1_recursion_reads_c_v_without_tables(monkeypatch):
+    import splicegenus.molien as M
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("the h1 recursion built a Hilbert table")
+
+    monkeypatch.setattr(genus, "_h1_memo", {})
+    monkeypatch.setattr(M, "molien_coeffs", no_tables)
+    assert pg(fig1()) == 7

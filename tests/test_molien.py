@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from fixtures import d4, e8, exmc, fig1, single
+from fixtures import d4, e8, exmc, fig1, small_stars, star
 from splicegenus.discgroup import HElement
 from splicegenus.errors import InternalCheckError
 from splicegenus.molien import (
@@ -175,6 +176,48 @@ def test_routes_agree_on_every_character():
             a, b = c_v_chi_routes(g, v, chi)
             assert a == b
             assert a >= 0 and a.denominator == 1
+
+
+def _recursion_graphs(g, seen=None):
+    """g and every non-chain branch subgraph the h1 recursion can reach."""
+    seen = {} if seen is None else seen
+    if not g.is_chain() and g.fingerprint() not in seen:
+        seen[g.fingerprint()] = g
+        for v in g.nodes():
+            for br in g.branches(v):
+                _recursion_graphs(br.subgraph, seen)
+    return list(seen.values())
+
+
+def _assert_cv_consistent(g, v, chi):
+    """t = infinity equals Route A at m, m+1, m+2, is a nonnegative integer,
+    and for the trivial character equals Route B."""
+    value = c_v_chi(g, v, chi)
+    assert c_v_chi(g, v, chi, check_stability=True) == value
+    assert value.denominator == 1 and value >= 0
+    if chi == group_data(g).trivial_character:
+        assert c_v_chi_routes(g, v, chi)[1] == value
+
+
+def test_cv_at_infinity_every_character_small_graphs():
+    stars = random.Random(2).sample(small_stars(), 6)
+    graphs = [d4(), e8(), exmc()] + [star(b, legs) for b, legs in stars]
+    for g in graphs:
+        for v in g.nodes():
+            for chi in group_data(g).characters():
+                _assert_cv_consistent(g, v, chi)
+
+
+def test_cv_at_infinity_sampled_characters_fig1_subgraphs():
+    rng = random.Random(3)
+    graphs = _recursion_graphs(fig1())
+    assert len(graphs) == 6
+    for g in graphs:
+        gd = group_data(g)
+        others = [c for c in gd.characters() if c != gd.trivial_character]
+        for v in sorted(g.nodes()):
+            for chi in [gd.trivial_character] + rng.sample(others, 2):
+                _assert_cv_consistent(g, v, chi)
 
 
 def test_exmc_trivial_c_is_one():
