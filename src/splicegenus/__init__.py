@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .discgroup import Character, GroupData, HElement
+from .discgroup import Character, GroupData, HElement, group_data
 from .genus import (
     GenusReport,
     euler_char_on_cycle,
@@ -18,7 +18,6 @@ from .molien import (
     a_invariant,
     c_v_chi,
     c_v_chi_routes,
-    group_data,
     hilbert_data,
     molien_ci,
     molien_closed,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
-check, 3 Unknown verdict (monomial-condition search hit its bound).
+check, 3 Unknown verdict (monomial-condition search hit its bound; for
+``emit-equations`` and ``oracle-verify`` with a one-line ``unknown: ...``
+message).
 Running out of memory or of recursion depth also exits 2, with a one-line
 ``internal check failed: ...`` message instead of a traceback.
 Reports go to standard output, diagnostics to standard error.
@@ -14,16 +16,14 @@ import json
 import sys
 
 from . import __version__
-from .discgroup import Character
-from .errors import GraphInputError, InternalCheckError
+from .discgroup import Character, group_data
+from .errors import GraphInputError, InternalCheckError, MonomialConditionUnknown
 from .genus import genus_report, h1_eigensheaf, pg
 from .graph import parse_graph
 from .molien import (
     a_invariant,
     c_v_chi_routes,
-    group_data,
     hilbert_data,
-    molien_closed,
     truncation_m,
 )
 from .oracle import oracle_verify
@@ -36,11 +36,18 @@ EXIT_INTERNAL = 2
 EXIT_UNKNOWN = 3
 
 
-def _degree(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {value}")
-    return value
+def _nonnegative(what):
+    def parse(text):
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {value}")
+        return value
+    parse.__name__ = what  # argparse names it in "invalid <what> value"
+    return parse
+
+
+_degree = _nonnegative("degree")
+_bound = _nonnegative("bound")
 
 
 def _build_parser():
@@ -73,14 +80,14 @@ def _build_parser():
     c = cmd("h1", help="h1(L_chi) for one character")
     c.add_argument("--char", required=True)
     c = cmd("monomial-check", help="search admissible monomials per node/branch")
-    c.add_argument("--bound", type=int, default=64)
+    c.add_argument("--bound", type=_bound, default=64)
     c = cmd("emit-equations", help="emit a generic splice equation system")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=int, default=64)
+    c.add_argument("--bound", type=_bound, default=64)
     c = cmd("oracle-verify", help="brute-force check of the Molien dimensions")
     c.add_argument("--max-degree", type=_degree, default=10)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=int, default=64)
+    c.add_argument("--bound", type=_bound, default=64)
     cmd("fundamental-cycle", help="Artin's fundamental cycle and p_a(Z)")
     return p
 
@@ -365,6 +372,9 @@ def run(argv=None) -> int:
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MonomialConditionUnknown as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         trace = getattr(exc, "trace", None)

@@ -1,16 +1,20 @@
 """The discriminant group H = L*/L and its character theory.
 
-H is presented as Z^n / I Z^n via the basis {E*_v} of L*; Smith normal form
-gives invariant-factor coordinates.  The theta pairing is the rational
-intersection form reduced mod 1, and it identifies H with its character
-group: a character with coordinates c acts by
-chi(h) = exp(2 pi i * sum_i c_i h_i / d_i).
+H is presented as Z^n / I Z^n in the E*-coordinates alpha of L*
+(alpha_w = -D.E_w for D = sum_w alpha_w E*_w); the Smith normal form
+U I V = S gives invariant-factor coordinates, class(alpha) = U alpha mod d.
+The theta pairing is the intersection form reduced mod 1,
+D.D' = -alpha^T A alpha' / |det I| with A the graph's integer adjugate, and
+it identifies H with its character group: a character with coordinates c
+acts by chi(h) = exp(2 pi i * sum_i c_i h_i / d_i).  In these coordinates
+theta(alpha) = T alpha mod d for an integer matrix T, and all work below
+stays in the integers; QCycle arguments and results are converted at the
+boundary.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +39,13 @@ class Character:
     coords: tuple  # same coordinate convention via invariant factors
 
 
+def group_data(g: ResolutionGraph) -> GroupData:
+    """The graph's GroupData, built once and kept in its cache."""
+    if "group" not in g._cache:
+        g._cache["group"] = GroupData(g)
+    return g._cache["group"]
+
+
 class GroupData:
     """Invariant-factor presentation of H = L*/L for one graph."""
 
@@ -43,27 +54,30 @@ class GroupData:
         self.graph = graph
         self.dual = graph.dual_data()
         I = graph.intersection_matrix()
-        U, S, _V = exact.smith_normal_form(I)
+        U, S, V = exact.smith_normal_form(I)
         n = len(graph.ids)
         diag = [S[i][i] for i in range(n)]
         assert all(d > 0 for d in diag)
-        self._U = U
-        self._Uinv = exact.unimodular_inverse(U)
-        self._diag = diag
-        self._kept = [i for i in range(n) if diag[i] > 1]
-        self.invariant_factors = [diag[i] for i in self._kept]
+        kept = [i for i in range(n) if diag[i] > 1]
+        self.invariant_factors = [diag[i] for i in kept]
         self.order = 1
         for d in self.invariant_factors:
             self.order *= d
         assert self.order == self.dual.det_abs, "|H| must equal |det I|"
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
-        # generator i of H lifts to the L*-element with alpha-vector
-        # equal to column kept[i] of U^{-1}
-        self._gen_alphas = [
-            [self._Uinv[r][i] for r in range(n)] for i in self._kept
-        ]
-        self._pairing = None
-        self._char_lookup = None
+        self._U = [U[i] for i in kept]
+        # generator k of H lifts to column k of U^{-1} = I V S^{-1}
+        self._gen_alphas = []
+        for k in kept:
+            col, rem = zip(*(divmod(x, diag[k]) for x in
+                             graph.intersections([row[k] for row in V])))
+            assert not any(rem), "U^{-1} must be integral"
+            self._gen_alphas.append(list(col))
+        # theta(E*_w)_j = d_j (E*_w . gen_j) = V_{w k_j} mod d_j, because
+        # A I V = -|det I| V; rows j of the theta matrix T, columns w
+        self.theta_matrix = [[row[k] % diag[k] for row in V] for k in kept]
+        self._alphas = None
+        self._c1 = {}
 
     # -- element bookkeeping ----------------------------------------------
 
@@ -99,6 +113,53 @@ class GroupData:
         return mod1(sum(Fraction(c * x, d) for c, x, d in
                         zip(chi.coords, h.coords, self.invariant_factors)))
 
+    # -- E*-coordinates ---------------------------------------------------
+
+    def _class_alpha(self, alpha) -> HElement:
+        return self.reduce([sum(u * a for u, a in zip(row, alpha) if a)
+                            for row in self._U])
+
+    def _lift_alpha(self, h: HElement):
+        alpha = [0] * len(self.graph.ids)
+        for c, gen in zip(h.coords, self._gen_alphas):
+            if c:
+                alpha = [a + c * x for a, x in zip(alpha, gen)]
+        return alpha
+
+    def theta_alpha(self, alpha) -> Character:
+        """theta of the class of sum_w alpha_w E*_w: T alpha mod d."""
+        return Character(tuple(
+            sum(t * a for t, a in zip(row, alpha) if a) % d
+            for row, d in zip(self.theta_matrix, self.invariant_factors)))
+
+    def dual_character(self, w) -> Character:
+        """psi_w = theta(E*_w), column w of the theta matrix."""
+        k = self.graph.index(w)
+        return Character(tuple(row[k] for row in self.theta_matrix))
+
+    def c1_alpha(self, chi: Character):
+        """E*-coordinates of c_1(L_chi), the representative of chi with
+        E-coefficients in [0, 1)."""
+        if chi not in self._c1:
+            if self._alphas is None:
+                # theta inverted on lifts: character -> alpha of one lift
+                table = {}
+                for h in self.elements():
+                    alpha = self._lift_alpha(h)
+                    table[self.theta_alpha(alpha)] = alpha
+                assert len(table) == self.order, "theta is not bijective"
+                self._alphas = table
+            det = self.dual.det_abs
+            # |det I| times the fractional part of the lift's E-coefficients,
+            # and back to E*-coordinates: alpha = -I rep / |det I|
+            rep = [c % det for c in self.dual.numerators(self._alphas[chi])]
+            alpha, rem = zip(*(divmod(-x, det) for x in
+                               self.graph.intersections(rep)))
+            assert not any(rem), "c_1(L_chi) is not in L*"
+            assert self.theta_alpha(alpha) == chi
+            self._c1[chi] = list(alpha)
+        return self._c1[chi]
+
     # -- classes of dual-lattice elements ---------------------------------
 
     def alpha_of(self, D: QCycle):
@@ -113,25 +174,17 @@ class GroupData:
             alphas.append(int(a))
         return alphas
 
+    def _alpha(self, x):
+        if isinstance(x, HElement):
+            return self._lift_alpha(x)
+        return self.alpha_of(x)
+
     def class_of(self, D: QCycle) -> HElement:
-        alpha = self.alpha_of(D)
-        coords = [sum(self._U[i][j] * alpha[j] for j in range(len(alpha)))
-                  for i in self._kept]
-        return self.reduce(coords)
+        return self._class_alpha(self.alpha_of(D))
 
     def lift(self, h: HElement) -> QCycle:
         """A representative of h in L*, as a QCycle in the E-basis."""
-        n = len(self.graph.ids)
-        alpha = [0] * n
-        for c, gen in zip(h.coords, self._gen_alphas):
-            for r in range(n):
-                alpha[r] += c * gen[r]
-        coeffs = {}
-        for j, w in enumerate(self.graph.ids):
-            coeffs[w] = sum(
-                alpha[v] * self.dual.inverse[(self.graph.ids[v], w)]
-                for v in range(n))
-        return QCycle(coeffs)
+        return self.dual.cycle(self._lift_alpha(h))
 
     # -- theta pairing -----------------------------------------------------
 
@@ -140,69 +193,45 @@ class GroupData:
 
         Arguments may be HElements or QCycles in L*.
         """
-        if isinstance(x, HElement):
-            x = self.lift(x)
-        if isinstance(y, HElement):
-            y = self.lift(y)
-        self.alpha_of(x)  # membership check
-        self.alpha_of(y)
-        return mod1(self.graph.intersect(x, y))
-
-    def pairing_table(self):
-        if self._pairing is None:
-            gens = [self.lift(HElement(tuple(int(i == k) for i in range(self.rank))))
-                    for k in range(self.rank)]
-            self._pairing = [
-                [mod1(self.graph.intersect(a, b)) for b in gens] for a in gens
-            ]
-        return self._pairing
+        a, b = self._alpha(x), self._alpha(y)
+        ab = sum(p * q for p, q in zip(a, self.dual.numerators(b)))
+        return mod1(Fraction(-ab, self.dual.det_abs))
 
     def theta(self, x) -> Character:
         """The character theta(h): h' -> exp(2 pi i h.h')."""
-        if isinstance(x, QCycle):
-            x = self.class_of(x)
-        P = self.pairing_table()
-        coords = []
-        for j, d in enumerate(self.invariant_factors):
-            val = d * mod1(sum(x.coords[i] * P[i][j] for i in range(self.rank)))
-            assert val.denominator == 1
-            coords.append(int(val))
-        return Character(tuple(coords))
-
-    def character_to_element(self, chi: Character) -> HElement:
-        """Invert theta (nondegeneracy makes this a bijection)."""
-        if self._char_lookup is None:
-            self._char_lookup = {self.theta(h): h for h in self.elements()}
-            assert len(self._char_lookup) == self.order, "theta is not bijective"
-        return self._char_lookup[chi]
+        return self.theta_alpha(self._alpha(x))
 
     # -- fractional representatives and branch maps ------------------------
 
     def fractional_representative(self, chi: Character) -> QCycle:
         """c_1(L_chi): the unique L*-representative with coefficients in [0,1)."""
-        h = self.character_to_element(chi)
-        D = self.lift(h)
-        rep = D - D.floor()
+        rep = self.dual.cycle(self.c1_alpha(chi))
         assert all(0 <= c < 1 for c in rep.coeffs.values())
-        assert self.theta(self.class_of(rep)) == chi
         return rep
+
+
+def phi_alpha(parent_gd: GroupData, branch, chi: Character):
+    """phi_i(c_1(L_chi)) in the branch's E*-coordinates: alpha restricted to
+    the branch, in branch.subgraph.ids order."""
+    alpha = dict(zip(parent_gd.graph.ids, parent_gd.c1_alpha(chi)))
+    return [alpha[w] for w in branch.subgraph.ids]
+
+
+def nef_shift(branch, phi):
+    """D_{chi,i} = -[phi] for phi in the branch's E*-coordinates, as
+    integer E-coefficients in branch.subgraph.ids order; effective."""
+    dd = branch.subgraph.dual_data()
+    D = [-(c // dd.det_abs) for c in dd.numerators(phi)]
+    assert all(c >= 0 for c in D), "D_{chi,i} is not effective"
+    return D
 
 
 def phi_branch(parent: ResolutionGraph, branch, D: QCycle) -> QCycle:
     """phi_i: rewrite D in the E*-basis, keep the branch part, reinterpret
     with the branch's own dual cycles."""
-    gd_alpha = []
-    for w in parent.ids:
-        a = -parent.intersect(D, unit_cycle(w))
-        if a.denominator != 1:
-            raise NotInDualLattice(f"-D.E_{w} = {a} is not an integer")
-        gd_alpha.append((w, int(a)))
+    alpha = dict(zip(parent.ids, group_data(parent).alpha_of(D)))
     sub = branch.subgraph
-    out = QCycle()
-    for w, a in gd_alpha:
-        if a != 0 and w in sub.weight:
-            out = out + sub.dual_cycle(w).scale(a)
-    return out
+    return sub.dual_data().cycle([alpha[w] for w in sub.ids])
 
 
 def psi_branch(parent_gd: GroupData, branch, chi: Character,
@@ -210,15 +239,10 @@ def psi_branch(parent_gd: GroupData, branch, chi: Character,
     """psi_i(chi) = theta_i(phi_i(c_1(L_chi)))."""
     if branch_gd is None:
         branch_gd = GroupData(branch.subgraph)
-    c1 = parent_gd.fractional_representative(chi)
-    phi = phi_branch(parent_gd.graph, branch, c1)
-    return branch_gd.theta(branch_gd.class_of(phi))
+    return branch_gd.theta_alpha(phi_alpha(parent_gd, branch, chi))
 
 
 def nef_shift_cycle(parent_gd: GroupData, branch, chi: Character) -> QCycle:
     """D_{chi,i} = -[phi_i(c_1(L_chi))]; effective and integral."""
-    c1 = parent_gd.fractional_representative(chi)
-    phi = phi_branch(parent_gd.graph, branch, c1)
-    D = -(phi.floor())
-    assert D.is_integral() and D.is_effective()
-    return D
+    D = nef_shift(branch, phi_alpha(parent_gd, branch, chi))
+    return QCycle(dict(zip(branch.subgraph.ids, D)))

@@ -3,7 +3,8 @@
 User-facing input problems derive from ``GraphInputError`` (CLI exit 1).
 Violated internal consistency checks derive from ``InternalCheckError``
 (CLI exit 2); these signal implementation bugs or a graph outside the
-theory's hypotheses, never bad user input.
+theory's hypotheses, never bad user input.  ``MonomialConditionUnknown``
+(CLI exit 3) means a search hit its bound without a verdict.
 """
 
 
@@ -46,6 +47,10 @@ class NonEffective(GraphInputError):
 
 class CycleOutOfRange(GraphInputError):
     """Cycle violates the bounds required by the twisted-h1 formula."""
+
+
+class MonomialConditionUnknown(SpliceGenusError):
+    """No admissible monomial was found within the search bound."""
 
 
 class InternalCheckError(SpliceGenusError):

@@ -1,56 +1,47 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here works on plain lists of ``Fraction`` / ``int``; matrices are
-lists of rows.  Sizes are tiny (resolution graphs have at most a few dozen
-vertices) so clarity wins over asymptotics.
+One Gauss-Jordan elimination over ``Fraction`` (``rref``) serves every
+rational solve, inverse and rank in the package; determinants, definiteness
+and the Smith normal form stay in the integers.  Matrices are lists of rows.
+Sizes are tiny (resolution graphs have at most a few dozen vertices) so
+clarity wins over asymptotics.
 """
 
 from fractions import Fraction
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def rref(rows):
+    """Reduced row echelon form of a rational matrix, by Gauss-Jordan.
 
-
-def mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A]
-
-
-def solve(A, b):
-    """Solve A x = b exactly.  A must be square and invertible."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-def inverse(A):
-    """Exact inverse of a square rational matrix."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+    Returns (pivots, R): R holds the nonzero rows of the reduced form, row k
+    with a 1 in column pivots[k] and zeros elsewhere in that column.  The
+    pivot of each column is the candidate entry of smallest numerator plus
+    denominator bit size, which keeps the entries small; the reduced form
+    does not depend on that choice.  Augmented blocks ride along: [A | Id]
+    with A invertible reduces to [Id | A^-1], and a pivot in the last column
+    of [A | b] means that A x = b has no solution.
+    """
+    R = [[Fraction(x) for x in row] for row in rows if any(row)]
+    ncols = len(R[0]) if R else 0
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(R):
+            break
+        cands = [i for i in range(k, len(R)) if R[i][col]]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda i: R[i][col].numerator.bit_length()
+                  + R[i][col].denominator.bit_length())
+        R[k], R[piv] = R[piv], R[k]
+        inv = 1 / R[k][col]
+        R[k] = [x * inv if x else x for x in R[k]]
+        for i in range(len(R)):
+            if i != k and R[i][col]:
+                f = R[i][col]
+                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[k])]
+        pivots.append(col)
+    return pivots, R[:len(pivots)]
 
 
 def det_bareiss(A):
@@ -167,16 +158,3 @@ def smith_normal_form(A):
             U[t] = [-a for a in U[t]]
         t += 1
     return U, S, V
-
-
-def unimodular_inverse(U):
-    """Exact integer inverse of a unimodular matrix."""
-    inv = inverse(U)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            assert x.denominator == 1
-            irow.append(int(x))
-        out.append(irow)
-    return out

@@ -16,10 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .discgroup import Character, phi_branch
+from .discgroup import Character, group_data, nef_shift, phi_alpha, psi_branch
 from .errors import CycleOutOfRange, InternalCheckError, NegativeH1, NonEffective
-from .graph import QCycle, ResolutionGraph, unit_cycle
-from .molien import P_chi, c_v_chi, group_data
+from .graph import QCycle, ResolutionGraph
+from .molien import P_chi, c_v_chi
+
+
+def _riemann_roch(g: ResolutionGraph, d, ldeg) -> Fraction:
+    """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for D = sum_w d_w E_w and
+    L.E_w = ldeg_w (lists in g.ids order), with D.K = sum_w d_w (-E_w^2 - 2)
+    by adjunction."""
+    dd_k = sum(x * (y - g.weight[w] - 2)
+               for w, x, y in zip(g.ids, d, g.intersections(d)) if x)
+    return sum(x * l for x, l in zip(d, ldeg) if x) - Fraction(dd_k, 2)
 
 
 def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
@@ -31,20 +40,31 @@ def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
     """
     if not D.is_effective():
         raise NonEffective(f"cycle is not effective: {D!r}")
-    if D.is_zero():
-        return Fraction(0)
-    K, _ = g.canonical_cycle()
-    val = -g.intersect(D, D + K) / 2
-    if Ldeg is not None:
-        for w, c in D.coeffs.items():
-            val += c * Fraction(Ldeg[w] if not callable(Ldeg) else Ldeg(w))
-    return val
+    d = [D[w] for w in g.ids]
+    if Ldeg is None:
+        return _riemann_roch(g, d, [0] * len(d))
+    deg = Ldeg if callable(Ldeg) else Ldeg.__getitem__
+    return _riemann_roch(g, d, [Fraction(deg(w)) if x else 0
+                                for w, x in zip(g.ids, d)])
 
 
 @dataclass
 class NefCorrection:
     cycle: QCycle
     iterations: int
+
+
+def _floor_c1_shift(g, v, chi, n):
+    """q = [c_1(L_chi) - (n/e_v)E_v] as integer E-coefficients in g.ids
+    order; only the coefficient at v can be nonzero."""
+    gd = group_data(g)
+    det = gd.dual.det_abs
+    e_v = g.node_weights(v).e
+    k = g.index(v)
+    r_v = gd.dual.numerators(gd.c1_alpha(chi))[k]
+    q = [0] * len(g.ids)
+    q[k] = (r_v * e_v - n * det) // (det * e_v)
+    return q
 
 
 def minimal_nef_correction(g: ResolutionGraph, v, chi: Character, n: int,
@@ -54,68 +74,62 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi: Character, n: int,
     Laufer-style loop: while some E_w has negative intersection with the
     corrected class, add E_w to D.  The order of processing violations does
     not affect the result; ``order`` permutes the scan for testing that.
+    The class base = [c_1 - (n/e_v)E_v] - c_1 has base.E_w = (I q)_w + alpha_w,
+    with alpha the E*-coordinates of c_1, so the loop runs in the integers.
     """
     gd = group_data(g)
-    e_v = g.node_weights(v).e
-    c1 = gd.fractional_representative(chi)
-    base = (c1 - unit_cycle(v).scale(Fraction(n, e_v))).floor() - c1
+    q = _floor_c1_shift(g, v, chi, n)
+    # slack_w = (base - D).E_w
+    slack = dict(zip(g.ids, (x + a for x, a in
+                             zip(g.intersections(q), gd.c1_alpha(chi)))))
     scan = list(order) if order is not None else list(g.ids)
-    D = QCycle()
+    D = dict.fromkeys(g.ids, 0)
     iterations = 0
     while True:
         for w in scan:
-            if g.intersect(base - D, unit_cycle(w)) < 0:
-                D = D + unit_cycle(w)
+            if slack[w] < 0:
+                D[w] += 1
+                slack[w] -= g.weight[w]
+                for u in g.adj[w]:
+                    slack[u] -= 1
                 iterations += 1
                 break
         else:
             break
-    assert D.is_integral() and D.is_effective()
-    return NefCorrection(cycle=D, iterations=iterations)
-
-
-# memo shared across recursion roots; keyed by graph identity, not object
-_h1_memo: dict = {}
-
-
-def _branches(g, v):
-    key = ("branches", v)
-    if key not in g._cache:
-        g._cache[key] = g.branches(v)
-    return g._cache[key]
+    return NefCorrection(cycle=QCycle(D), iterations=iterations)
 
 
 def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> int:
-    """h1(L_chi) by the node/branch recursion; chains return 0."""
+    """h1(L_chi) by the node/branch recursion; chains return 0.
+
+    Values are kept in the graph's cache under ("h1", node, chi); a value
+    computed from one root is compared with those already there for the
+    other roots.
+    """
     g.require_valid()
     if g.is_chain():
         return 0
     nodes = sorted(g.nodes())
     v = root if root is not None else nodes[0]
     assert v in nodes, f"{v!r} is not a node"
-    key = (g.fingerprint(), v, chi.coords)
-    if trace is None and key in _h1_memo:
-        return _h1_memo[key]
+    key = ("h1", v, chi.coords)
+    if trace is None and key in g._cache:
+        return g._cache[key]
     gd = group_data(g)
     c_v = c_v_chi(g, v, chi)
-    c1 = gd.fractional_representative(chi)
     total = Fraction(c_v)
     steps = []
-    for br in _branches(g, v):
+    for br in g.branches(v):
         sub = br.subgraph
-        phi = phi_branch(g, br, c1)
-        D = -(phi.floor())
-        assert D.is_integral() and D.is_effective()
-        # degree of -L_chi on E_w inside the branch is -c_1(L_chi).E_w,
-        # computed in the parent; equals (-phi).E_w in the branch
-        ldeg = {w: -g.intersect(c1, unit_cycle(w)) for w in sub.ids}
-        e_term = euler_char_on_cycle(sub, D, ldeg)
+        # phi_i(c_1(L_chi)) keeps alpha_w = -c_1(L_chi).E_w on the branch,
+        # which is also the degree of -L_chi on E_w
+        phi = phi_alpha(gd, br, chi)
+        e_term = _riemann_roch(sub, nef_shift(br, phi), phi)
         if sub.is_chain():
             h1_br = 0
             psi_coords = None
         else:
-            sub_gd = group_data(sub)
-            psi = sub_gd.theta(sub_gd.class_of(phi))
+            psi = psi_branch(gd, br, chi, group_data(sub))
             psi_coords = psi.coords
             h1_br = h1_eigensheaf(sub, psi, trace=trace)
         total += h1_br - e_term
@@ -131,10 +145,10 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
         trace.append({"graph": g.fingerprint(), "node": v,
                       "chi": list(chi.coords), "c_v": str(c_v),
                       "branches": steps, "h1": value})
-    _h1_memo[key] = value
-    # node-independence across memoized roots
+    g._cache[key] = value
+    # node-independence across the roots computed so far
     for other in nodes:
-        prev = _h1_memo.get((g.fingerprint(), other, chi.coords))
+        prev = g._cache.get(("h1", other, chi.coords))
         if prev is not None and prev != value:
             raise InternalCheckError(
                 f"h1 depends on the root node: {prev} at {other}, "
@@ -174,14 +188,14 @@ def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
     if any(D[w] > bound[w] for w in g.ids):
         raise CycleOutOfRange(
             f"cycle exceeds the minimal nef correction {bound!r}")
-    e_v = g.node_weights(v).e
-    c1 = gd.fractional_representative(chi)
-    D_prime = D - (c1 - unit_cycle(v).scale(Fraction(n, e_v))).floor()
-    assert D_prime.is_effective()
+    q = _floor_c1_shift(g, v, chi, n)
+    d_prime = [int(D[w]) - x for w, x in zip(g.ids, q)]
+    assert all(x >= 0 for x in d_prime)
     h0drop = P_chi(g, v, chi, n)
-    ldeg = {w: -g.intersect(c1, unit_cycle(w)) for w in g.ids}
-    val = euler_char_on_cycle(g, D_prime, ldeg) - h0drop + h1_eigensheaf(g, chi)
-    assert Fraction(val).denominator == 1
+    # the degree of -L_chi on E_w is -c_1(L_chi).E_w = alpha_w
+    val = _riemann_roch(g, d_prime, gd.c1_alpha(chi)) - h0drop \
+        + h1_eigensheaf(g, chi)
+    assert val.denominator == 1
     return h0drop, int(val)
 
 

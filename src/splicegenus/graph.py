@@ -3,6 +3,13 @@
 A resolution graph is a tree of rational curves E_v with self-intersection
 weights; the intersection matrix I has the weights on the diagonal and 1 for
 each edge.  All linear algebra is exact.
+
+Elements D of the dual lattice L* are held by their integer E*-coordinates
+alpha_w = -D.E_w, so D = sum_w alpha_w E*_w.  The integer adjugate
+A = |det I| (-I^{-1}), computed once per graph, turns them into
+E-coefficients: D = sum_u (A alpha)_u / |det I| E_u.  ``QCycle`` (rational
+E-coefficients) is the form at the API and JSON boundary, and with
+``intersect`` the independent route that the tests compare against.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import exact
 from .errors import (
@@ -110,11 +118,31 @@ class ValidationReport:
 
 @dataclass
 class DualData:
-    """Entries of -I^{-1}, |det I|, and the dual cycles E*_v."""
+    """|det I| and the integer adjugate A = |det I| (-I^{-1}).
 
-    inverse: dict          # (v, w) -> Fraction a_vw, all positive
+    A is symmetric with positive entries, and row v of A is |det I| E*_v.
+    """
+
+    ids: list
+    adjugate: list         # A as a list of rows, in ids order
     det_abs: int
-    dual_cycles: dict      # v -> QCycle E*_v
+
+    def numerators(self, alpha):
+        """|det I| times the E-coefficients of sum_w alpha_w E*_w."""
+        nz = [(j, a) for j, a in enumerate(alpha) if a]
+        return [sum(row[j] * a for j, a in nz) for row in self.adjugate]
+
+    def cycle(self, alpha) -> QCycle:
+        """sum_w alpha_w E*_w as a QCycle (alpha in ids order)."""
+        return QCycle({v: Fraction(c, self.det_abs)
+                       for v, c in zip(self.ids, self.numerators(alpha))})
+
+    @cached_property
+    def dual_cycles(self):
+        """v -> E*_v as a QCycle."""
+        return {v: QCycle({w: Fraction(a, self.det_abs)
+                           for w, a in zip(self.ids, row)})
+                for v, row in zip(self.ids, self.adjugate)}
 
 
 @dataclass
@@ -206,6 +234,12 @@ class ResolutionGraph:
             I[pos[b]][pos[a]] = 1
         return I
 
+    def intersections(self, x):
+        """I x: the numbers D.E_w, w in ids order, for D = sum_u x_u E_u."""
+        c = dict(zip(self.ids, x))
+        return [self.weight[w] * c[w] + sum(c[u] for u in self.adj[w])
+                for w in self.ids]
+
     def intersect(self, x: QCycle, y: QCycle):
         """Intersection number x . y via the intersection form."""
         total = Fraction(0)
@@ -283,24 +317,22 @@ class ResolutionGraph:
             return self._cache[key]
         self.require_valid()
         I = self.intersection_matrix()
-        det = exact.det_bareiss(I)
-        det_abs = abs(det)
-        inv = exact.inverse(exact.frac_matrix(I))
-        a = {}
-        for i, v in enumerate(self.ids):
-            for j, w in enumerate(self.ids):
-                val = -inv[i][j]
-                assert val > 0, "entries of -I^{-1} must be positive"
-                a[(v, w)] = val
-        duals = {}
-        for v in self.ids:
-            duals[v] = QCycle({w: a[(v, w)] for w in self.ids})
-        # E*_v . E_w = -delta_vw, checked exactly
-        for v in self.ids:
-            for w in self.ids:
-                expect = Fraction(-1 if v == w else 0)
-                assert self.intersect(duals[v], unit_cycle(w)) == expect
-        data = DualData(inverse=a, det_abs=det_abs, dual_cycles=duals)
+        n = len(I)
+        det_abs = abs(exact.det_bareiss(I))
+        pivots, R = exact.rref(
+            [row + [int(i == j) for j in range(n)] for i, row in enumerate(I)])
+        assert pivots == list(range(n)), "intersection matrix is singular"
+        A = []
+        for row in R:
+            arow = [-det_abs * x for x in row[n:]]
+            assert all(x.denominator == 1 and x > 0 for x in arow), \
+                "entries of |det I| (-I^{-1}) must be positive integers"
+            A.append([int(x) for x in arow])
+        # I A = -|det I| Id, checked in the integers (A is symmetric)
+        for i, col in enumerate(A):
+            assert self.intersections(col) == [
+                -det_abs if j == i else 0 for j in range(n)]
+        data = DualData(ids=list(self.ids), adjugate=A, det_abs=det_abs)
         self._cache[key] = data
         return data
 
@@ -313,17 +345,13 @@ class ResolutionGraph:
             return self._cache[key]
         dd = self.dual_data()
         det = dd.det_abs
-        ell = {}
-        for w in self.ids:
-            l = det * dd.inverse[(v, w)]
-            assert l.denominator == 1 and l > 0
-            ell[w] = int(l)
+        ell = dict(zip(self.ids, dd.adjugate[self.index(v)]))
         e = det // math.gcd(*ell.values())
         m = {}
-        for w in self.ids:
-            mv = e * dd.inverse[(v, w)]
-            assert mv.denominator == 1, f"m_vw not integral at ({v},{w})"
-            m[w] = int(mv)
+        for w, l in ell.items():
+            mv, rem = divmod(e * l, det)
+            assert rem == 0, f"m_vw not integral at ({v},{w})"
+            m[w] = mv
         assert math.gcd(*m.values()) == 1, f"gcd of m_{v}w weights is not 1"
         a_v = e * m[v]
         nw = NodeWeights(v=v, ell=ell, e=e, m=m, a_v=a_v)
@@ -335,18 +363,17 @@ class ResolutionGraph:
     def canonical_cycle(self):
         """c_1(K): the QCycle with K . E_w = -E_w^2 - 2 for every w.
 
+        K = -I^{-1} (-E_w^2 - 2) = A (E_w^2 + 2) / |det I|.
         Returns (K, numerically_gorenstein).
         """
         key = "canonical"
         if key in self._cache:
             return self._cache[key]
-        self.require_valid()
-        I = self.intersection_matrix()
-        rhs = [Fraction(-self.weight[v] - 2) for v in self.ids]
-        sol = exact.solve(exact.frac_matrix(I), rhs)
-        K = QCycle(dict(zip(self.ids, sol)))
-        for w in self.ids:
-            assert self.intersect(K, unit_cycle(w)) == -self.weight[w] - 2
+        dd = self.dual_data()
+        num = dd.numerators([self.weight[w] + 2 for w in self.ids])
+        assert self.intersections(num) == [
+            dd.det_abs * (-self.weight[w] - 2) for w in self.ids]
+        K = QCycle({w: Fraction(c, dd.det_abs) for w, c in zip(self.ids, num)})
         result = (K, K.is_integral())
         self._cache[key] = result
         return result
@@ -385,6 +412,9 @@ class ResolutionGraph:
 
     def branches(self, v):
         """Connected components of E - E_v, ordered by attaching-vertex id."""
+        key = ("branches", v)
+        if key in self._cache:
+            return self._cache[key]
         self.require_valid()
         out = []
         for u in sorted(self.adj[v]):
@@ -397,6 +427,7 @@ class ResolutionGraph:
                         stack.append(x)
             out.append(Branch(parent=self, node=v, attach=u,
                               subgraph=self.subgraph(comp)))
+        self._cache[key] = out
         return out
 
     # -- serialization -----------------------------------------------------

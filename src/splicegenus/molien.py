@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from .cyclo import cyclotomic_polynomial, cyclotomic_quotient, reduce_group_ring
-from .discgroup import Character, GroupData, mod1
+from .discgroup import Character, GroupData, group_data, mod1
 from .errors import (
     InternalCheckError,
     IrrationalCoefficient,
@@ -40,12 +40,6 @@ from .errors import (
 )
 from .graph import ResolutionGraph
 from .series import PolyQ, RationalFunctionQ, TruncatedSeries, polynomial_part
-
-
-def group_data(g: ResolutionGraph) -> GroupData:
-    if "group" not in g._cache:
-        g._cache["group"] = GroupData(g)
-    return g._cache["group"]
 
 
 def a_invariant(g: ResolutionGraph, v) -> int:
@@ -104,12 +98,8 @@ def _node_factors(g, v):
     psi_w = theta(E*_w)."""
     gd = group_data(g)
     nw = g.node_weights(v)
-    if "psi" not in g._cache:
-        g._cache["psi"] = {
-            w: gd.theta(gd.class_of(gd.dual.dual_cycles[w])).coords
-            for w in g.ids if g.degree(w) != 2}
-    return [(psi, nw.m[w], g.degree(w) - 2)
-            for w, psi in g._cache["psi"].items()]
+    return [(gd.dual_character(w).coords, nw.m[w], g.degree(w) - 2)
+            for w in g.ids if g.degree(w) != 2]
 
 
 def molien_coeffs(g: ResolutionGraph, v, up_to, chars=None):
@@ -178,7 +168,8 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     """Exact closed form of H^chi(t) over Q.
 
     G^chi is a finitely generated module over the invariant polynomial
-    subring generated by z_w^{n_w} (n_w = order of [E*_w] in H), so
+    subring generated by z_w^{n_w} (n_w = order of [E*_w] in H, which is
+    the order of psi_w = theta(E*_w)), so
     H^chi * prod_ends (1 - t^{n_w m_vw}) is a polynomial of degree at most
     deg(denominator) + a(G); it is recovered from the coefficient table and
     reduced by cancelling cyclotomic factors of the denominator.
@@ -187,7 +178,7 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     nw = g.node_weights(v)
     ks = []
     for w in g.ends():
-        n_w = _class_order(gd, gd.class_of(gd.dual.dual_cycles[w]).coords)
+        n_w = _class_order(gd, gd.dual_character(w).coords)
         ks.append(n_w * nw.m[w])
     deg_b = sum(ks)
     a = a_invariant(g, v)

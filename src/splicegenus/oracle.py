@@ -12,8 +12,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import exact
+from .discgroup import group_data
 from .graph import ResolutionGraph
-from .molien import group_data, molien_coeffs
+from .molien import molien_coeffs
 from .splice import SpliceSystem, emit_splice_system
 
 
@@ -55,33 +57,6 @@ def _monomials_by_degree(weights, up_to):
     return table
 
 
-def _rank(rows):
-    """Exact rank; pivot chosen by smallest numerator/denominator bit-size."""
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        cands = [i for i in range(rank, len(rows)) if rows[i][col] != 0]
-        if not cands:
-            col += 1
-            continue
-        piv = min(cands, key=lambda i: rows[i][col].numerator.bit_length()
-                  + rows[i][col].denominator.bit_length())
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
                          chi, up_to, shuffle_seed=None):
     """dim G^chi_i for i = 0..up_to, by monomial linear algebra."""
@@ -90,7 +65,7 @@ def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
     ends = g.ends()
     weights = [nw.m[w] for w in ends]
     # character of a monomial is multiplicative in the exponents
-    end_chars = [gd.theta(gd.class_of(g.dual_cycle(w))) for w in ends]
+    end_chars = [gd.dual_character(w) for w in ends]
 
     def char_of(exps):
         coords = [0] * gd.rank
@@ -135,7 +110,7 @@ def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
                     key = tuple(x + y for x, y in zip(mu, e))
                     row[pos[key]] += c
                 rows.append(row)
-        dims.append(len(block) - _rank(rows))
+        dims.append(len(block) - len(exact.rref(rows)[0]))
     return dims
 
 

@@ -10,13 +10,14 @@ combinations of the delta_v admissible monomials at each node.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DegenerateCoefficients
+from . import exact
+from .discgroup import HElement, group_data
+from .errors import DegenerateCoefficients, MonomialConditionUnknown
 from .graph import QCycle, ResolutionGraph
-from .molien import group_data
 
 
 @dataclass
@@ -41,7 +42,7 @@ class NodeSystem:
     node: str
     monomials: list            # one MonomialCycle per branch, branch order
     v_degree: int
-    coefficients: list         # (delta-2) x delta rows of Fractions
+    coefficients: list         # (delta-2) x delta rows of ints
     equations: list            # per row: list of (coeff, exponents dict)
 
 
@@ -66,15 +67,13 @@ class SpliceSystem:
 
 
 def monomial_cycle(g: ResolutionGraph, exponents) -> MonomialCycle:
-    dd = g.dual_data()
-    cycle = QCycle()
     exps = {}
     for w, a in exponents.items():
         a = int(a)
         assert a >= 0
         if a:
             exps[w] = a
-            cycle = cycle + dd.dual_cycles[w].scale(a)
+    cycle = g.dual_data().cycle([exps.get(w, 0) for w in g.ids])
     return MonomialCycle(exponents=exps, cycle=cycle)
 
 
@@ -113,38 +112,6 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
                                 monomial=mono, residual=residual)
 
 
-def _rref(rows, rhs):
-    """Row-reduce [rows | rhs]; returns (pivot cols, reduced rows, reduced rhs)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    rhs = [Fraction(x) for x in rhs]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    # inconsistent system: a zero row with nonzero rhs
-    for i in range(r, len(rows)):
-        if rhs[i] != 0:
-            return None
-    return pivots, rows[:r], rhs[:r]
-
-
 def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     """Search for an admissible monomial for (v, branch).
 
@@ -156,38 +123,41 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     None means not found within the bound.
     """
     g.require_valid()
-    dd = g.dual_data()
+    A = dict(zip(g.ids, g.dual_data().adjugate))
     ends = g.ends()
     branch_vs = set(branch.subgraph.ids)
-    outside = [u for u in g.ids if u not in branch_vs]
-    rows = [[dd.inverse[(w, u)] for w in ends] for u in outside]
-    rhs = [dd.inverse[(v, u)] for u in outside]
-    red = _rref(rows, rhs)
-    if red is None:
-        return None
-    pivots, rrows, rrhs = red
+    # row u: coefficient of E_u in |det I| (sum_w alpha_w E*_w - E*_v) = 0
+    cols = [g.index(u) for u in g.ids if u not in branch_vs]
+    pivots, reduced = exact.rref(
+        [[A[w][c] for w in ends] + [A[v][c]] for c in cols])
+    if pivots and pivots[-1] == len(ends):
+        return None  # inconsistent
     free = [c for c in range(len(ends)) if c not in pivots]
+    # pivot row p, cleared of denominators: den alpha_p = b - sum_c k_c alpha_c
+    # over the free columns c, with coeffs = [k_c ..., b]
+    solved = []
+    for p, row in zip(pivots, reduced):
+        terms = [row[c] for c in free] + [row[-1]]
+        den = math.lcm(*(x.denominator for x in terms))
+        solved.append((p, den, [int(x * den) for x in terms]))
     best = None
     for vals in itertools.product(range(bound + 1), repeat=len(free)):
-        alpha = [Fraction(0)] * len(ends)
+        alpha = [0] * len(ends)
         for c, val in zip(free, vals):
-            alpha[c] = Fraction(val)
-        ok = True
-        for prow, row, b in zip(pivots, rrows, rrhs):
-            val = b - sum(row[c] * alpha[c] for c in free)
-            if val.denominator != 1 or val < 0 or val > bound:
-                ok = False
+            alpha[c] = val
+        for p, den, coeffs in solved:
+            a, rem = divmod(coeffs[-1] - sum(k * x for k, x in zip(coeffs, vals)),
+                            den)
+            if rem or not 0 <= a <= bound:
                 break
-            alpha[prow] = val
-        if not ok:
-            continue
-        exps = {w: int(a) for w, a in zip(ends, alpha) if a}
-        wit = validate_witness(g, v, branch, exps)
-        if wit is None:
-            continue
-        key = (wit.monomial.total(), tuple(int(alpha[i]) for i in range(len(ends))))
-        if best is None or key < best[0]:
-            best = (key, wit)
+            alpha[p] = a
+        else:
+            exps = {w: a for w, a in zip(ends, alpha) if a}
+            wit = validate_witness(g, v, branch, exps)
+            if wit is not None:
+                key = (wit.monomial.total(), tuple(alpha))
+                if best is None or key < best[0]:
+                    best = (key, wit)
     return best[1] if best else None
 
 
@@ -224,34 +194,14 @@ def check_monomial_condition(g: ResolutionGraph, bound=64) -> MonomialConditionR
 
 
 def _draw_coefficients(rng, nrows, ncols):
-    return [[Fraction(rng.randint(1, 997)) for _ in range(ncols)]
+    return [[rng.randint(1, 997) for _ in range(ncols)]
             for _ in range(nrows)]
-
-
-def _det_frac(M):
-    M = [list(row) for row in M]
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c] != 0:
-                f = M[r][c] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return det
 
 
 def _all_maximal_minors_nonzero(F, nrows, ncols):
     for cols in itertools.combinations(range(ncols), nrows):
         sub = [[F[i][c] for c in cols] for i in range(nrows)]
-        if _det_frac(sub) == 0:
+        if exact.det_bareiss(sub) == 0:
             return False
     return True
 
@@ -263,7 +213,11 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
     every maximal minor is nonzero (checked exactly).
     """
     report = check_monomial_condition(g, bound=bound)
-    assert report.verdict == "satisfied", "monomial condition not established"
+    if report.verdict != "satisfied":
+        v, u = min(k for k, w in report.witnesses.items() if w is None)
+        raise MonomialConditionUnknown(
+            f"monomial condition not established within bound {bound}: "
+            f"no admissible monomial for node {v}, branch at {u}")
     rng = random.Random(seed)
     out = []
     for v in g.nodes():
@@ -297,19 +251,21 @@ def verify_equivariance(g: ResolutionGraph, system: SpliceSystem, cap=100):
 
     Returns (True, None) or (False, (h, node, exponents)).  For |H| > cap
     only the generators of H are checked (bilinearity extends the result).
+    Each cycle is reduced to its class in H once, so theta(h, .) is
+    evaluated on classes.
     """
     gd = group_data(g)
     if gd.order <= cap:
         test_elems = list(gd.elements())
     else:
-        from .discgroup import HElement
         test_elems = [HElement(tuple(int(i == k) for i in range(gd.rank)))
                       for k in range(gd.rank)]
     for ns in system.nodes:
-        target = gd.dual.dual_cycles[ns.node]
+        target = gd.class_of(gd.dual.dual_cycles[ns.node])
         for mono in ns.monomials:
+            cls = gd.class_of(mono.cycle)
             for h in test_elems:
-                lhs = gd.pair(h, mono.cycle)
+                lhs = gd.pair(h, cls)
                 rhs = gd.pair(h, target)
                 if lhs != rhs:
                     return False, (h, ns.node, dict(mono.exponents))

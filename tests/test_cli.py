@@ -183,3 +183,20 @@ def test_negative_max_degree_exits_1(capsys, command):
         capsys, [command, "--input", graph_file("d4.json"),
                  "--max-degree", "-1"])
     assert code == 1 and out == "" and "degree must be >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["emit-equations", "oracle-verify"])
+def test_bound_hit_exits_3(capsys, command):
+    code, out, err = _json_out(
+        capsys, [command, "--input", graph_file("exmc.json"), "--bound", "0"])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("unknown: monomial condition not established")
+
+
+@pytest.mark.parametrize("command",
+                         ["monomial-check", "emit-equations", "oracle-verify"])
+def test_negative_bound_exits_1(capsys, command):
+    code, out, err = _json_out(
+        capsys, [command, "--input", graph_file("exmc.json"), "--bound", "-1"])
+    assert code == 1 and out == "" and "bound must be >= 0" in err

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
 
 from fixtures import a_chain, d4, e8, exmc, fig1, single
+from test_graph import random_trees
 from splicegenus import QCycle, unit_cycle
 from splicegenus.discgroup import (
     GroupData,
@@ -191,3 +193,39 @@ def test_nef_shift_effective_for_all_characters(make, node):
         for chi in gd.characters():
             D = nef_shift_cycle(gd, br, chi)
             assert D.is_integral() and D.is_effective()
+
+
+# -- the integer core on random trees ----------------------------------------
+
+@given(random_trees(max_n=6))
+@settings(max_examples=40, deadline=None)
+def test_integer_core_matches_fraction_route(g):
+    dd = g.dual_data()
+    assume(dd.det_abs <= 64)
+    n = len(g)
+    I = g.intersection_matrix()
+    IA = [[sum(I[i][k] * dd.adjugate[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    assert IA == [[-dd.det_abs * (i == j) for j in range(n)] for i in range(n)]
+    gd = GroupData(g)
+    elems = list(gd.elements())
+    for h in elems:
+        assert gd.class_of(gd.lift(h)) == h
+    # the theta matrix against the rational intersection form
+    for h in elems[:8]:
+        for k in elems[:8]:
+            expect = mod1(g.intersect(gd.lift(h), gd.lift(k)))
+            assert gd.pair(h, k) == expect
+            assert gd.char_value_exponent(gd.theta(h), k) == expect
+    for chi in gd.characters():
+        rep = gd.fractional_representative(chi)
+        assert all(0 <= c < 1 for c in rep.coeffs.values())
+        assert gd.theta(gd.class_of(rep)) == chi
+        for v in g.nodes():
+            for br in g.branches(v):
+                expected = QCycle()
+                for w in br.subgraph.ids:
+                    a = -g.intersect(rep, unit_cycle(w))
+                    assert a.denominator == 1
+                    expected = expected + br.subgraph.dual_cycle(w).scale(a)
+                assert phi_branch(g, br, rep) == expected

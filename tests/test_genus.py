@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from fixtures import a_chain, d4, e8, exmc, fig1, small_stars, star
-from splicegenus import genus
 from splicegenus.genus import (
     euler_char_on_cycle,
     genus_report,
@@ -228,6 +227,5 @@ def test_h1_recursion_reads_c_v_without_tables(monkeypatch):
     def no_tables(*args, **kwargs):
         raise AssertionError("the h1 recursion built a Hilbert table")
 
-    monkeypatch.setattr(genus, "_h1_memo", {})
     monkeypatch.setattr(M, "molien_coeffs", no_tables)
     assert pg(fig1()) == 7
