@@ -8,8 +8,9 @@ D.D' = -alpha^T A alpha' / |det I| with A the graph's integer adjugate, and
 it identifies H with its character group: a character with coordinates c
 acts by chi(h) = exp(2 pi i * sum_i c_i h_i / d_i).  In these coordinates
 theta(alpha) = T alpha mod d for an integer matrix T, and all work below
-stays in the integers; QCycle arguments and results are converted at the
-boundary.
+stays in the integers.  QCycle arguments and results are converted at the
+boundary: ``alpha_of`` is the one place a QCycle is read, through
+``intersect``.
 """
 
 from __future__ import annotations
@@ -103,10 +104,6 @@ class GroupData:
     def char_mul(self, a: Character, b: Character) -> Character:
         return Character(tuple((x + y) % d for x, y, d in
                                zip(a.coords, b.coords, self.invariant_factors)))
-
-    def char_inv(self, a: Character) -> Character:
-        return Character(tuple((-x) % d for x, d in
-                               zip(a.coords, self.invariant_factors)))
 
     def char_value_exponent(self, chi: Character, h: HElement) -> Fraction:
         """Exponent r in chi(h) = exp(2 pi i r), as a rational in [0,1)."""
@@ -234,12 +231,10 @@ def phi_branch(parent: ResolutionGraph, branch, D: QCycle) -> QCycle:
     return sub.dual_data().cycle([alpha[w] for w in sub.ids])
 
 
-def psi_branch(parent_gd: GroupData, branch, chi: Character,
-               branch_gd: GroupData | None = None) -> Character:
+def psi_branch(parent_gd: GroupData, branch, chi: Character) -> Character:
     """psi_i(chi) = theta_i(phi_i(c_1(L_chi)))."""
-    if branch_gd is None:
-        branch_gd = GroupData(branch.subgraph)
-    return branch_gd.theta_alpha(phi_alpha(parent_gd, branch, chi))
+    return group_data(branch.subgraph).theta_alpha(
+        phi_alpha(parent_gd, branch, chi))
 
 
 def nef_shift_cycle(parent_gd: GroupData, branch, chi: Character) -> QCycle:

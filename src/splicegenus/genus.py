@@ -22,15 +22,6 @@ from .graph import QCycle, ResolutionGraph
 from .molien import P_chi, c_v_chi
 
 
-def _riemann_roch(g: ResolutionGraph, d, ldeg) -> Fraction:
-    """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for D = sum_w d_w E_w and
-    L.E_w = ldeg_w (lists in g.ids order), with D.K = sum_w d_w (-E_w^2 - 2)
-    by adjunction."""
-    dd_k = sum(x * (y - g.weight[w] - 2)
-               for w, x, y in zip(g.ids, d, g.intersections(d)) if x)
-    return sum(x * l for x, l in zip(d, ldeg) if x) - Fraction(dd_k, 2)
-
-
 def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
     """chi(L (x) O_D) = -D.(D+K)/2 + L.D by Riemann-Roch.
 
@@ -42,10 +33,10 @@ def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
         raise NonEffective(f"cycle is not effective: {D!r}")
     d = [D[w] for w in g.ids]
     if Ldeg is None:
-        return _riemann_roch(g, d, [0] * len(d))
+        return g.riemann_roch(d, [0] * len(d))
     deg = Ldeg if callable(Ldeg) else Ldeg.__getitem__
-    return _riemann_roch(g, d, [Fraction(deg(w)) if x else 0
-                                for w, x in zip(g.ids, d)])
+    return g.riemann_roch(d, [Fraction(deg(w)) if x else 0
+                              for w, x in zip(g.ids, d)])
 
 
 @dataclass
@@ -124,12 +115,12 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
         # phi_i(c_1(L_chi)) keeps alpha_w = -c_1(L_chi).E_w on the branch,
         # which is also the degree of -L_chi on E_w
         phi = phi_alpha(gd, br, chi)
-        e_term = _riemann_roch(sub, nef_shift(br, phi), phi)
+        e_term = sub.riemann_roch(nef_shift(br, phi), phi)
         if sub.is_chain():
             h1_br = 0
             psi_coords = None
         else:
-            psi = psi_branch(gd, br, chi, group_data(sub))
+            psi = psi_branch(gd, br, chi)
             psi_coords = psi.coords
             h1_br = h1_eigensheaf(sub, psi, trace=trace)
         total += h1_br - e_term
@@ -193,7 +184,7 @@ def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
     assert all(x >= 0 for x in d_prime)
     h0drop = P_chi(g, v, chi, n)
     # the degree of -L_chi on E_w is -c_1(L_chi).E_w = alpha_w
-    val = _riemann_roch(g, d_prime, gd.c1_alpha(chi)) - h0drop \
+    val = g.riemann_roch(d_prime, gd.c1_alpha(chi)) - h0drop \
         + h1_eigensheaf(g, chi)
     assert val.denominator == 1
     return h0drop, int(val)

@@ -7,9 +7,12 @@ each edge.  All linear algebra is exact.
 Elements D of the dual lattice L* are held by their integer E*-coordinates
 alpha_w = -D.E_w, so D = sum_w alpha_w E*_w.  The integer adjugate
 A = |det I| (-I^{-1}), computed once per graph, turns them into
-E-coefficients: D = sum_u (A alpha)_u / |det I| E_u.  ``QCycle`` (rational
-E-coefficients) is the form at the API and JSON boundary, and with
-``intersect`` the independent route that the tests compare against.
+E-coefficients: D = sum_u (A alpha)_u / |det I| E_u.  Integral cycles are
+integer lists of E-coefficients, with ``intersections`` (I x) and
+``riemann_roch`` on them.  ``QCycle`` (rational E-coefficients) is
+boundary-only: it is built to accept a cycle from, or return one to, an API
+or JSON caller, and with ``intersect`` it is the independent route that the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -166,10 +169,6 @@ class Branch:
     attach: str            # the branch vertex adjacent to the node
     subgraph: "ResolutionGraph"
 
-    @property
-    def vertex_ids(self):
-        return self.subgraph.ids
-
 
 class ResolutionGraph:
     """Weighted tree of rational curves.  Vertex order is the input order."""
@@ -239,6 +238,14 @@ class ResolutionGraph:
         c = dict(zip(self.ids, x))
         return [self.weight[w] * c[w] + sum(c[u] for u in self.adj[w])
                 for w in self.ids]
+
+    def riemann_roch(self, d, ldeg) -> Fraction:
+        """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for D = sum_w d_w E_w and
+        L.E_w = ldeg_w (lists in ids order), with
+        D.K = sum_w d_w (-E_w^2 - 2) by adjunction."""
+        dd_k = sum(x * (y - self.weight[w] - 2)
+                   for w, x, y in zip(self.ids, d, self.intersections(d)) if x)
+        return sum(x * l for x, l in zip(d, ldeg) if x) - Fraction(dd_k, 2)
 
     def intersect(self, x: QCycle, y: QCycle):
         """Intersection number x . y via the intersection form."""
@@ -381,24 +388,22 @@ class ResolutionGraph:
     def fundamental_cycle(self):
         """Artin's fundamental cycle Z by Laufer's increment loop.
 
-        Returns (Z, p_a(Z)) with p_a(Z) = 1 + Z.(Z+K)/2.
+        Returns (Z, p_a(Z)) with p_a(Z) = 1 - chi(O_Z) by Riemann-Roch.
         """
         key = "fundamental"
         if key in self._cache:
             return self._cache[key]
         self.require_valid()
-        Z = QCycle({v: 1 for v in self.ids})
+        z = [1] * len(self.ids)
         while True:
-            for w in self.ids:
-                if self.intersect(Z, unit_cycle(w)) > 0:
-                    Z = Z + unit_cycle(w)
-                    break
-            else:
+            k = next((i for i, x in enumerate(self.intersections(z)) if x > 0),
+                     None)
+            if k is None:
                 break
-        K, _ = self.canonical_cycle()
-        pa = 1 + self.intersect(Z, Z + K) / 2
+            z[k] += 1
+        pa = 1 - self.riemann_roch(z, [0] * len(z))
         assert pa.denominator == 1
-        result = (Z, int(pa))
+        result = (QCycle(dict(zip(self.ids, z))), int(pa))
         self._cache[key] = result
         return result
 

@@ -258,10 +258,10 @@ def _cv_at_infinity(g, v):
 def _route_a_value(g, v, chi, m):
     gd = group_data(g)
     nw = g.node_weights(v)
-    K, _ = g.canonical_cycle()
-    c1 = gd.fractional_representative(chi)
-    # (K + 2 L_chi) . E*_v  with  D . E*_v = -(coefficient of D at v)
-    pairing = -K[v] - 2 * c1[v]
+    # (K + 2 c_1(L_chi)) . E*_v = -(coefficient at v), and A alpha is
+    # |det I| times the coefficients; K has alpha_w = E_w^2 + 2
+    alpha = [g.weight[w] + 2 + 2 * a for w, a in zip(g.ids, gd.c1_alpha(chi))]
+    pairing = Fraction(-gd.dual.numerators(alpha)[g.index(v)], gd.dual.det_abs)
     quad = Fraction(m * m * nw.a_v - m * nw.e * pairing, 2)
     return P_chi(g, v, chi, m * nw.a_v) - quad
 
@@ -425,15 +425,14 @@ class HilbertData:
     closed_forms: dict      # Character -> RationalFunctionQ (may be empty)
 
 
-def hilbert_data(g, v, up_to, closed_for=(), check_koszul=True) -> HilbertData:
+def hilbert_data(g, v, up_to, closed_for=()) -> HilbertData:
     coeffs = molien_coeffs(g, v, up_to)
-    if check_koszul:
-        total = total_ci_coeffs(g, v, up_to)
-        for i in range(up_to + 1):
-            s = sum(tab[i] for tab in coeffs.values())
-            if s != total[i]:
-                raise InternalCheckError(
-                    f"Koszul identity fails at degree {i}: {s} != {total[i]}")
+    total = total_ci_coeffs(g, v, up_to)
+    for i in range(up_to + 1):
+        s = sum(tab[i] for tab in coeffs.values())
+        if s != total[i]:
+            raise InternalCheckError(
+                f"Koszul identity fails at degree {i}: {s} != {total[i]}")
     closed = {chi: molien_closed(g, v, chi) for chi in closed_for}
     return HilbertData(node=v, a_invariant=a_invariant(g, v),
                        coefficients=coeffs, closed_forms=closed)

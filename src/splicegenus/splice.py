@@ -5,6 +5,12 @@ E*_w.  D is admissible for (node v, branch C) when D - E*_v is an effective
 integral cycle supported on C.  The monomial condition asks for one such D
 per branch per node; the emitted system takes delta_v - 2 generic linear
 combinations of the delta_v admissible monomials at each node.
+
+Everything here runs in the integers: the exponent vector of D is its
+E*-coordinates alpha, A alpha (A the graph's adjugate) is |det I| times its
+E-coefficients, and its class in H is read by theta(alpha) = T alpha mod d.
+``QCycle`` is built only for the API: the cycle of a monomial and the
+residual of a witness that passed.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import exact
-from .discgroup import HElement, group_data
+from .discgroup import group_data
 from .errors import DegenerateCoefficients, MonomialConditionUnknown
 from .graph import QCycle, ResolutionGraph
 
@@ -66,6 +72,11 @@ class SpliceSystem:
         }
 
 
+def _alpha(g: ResolutionGraph, exponents):
+    """The exponent vector as E*-coordinates, in g.ids order."""
+    return [int(exponents.get(w, 0)) for w in g.ids]
+
+
 def monomial_cycle(g: ResolutionGraph, exponents) -> MonomialCycle:
     exps = {}
     for w, a in exponents.items():
@@ -73,43 +84,48 @@ def monomial_cycle(g: ResolutionGraph, exponents) -> MonomialCycle:
         assert a >= 0
         if a:
             exps[w] = a
-    cycle = g.dual_data().cycle([exps.get(w, 0) for w in g.ids])
+    cycle = g.dual_data().cycle(_alpha(g, exps))
     return MonomialCycle(exponents=exps, cycle=cycle)
 
 
 def v_degree(g: ResolutionGraph, v, exponents) -> int:
-    """Sum of alpha_w m_vw; equals -e_v D.E*_v = e_v (coefficient of D at v)."""
+    """Sum of alpha_w m_vw; equals -e_v D.E*_v = e_v (coefficient of D at v),
+    checked as e_v (A alpha)_v = deg |det I|."""
     nw = g.node_weights(v)
     deg = sum(int(a) * nw.m[w] for w, a in exponents.items())
-    D = monomial_cycle(g, exponents).cycle
-    check = nw.e * D[v]
-    assert check == deg, f"v-degree identity fails: {deg} != {check}"
+    dd = g.dual_data()
+    check = nw.e * dd.numerators(_alpha(g, exponents))[g.index(v)]
+    assert check == deg * dd.det_abs, \
+        f"v-degree identity fails: {deg} |det I| != {check}"
     return deg
 
 
 def validate_witness(g: ResolutionGraph, v, branch, exponents):
     """Independent check of admissibility; returns the witness or None.
 
-    Deliberately a separate code path from the search: recomputes the cycle
-    and residual from scratch and checks every invariant exactly.
+    Deliberately a separate code path from the search: recomputes the
+    residual from scratch.  |det I| (D - E*_v) has E-coefficients
+    A alpha - A_v (A_v column v of the adjugate); each must be >= 0,
+    divisible by |det I|, and 0 off the branch.
     """
     ends = set(g.ends())
-    if any(w not in ends or int(a) < 0 for w, a in exponents.items()):
-        return None
     branch_vs = set(branch.subgraph.ids)
     # only ends on the branch may carry exponents
-    if any(a and w not in branch_vs for w, a in exponents.items()):
+    if any(w not in ends or int(a) < 0 or (a and w not in branch_vs)
+           for w, a in exponents.items()):
         return None
-    mono = monomial_cycle(g, exponents)
-    residual = mono.cycle - g.dual_cycle(v)
-    if not residual.is_integral():
-        return None
-    if not residual.is_effective():
-        return None
-    if not residual.support() <= branch_vs:
-        return None
+    dd = g.dual_data()
+    det = dd.det_abs
+    residual = {}
+    for u, x, y in zip(g.ids, dd.numerators(_alpha(g, exponents)),
+                       dd.adjugate[g.index(v)]):
+        r, rem = divmod(x - y, det)
+        if rem or r < 0 or (r and u not in branch_vs):
+            return None
+        residual[u] = r
     return AdmissibilityWitness(node=v, attach=branch.attach,
-                                monomial=mono, residual=residual)
+                                monomial=monomial_cycle(g, exponents),
+                                residual=QCycle(residual))
 
 
 def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
@@ -246,27 +262,19 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
     return SpliceSystem(nodes=out, seed=seed)
 
 
-def verify_equivariance(g: ResolutionGraph, system: SpliceSystem, cap=100):
-    """Check theta(h, D) = theta(h, E*_v) for every monomial of the system.
+def verify_equivariance(g: ResolutionGraph, system: SpliceSystem):
+    """Check theta(h, D) = theta(h, E*_v) for every h and every monomial D
+    of the system.
 
-    Returns (True, None) or (False, (h, node, exponents)).  For |H| > cap
-    only the generators of H are checked (bilinearity extends the result).
-    Each cycle is reduced to its class in H once, so theta(h, .) is
-    evaluated on classes.
+    The pairing is nondegenerate, so this is theta(D) = psi_v: T alpha_D
+    mod d against column v of the theta matrix.  Returns (True, None) or
+    (False, (theta(D), node, exponents)).
     """
     gd = group_data(g)
-    if gd.order <= cap:
-        test_elems = list(gd.elements())
-    else:
-        test_elems = [HElement(tuple(int(i == k) for i in range(gd.rank)))
-                      for k in range(gd.rank)]
     for ns in system.nodes:
-        target = gd.class_of(gd.dual.dual_cycles[ns.node])
+        target = gd.dual_character(ns.node)
         for mono in ns.monomials:
-            cls = gd.class_of(mono.cycle)
-            for h in test_elems:
-                lhs = gd.pair(h, cls)
-                rhs = gd.pair(h, target)
-                if lhs != rhs:
-                    return False, (h, ns.node, dict(mono.exponents))
+            got = gd.theta_alpha(_alpha(g, mono.exponents))
+            if got != target:
+                return False, (got, ns.node, dict(mono.exponents))
     return True, None

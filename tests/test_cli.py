@@ -200,3 +200,26 @@ def test_negative_bound_exits_1(capsys, command):
     code, out, err = _json_out(
         capsys, [command, "--input", graph_file("exmc.json"), "--bound", "-1"])
     assert code == 1 and out == "" and "bound must be >= 0" in err
+
+
+# -- QCycle only at the boundary -------------------------------------------
+
+@pytest.mark.parametrize("name", ["exmc.json", "fig1.json"])
+def test_commands_run_without_fraction_cycle_algebra(name, monkeypatch, capsys):
+    # the splice layer, Route A and the fundamental cycle stay on integer
+    # E*-coordinates: the Fraction routes are left to the tests
+    from splicegenus.discgroup import GroupData
+    from splicegenus.graph import ResolutionGraph
+
+    def boundary_only(*args, **kwargs):
+        raise AssertionError("Fraction cycle algebra off the boundary")
+
+    monkeypatch.setattr(ResolutionGraph, "intersect", boundary_only)
+    monkeypatch.setattr(GroupData, "pair", boundary_only)
+    monkeypatch.setattr(GroupData, "fractional_representative", boundary_only)
+    path = graph_file(name)
+    for argv in (["monomial-check"], ["emit-equations"],
+                 ["oracle-verify", "--max-degree", "6"], ["cv"], ["pg-uac"],
+                 ["fundamental-cycle"]):
+        code, _, err = _json_out(capsys, argv + ["--input", path])
+        assert code == 0, (argv, err)

@@ -9,6 +9,7 @@ from splicegenus import QCycle, unit_cycle
 from splicegenus.discgroup import (
     GroupData,
     HElement,
+    group_data,
     mod1,
     nef_shift_cycle,
     phi_branch,
@@ -167,8 +168,8 @@ def test_psi_trivial_maps_to_trivial():
     g = fig1()
     gd = GroupData(g)
     for br in g.branches("v0"):
-        sub_gd = GroupData(br.subgraph)
-        psi = psi_branch(gd, br, gd.trivial_character, sub_gd)
+        sub_gd = group_data(br.subgraph)
+        psi = psi_branch(gd, br, gd.trivial_character)
         assert psi == sub_gd.trivial_character
 
 
@@ -176,9 +177,9 @@ def test_psi_matches_direct_class_computation():
     g = exmc()
     gd = GroupData(g)
     for br in g.branches("E5"):
-        sub_gd = GroupData(br.subgraph)
+        sub_gd = group_data(br.subgraph)
         for chi in gd.characters():
-            psi = psi_branch(gd, br, chi, sub_gd)
+            psi = psi_branch(gd, br, chi)
             phi = phi_branch(g, br, gd.fractional_representative(chi))
             assert psi == sub_gd.theta(sub_gd.class_of(phi))
 

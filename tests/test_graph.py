@@ -255,6 +255,15 @@ def test_fundamental_cycle_nef_and_minimal(g):
                 pytest.fail(f"smaller anti-nef cycle {D!r} below {Z!r}")
 
 
+@given(random_trees())
+@settings(max_examples=30, deadline=None)
+def test_arithmetic_genus_matches_intersection_formula(g):
+    # p_a(Z) = 1 - chi(O_Z) from Riemann-Roch against 1 + Z.(Z+K)/2
+    Z, pa = g.fundamental_cycle()
+    K, _ = g.canonical_cycle()
+    assert pa == 1 + g.intersect(Z, Z + K) / 2
+
+
 def test_canonical_adjunction_exact():
     for g in (fig1(), exmc(), d4(), single(-7)):
         K, _ = g.canonical_cycle()

@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
-from fixtures import d4, exmc, fig1
+from fixtures import d4, e8, exmc, fig1
+from splicegenus.discgroup import group_data
 from splicegenus.splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -175,6 +178,10 @@ def test_equivariance_detects_corruption():
     ok, offender = verify_equivariance(g, system)
     assert not ok
     assert offender[1] == "E5" and offender[2] == {"E1": 1}
+    # the Fraction pairing over every h agrees, and names the same theta(D)
+    gd = group_data(g)
+    assert not _equivariant_by_pairing(g, system)
+    assert offender[0] == gd.theta(gd.class_of(bad.cycle))
 
 
 def test_emit_requires_monomial_condition():
@@ -184,3 +191,65 @@ def test_emit_requires_monomial_condition():
     system = emit_splice_system(g, seed=1)
     assert len(system.nodes) == 1 and len(system.nodes[0].equations) == 1
     assert verify_equivariance(g, system)[0]
+
+
+# -- the QCycle definitions as references ------------------------------------
+
+def _admissible_by_definition(g, v, br, mono):
+    residual = mono.cycle - g.dual_cycle(v)
+    return (residual.is_integral() and residual.is_effective()
+            and residual.support() <= set(br.subgraph.ids))
+
+
+@pytest.mark.parametrize("make", [exmc, fig1])
+def test_validate_witness_matches_qcycle_definition(make):
+    # every end-exponent vector with entries <= 3, on every branch
+    g = make()
+    ends = g.ends()
+    branches = [(v, br) for v in g.nodes() for br in g.branches(v)]
+    hits = 0
+    for vals in itertools.product(range(4), repeat=len(ends)):
+        exps = dict(zip(ends, vals))
+        mono = monomial_cycle(g, exps)
+        for v, br in branches:
+            wit = validate_witness(g, v, br, exps)
+            assert (wit is not None) == _admissible_by_definition(g, v, br, mono)
+            if wit is not None:
+                hits += 1
+                assert wit.monomial == mono
+                assert wit.residual == mono.cycle - g.dual_cycle(v)
+    assert hits > 0
+
+
+def _pairings(g, D):
+    """theta(h, D) for every h in H, by the Fraction pairing."""
+    gd = group_data(g)
+    cls = gd.class_of(D)
+    return [gd.pair(h, cls) for h in gd.elements()]
+
+
+def _equivariant_by_pairing(g, system):
+    return all(_pairings(g, mono.cycle) == _pairings(g, g.dual_cycle(ns.node))
+               for ns in system.nodes for mono in ns.monomials)
+
+
+@pytest.mark.parametrize("make", [d4, e8, exmc, fig1])
+def test_equivariance_matches_pairing_definition(make):
+    g = make()
+    gd = group_data(g)
+    system = emit_splice_system(g, seed=0)
+    assert verify_equivariance(g, system) == (True, None)
+    assert _equivariant_by_pairing(g, system)
+    # replace the first monomial at the first node by every end-exponent
+    # vector with entries <= 2
+    ends = g.ends()
+    target = _pairings(g, g.dual_cycle(system.nodes[0].node))
+    for vals in itertools.product(range(3), repeat=len(ends)):
+        mono = monomial_cycle(g, dict(zip(ends, vals)))
+        system.nodes[0].monomials[0] = mono
+        ok, offender = verify_equivariance(g, system)
+        # the other monomials are equivariant, as checked above
+        assert ok == (_pairings(g, mono.cycle) == target)
+        if not ok:
+            assert offender == (gd.theta(gd.class_of(mono.cycle)),
+                                system.nodes[0].node, mono.exponents)
