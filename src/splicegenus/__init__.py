@@ -18,6 +18,7 @@ from .molien import (
     a_invariant,
     c_v_chi,
     c_v_chi_routes,
+    c_v_route_a,
     hilbert_data,
     molien_ci,
     molien_closed,
@@ -26,7 +27,7 @@ from .molien import (
     truncation_m,
 )
 from .oracle import artin_rational, bruteforce_eigendims, oracle_verify
-from .series import PolyQ, RationalFunctionQ, TruncatedSeries, polynomial_part
+from .series import PolyQ, RationalFunctionQ, polynomial_part
 from .splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -38,10 +39,10 @@ from .splice import (
 
 __all__ = [
     "Character", "GroupData", "HElement", "GenusReport", "QCycle",
-    "ResolutionGraph", "PolyQ", "RationalFunctionQ", "TruncatedSeries",
-    "parse_graph", "unit_cycle", "euler_char_on_cycle", "genus_report",
-    "h1_eigensheaf", "h1_twisted", "minimal_nef_correction", "pg", "pg_uac",
-    "a_invariant", "c_v_chi", "c_v_chi_routes", "group_data", "hilbert_data",
+    "ResolutionGraph", "PolyQ", "RationalFunctionQ", "parse_graph",
+    "unit_cycle", "euler_char_on_cycle", "genus_report", "h1_eigensheaf",
+    "h1_twisted", "minimal_nef_correction", "pg", "pg_uac", "a_invariant",
+    "c_v_chi", "c_v_chi_routes", "c_v_route_a", "group_data", "hilbert_data",
     "molien_ci", "molien_closed", "molien_coeffs", "P_chi", "truncation_m",
     "artin_rational", "bruteforce_eigendims", "oracle_verify",
     "polynomial_part", "check_monomial_condition", "emit_splice_system",

@@ -1,23 +1,23 @@
-"""Exact arithmetic in Q(zeta_N) = Q[x] / Phi_N(x).
+"""Cyclotomic polynomials, and the reduction Z[x]/(x^N - 1) -> Z[zeta_N].
 
 Phi_N is computed from Phi_N = prod_{d | N} (x^d - 1)^{mu(N/d)} by exact
-multiplications and divisions by x^d - 1.  A CycloNumber is rational iff
-its non-constant coordinates vanish.
+multiplications and divisions by x^d - 1, all in the integers.
 
 Two users in :mod:`splicegenus.molien`: ``molien_ci`` evaluates Molien's sum
 over Q(zeta_N) with length-N integer vectors (the group ring
-Z[x]/(x^N - 1), where a root of unity acts by a cyclic shift) and maps them
-into Q[x]/Phi_N(x) with ``reduce_group_ring``; ``molien_closed`` cancels
-cyclotomic factors of a denominator with ``cyclotomic_quotient``.  The
-Hilbert tables themselves never leave the integers.
+Z[x]/(x^N - 1), where a root of unity acts by a cyclic shift) and reads a
+coefficient as rational iff ``reduce_group_ring``, the remainder mod
+Phi_N, is a constant; ``molien_closed`` cancels cyclotomic factors of a
+denominator with ``cyclotomic_quotient``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
+
+from .series import PolyQ
 
 
 def _prime_factors(n):
@@ -90,114 +90,7 @@ def euler_phi(N: int) -> int:
     return len(cyclotomic_polynomial(N)) - 1
 
 
-@lru_cache(maxsize=None)
-def _power_table(N: int):
-    """x^j mod Phi_N for j = 0 .. 2N, as integer coefficient tuples."""
-    phi = cyclotomic_polynomial(N)
-    deg = len(phi) - 1
-    table = []
-    cur = [0] * deg
-    if deg > 0:
-        cur[0] = 1
-    for _ in range(2 * N + 1):
-        table.append(tuple(cur))
-        nxt = [0] + cur[:-1] if deg > 0 else []
-        carry = cur[-1] if deg > 0 else 0
-        if carry:
-            nxt = [c - carry * p for c, p in zip(nxt + [0], phi)][:deg]
-        cur = nxt
-    return table
-
-
 def reduce_group_ring(vec, N):
-    """Reduce sum_j vec[j] x^j (j < N) mod Phi_N; returns coefficient list."""
-    deg = euler_phi(N)
-    table = _power_table(N)
-    out = [0] * deg
-    for j, c in enumerate(vec):
-        if c:
-            pw = table[j]
-            for k in range(deg):
-                if pw[k]:
-                    out[k] += c * pw[k]
-    return out
-
-
-class CycloNumber:
-    """An element of Q(zeta_N) in the power basis 1, x, ..., x^(phi(N)-1)."""
-
-    __slots__ = ("N", "coords")
-
-    def __init__(self, N, coords):
-        self.N = N
-        deg = euler_phi(N)
-        coords = [Fraction(c) for c in coords]
-        assert len(coords) <= deg
-        coords += [Fraction(0)] * (deg - len(coords))
-        self.coords = tuple(coords)
-
-    @classmethod
-    def from_rational(cls, N, value):
-        return cls(N, [Fraction(value)])
-
-    @classmethod
-    def zeta_pow(cls, N, k):
-        """zeta_N^k."""
-        pw = _power_table(N)[k % N]
-        return cls(N, list(pw))
-
-    def __add__(self, other):
-        assert self.N == other.N
-        return CycloNumber(self.N, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        assert self.N == other.N
-        return CycloNumber(self.N, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return CycloNumber(self.N, [-a for a in self.coords])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.N, [a * other for a in self.coords])
-        assert self.N == other.N
-        deg = euler_phi(self.N)
-        conv = [Fraction(0)] * (2 * deg)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        conv[i + j] += a * b
-        table = _power_table(self.N)
-        out = [Fraction(0)] * deg
-        for idx, c in enumerate(conv):
-            if c:
-                pw = table[idx]
-                for k in range(deg):
-                    if pw[k]:
-                        out[k] += c * pw[k]
-        return CycloNumber(self.N, out)
-
-    __rmul__ = __mul__
-
-    def mul_zeta_pow(self, k):
-        return self * CycloNumber.zeta_pow(self.N, k)
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_value(self) -> Fraction:
-        from .errors import IrrationalCoefficient
-        if not self.is_rational():
-            raise IrrationalCoefficient(f"not rational: {self.coords}")
-        return self.coords[0] if self.coords else Fraction(0)
-
-    def __eq__(self, other):
-        return (isinstance(other, CycloNumber) and self.N == other.N
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.N, self.coords))
-
-    def __repr__(self):
-        return f"CycloNumber(N={self.N}, {list(self.coords)})"
+    """sum_j vec[j] x^j mod Phi_N: the remainder of exact long division by
+    Phi_N, a coefficient list of length at most phi(N)."""
+    return list(divmod(PolyQ(vec), PolyQ(cyclotomic_polynomial(N)))[1].coeffs)

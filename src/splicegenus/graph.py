@@ -458,25 +458,36 @@ def parse_graph(text: str) -> ResolutionGraph:
     return _parse_dsl(text)
 
 
+def _json_weight(w):
+    """An int, an integral float or an integer string; anything else
+    (booleans, null, fractional or infinite floats) is a ValueError."""
+    if (isinstance(w, float) and w.is_integer()) or isinstance(w, str):
+        return int(w)
+    if isinstance(w, int) and not isinstance(w, bool):
+        return w
+    raise ValueError(f"weight {w!r} is not an integer")
+
+
 def _parse_json(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphSyntaxError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict) or "vertices" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("vertices"), list):
         raise GraphSyntaxError("expected an object with a 'vertices' list")
     vertices = []
     for item in data["vertices"]:
         try:
-            vertices.append((str(item["id"]), int(item["weight"])))
+            vertices.append((str(item["id"]), _json_weight(item["weight"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphSyntaxError(f"bad vertex entry {item!r}") from exc
-    edges = []
-    for pair in data.get("edges", []):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise GraphSyntaxError("'edges' must be a list")
+    for pair in edges:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise GraphSyntaxError(f"bad edge entry {pair!r}")
-        edges.append((str(pair[0]), str(pair[1])))
-    return ResolutionGraph(vertices, edges)
+    return ResolutionGraph(vertices, [(str(a), str(b)) for a, b in edges])
 
 
 def _parse_dsl(text):

@@ -39,7 +39,7 @@ from .errors import (
     UnstableInM,
 )
 from .graph import ResolutionGraph
-from .series import PolyQ, RationalFunctionQ, TruncatedSeries, polynomial_part
+from .series import PolyQ, RationalFunctionQ, mul, polynomial_part
 
 
 def a_invariant(g: ResolutionGraph, v) -> int:
@@ -154,18 +154,8 @@ def _class_order(gd: GroupData, coords) -> int:
     return out
 
 
-def _int_mul(p, q, up_to):
-    """Product of integer coefficient lists, truncated after t^up_to."""
-    out = [0] * (up_to + 1)
-    for i, a in enumerate(p[: up_to + 1]):
-        if a:
-            n = min(len(q), up_to + 1 - i)
-            out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], q)]
-    return out
-
-
 def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
-    """Exact closed form of H^chi(t) over Q.
+    """Exact closed form of H^chi(t), numerator and denominator in Z[t].
 
     G^chi is a finitely generated module over the invariant polynomial
     subring generated by z_w^{n_w} (n_w = order of [E*_w] in H, which is
@@ -187,9 +177,9 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     coeffs = molien_coeffs(g, v, bound, chars=[chi])[chi]
     B = [1]
     for k in ks:
-        B = _int_mul(B, [1] + [0] * (k - 1) + [-1], len(B) + k - 1)
+        B = mul(B, [1] + [0] * (k - 1) + [-1])
     # A = (series) * B, truncated; must be a polynomial of degree <= deg_a
-    A = _int_mul(B, coeffs, bound)
+    A = mul(B, coeffs, bound)
     if any(A[deg_a + 1:]):
         raise InternalCheckError(
             f"H^{chi.coords} * denominator is not a polynomial "
@@ -215,12 +205,12 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     for d, e in sorted(mult.items()):
         phi_d = cyclotomic_polynomial(d)
         for _ in range(e):
-            den = _int_mul(den, phi_d, len(den) + len(phi_d) - 2)
+            den = mul(den, phi_d)
     # the closed form expands back to the table: den * series = sign * A
     expect = [sign * c for c in A[: bound + 1]]
     expect += [0] * (bound + 1 - len(expect))
-    assert _int_mul(den, coeffs, bound) == expect
-    return RationalFunctionQ(PolyQ(A) * sign, PolyQ(den), reduce=False)
+    assert mul(den, coeffs, bound) == expect
+    return RationalFunctionQ(PolyQ(expect), PolyQ(den))
 
 
 # -- the constants c_v^chi -------------------------------------------------
@@ -266,7 +256,7 @@ def _route_a_value(g, v, chi, m):
     return P_chi(g, v, chi, m * nw.a_v) - quad
 
 
-def _route_a(g, v, chi: Character) -> Fraction:
+def c_v_route_a(g, v, chi: Character) -> Fraction:
     """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
     asserted stable under m -> m+1, m+2 above the threshold."""
     m = truncation_m(g, v)
@@ -282,21 +272,9 @@ def _route_a(g, v, chi: Character) -> Fraction:
     return value
 
 
-def c_v_chi(g: ResolutionGraph, v, chi: Character,
-            check_stability=False) -> Fraction:
-    """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity.
-
-    With check_stability=True, Route A is also run at m, m+1 and m+2 and
-    must give the same value.
-    """
-    value = Fraction(_cv_at_infinity(g, v)[chi])
-    if check_stability:
-        route_a = _route_a(g, v, chi)
-        if route_a != value:
-            raise MismatchedRoutes(
-                f"c_v at node {v}, chi {chi.coords}: Route A {route_a} != "
-                f"{value} at t = infinity")
-    return value
+def c_v_chi(g: ResolutionGraph, v, chi: Character) -> Fraction:
+    """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity."""
+    return Fraction(_cv_at_infinity(g, v)[chi])
 
 
 def c_v_chi_routes(g, v, chi: Character):
@@ -305,9 +283,9 @@ def c_v_chi_routes(g, v, chi: Character):
     A mismatch for the trivial character is an error; for nontrivial
     characters the caller decides how to report a discrepancy.
     """
-    route_a = _route_a(g, v, chi)
+    route_a = c_v_route_a(g, v, chi)
     p, _ = polynomial_part(molien_closed(g, v, chi))
-    route_b = p(Fraction(1))
+    route_b = p(1)
     trivial = all(c == 0 for c in chi.coords)
     if trivial and route_a != route_b:
         raise MismatchedRoutes(
@@ -371,7 +349,8 @@ def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
         chi_i(g) = exp(2 pi i sum_k c_ik g_k / o_k).
     chi: target character coords.
 
-    Returns a TruncatedSeries over Q with coefficients asserted rational.
+    Returns the coefficients of t^0 .. t^up_to as Fractions, each asserted
+    rational.
     """
     orders = list(orders)
     n_vars = len(weights)
@@ -411,7 +390,7 @@ def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
         if any(c != 0 for c in red[1:]):
             raise IrrationalCoefficient(f"coefficient t^{i} is irrational")
         out.append(Fraction(red[0] if red else 0, order))
-    return TruncatedSeries(out)
+    return out
 
 
 # -- bundled per-node data -------------------------------------------------

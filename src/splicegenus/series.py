@@ -1,21 +1,45 @@
-"""Univariate polynomials and rational functions over Q, and truncated series.
+"""Integer polynomials in t and the closed forms built from them.
 
-Coefficient lists are dense, constant term first.  Rational functions are
-gcd-reduced on construction (skippable when the caller has already cancelled
-known factors) and the denominator is normalized to constant term 1 whenever
-its constant term is nonzero.
+Every closed form the package builds is an eigenspace Hilbert series
+num/den whose denominator is a product of factors (1 - t^k) with some
+cyclotomic factors cancelled, so numerator, denominator and polynomial part
+all lie in Z[t].  Coefficient lists are dense, constant term first, and hold
+ints; a non-integral coefficient is a ValueError.  ``mul`` is the one
+truncated polynomial product, and division is exact long division by
+polynomials with leading coefficient +-1 (products of cyclotomic
+polynomials).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+
+def mul(p, q, up_to=None):
+    """Product of coefficient lists, truncated after t^up_to (default: the
+    whole product).  The result has length up_to + 1."""
+    if up_to is None:
+        up_to = len(p) + len(q) - 2
+    out = [0] * (up_to + 1)
+    for i, a in enumerate(p[: up_to + 1]):
+        if a:
+            n = min(len(q), up_to + 1 - i)
+            out[i:i + n] = [x + a * b for x, b in zip(out[i:i + n], q)]
+    return out
+
+
+def _integer(c):
+    n = int(c)
+    if n != c:
+        raise ValueError(f"non-integral coefficient {c!r}")
+    return n
 
 
 class PolyQ:
+    """A polynomial in Z[t]."""
+
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -26,10 +50,9 @@ class PolyQ:
         terms = list(terms)
         if not terms:
             return cls()
-        size = max(e for e, _ in terms) + 1
-        cs = [Fraction(0)] * size
+        cs = [0] * (max(e for e, _ in terms) + 1)
         for e, c in terms:
-            cs[e] += Fraction(c)
+            cs[e] += _integer(c)
         return cls(cs)
 
     @classmethod
@@ -43,65 +66,30 @@ class PolyQ:
         return not self.coeffs
 
     def __getitem__(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ([self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ([self[i] - other[i] for i in range(n)])
-
-    def __neg__(self):
-        return PolyQ([-c for c in self.coeffs])
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyQ([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return PolyQ(out)
-
-    __rmul__ = __mul__
+        return PolyQ(mul(self.coeffs, other.coeffs))
 
     def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
+        """Exact long division; the divisor's leading coefficient is +-1."""
+        lead = other[other.degree()]
+        if lead not in (1, -1):
+            raise ValueError(f"divisor {other!r} does not have leading "
+                             f"coefficient +-1")
         rem = list(self.coeffs)
         dd = other.degree()
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - dd)
+        quot = [0] * max(0, len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - dd] = q
-            for j, d in enumerate(other.coeffs):
-                rem[i - dd + j] -= q * d
+            q = rem[i] * lead
+            if q:
+                quot[i - dd] = q
+                for j, d in enumerate(other.coeffs):
+                    rem[i - dd + j] -= q * d
         return PolyQ(quot), PolyQ(rem)
 
-    def divides(self, other):
-        _, r = divmod(other, self)
-        return r.is_zero()
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])  # monic
-
     def __call__(self, x):
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -145,43 +133,35 @@ def render_poly(p: PolyQ, var="t"):
 
 
 class RationalFunctionQ:
+    """num/den in Z[t], stored with den(0) = 1 (signs are flipped to get
+    there); any other constant term of den is a ValueError."""
+
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyQ, den: PolyQ, reduce=True):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero():
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = divmod(num, g)[0]
-                den = divmod(den, g)[0]
-        c0 = den[0]
-        scale = 1 / c0 if c0 != 0 else 1 / den.coeffs[-1]
-        self.num = num * scale
-        self.den = den * scale
+    def __init__(self, num: PolyQ, den: PolyQ):
+        if den[0] == -1:
+            num = PolyQ([-c for c in num.coeffs])
+            den = PolyQ([-c for c in den.coeffs])
+        elif den[0] != 1:
+            raise ValueError(f"denominator {den!r} has constant term "
+                             f"{den[0]}, not +-1")
+        self.num = num
+        self.den = den
 
     def __eq__(self, other):
         """Exact equality as rational functions (cross-multiplication)."""
         return (self.num * other.den) == (self.den * other.num)
 
-    def __add__(self, other):
-        return RationalFunctionQ(self.num * other.den + other.num * self.den,
-                                 self.den * other.den)
-
     def __repr__(self):
         return f"({render_poly(self.num)}) / ({render_poly(self.den)})"
 
     def series_coefficients(self, up_to):
-        """First up_to+1 Taylor coefficients; requires den(0) != 0."""
+        """First up_to+1 Taylor coefficients."""
         den = self.den
-        assert den[0] != 0
-        inv0 = 1 / den[0]
         out = []
         for i in range(up_to + 1):
-            acc = self.num[i]
-            for j in range(1, min(i, den.degree()) + 1):
-                acc -= den[j] * out[i - j]
-            out.append(acc * inv0)
+            out.append(self.num[i] - sum(den[j] * out[i - j] for j in
+                                         range(1, min(i, den.degree()) + 1)))
         return out
 
     def to_json(self):
@@ -194,47 +174,4 @@ def polynomial_part(f: RationalFunctionQ):
     p(1) is the invariant used for the constants c_v.
     """
     p, r = divmod(f.num, f.den)
-    return p, RationalFunctionQ(r, f.den, reduce=False)
-
-
-class TruncatedSeries:
-    """Truncated power series; coefficients are Fractions or CycloNumbers.
-
-    Arithmetic never reads beyond the truncation bound.
-    """
-
-    __slots__ = ("coeffs", "zero")
-
-    def __init__(self, coeffs, zero=Fraction(0)):
-        self.coeffs = list(coeffs)
-        self.zero = zero
-
-    @property
-    def bound(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __add__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], self.zero)
-
-    def __mul__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [self.zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == self.zero:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != self.zero:
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(out, self.zero)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"TruncatedSeries({self.coeffs})"
+    return p, RationalFunctionQ(r, f.den)

@@ -12,6 +12,7 @@ from splicegenus.genus import genus_report, pg, pg_uac
 from splicegenus.molien import (
     c_v_chi,
     c_v_chi_routes,
+    c_v_route_a,
     group_data,
     molien_closed,
     molien_coeffs,
@@ -34,7 +35,7 @@ def _report(n, ok, desc):
 
 def _rf(num_terms, den_terms):
     return RationalFunctionQ(PolyQ.from_terms(num_terms),
-                             PolyQ.from_terms(den_terms), reduce=False)
+                             PolyQ.from_terms(den_terms))
 
 
 def _fig1_branches():
@@ -146,9 +147,9 @@ def test_criterion_8_node_and_m_independence():
     tables = [rep.per_character_h1 for rep in reports.values()]
     same = tables[0] == tables[1] == tables[2]
     pgs = {rep.pg for rep in reports.values()}
-    # c_v_chi re-asserts stability at m, m+1, m+2 internally
-    stable = c_v_chi(g, "v0", gd.trivial_character,
-                     check_stability=True) == 2
+    # Route A asserts stability at m, m+1, m+2 internally
+    stable = c_v_route_a(g, "v0", gd.trivial_character) == \
+        c_v_chi(g, "v0", gd.trivial_character) == 2
     _report(8, same and pgs == {7} and stable,
             f"identical h1 tables at roots v0/v1/v2: {same}, "
             f"pg = {pgs}, c_v stable in m: {stable}")

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fixtures import graph_file
+from fixtures import fig1, graph_file
 from splicegenus.cli import run
 
 
@@ -223,3 +225,103 @@ def test_commands_run_without_fraction_cycle_algebra(name, monkeypatch, capsys):
                  ["fundamental-cycle"]):
         code, _, err = _json_out(capsys, argv + ["--input", path])
         assert code == 0, (argv, err)
+
+
+# -- malformed JSON input ---------------------------------------------------
+
+def _d4_json(centre_weight):
+    leaves = ", ".join(f'{{"id": "l{i}", "weight": -2}}' for i in (1, 2, 3))
+    return (f'{{"vertices": [{{"id": "c", "weight": {centre_weight}}}, '
+            f'{leaves}], "edges": [["c", "l1"], ["c", "l2"], ["c", "l3"]]}}')
+
+
+@pytest.mark.parametrize("doc", [
+    '{"vertices": 5}',
+    '{"vertices": null}',
+    '{"vertices": [{"id": "a", "weight": -2}], "edges": 7}',
+    _d4_json("-1e400"),
+    _d4_json("-2.9"),
+    _d4_json("true"),
+    _d4_json("1" * 5000),
+    '{"vertices": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["vertices-int", "vertices-null", "edges-int", "weight-overflow",
+        "weight-fraction", "weight-bool", "weight-digits", "deep-nesting"])
+@pytest.mark.parametrize("command", ["validate", "pg"])
+def test_malformed_json_exits_1(tmp_path, capsys, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = _json_out(capsys, [command, "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undecodable_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.dsl"
+    path.write_bytes(b"vertex a \xff\n")
+    code, out, err = _json_out(capsys, ["validate", "--input", str(path)])
+    assert code == 1 and out == "" and err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("weight", ["-2", "-2.0", '"-2"'],
+                         ids=["int", "float", "string"])
+def test_integral_json_weights_parse(tmp_path, capsys, weight):
+    path = tmp_path / "d4.json"
+    path.write_text(_d4_json(weight))
+    code, data, _ = _payload(
+        capsys, ["pg", "--input", str(path), "--format", "json"])
+    assert code == 0 and data["pg"] == 0
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers(-4, 2)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.text(max_size=3))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_ids = st.sampled_from(["a", "b", "c", "d", "e"])
+_weights = (_json_leaves | st.integers(-4, -1) | st.integers(-4, -1).map(float)
+            | st.integers(-4, -1).map(str))
+_vertex = st.fixed_dictionaries({"id": _ids, "weight": _weights}) | _json_values
+_edge = st.lists(_ids, min_size=2, max_size=2) | _json_values
+_graph_doc = (st.fixed_dictionaries(
+    {"vertices": st.lists(_vertex, max_size=5) | _json_values},
+    optional={"edges": st.lists(_edge, max_size=5) | _json_values})
+    | _json_values)
+_dsl_line = (st.builds(lambda v, w: f"vertex {v} {w}", _ids, _weights)
+             | st.builds(lambda a, b: f"edge {a} {b}", _ids, _ids)
+             | st.text(alphabet="vertxdg #-12.\t", max_size=12))
+
+
+@given(doc=_graph_doc, lines=st.lists(_dsl_line, max_size=6))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_fuzz_no_exception_escapes(tmp_path, capsys, doc, lines):
+    json_path = tmp_path / "fuzz.json"
+    json_path.write_text(json.dumps(doc))
+    dsl_path = tmp_path / "fuzz.dsl"
+    dsl_path.write_text("\n".join(lines))
+    for path in (json_path, dsl_path):
+        for command in ("validate", "invariants"):
+            assert run([command, "--input", str(path)]) in (0, 1, 2, 3)
+    capsys.readouterr()
+
+
+# -- root independence -------------------------------------------------------
+
+def test_pg_uac_all_nodes_detects_root_dependence(monkeypatch, capsys):
+    import splicegenus.genus as genus
+
+    top = fig1().fingerprint()
+    real = genus.c_v_chi
+
+    def shifted(g, v, chi):
+        value = real(g, v, chi)
+        return value + 1 if v == "v1" and g.fingerprint() == top else value
+
+    monkeypatch.setattr(genus, "c_v_chi", shifted)
+    code, out, err = _json_out(
+        capsys, ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"])
+    assert code == 2 and out == ""
+    assert err.startswith("internal check failed: h1 depends on the root node")

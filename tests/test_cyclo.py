@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splicegenus.cyclo import (
-    CycloNumber,
     cyclotomic_polynomial,
     cyclotomic_quotient,
     euler_phi,
     reduce_group_ring,
 )
 from splicegenus.errors import IrrationalCoefficient
+from splicegenus.molien import _rot, molien_ci
+from splicegenus.series import mul
 
 
 def test_known_cyclotomic_polynomials():
@@ -46,14 +47,6 @@ def test_product_over_divisors_is_xn_minus_1(n):
     assert prod == [-1] + [0] * (n - 1) + [1]
 
 
-def _mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
 @given(st.integers(min_value=1, max_value=40),
        st.lists(st.integers(-3, 3), min_size=1, max_size=12))
 @settings(deadline=None)
@@ -63,10 +56,10 @@ def test_cyclotomic_quotient_exact_division(d, q):
     while q[-1] == 0:
         q.pop()
     phi = list(cyclotomic_polynomial(d))
-    assert cyclotomic_quotient(_mul(q, phi), d) == q
-    assert cyclotomic_quotient(_mul(q, phi) + [0, 0], d) == q
+    assert cyclotomic_quotient(mul(q, phi), d) == q
+    assert cyclotomic_quotient(mul(q, phi) + [0, 0], d) == q
     # adding 1 breaks divisibility unless Phi_d divides 1, which it never does
-    p = _mul(q, phi)
+    p = mul(q, phi)
     p[0] += 1
     assert cyclotomic_quotient(p, d) is None
 
@@ -75,46 +68,53 @@ def test_cyclotomic_quotient_of_zero_is_zero():
     assert cyclotomic_quotient([0, 0], 6) == []
 
 
+def _sub(p, q):
+    n = max(len(p), len(q))
+    return [a - b for a, b in zip(p + [0] * (n - len(p)), q + [0] * (n - len(q)))]
+
+
 def test_zeta_pow_order():
-    z = CycloNumber.zeta_pow(5, 1)
-    acc = CycloNumber.from_rational(5, 1)
-    for _ in range(5):
-        acc = acc * z
-    assert acc == CycloNumber.from_rational(5, 1)
+    # x^N = 1 mod Phi_N, and no smaller positive power is
+    for N in range(1, 13):
+        assert reduce_group_ring([0] * N + [1], N) == [1]
+        for k in range(1, N):
+            assert reduce_group_ring([0] * k + [1], N) != [1]
 
 
 def test_zeta_sum_over_full_orbit_vanishes():
+    # sum_k zeta^(jk) over k < N is N if N | j and 0 otherwise
     for N in (2, 3, 4, 6, 12):
-        total = CycloNumber.from_rational(N, 0)
-        for k in range(N):
-            total = total + CycloNumber.zeta_pow(N, k)
-        assert total == CycloNumber.from_rational(N, 0)
+        for j in range(2 * N):
+            vec = [0] * (j * (N - 1) + 1)
+            for k in range(N):
+                vec[j * k] += 1
+            assert reduce_group_ring(vec, N) == ([N] if j % N == 0 else [])
 
 
 def test_rational_value_and_rejection():
-    x = CycloNumber.from_rational(7, Fraction(3, 4))
-    assert x.is_rational() and x.rational_value() == Fraction(3, 4)
-    z = CycloNumber.zeta_pow(7, 1)
-    assert not z.is_rational()
+    assert reduce_group_ring([3], 7) == [3]
+    assert reduce_group_ring([0, 1], 7) == [0, 1]
+    # exponent 1/3 is not an action of Z/2: the Molien sum 1/(1 - t) +
+    # 1/(1 - zeta_3 t) has the irrational coefficient 1 + zeta_3 at t^1
     with pytest.raises(IrrationalCoefficient):
-        z.rational_value()
+        molien_ci([1], [2], [[Fraction(1, 3)]], [], (0,), 2)
 
 
 def test_mul_zeta_pow_matches_explicit_product():
-    x = CycloNumber(9, [1, 2, 0, 3])
+    # multiplying by zeta^k is a cyclic shift of the group-ring vector
+    vec = [1, 2, 0, 3, 0, 0, -1, 0, 5]
     for k in range(9):
-        assert x.mul_zeta_pow(k) == x * CycloNumber.zeta_pow(9, k)
+        shifted = _rot(vec, k, 9)
+        assert reduce_group_ring(shifted, 9) == \
+            reduce_group_ring(mul(vec, [0] * k + [1]), 9)
 
 
-@given(st.integers(2, 12), st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+@given(st.integers(1, 12), st.lists(st.integers(-9, 9), max_size=30))
 @settings(deadline=None)
-def test_reduce_group_ring_matches_zeta_sum(N, vec):
-    vec = vec[:N]
-    out = reduce_group_ring(vec, N)
-    direct = CycloNumber.from_rational(N, 0)
-    for j, c in enumerate(vec):
-        direct = direct + c * CycloNumber.zeta_pow(N, j)
-    assert CycloNumber(N, out) == direct
+def test_reduce_group_ring_is_remainder_mod_phi(N, vec):
+    r = reduce_group_ring(vec, N)
+    assert len(r) <= euler_phi(N)
+    assert cyclotomic_quotient(_sub(vec, r), N) is not None
 
 
 def test_reduce_group_ring_constant_vector_is_zero():
@@ -125,10 +125,10 @@ def test_reduce_group_ring_constant_vector_is_zero():
 
 
 def test_arithmetic_ring_axioms_spot():
-    a = CycloNumber(8, [1, 1])
-    b = CycloNumber(8, [0, 2, 1])
-    c = CycloNumber(8, [3, 0, 0, 1])
-    assert a * (b + c) == a * b + a * c
-    assert a * b == b * a
-    assert a - a == CycloNumber.from_rational(8, 0)
-    assert -a == CycloNumber.from_rational(8, 0) - a
+    # reduction mod Phi_8 is a ring map
+    a, b, c = [1, 1], [0, 2, 1], [3, 0, 0, 1, 0, 0, 0, 0, 0, 2]
+    red = lambda p: reduce_group_ring(p, 8)  # noqa: E731
+    assert red(mul(a, b)) == red(mul(red(a), red(b)))
+    assert red(mul(a, _sub(b, c))) == red(_sub(mul(a, b), mul(a, c)))
+    assert red(_sub(b, c)) == red(_sub(red(b), red(c)))
+    assert red(_sub(a, a)) == []
