@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import __version__
@@ -386,6 +387,10 @@ def run(argv=None) -> int:
 
 
 def main():
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that closes the pipe early (``| head``) ends the process
+        # quietly, as it does other filters, instead of a BrokenPipeError
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

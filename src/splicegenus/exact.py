@@ -1,70 +1,58 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers.
 
-One Gauss-Jordan elimination over ``Fraction`` (``rref``) serves every
-rational solve, inverse and rank in the package; determinants, definiteness
-and the Smith normal form stay in the integers.  Matrices are lists of rows.
-Sizes are tiny (resolution graphs have at most a few dozen vertices) so
-clarity wins over asymptotics.
+One fraction-free Gauss-Jordan elimination (``eliminate``, after Bareiss,
+Math. Comp. 22, 1968) serves every solve, adjugate, rank and determinant in
+the package; definiteness reads its determinants and the Smith normal form
+is the only other routine.  Matrices are lists of rows of ints.  Sizes are
+tiny (resolution graphs have at most a few dozen vertices) so clarity wins
+over asymptotics.
 """
 
-from fractions import Fraction
 
+def eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-def rref(rows):
-    """Reduced row echelon form of a rational matrix, by Gauss-Jordan.
-
-    Returns (pivots, R): R holds the nonzero rows of the reduced form, row k
-    with a 1 in column pivots[k] and zeros elsewhere in that column.  The
-    pivot of each column is the candidate entry of smallest numerator plus
-    denominator bit size, which keeps the entries small; the reduced form
-    does not depend on that choice.  Augmented blocks ride along: [A | Id]
-    with A invertible reduces to [Id | A^-1], and a pivot in the last column
-    of [A | b] means that A x = b has no solution.
+    Returns (pivots, R) with R = d * RREF: R holds the nonzero rows of the
+    reduced form scaled by one integer d != 0, row k with d in column
+    pivots[k] and zeros elsewhere in that column.  Every entry of R is, up
+    to sign, a minor of the input, so each division by the previous pivot
+    is exact.
+    A row exchange negates the row moved up, so a square matrix of full
+    rank has d = its determinant.  Augmented blocks ride along: [A | Id]
+    with A invertible reduces to [det A * Id | adj A], and a pivot in the
+    last column of [A | b] means that A x = b has no solution.
     """
-    R = [[Fraction(x) for x in row] for row in rows if any(row)]
-    ncols = len(R[0]) if R else 0
+    R = [list(row) for row in rows if any(row)]
+    if not all(isinstance(x, int) for row in R for x in row):
+        raise TypeError("eliminate takes a matrix of ints")
     pivots = []
-    for col in range(ncols):
+    prev = 1
+    for col in range(len(R[0]) if R else 0):
         k = len(pivots)
         if k == len(R):
             break
-        cands = [i for i in range(k, len(R)) if R[i][col]]
-        if not cands:
+        piv = next((i for i in range(k, len(R)) if R[i][col]), None)
+        if piv is None:
             continue
-        piv = min(cands, key=lambda i: R[i][col].numerator.bit_length()
-                  + R[i][col].denominator.bit_length())
-        R[k], R[piv] = R[piv], R[k]
-        inv = 1 / R[k][col]
-        R[k] = [x * inv if x else x for x in R[k]]
-        for i in range(len(R)):
-            if i != k and R[i][col]:
-                f = R[i][col]
-                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[k])]
+        if piv != k:
+            R[k], R[piv] = [-x for x in R[piv]], R[k]
+        prow = R[k]
+        p = prow[col]
+        for i, row in enumerate(R):
+            if i != k:
+                f = row[col]
+                R[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
         pivots.append(col)
     return pivots, R[:len(pivots)]
 
 
 def det_bareiss(A):
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(A)
-    if n == 0:
+    """Exact determinant of a square integer matrix: the d of ``eliminate``."""
+    if not A:
         return 1
-    M = [list(map(int, row)) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    pivots, R = eliminate(A)
+    return R[0][pivots[0]] if len(pivots) == len(A) else 0
 
 
 def negative_definite_violation(A):

@@ -325,16 +325,15 @@ class ResolutionGraph:
         self.require_valid()
         I = self.intersection_matrix()
         n = len(I)
-        det_abs = abs(exact.det_bareiss(I))
-        pivots, R = exact.rref(
+        # one pass on [I | Id] gives [d Id | adj I] with d = det I
+        pivots, R = exact.eliminate(
             [row + [int(i == j) for j in range(n)] for i, row in enumerate(I)])
         assert pivots == list(range(n)), "intersection matrix is singular"
-        A = []
-        for row in R:
-            arow = [-det_abs * x for x in row[n:]]
-            assert all(x.denominator == 1 and x > 0 for x in arow), \
-                "entries of |det I| (-I^{-1}) must be positive integers"
-            A.append([int(x) for x in arow])
+        d = R[0][0]
+        det_abs = abs(d)
+        A = [[-x for x in row[n:]] if d > 0 else row[n:] for row in R]
+        assert all(x > 0 for row in A for x in row), \
+            "entries of |det I| (-I^{-1}) must be positive integers"
         # I A = -|det I| Id, checked in the integers (A is symmetric)
         for i, col in enumerate(A):
             assert self.intersections(col) == [
@@ -468,6 +467,14 @@ def _json_weight(w):
     raise ValueError(f"weight {w!r} is not an integer")
 
 
+def _json_id(x):
+    """A JSON string, or an int read as its decimal string; anything else
+    (null, booleans, floats, lists, objects) is a ValueError."""
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        return str(x)
+    raise ValueError(f"id {x!r} is not a string or an integer")
+
+
 def _parse_json(text):
     try:
         data = json.loads(text)
@@ -478,7 +485,7 @@ def _parse_json(text):
     vertices = []
     for item in data["vertices"]:
         try:
-            vertices.append((str(item["id"]), _json_weight(item["weight"])))
+            vertices.append((_json_id(item["id"]), _json_weight(item["weight"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphSyntaxError(f"bad vertex entry {item!r}") from exc
     edges = data.get("edges", [])
@@ -487,7 +494,11 @@ def _parse_json(text):
     for pair in edges:
         if not isinstance(pair, list) or len(pair) != 2:
             raise GraphSyntaxError(f"bad edge entry {pair!r}")
-    return ResolutionGraph(vertices, [(str(a), str(b)) for a, b in edges])
+    try:
+        pairs = [(_json_id(a), _json_id(b)) for a, b in edges]
+    except ValueError as exc:
+        raise GraphSyntaxError(f"bad edge entry: {exc}") from exc
+    return ResolutionGraph(vertices, pairs)
 
 
 def _parse_dsl(text):

@@ -10,7 +10,6 @@ is the core anti-bug property of the whole package.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import exact
 from .discgroup import group_data
@@ -105,12 +104,12 @@ def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
                                   zip(char_of(mu), gchar, gd.invariant_factors))
                 if prod_char != target:
                     continue
-                row = [Fraction(0)] * len(block)
+                row = [0] * len(block)
                 for c, e in vecs:
                     key = tuple(x + y for x, y in zip(mu, e))
                     row[pos[key]] += c
                 rows.append(row)
-        dims.append(len(block) - len(exact.rref(rows)[0]))
+        dims.append(len(block) - len(exact.eliminate(rows)[0]))
     return dims
 
 

@@ -16,7 +16,6 @@ residual of a witness that passed.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
@@ -144,18 +143,15 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     branch_vs = set(branch.subgraph.ids)
     # row u: coefficient of E_u in |det I| (sum_w alpha_w E*_w - E*_v) = 0
     cols = [g.index(u) for u in g.ids if u not in branch_vs]
-    pivots, reduced = exact.rref(
+    pivots, reduced = exact.eliminate(
         [[A[w][c] for w in ends] + [A[v][c]] for c in cols])
     if pivots and pivots[-1] == len(ends):
         return None  # inconsistent
     free = [c for c in range(len(ends)) if c not in pivots]
-    # pivot row p, cleared of denominators: den alpha_p = b - sum_c k_c alpha_c
-    # over the free columns c, with coeffs = [k_c ..., b]
-    solved = []
-    for p, row in zip(pivots, reduced):
-        terms = [row[c] for c in free] + [row[-1]]
-        den = math.lcm(*(x.denominator for x in terms))
-        solved.append((p, den, [int(x * den) for x in terms]))
+    # pivot row p of d * RREF: d alpha_p = b - sum_c k_c alpha_c over the
+    # free columns c, with coeffs = [k_c ..., b]
+    solved = [(p, row[p], [row[c] for c in free] + [row[-1]])
+              for p, row in zip(pivots, reduced)]
     best = None
     for vals in itertools.product(range(bound + 1), repeat=len(free)):
         alpha = [0] * len(ends)

@@ -1,10 +1,14 @@
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixtures import fig1, graph_file
+from fixtures import GRAPHS_DIR, fig1, graph_file
 from splicegenus.cli import run
 
 
@@ -272,6 +276,40 @@ def test_integral_json_weights_parse(tmp_path, capsys, weight):
     assert code == 0 and data["pg"] == 0
 
 
+def _two_vertex_json(a, b, edge=None):
+    """JSON graph on vertices a, b with the one edge [a, b] unless given."""
+    return json.dumps({
+        "vertices": [{"id": a, "weight": -2}, {"id": b, "weight": -2}],
+        "edges": [edge or [a, b]]})
+
+
+_bad_ids = [None, True, 1.5, [1, 2], {"a": 1}]
+_bad_id_names = ["null", "bool", "float", "list", "object"]
+
+
+# edge endpoint x with a vertex named str(x), which str() would have matched
+@pytest.mark.parametrize(
+    "doc", [_two_vertex_json(x, "b") for x in _bad_ids]
+    + [_two_vertex_json(str(x), "b", [x, "b"]) for x in _bad_ids]
+    + [_two_vertex_json(None, [1, 2])],
+    ids=[f"vertex-{n}" for n in _bad_id_names]
+    + [f"edge-{n}" for n in _bad_id_names] + ["null-and-list"])
+def test_non_scalar_json_ids_exit_1(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = _json_out(capsys, ["validate", "--input", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_int_json_ids_read_as_decimal_strings(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text(_two_vertex_json(7, "b"))
+    code, data, _ = _payload(
+        capsys, ["validate", "--input", str(path), "--format", "json"])
+    assert code == 0 and sorted(data["ends"]) == ["7", "b"]
+
+
 _json_leaves = (st.none() | st.booleans() | st.integers(-4, 2)
                 | st.floats(allow_nan=True, allow_infinity=True)
                 | st.text(max_size=3))
@@ -325,3 +363,22 @@ def test_pg_uac_all_nodes_detects_root_dependence(monkeypatch, capsys):
         capsys, ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"])
     assert code == 2 and out == ""
     assert err.startswith("internal check failed: h1 depends on the root node")
+
+
+# -- broken pipe ---------------------------------------------------------------
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_pipe_ends_quietly():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "splicegenus.cli", "pg-uac", "--input",
+             os.path.join(GRAPHS_DIR, "fig1.json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert b"BrokenPipeError" not in proc.stderr
+    assert b"Traceback" not in proc.stderr

@@ -1,0 +1,135 @@
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from test_graph import random_trees
+from splicegenus.exact import det_bareiss, eliminate
+from splicegenus.splice import find_admissible_monomial, validate_witness
+
+
+def rref(rows):
+    """Reference: Gauss-Jordan over Fraction, (pivots, nonzero rows)."""
+    R = [[Fraction(x) for x in row] for row in rows if any(row)]
+    pivots = []
+    for col in range(len(R[0]) if R else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(R)) if R[i][col]), None)
+        if piv is None:
+            continue
+        R[k], R[piv] = R[piv], R[k]
+        R[k] = [x / R[k][col] for x in R[k]]
+        for i in range(len(R)):
+            if i != k:
+                f = R[i][col]
+                R[i] = [x - f * y for x, y in zip(R[i], R[k])]
+        pivots.append(col)
+    return pivots, R[:len(pivots)]
+
+
+def cofactor_det(M):
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j]
+               * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def matrices(min_rows=0, max_rows=5, min_cols=1, max_cols=6):
+    """Small entries, so zero rows, zero leading entries (row exchanges)
+    and rank deficiency are all common."""
+    return st.integers(min_cols, max_cols).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+        min_size=min_rows, max_size=max_rows))
+
+
+def square_matrices(max_n=5):
+    return st.integers(0, max_n).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+
+
+@given(matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 0], [0, 2, 4], [3, 0, 1]])
+@example([[2, 4], [1, 2], [0, 0]])
+@settings(max_examples=300, deadline=None)
+def test_eliminate_is_scaled_rref(M):
+    pivots, R = eliminate(M)
+    ref_pivots, ref = rref(M)
+    assert pivots == ref_pivots
+    assert all(type(x) is int for row in R for x in row)
+    if not R:
+        return
+    d = R[0][pivots[0]]
+    assert d != 0 and all(row[p] == d for p, row in zip(pivots, R))
+    assert [[Fraction(x, d) for x in row] for row in R] == ref
+
+
+@given(square_matrices())
+@example([[0, 0], [0, 0]])
+@example([])
+@settings(max_examples=300, deadline=None)
+def test_det_bareiss_matches_cofactor_expansion(M):
+    assert det_bareiss(M) == cofactor_det(M)
+
+
+def test_det_bareiss_known_values():
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[1, 2], [2, 4]]) == 0
+    assert det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det_bareiss([[-2, 1], [1, -2]]) == 3
+
+
+@given(matrices(min_rows=1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_pivot_in_last_column_iff_inconsistent(A, data):
+    b = data.draw(st.lists(st.integers(-3, 3), min_size=len(A),
+                           max_size=len(A)))
+    pivots, _ = eliminate([row + [x] for row, x in zip(A, b)])
+    inconsistent = len(rref([row + [x] for row, x in zip(A, b)])[0]) \
+        > len(rref(A)[0])
+    assert (bool(pivots) and pivots[-1] == len(A[0])) == inconsistent
+
+
+def test_inconsistent_system_pivots_in_last_column():
+    pivots, _ = eliminate([[1, 2, 1], [2, 4, 3]])
+    assert pivots == [0, 2]
+
+
+def test_eliminate_rejects_non_integers():
+    with pytest.raises(TypeError):
+        eliminate([[Fraction(1, 2), 1]])
+
+
+# -- the integer solve of the monomial search --------------------------------
+
+def _bruteforce_monomial(g, v, branch, bound):
+    ends = g.ends()
+    best = None
+    for alpha in itertools.product(range(bound + 1), repeat=len(ends)):
+        exps = {w: a for w, a in zip(ends, alpha) if a}
+        wit = validate_witness(g, v, branch, exps)
+        if wit is not None:
+            key = (wit.monomial.total(), alpha)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+@given(random_trees(max_n=7))
+@settings(max_examples=40, deadline=None)
+def test_admissible_monomial_search_matches_bruteforce(g):
+    ends = g.ends()
+    for v in g.nodes():
+        for br in g.branches(v):
+            found = find_admissible_monomial(g, v, br, bound=3)
+            best = _bruteforce_monomial(g, v, br, 3)
+            if best is None:
+                assert found is None
+            else:
+                assert found is not None
+                alpha = tuple(found.monomial.exponents.get(w, 0) for w in ends)
+                assert (found.monomial.total(), alpha) == best
