@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .discgroup import Character, GroupData, HElement, group_data
+from .discgroup import Character, GroupData, group_data
 from .genus import (
     GenusReport,
     euler_char_on_cycle,
@@ -38,7 +38,7 @@ from .splice import (
 )
 
 __all__ = [
-    "Character", "GroupData", "HElement", "GenusReport", "QCycle",
+    "Character", "GroupData", "GenusReport", "QCycle",
     "ResolutionGraph", "PolyQ", "RationalFunctionQ", "parse_graph",
     "unit_cycle", "euler_char_on_cycle", "genus_report", "h1_eigensheaf",
     "h1_twisted", "minimal_nef_correction", "pg", "pg_uac", "a_invariant",

@@ -247,6 +247,10 @@ def _run_pg(args, uac):
     rep = g.require_valid()
     for w in rep.warnings:
         print(f"warning: {w}", file=sys.stderr)
+    if not uac and not args.all_nodes and args.format == "text":
+        # the text report is p_g alone, which needs the trivial character only
+        _emit(args, None, [f"pg = {pg(g)}"])
+        return EXIT_OK
     roots = sorted(g.nodes()) if args.all_nodes and not g.is_chain() else [None]
     first = genus_report(g, root=roots[0])
     for root in roots[1:]:

@@ -2,15 +2,17 @@
 
 H is presented as Z^n / I Z^n in the E*-coordinates alpha of L*
 (alpha_w = -D.E_w for D = sum_w alpha_w E*_w); the Smith normal form
-U I V = S gives invariant-factor coordinates, class(alpha) = U alpha mod d.
-The theta pairing is the intersection form reduced mod 1,
-D.D' = -alpha^T A alpha' / |det I| with A the graph's integer adjugate, and
-it identifies H with its character group: a character with coordinates c
-acts by chi(h) = exp(2 pi i * sum_i c_i h_i / d_i).  In these coordinates
-theta(alpha) = T alpha mod d for an integer matrix T, and all work below
-stays in the integers.  QCycle arguments and results are converted at the
-boundary: ``alpha_of`` is the one place a QCycle is read, through
-``intersect``.
+U I V = S gives invariant-factor coordinates d_j.  The theta pairing is the
+intersection form reduced mod 1, D.D' = -alpha^T A alpha' / |det I| with A
+the graph's integer adjugate, and it identifies H with its character group:
+a character with coordinates c acts by chi(h) = exp(2 pi i * sum_j c_j h_j / d_j).
+In these coordinates theta(alpha) = T alpha mod d for an integer matrix T,
+the rows of V^T that Smith keeps, so row k of V^{-1} = S^{-1} U I lifts the
+k-th unit character, and c_1(L_chi) is one row combination of them.
+Characters are the one representation of H, and all work stays in the
+integers: nothing here reads a QCycle.  The Fraction routes from the
+definitions (classes of QCycles, the pairing, c_1 as a QCycle) live in
+tests/reference.py as the independent reference.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exact
-from .errors import NotInDualLattice
-from .graph import QCycle, ResolutionGraph, unit_cycle
+from .graph import ResolutionGraph
 
 
 def mod1(x) -> Fraction:
@@ -31,13 +32,8 @@ def mod1(x) -> Fraction:
 
 
 @dataclass(frozen=True)
-class HElement:
-    coords: tuple  # coords[i] in [0, d_i)
-
-
-@dataclass(frozen=True)
 class Character:
-    coords: tuple  # same coordinate convention via invariant factors
+    coords: tuple  # coords[j] in [0, d_j) over the invariant factors d_j
 
 
 def group_data(g: ResolutionGraph) -> GroupData:
@@ -66,32 +62,21 @@ class GroupData:
             self.order *= d
         assert self.order == self.dual.det_abs, "|H| must equal |det I|"
         self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
-        self._U = [U[i] for i in kept]
-        # generator k of H lifts to column k of U^{-1} = I V S^{-1}
-        self._gen_alphas = []
-        for k in kept:
-            col, rem = zip(*(divmod(x, diag[k]) for x in
-                             graph.intersections([row[k] for row in V])))
-            assert not any(rem), "U^{-1} must be integral"
-            self._gen_alphas.append(list(col))
         # theta(E*_w)_j = d_j (E*_w . gen_j) = V_{w k_j} mod d_j, because
         # A I V = -|det I| V; rows j of the theta matrix T, columns w
         self.theta_matrix = [[row[k] % diag[k] for row in V] for k in kept]
-        self._alphas = None
+        # row k_j of V^{-1} = S^{-1} U I: E*-coordinates whose theta is the
+        # j-th unit character (U_k I = I U_k^T, as I is symmetric)
+        self._unit_alphas = []
+        for k in kept:
+            row, rem = zip(*(divmod(x, diag[k]) for x in graph.intersections(U[k])))
+            assert not any(rem), "V^{-1} must be integral"
+            self._unit_alphas.append(row)
         self._c1 = {}
-
-    # -- element bookkeeping ----------------------------------------------
 
     @property
     def rank(self):
         return len(self.invariant_factors)
-
-    def reduce(self, coords) -> HElement:
-        return HElement(tuple(c % d for c, d in zip(coords, self.invariant_factors)))
-
-    def elements(self):
-        for tup in itertools.product(*(range(d) for d in self.invariant_factors)):
-            yield HElement(tup)
 
     def characters(self):
         for tup in itertools.product(*(range(d) for d in self.invariant_factors)):
@@ -105,23 +90,7 @@ class GroupData:
         return Character(tuple((x + y) % d for x, y, d in
                                zip(a.coords, b.coords, self.invariant_factors)))
 
-    def char_value_exponent(self, chi: Character, h: HElement) -> Fraction:
-        """Exponent r in chi(h) = exp(2 pi i r), as a rational in [0,1)."""
-        return mod1(sum(Fraction(c * x, d) for c, x, d in
-                        zip(chi.coords, h.coords, self.invariant_factors)))
-
     # -- E*-coordinates ---------------------------------------------------
-
-    def _class_alpha(self, alpha) -> HElement:
-        return self.reduce([sum(u * a for u, a in zip(row, alpha) if a)
-                            for row in self._U])
-
-    def _lift_alpha(self, h: HElement):
-        alpha = [0] * len(self.graph.ids)
-        for c, gen in zip(h.coords, self._gen_alphas):
-            if c:
-                alpha = [a + c * x for a, x in zip(alpha, gen)]
-        return alpha
 
     def theta_alpha(self, alpha) -> Character:
         """theta of the class of sum_w alpha_w E*_w: T alpha mod d."""
@@ -138,73 +107,20 @@ class GroupData:
         """E*-coordinates of c_1(L_chi), the representative of chi with
         E-coefficients in [0, 1)."""
         if chi not in self._c1:
-            if self._alphas is None:
-                # theta inverted on lifts: character -> alpha of one lift
-                table = {}
-                for h in self.elements():
-                    alpha = self._lift_alpha(h)
-                    table[self.theta_alpha(alpha)] = alpha
-                assert len(table) == self.order, "theta is not bijective"
-                self._alphas = table
+            alpha = [0] * len(self.graph.ids)
+            for c, row in zip(chi.coords, self._unit_alphas):
+                if c:
+                    alpha = [a + c * x for a, x in zip(alpha, row)]
             det = self.dual.det_abs
             # |det I| times the fractional part of the lift's E-coefficients,
             # and back to E*-coordinates: alpha = -I rep / |det I|
-            rep = [c % det for c in self.dual.numerators(self._alphas[chi])]
+            rep = [c % det for c in self.dual.numerators(alpha)]
             alpha, rem = zip(*(divmod(-x, det) for x in
                                self.graph.intersections(rep)))
             assert not any(rem), "c_1(L_chi) is not in L*"
             assert self.theta_alpha(alpha) == chi
             self._c1[chi] = list(alpha)
         return self._c1[chi]
-
-    # -- classes of dual-lattice elements ---------------------------------
-
-    def alpha_of(self, D: QCycle):
-        """Coordinates of D in the E*-basis: alpha_w = -D . E_w (must be integral)."""
-        g = self.graph
-        alphas = []
-        for w in g.ids:
-            a = -g.intersect(D, unit_cycle(w))
-            if a.denominator != 1:
-                raise NotInDualLattice(
-                    f"cycle is not in L*: -D.E_{w} = {a} is not an integer")
-            alphas.append(int(a))
-        return alphas
-
-    def _alpha(self, x):
-        if isinstance(x, HElement):
-            return self._lift_alpha(x)
-        return self.alpha_of(x)
-
-    def class_of(self, D: QCycle) -> HElement:
-        return self._class_alpha(self.alpha_of(D))
-
-    def lift(self, h: HElement) -> QCycle:
-        """A representative of h in L*, as a QCycle in the E-basis."""
-        return self.dual.cycle(self._lift_alpha(h))
-
-    # -- theta pairing -----------------------------------------------------
-
-    def pair(self, x, y) -> Fraction:
-        """Exponent of theta(x, y) as a rational mod 1.
-
-        Arguments may be HElements or QCycles in L*.
-        """
-        a, b = self._alpha(x), self._alpha(y)
-        ab = sum(p * q for p, q in zip(a, self.dual.numerators(b)))
-        return mod1(Fraction(-ab, self.dual.det_abs))
-
-    def theta(self, x) -> Character:
-        """The character theta(h): h' -> exp(2 pi i h.h')."""
-        return self.theta_alpha(self._alpha(x))
-
-    # -- fractional representatives and branch maps ------------------------
-
-    def fractional_representative(self, chi: Character) -> QCycle:
-        """c_1(L_chi): the unique L*-representative with coefficients in [0,1)."""
-        rep = self.dual.cycle(self.c1_alpha(chi))
-        assert all(0 <= c < 1 for c in rep.coeffs.values())
-        return rep
 
 
 def phi_alpha(parent_gd: GroupData, branch, chi: Character):
@@ -223,21 +139,7 @@ def nef_shift(branch, phi):
     return D
 
 
-def phi_branch(parent: ResolutionGraph, branch, D: QCycle) -> QCycle:
-    """phi_i: rewrite D in the E*-basis, keep the branch part, reinterpret
-    with the branch's own dual cycles."""
-    alpha = dict(zip(parent.ids, group_data(parent).alpha_of(D)))
-    sub = branch.subgraph
-    return sub.dual_data().cycle([alpha[w] for w in sub.ids])
-
-
 def psi_branch(parent_gd: GroupData, branch, chi: Character) -> Character:
     """psi_i(chi) = theta_i(phi_i(c_1(L_chi)))."""
     return group_data(branch.subgraph).theta_alpha(
         phi_alpha(parent_gd, branch, chi))
-
-
-def nef_shift_cycle(parent_gd: GroupData, branch, chi: Character) -> QCycle:
-    """D_{chi,i} = -[phi_i(c_1(L_chi))]; effective and integral."""
-    D = nef_shift(branch, phi_alpha(parent_gd, branch, chi))
-    return QCycle(dict(zip(branch.subgraph.ids, D)))

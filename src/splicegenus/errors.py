@@ -37,10 +37,6 @@ class NotNegativeDefinite(GraphInputError):
         )
 
 
-class NotInDualLattice(GraphInputError):
-    """Cycle is not an integer combination of the dual cycles E*_w."""
-
-
 class NonEffective(GraphInputError):
     """A cycle required to be effective has a negative coefficient."""
 

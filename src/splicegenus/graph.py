@@ -11,8 +11,8 @@ E-coefficients: D = sum_u (A alpha)_u / |det I| E_u.  Integral cycles are
 integer lists of E-coefficients, with ``intersections`` (I x) and
 ``riemann_roch`` on them.  ``QCycle`` (rational E-coefficients) is
 boundary-only: it is built to accept a cycle from, or return one to, an API
-or JSON caller, and with ``intersect`` it is the independent route that the
-tests compare against.
+or JSON caller (``DualData.cycle``), and nothing here reads one back through
+the intersection form.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import exact
 from .errors import (
@@ -140,13 +139,6 @@ class DualData:
         return QCycle({v: Fraction(c, self.det_abs)
                        for v, c in zip(self.ids, self.numerators(alpha))})
 
-    @cached_property
-    def dual_cycles(self):
-        """v -> E*_v as a QCycle."""
-        return {v: QCycle({w: Fraction(a, self.det_abs)
-                           for w, a in zip(self.ids, row)})
-                for v, row in zip(self.ids, self.adjugate)}
-
 
 @dataclass
 class NodeWeights:
@@ -247,15 +239,6 @@ class ResolutionGraph:
                    for w, x, y in zip(self.ids, d, self.intersections(d)) if x)
         return sum(x * l for x, l in zip(d, ldeg) if x) - Fraction(dd_k, 2)
 
-    def intersect(self, x: QCycle, y: QCycle):
-        """Intersection number x . y via the intersection form."""
-        total = Fraction(0)
-        for v, cv in x.coeffs.items():
-            total += cv * self.weight[v] * y[v]
-            for u in self.adj[v]:
-                total += cv * y[u]
-        return total
-
     def fingerprint(self):
         """Deterministic identity of the weighted graph (ids included)."""
         key = "fingerprint"
@@ -341,9 +324,6 @@ class ResolutionGraph:
         data = DualData(ids=list(self.ids), adjugate=A, det_abs=det_abs)
         self._cache[key] = data
         return data
-
-    def dual_cycle(self, v) -> QCycle:
-        return self.dual_data().dual_cycles[v]
 
     def node_weights(self, v) -> NodeWeights:
         key = ("nw", v)

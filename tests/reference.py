@@ -1,0 +1,205 @@
+"""Fraction references for the lattice and group code, from the definitions.
+
+The package works on integer E*-coordinates over a cached adjugate and on
+characters only.  The functions here recompute the same objects from their
+definitions, over the rationals, so that tests can hold the integer core
+against them:
+
+- ``intersect`` is the intersection form on QCycles;
+- ``dual_cycles`` solves I X = -Id by a Fraction Gauss-Jordan elimination;
+- H = L*/L is presented by this module's own call of
+  ``exact.smith_normal_form(I)`` (U I V = S): the class of D is U alpha(D)
+  mod d, and generator j lifts to column j of U^{-1};
+- ``theta`` reads the pairing D.D' mod 1 against those generators, and
+  ``fractional_representative`` inverts it by walking H.
+
+Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha`` or
+``theta_matrix``.  Group sizes in the tests are small, so clarity wins over
+speed; per-graph results are memoised on graph identity.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from splicegenus import exact
+from splicegenus.discgroup import Character, mod1
+from splicegenus.errors import GraphInputError
+from splicegenus.graph import QCycle, unit_cycle
+
+
+class NotInDualLattice(GraphInputError):
+    """Cycle is not an integer combination of the dual cycles E*_w."""
+
+
+@dataclass(frozen=True)
+class HElement:
+    coords: tuple  # coords[j] in [0, d_j)
+
+
+# -- the intersection form and the dual cycles --------------------------------
+
+def intersect(g, x: QCycle, y: QCycle) -> Fraction:
+    """Intersection number x . y via the intersection form."""
+    total = Fraction(0)
+    for v, cv in x.coeffs.items():
+        total += cv * g.weight[v] * y[v]
+        for u in g.adj[v]:
+            total += cv * y[u]
+    return total
+
+
+def _inverse(M):
+    """M^{-1} for an invertible square integer matrix, over the rationals."""
+    n = len(M)
+    R = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if R[i][col])
+        R[col], R[piv] = R[piv], R[col]
+        p = R[col][col]
+        R[col] = [x / p for x in R[col]]
+        for i in range(n):
+            if i != col and R[i][col]:
+                f = R[i][col]
+                R[i] = [x - f * y for x, y in zip(R[i], R[col])]
+    return [row[n:] for row in R]
+
+
+@lru_cache(maxsize=256)
+def dual_cycles(g):
+    """v -> E*_v, the QCycle with E*_v . E_w = -delta_vw."""
+    inv = _inverse(g.intersection_matrix())
+    # column v of -I^{-1}; I is symmetric, so that is row v
+    return {v: QCycle({w: -x for w, x in zip(g.ids, row)})
+            for v, row in zip(g.ids, inv)}
+
+
+def dual_cycle(g, v) -> QCycle:
+    return dual_cycles(g)[v]
+
+
+def _from_alpha(g, alpha) -> QCycle:
+    """sum_w alpha_w E*_w (alpha in g.ids order)."""
+    out = QCycle()
+    for w, a in zip(g.ids, alpha):
+        if a:
+            out = out + dual_cycle(g, w).scale(a)
+    return out
+
+
+# -- H = L*/L in Smith coordinates ------------------------------------------
+
+@lru_cache(maxsize=256)
+def _presentation(g):
+    """(U rows, invariant factors d, generator lifts in E*-coordinates) for
+    the kept invariant factors d > 1."""
+    U, S, _ = exact.smith_normal_form(g.intersection_matrix())
+    kept = [i for i in range(len(S)) if S[i][i] > 1]
+    U_inv = _inverse(U)
+    gens = []
+    for k in kept:
+        col = [row[k] for row in U_inv]
+        assert all(x.denominator == 1 for x in col), "U must be unimodular"
+        gens.append([int(x) for x in col])
+    return [U[k] for k in kept], [S[k][k] for k in kept], gens
+
+
+def invariant_factors(g):
+    return _presentation(g)[1]
+
+
+def reduce(g, coords) -> HElement:
+    return HElement(tuple(c % d for c, d in zip(coords, invariant_factors(g))))
+
+
+def elements(g):
+    for tup in itertools.product(*(range(d) for d in invariant_factors(g))):
+        yield HElement(tup)
+
+
+def alpha_of(g, D: QCycle):
+    """Coordinates of D in the E*-basis: alpha_w = -D . E_w (must be integral)."""
+    alphas = []
+    for w in g.ids:
+        a = -intersect(g, D, unit_cycle(w))
+        if a.denominator != 1:
+            raise NotInDualLattice(
+                f"cycle is not in L*: -D.E_{w} = {a} is not an integer")
+        alphas.append(int(a))
+    return alphas
+
+
+def class_of(g, D: QCycle) -> HElement:
+    """The class of D in H: U alpha(D) mod d."""
+    alpha = alpha_of(g, D)
+    return reduce(g, [sum(u * a for u, a in zip(row, alpha))
+                      for row in _presentation(g)[0]])
+
+
+def lift(g, h: HElement) -> QCycle:
+    """A representative of h in L*, as a QCycle in the E-basis."""
+    alpha = [0] * len(g.ids)
+    for c, gen in zip(h.coords, _presentation(g)[2]):
+        alpha = [a + c * x for a, x in zip(alpha, gen)]
+    return _from_alpha(g, alpha)
+
+
+def _cycle(g, x) -> QCycle:
+    return lift(g, x) if isinstance(x, HElement) else x
+
+
+def pair(g, x, y) -> Fraction:
+    """Exponent of theta(x, y) = x . y mod 1; HElements or QCycles in L*."""
+    return mod1(intersect(g, _cycle(g, x), _cycle(g, y)))
+
+
+def theta(g, x) -> Character:
+    """The character theta(x): h -> exp(2 pi i x.h), read on the generators."""
+    ds = invariant_factors(g)
+    coords = []
+    for j, d in enumerate(ds):
+        unit = HElement(tuple(int(i == j) for i in range(len(ds))))
+        c = d * pair(g, x, unit)
+        assert c.denominator == 1
+        coords.append(int(c))
+    return Character(tuple(coords))
+
+
+def char_value_exponent(g, chi: Character, h: HElement) -> Fraction:
+    """Exponent r in chi(h) = exp(2 pi i r), as a rational in [0,1)."""
+    return mod1(sum(Fraction(c * x, d) for c, x, d in
+                    zip(chi.coords, h.coords, invariant_factors(g))))
+
+
+# -- c_1(L_chi) and the branch maps -------------------------------------------
+
+@lru_cache(maxsize=256)
+def _theta_inverse(g):
+    table = {theta(g, h): h for h in elements(g)}
+    assert len(table) == math.prod(invariant_factors(g)), "theta is not bijective"
+    return table
+
+
+def fractional_representative(g, chi: Character) -> QCycle:
+    """c_1(L_chi): the L*-representative of theta^{-1}(chi) with
+    E-coefficients in [0, 1), a lift minus its integral part."""
+    D = lift(g, _theta_inverse(g)[chi])
+    return D - D.floor()
+
+
+def phi_branch(g, branch, D: QCycle) -> QCycle:
+    """phi_i: rewrite D in the E*-basis, keep the branch part, reinterpret
+    with the branch's own dual cycles."""
+    alpha = dict(zip(g.ids, alpha_of(g, D)))
+    sub = branch.subgraph
+    return _from_alpha(sub, [alpha[w] for w in sub.ids])
+
+
+def nef_shift_cycle(g, branch, chi: Character) -> QCycle:
+    """D_{chi,i} = -[phi_i(c_1(L_chi))]."""
+    return -phi_branch(g, branch, fractional_representative(g, chi)).floor()

@@ -126,6 +126,26 @@ def test_pg_values(capsys):
     assert code == 0 and data["pg"] == 0
 
 
+def test_text_pg_needs_only_the_trivial_character(monkeypatch, capsys):
+    # text `pg` prints p_g alone, so it computes h1 at the trivial character
+    # (and its images in the branches) and nowhere else
+    from splicegenus import genus
+
+    argv = ["pg", "--input", graph_file("fig1.json")]
+    code, expected, _ = _json_out(capsys, argv)
+    assert code == 0 and expected == "pg = 7\n"
+    h1 = genus.h1_eigensheaf
+
+    def trivial_only(g, chi, *args, **kwargs):
+        if any(chi.coords):
+            raise AssertionError(f"h1 asked at chi {chi.coords}")
+        return h1(g, chi, *args, **kwargs)
+
+    monkeypatch.setattr(genus, "h1_eigensheaf", trivial_only)
+    code, out, _ = _json_out(capsys, argv)
+    assert code == 0 and out == expected
+
+
 def test_pg_uac_all_nodes_byte_identical(capsys):
     argv = ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes",
             "--format", "json"]
@@ -213,16 +233,15 @@ def test_negative_bound_exits_1(capsys, command):
 @pytest.mark.parametrize("name", ["exmc.json", "fig1.json"])
 def test_commands_run_without_fraction_cycle_algebra(name, monkeypatch, capsys):
     # the splice layer, Route A and the fundamental cycle stay on integer
-    # E*-coordinates: the Fraction routes are left to the tests
-    from splicegenus.discgroup import GroupData
-    from splicegenus.graph import ResolutionGraph
+    # E*-coordinates: the Fraction routes live in tests/reference.py, and
+    # QCycle is only built at the boundary, never combined
+    from splicegenus.graph import QCycle
 
     def boundary_only(*args, **kwargs):
         raise AssertionError("Fraction cycle algebra off the boundary")
 
-    monkeypatch.setattr(ResolutionGraph, "intersect", boundary_only)
-    monkeypatch.setattr(GroupData, "pair", boundary_only)
-    monkeypatch.setattr(GroupData, "fractional_representative", boundary_only)
+    for op in ("__add__", "__sub__", "__neg__", "scale", "floor"):
+        monkeypatch.setattr(QCycle, op, boundary_only)
     path = graph_file(name)
     for argv in (["monomial-check"], ["emit-equations"],
                  ["oracle-verify", "--max-degree", "6"], ["cv"], ["pg-uac"],

@@ -3,19 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
+import reference as ref
 from fixtures import a_chain, d4, e8, exmc, fig1, single
+from reference import HElement, NotInDualLattice
 from test_graph import random_trees
 from splicegenus import QCycle, unit_cycle
 from splicegenus.discgroup import (
+    Character,
     GroupData,
-    HElement,
     group_data,
     mod1,
-    nef_shift_cycle,
-    phi_branch,
+    nef_shift,
+    phi_alpha,
     psi_branch,
 )
-from splicegenus.errors import NotInDualLattice
 
 
 def test_mod1():
@@ -39,26 +40,29 @@ def test_fig1_group_order_36():
 def test_fig1_displayed_relations_are_zero():
     g = fig1()
     gd = GroupData(g)
-    dual = gd.dual.dual_cycles
+    dual = ref.dual_cycles(g)
     zero = HElement((0,) * gd.rank)
-    assert gd.class_of(dual["w2"].scale(2)) == zero
-    assert gd.class_of(dual["w3"].scale(6)) == zero
+    assert ref.class_of(g, dual["w2"].scale(2)) == zero
+    assert ref.class_of(g, dual["w3"].scale(6)) == zero
     comb = dual["w2"] + dual["w3"].scale(3) + dual["w4"].scale(3)
-    assert gd.class_of(comb) == zero
+    assert ref.class_of(g, comb) == zero
 
 
 def test_fig1_generated_by_end_duals():
     g = fig1()
-    gd = GroupData(g)
-    dual = gd.dual.dual_cycles
+    dual = ref.dual_cycles(g)
     gens = [dual["w2"], dual["w3"], dual["w4"]]
     seen = set()
     for a in range(2):
         for b in range(6):
             for c in range(6):
                 D = gens[0].scale(a) + gens[1].scale(b) + gens[2].scale(c)
-                seen.add(gd.class_of(D))
+                seen.add(ref.class_of(g, D))
     assert len(seen) == 36
+    # the theta matrix reads the same group: psi_w on the end duals
+    gd = GroupData(g)
+    for w in ("w2", "w3", "w4"):
+        assert gd.dual_character(w) == ref.theta(g, dual[w])
 
 
 def test_class_of_lattice_element_is_zero():
@@ -66,70 +70,89 @@ def test_class_of_lattice_element_is_zero():
     gd = GroupData(g)
     zero = HElement((0,) * gd.rank)
     for w in g.ids:
-        assert gd.class_of(unit_cycle(w)) == zero
+        assert ref.class_of(g, unit_cycle(w)) == zero
     # 2 E*_1 - E*_5 = E_1 in L
-    D = g.dual_cycle("E1").scale(2) - g.dual_cycle("E5")
-    assert gd.class_of(D) == zero
+    D = ref.dual_cycle(g, "E1").scale(2) - ref.dual_cycle(g, "E5")
+    assert ref.class_of(g, D) == zero
 
 
 def test_class_of_rejects_outside_dual_lattice():
     g = single()
-    gd = GroupData(g)
     with pytest.raises(NotInDualLattice):
-        gd.class_of(QCycle({"e": Fraction(1, 3)}))
+        ref.class_of(g, QCycle({"e": Fraction(1, 3)}))
 
 
 def test_theta_identity_and_single_vertex():
     g = single()
-    gd = GroupData(g)
-    h = gd.class_of(g.dual_cycle("e"))
-    assert gd.pair(HElement((0,)), h) == 0
+    h = ref.class_of(g, ref.dual_cycle(g, "e"))
+    assert ref.pair(g, HElement((0,)), h) == 0
     # E* . E* = -1/2, so the exponent is 1/2
-    assert gd.pair(h, h) == Fraction(1, 2)
+    assert ref.pair(g, h, h) == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("make", [single, d4, exmc, fig1, lambda: a_chain(4)])
 def test_theta_symmetric_and_bijective(make):
-    gd = GroupData(make())
-    elems = list(gd.elements())
+    g = make()
+    gd = GroupData(g)
+    elems = list(ref.elements(g))
     assert len(elems) == gd.order
-    lifts = {h: gd.lift(h) for h in elems}
+    lifts = {h: ref.lift(g, h) for h in elems}
     # exhaustive for small H, a prefix slice for the 36-element group
     probe = elems if gd.order <= 16 else elems[:10]
     for a in probe:
         for b in probe:
-            assert gd.pair(lifts[a], lifts[b]) == gd.pair(lifts[b], lifts[a])
-    images = {gd.theta(h) for h in elems}
+            assert ref.pair(g, lifts[a], lifts[b]) == ref.pair(g, lifts[b], lifts[a])
+    images = {ref.theta(g, h) for h in elems}
     assert len(images) == gd.order
+    # the integer theta on E*-coordinates agrees with the pairing
+    for h in elems:
+        assert gd.theta_alpha(ref.alpha_of(g, lifts[h])) == ref.theta(g, h)
 
 
 def test_lift_class_roundtrip():
-    gd = GroupData(fig1())
-    for h in gd.elements():
-        assert gd.class_of(gd.lift(h)) == h
+    g = fig1()
+    for h in ref.elements(g):
+        assert ref.class_of(g, ref.lift(g, h)) == h
+
+
+def _c1_cycle(gd, chi):
+    return gd.dual.cycle(gd.c1_alpha(chi))
 
 
 def test_fractional_representative_trivial_is_zero():
     for make in (single, fig1, exmc):
-        gd = GroupData(make())
-        assert gd.fractional_representative(gd.trivial_character).is_zero()
+        g = make()
+        gd = GroupData(g)
+        assert ref.fractional_representative(g, gd.trivial_character).is_zero()
+        assert _c1_cycle(gd, gd.trivial_character).is_zero()
 
 
 def test_fractional_representative_single_vertex():
-    gd = GroupData(single())
+    g = single()
+    gd = GroupData(g)
     chis = [c for c in gd.characters() if c != gd.trivial_character]
     assert len(chis) == 1
-    rep = gd.fractional_representative(chis[0])
-    assert rep == QCycle({"e": Fraction(1, 2)})
+    assert ref.fractional_representative(g, chis[0]) == QCycle({"e": Fraction(1, 2)})
+    assert _c1_cycle(gd, chis[0]) == QCycle({"e": Fraction(1, 2)})
 
 
 @pytest.mark.parametrize("make", [single, d4, exmc, fig1])
 def test_fractional_representative_is_a_section(make):
-    gd = GroupData(make())
+    g = make()
+    gd = GroupData(g)
     for chi in gd.characters():
-        rep = gd.fractional_representative(chi)
+        rep = ref.fractional_representative(g, chi)
         assert all(0 <= c < 1 for c in rep.coeffs.values())
-        assert gd.theta(gd.class_of(rep)) == chi
+        assert ref.theta(g, ref.class_of(g, rep)) == chi
+
+
+@pytest.mark.parametrize("make", [d4, e8, exmc, fig1])
+def test_c1_alpha_matches_fractional_representative(make):
+    # the Smith-row c_1(L_chi) against the reference from the definition
+    g = make()
+    gd = GroupData(g)
+    for chi in gd.characters():
+        assert _c1_cycle(gd, chi) == ref.fractional_representative(g, chi)
 
 
 # -- branch maps ------------------------------------------------------------
@@ -138,30 +161,33 @@ def test_phi_drops_outside_support():
     g = fig1()
     br = next(b for b in g.branches("v0") if "v1" in b.subgraph.ids)
     # E*_w5 lives on the other branch entirely
-    assert phi_branch(g, br, g.dual_cycle("w5")).is_zero()
+    assert ref.phi_branch(g, br, ref.dual_cycle(g, "w5")).is_zero()
 
 
 def test_phi_single_term_maps_to_branch_dual():
     g = fig1()
     br = next(b for b in g.branches("v0") if "v1" in b.subgraph.ids)
-    out = phi_branch(g, br, g.dual_cycle("w2"))
-    assert out == br.subgraph.dual_cycle("w2")
+    out = ref.phi_branch(g, br, ref.dual_cycle(g, "w2"))
+    assert out == ref.dual_cycle(br.subgraph, "w2")
 
 
 def test_phi_alpha_extraction_oracle():
     # phi agrees with rebuilding from alpha_w = -D.E_w on the branch
     g = fig1()
     gd = GroupData(g)
-    chi = gd.theta(gd.class_of(g.dual_cycle("w4")))
-    D = gd.fractional_representative(chi)
+    chi = ref.theta(g, ref.dual_cycle(g, "w4"))
+    assert chi == gd.dual_character("w4")
+    D = ref.fractional_representative(g, chi)
     for br in g.branches("v0"):
-        out = phi_branch(g, br, D)
+        out = ref.phi_branch(g, br, D)
         expected = QCycle()
         for w in br.subgraph.ids:
-            a = -g.intersect(D, unit_cycle(w))
+            a = -ref.intersect(g, D, unit_cycle(w))
             assert a.denominator == 1
-            expected = expected + br.subgraph.dual_cycle(w).scale(a)
+            expected = expected + ref.dual_cycle(br.subgraph, w).scale(a)
         assert out == expected
+        # the integer phi_alpha names the same cycle
+        assert br.subgraph.dual_data().cycle(phi_alpha(gd, br, chi)) == out
 
 
 def test_psi_trivial_maps_to_trivial():
@@ -178,10 +204,11 @@ def test_psi_matches_direct_class_computation():
     gd = GroupData(g)
     for br in g.branches("E5"):
         sub_gd = group_data(br.subgraph)
+        sub = br.subgraph
         for chi in gd.characters():
             psi = psi_branch(gd, br, chi)
-            phi = phi_branch(g, br, gd.fractional_representative(chi))
-            assert psi == sub_gd.theta(sub_gd.class_of(phi))
+            phi = ref.phi_branch(g, br, ref.fractional_representative(g, chi))
+            assert psi == ref.theta(sub, ref.class_of(sub, phi))
 
 
 @pytest.mark.parametrize("make,node", [(fig1, "v0"), (fig1, "v2"),
@@ -192,8 +219,11 @@ def test_nef_shift_effective_for_all_characters(make, node):
     gd = GroupData(g)
     for br in g.branches(node):
         for chi in gd.characters():
-            D = nef_shift_cycle(gd, br, chi)
+            D = ref.nef_shift_cycle(g, br, chi)
             assert D.is_integral() and D.is_effective()
+            # the integer D_{chi,i} of the recursion is the same cycle
+            shift = nef_shift(br, phi_alpha(gd, br, chi))
+            assert QCycle(dict(zip(br.subgraph.ids, shift))) == D
 
 
 # -- the integer core on random trees ----------------------------------------
@@ -209,24 +239,69 @@ def test_integer_core_matches_fraction_route(g):
           for i in range(n)]
     assert IA == [[-dd.det_abs * (i == j) for j in range(n)] for i in range(n)]
     gd = GroupData(g)
-    elems = list(gd.elements())
+    elems = list(ref.elements(g))
     for h in elems:
-        assert gd.class_of(gd.lift(h)) == h
+        assert ref.class_of(g, ref.lift(g, h)) == h
     # the theta matrix against the rational intersection form
     for h in elems[:8]:
+        lift_h = ref.lift(g, h)
+        theta_h = gd.theta_alpha(ref.alpha_of(g, lift_h))
+        assert theta_h == ref.theta(g, h)
         for k in elems[:8]:
-            expect = mod1(g.intersect(gd.lift(h), gd.lift(k)))
-            assert gd.pair(h, k) == expect
-            assert gd.char_value_exponent(gd.theta(h), k) == expect
+            expect = mod1(ref.intersect(g, lift_h, ref.lift(g, k)))
+            assert ref.pair(g, h, k) == expect
+            assert ref.char_value_exponent(g, theta_h, k) == expect
     for chi in gd.characters():
-        rep = gd.fractional_representative(chi)
+        rep = ref.fractional_representative(g, chi)
         assert all(0 <= c < 1 for c in rep.coeffs.values())
-        assert gd.theta(gd.class_of(rep)) == chi
+        assert ref.theta(g, ref.class_of(g, rep)) == chi
+        # the Smith-row c_1(L_chi) of the package is the same cycle
+        assert gd.dual.cycle(gd.c1_alpha(chi)) == rep
         for v in g.nodes():
             for br in g.branches(v):
                 expected = QCycle()
                 for w in br.subgraph.ids:
-                    a = -g.intersect(rep, unit_cycle(w))
+                    a = -ref.intersect(g, rep, unit_cycle(w))
                     assert a.denominator == 1
-                    expected = expected + br.subgraph.dual_cycle(w).scale(a)
-                assert phi_branch(g, br, rep) == expected
+                    expected = expected + ref.dual_cycle(br.subgraph, w).scale(a)
+                assert ref.phi_branch(g, br, rep) == expected
+                assert br.subgraph.dual_data().cycle(
+                    phi_alpha(gd, br, chi)) == expected
+
+
+# -- c_1(L_chi) without walking H ----------------------------------------------
+
+# a 12-vertex tree with |H| = 119,154
+HUGE_H_TREE = (
+    '{"vertices":[{"id":"x0","weight":-4},{"id":"x1","weight":-5},'
+    '{"id":"x10","weight":-2},{"id":"x11","weight":-7},{"id":"x2","weight":-2},'
+    '{"id":"x3","weight":-2},{"id":"x4","weight":-5},{"id":"x5","weight":-2},'
+    '{"id":"x6","weight":-3},{"id":"x7","weight":-3},{"id":"x8","weight":-2},'
+    '{"id":"x9","weight":-6}],"edges":[["x0","x1"],["x0","x2"],["x0","x3"],'
+    '["x0","x4"],["x3","x5"],["x2","x6"],["x1","x7"],["x2","x8"],["x3","x9"],'
+    '["x5","x10"],["x8","x11"]]}')
+
+
+def test_c1_alpha_builds_no_table_over_h(monkeypatch):
+    import random
+
+    from splicegenus import parse_graph
+
+    def walks_h(*args, **kwargs):
+        raise AssertionError("H enumerated")
+
+    monkeypatch.setattr(GroupData, "characters", walks_h)
+    monkeypatch.setattr(GroupData, "elements", walks_h, raising=False)
+    g = parse_graph(HUGE_H_TREE)
+    gd = GroupData(g)
+    assert gd.order == 119154
+    det = gd.dual.det_abs
+    rng = random.Random(7)
+    chis = [gd.trivial_character] + [
+        Character(tuple(rng.randrange(d) for d in gd.invariant_factors))
+        for _ in range(3)]
+    for chi in chis:
+        alpha = gd.c1_alpha(chi)
+        assert gd.theta_alpha(alpha) == chi
+        # A alpha / |det I| are the E-coefficients, all in [0, 1)
+        assert all(0 <= c < det for c in gd.dual.numerators(alpha))

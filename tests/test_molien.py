@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import reference as ref
 from fixtures import d4, e8, exmc, fig1, small_stars, star
-from splicegenus.discgroup import HElement
+from reference import HElement
 from splicegenus.errors import InternalCheckError
 from splicegenus.molien import (
     P_chi,
@@ -277,11 +278,11 @@ def test_molien_ci_matches_graph_kernel():
     gens = [HElement(tuple(int(i == k) for i in range(gd.rank)))
             for k in range(gd.rank)]
     weights = [nw.m[w] for w in ends]
-    action = [[gd.pair(h, g.dual_cycle(w)) for h in gens] for w in ends]
+    action = [[ref.pair(g, h, ref.dual_cycle(g, w)) for h in gens] for w in ends]
     rels = []
     for w in g.ids:
         if g.degree(w) > 2:
-            coords = [int(o * gd.pair(h, g.dual_cycle(w))) % o
+            coords = [int(o * ref.pair(g, h, ref.dual_cycle(g, w))) % o
                       for h, o in zip(gens, gd.invariant_factors)]
             rels += [(nw.m[w], coords)] * (g.degree(w) - 2)
     for chi in gd.characters():

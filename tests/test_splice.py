@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
+import reference as ref
 from fixtures import d4, e8, exmc, fig1
-from splicegenus.discgroup import group_data
 from splicegenus.splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -179,9 +179,8 @@ def test_equivariance_detects_corruption():
     assert not ok
     assert offender[1] == "E5" and offender[2] == {"E1": 1}
     # the Fraction pairing over every h agrees, and names the same theta(D)
-    gd = group_data(g)
     assert not _equivariant_by_pairing(g, system)
-    assert offender[0] == gd.theta(gd.class_of(bad.cycle))
+    assert offender[0] == ref.theta(g, ref.class_of(g, bad.cycle))
 
 
 def test_emit_requires_monomial_condition():
@@ -196,7 +195,7 @@ def test_emit_requires_monomial_condition():
 # -- the QCycle definitions as references ------------------------------------
 
 def _admissible_by_definition(g, v, br, mono):
-    residual = mono.cycle - g.dual_cycle(v)
+    residual = mono.cycle - ref.dual_cycle(g, v)
     return (residual.is_integral() and residual.is_effective()
             and residual.support() <= set(br.subgraph.ids))
 
@@ -217,33 +216,31 @@ def test_validate_witness_matches_qcycle_definition(make):
             if wit is not None:
                 hits += 1
                 assert wit.monomial == mono
-                assert wit.residual == mono.cycle - g.dual_cycle(v)
+                assert wit.residual == mono.cycle - ref.dual_cycle(g, v)
     assert hits > 0
 
 
 def _pairings(g, D):
     """theta(h, D) for every h in H, by the Fraction pairing."""
-    gd = group_data(g)
-    cls = gd.class_of(D)
-    return [gd.pair(h, cls) for h in gd.elements()]
+    cls = ref.class_of(g, D)
+    return [ref.pair(g, h, cls) for h in ref.elements(g)]
 
 
 def _equivariant_by_pairing(g, system):
-    return all(_pairings(g, mono.cycle) == _pairings(g, g.dual_cycle(ns.node))
+    return all(_pairings(g, mono.cycle) == _pairings(g, ref.dual_cycle(g, ns.node))
                for ns in system.nodes for mono in ns.monomials)
 
 
 @pytest.mark.parametrize("make", [d4, e8, exmc, fig1])
 def test_equivariance_matches_pairing_definition(make):
     g = make()
-    gd = group_data(g)
     system = emit_splice_system(g, seed=0)
     assert verify_equivariance(g, system) == (True, None)
     assert _equivariant_by_pairing(g, system)
     # replace the first monomial at the first node by every end-exponent
     # vector with entries <= 2
     ends = g.ends()
-    target = _pairings(g, g.dual_cycle(system.nodes[0].node))
+    target = _pairings(g, ref.dual_cycle(g, system.nodes[0].node))
     for vals in itertools.product(range(3), repeat=len(ends)):
         mono = monomial_cycle(g, dict(zip(ends, vals)))
         system.nodes[0].monomials[0] = mono
@@ -251,5 +248,5 @@ def test_equivariance_matches_pairing_definition(make):
         # the other monomials are equivariant, as checked above
         assert ok == (_pairings(g, mono.cycle) == target)
         if not ok:
-            assert offender == (gd.theta(gd.class_of(mono.cycle)),
+            assert offender == (ref.theta(g, ref.class_of(g, mono.cycle)),
                                 system.nodes[0].node, mono.exponents)
