@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Every command takes one path through ``run``: read the graph, check it
+(``validate`` reports instead), warn on a chain for ``validate``, ``pg``,
+``pg-uac`` and ``h1``, then print what the command's handler
+``_run_<command>(g, args)`` computed, (exit code, JSON body or None, text
+lines), as JSON with ``version`` and ``fingerprint`` added or as text.
+
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
 check, 3 Unknown verdict (monomial-condition search hit its bound; for
 ``emit-equations`` and ``oracle-verify`` with a one-line ``unknown: ...``
@@ -132,31 +138,16 @@ def _pick_node(g, node):
     return node
 
 
-def _emit(args, payload, text_lines):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _wrap(g, body):
-    return {"version": __version__, "fingerprint": g.fingerprint(), **body}
-
-
 # -- command implementations ----------------------------------------------
 
 
-def _run_validate(args):
-    g = _load_graph(args.input)
+def _run_validate(g, args):
     rep = g.validate()
-    for w in rep.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    payload = _wrap(g, {
+    body = {
         "valid": rep.valid, "isTree": rep.is_tree,
         "negativeDefinite": rep.negative_definite, "isChain": rep.is_chain,
         "nodes": rep.nodes, "ends": rep.ends,
-        "error": rep.error, "warnings": rep.warnings})
+        "error": rep.error, "warnings": rep.warnings}
     lines = [f"valid: {rep.valid}", f"tree: {rep.is_tree}",
              f"negative definite: {rep.negative_definite}",
              f"chain: {rep.is_chain}",
@@ -164,13 +155,10 @@ def _run_validate(args):
              f"ends: {' '.join(rep.ends) or '-'}"]
     if rep.error:
         lines.append(f"error: {rep.error}")
-    _emit(args, payload, lines)
-    return EXIT_OK if rep.valid else EXIT_INPUT
+    return (EXIT_OK if rep.valid else EXIT_INPUT), body, lines
 
 
-def _run_invariants(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_invariants(g, args):
     gd = group_data(g)
     K, gor = g.canonical_cycle()
     nodes = {}
@@ -178,26 +166,23 @@ def _run_invariants(args):
         nw = g.node_weights(v)
         nodes[v] = {"e": nw.e, "aV": nw.a_v, "aInvariant": a_invariant(g, v),
                     "m": {w: nw.m[w] for w in g.ids}}
-    payload = _wrap(g, {
+    body = {
         "detAbs": gd.dual.det_abs,
         "groupOrder": gd.order,
         "invariantFactors": gd.invariant_factors,
         "numericallyGorenstein": gor,
         "canonicalCycle": K.to_json(),
-        "nodes": nodes})
+        "nodes": nodes}
     lines = [f"|det I| = {gd.dual.det_abs}",
              f"|H| = {gd.order}  invariant factors {gd.invariant_factors}",
              f"numerically Gorenstein: {gor}"]
     for v, info in sorted(nodes.items()):
         lines.append(f"node {v}: e={info['e']} a_v={info['aV']} "
                      f"a(G)={info['aInvariant']}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, body, lines
 
 
-def _run_hilbert(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_hilbert(g, args):
     v = _pick_node(g, args.node)
     chi = _parse_char(g, args.char)
     up_to = args.max_degree
@@ -205,26 +190,22 @@ def _run_hilbert(args):
         up_to = truncation_m(g, v) * g.node_weights(v).a_v
     data = hilbert_data(g, v, up_to, closed_for=[chi])
     closed = data.closed_forms[chi]
-    payload = _wrap(g, {
+    tables = sorted(data.coefficients.items(), key=lambda kv: kv[0].coords)
+    body = {
         "node": v,
         "aInvariant": data.a_invariant,
         "maxDegree": up_to,
         "coefficients": [{"char": list(c.coords), "dims": tab}
-                         for c, tab in sorted(data.coefficients.items(),
-                                              key=lambda kv: kv[0].coords)],
-        "closedForm": {"char": list(chi.coords), **closed.to_json()}})
+                         for c, tab in tables],
+        "closedForm": {"char": list(chi.coords), **closed.to_json()}}
     lines = [f"node {v}: a(G) = {data.a_invariant}",
              f"H^{list(chi.coords)}(t) = ({render_poly(closed.num)}) / "
              f"({render_poly(closed.den)})"]
-    for c, tab in sorted(data.coefficients.items(), key=lambda kv: kv[0].coords):
-        lines.append(f"chi {list(c.coords)}: {tab}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines += [f"chi {list(c.coords)}: {tab}" for c, tab in tables]
+    return EXIT_OK, body, lines
 
 
-def _run_cv(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_cv(g, args):
     v = _pick_node(g, args.node)
     chi = _parse_char(g, args.char)
     route_a, route_b = c_v_chi_routes(g, v, chi)
@@ -232,26 +213,19 @@ def _run_cv(args):
     if not agree:
         print(f"warning: routes disagree for chi {list(chi.coords)}: "
               f"A={route_a} B={route_b}", file=sys.stderr)
-    payload = _wrap(g, {
-        "node": v, "char": list(chi.coords),
-        "routeA": str(route_a), "routeB": str(route_b),
-        "routesAgree": agree})
-    _emit(args, payload,
-          [f"c_{v}^chi = {route_a} (Route A), {route_b} (Route B), "
-           f"agree: {agree}"])
-    return EXIT_OK
+    body = {"node": v, "char": list(chi.coords),
+            "routeA": str(route_a), "routeB": str(route_b),
+            "routesAgree": agree}
+    return EXIT_OK, body, [f"c_{v}^chi = {route_a} (Route A), "
+                           f"{route_b} (Route B), agree: {agree}"]
 
 
-def _run_pg(args, uac):
-    g = _load_graph(args.input)
-    rep = g.require_valid()
-    for w in rep.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+def _run_pg(g, args, uac):
     if not uac and not args.all_nodes and args.format == "text":
         # the text report is p_g alone, which needs the trivial character only
-        _emit(args, None, [f"pg = {pg(g)}"])
-        return EXIT_OK
-    roots = sorted(g.nodes()) if args.all_nodes and not g.is_chain() else [None]
+        return EXIT_OK, None, [f"pg = {pg(g)}"]
+    checked = sorted(g.nodes()) if args.all_nodes else []
+    roots = checked or [None]
     first = genus_report(g, root=roots[0])
     for root in roots[1:]:
         # h1_eigensheaf raises if a value differs from another root's
@@ -259,34 +233,24 @@ def _run_pg(args, uac):
     body = first.to_json()
     body.pop("trace")
     if args.all_nodes:
-        body["rootsChecked"] = roots
-    payload = _wrap(g, body)
+        body["rootsChecked"] = checked
     if uac:
         lines = [f"pg_uac = {first.pg_uac}"]
         lines += [f"chi {e['char']}: h1 = {e['value']}" for e in body["h1"]]
     else:
         lines = [f"pg = {first.pg}"]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, body, lines
 
 
-def _run_h1(args):
-    g = _load_graph(args.input)
-    rep = g.require_valid()
-    for w in rep.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+def _run_h1(g, args):
     chi = _parse_char(g, args.char)
-    value = 0 if g.is_chain() else h1_eigensheaf(g, chi)
-    payload = _wrap(g, {"char": list(chi.coords), "h1": value})
-    _emit(args, payload, [f"h1(L_chi) = {value}"])
-    return EXIT_OK
+    value = h1_eigensheaf(g, chi)
+    return EXIT_OK, {"char": list(chi.coords), "h1": value}, \
+        [f"h1(L_chi) = {value}"]
 
 
-def _run_monomial_check(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_monomial_check(g, args):
     report = check_monomial_condition(g, bound=args.bound)
-    payload = _wrap(g, report.to_json())
     lines = [f"verdict: {report.verdict}"]
     for (v, u), wit in sorted(report.witnesses.items()):
         if wit is None:
@@ -294,8 +258,8 @@ def _run_monomial_check(args):
         else:
             lines.append(f"node {v}, branch at {u}: "
                          f"{dict(wit.monomial.exponents)}")
-    _emit(args, payload, lines)
-    return EXIT_OK if report.verdict == "satisfied" else EXIT_UNKNOWN
+    code = EXIT_OK if report.verdict == "satisfied" else EXIT_UNKNOWN
+    return code, report.to_json(), lines
 
 
 def _render_equation(eq):
@@ -307,13 +271,10 @@ def _render_equation(eq):
     return " + ".join(parts)
 
 
-def _run_emit_equations(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_emit_equations(g, args):
     system = emit_splice_system(g, seed=args.seed, bound=args.bound)
     ok, offender = verify_equivariance(g, system)
     assert ok, f"emitted system is not equivariant: {offender}"
-    payload = _wrap(g, system.to_json())
     lines = []
     for ns in system.nodes:
         lines.append(f"node {ns.node} (v-degree {ns.v_degree}):")
@@ -321,30 +282,22 @@ def _run_emit_equations(args):
         lines.append(f"  monomials: {monos}")
         for eq in ns.equations:
             lines.append(f"  {_render_equation(eq)} = 0")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK, system.to_json(), lines
 
 
-def _run_oracle_verify(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_oracle_verify(g, args):
     diffs = oracle_verify(g, args.max_degree, seed=args.seed, bound=args.bound)
-    payload = _wrap(g, {"maxDegree": args.max_degree, "mismatches": diffs})
+    body = {"maxDegree": args.max_degree, "mismatches": diffs}
     if diffs:
-        _emit(args, payload, [f"{len(diffs)} mismatches"]
-              + [json.dumps(d, sort_keys=True) for d in diffs])
-        return EXIT_INTERNAL
-    _emit(args, payload, ["all characters agree"])
-    return EXIT_OK
+        return EXIT_INTERNAL, body, [f"{len(diffs)} mismatches"] \
+            + [json.dumps(d, sort_keys=True) for d in diffs]
+    return EXIT_OK, body, ["all characters agree"]
 
 
-def _run_fundamental_cycle(args):
-    g = _load_graph(args.input)
-    g.require_valid()
+def _run_fundamental_cycle(g, args):
     Z, pa = g.fundamental_cycle()
-    payload = _wrap(g, {"cycle": Z.to_json(), "pa": pa})
-    _emit(args, payload, [f"Z = {Z.to_json()}", f"p_a(Z) = {pa}"])
-    return EXIT_OK
+    return EXIT_OK, {"cycle": Z.to_json(), "pa": pa}, \
+        [f"Z = {Z.to_json()}", f"p_a(Z) = {pa}"]
 
 
 _HANDLERS = {
@@ -352,14 +305,17 @@ _HANDLERS = {
     "invariants": _run_invariants,
     "hilbert": _run_hilbert,
     "cv": _run_cv,
-    "pg": lambda a: _run_pg(a, uac=False),
-    "pg-uac": lambda a: _run_pg(a, uac=True),
+    "pg": lambda g, a: _run_pg(g, a, uac=False),
+    "pg-uac": lambda g, a: _run_pg(g, a, uac=True),
     "h1": _run_h1,
     "monomial-check": _run_monomial_check,
     "emit-equations": _run_emit_equations,
     "oracle-verify": _run_oracle_verify,
     "fundamental-cycle": _run_fundamental_cycle,
 }
+
+# commands that warn when the graph is a chain (outside Assumption 2.1)
+_CHAIN_WARNED = {"validate", "pg", "pg-uac", "h1"}
 
 
 def run(argv=None) -> int:
@@ -370,7 +326,20 @@ def run(argv=None) -> int:
         # check failed" here, so remap to the invalid-input code
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
-        return _HANDLERS[args.command](args)
+        g = _load_graph(args.input)
+        rep = g.validate() if args.command == "validate" else g.require_valid()
+        if args.command in _CHAIN_WARNED:
+            for w in rep.warnings:
+                print(f"warning: {w}", file=sys.stderr)
+        code, body, lines = _HANDLERS[args.command](g, args)
+        if args.format == "json":
+            print(json.dumps({"version": __version__,
+                              "fingerprint": g.fingerprint(), **body},
+                             sort_keys=True, separators=(",", ":")))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

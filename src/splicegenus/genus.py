@@ -14,7 +14,6 @@ all characters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .discgroup import Character, group_data, nef_shift, phi_alpha, psi_branch
 from .errors import CycleOutOfRange, InternalCheckError, NegativeH1, NonEffective
@@ -25,18 +24,18 @@ from .molien import P_chi, c_v_chi
 def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
     """chi(L (x) O_D) = -D.(D+K)/2 + L.D by Riemann-Roch.
 
-    Ldeg maps a vertex w to the degree L.E_w of the twisting bundle on E_w
-    (default 0).  The result is an exact rational, an integer whenever the
-    inputs are integral classes.
+    Ldeg maps a vertex w to the integer degree L.E_w of the twisting bundle
+    on E_w (default 0).  D must be integral; the result is an int.
     """
+    if not D.is_integral():
+        raise CycleOutOfRange(f"cycle is not integral: {D!r}")
     if not D.is_effective():
         raise NonEffective(f"cycle is not effective: {D!r}")
-    d = [D[w] for w in g.ids]
+    d = [int(D[w]) for w in g.ids]
     if Ldeg is None:
         return g.riemann_roch(d, [0] * len(d))
     deg = Ldeg if callable(Ldeg) else Ldeg.__getitem__
-    return g.riemann_roch(d, [Fraction(deg(w)) if x else 0
-                              for w, x in zip(g.ids, d)])
+    return g.riemann_roch(d, [deg(w) if x else 0 for w, x in zip(g.ids, d)])
 
 
 @dataclass
@@ -108,7 +107,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
         return g._cache[key]
     gd = group_data(g)
     c_v = c_v_chi(g, v, chi)
-    total = Fraction(c_v)
+    value = c_v
     steps = []
     for br in g.branches(v):
         sub = br.subgraph
@@ -123,15 +122,14 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
             psi = psi_branch(gd, br, chi)
             psi_coords = psi.coords
             h1_br = h1_eigensheaf(sub, psi, trace=trace)
-        total += h1_br - e_term
+        value += h1_br - e_term
         steps.append({"attach": br.attach, "psi": psi_coords,
                       "h1": h1_br, "euler": str(e_term)})
-    if total.denominator != 1 or total < 0:
+    if value < 0:
         raise NegativeH1(
-            f"h1 = {total} at node {v}, chi {chi.coords} (c_v = {c_v})",
+            f"h1 = {value} at node {v}, chi {chi.coords} (c_v = {c_v})",
             trace={"node": v, "chi": list(chi.coords), "c_v": str(c_v),
                    "branches": steps})
-    value = int(total)
     if trace is not None:
         trace.append({"graph": g.fingerprint(), "node": v,
                       "chi": list(chi.coords), "c_v": str(c_v),
@@ -184,10 +182,8 @@ def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
     assert all(x >= 0 for x in d_prime)
     h0drop = P_chi(g, v, chi, n)
     # the degree of -L_chi on E_w is -c_1(L_chi).E_w = alpha_w
-    val = g.riemann_roch(d_prime, gd.c1_alpha(chi)) - h0drop \
+    return h0drop, g.riemann_roch(d_prime, gd.c1_alpha(chi)) - h0drop \
         + h1_eigensheaf(g, chi)
-    assert val.denominator == 1
-    return h0drop, int(val)
 
 
 @dataclass

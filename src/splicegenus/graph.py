@@ -231,13 +231,15 @@ class ResolutionGraph:
         return [self.weight[w] * c[w] + sum(c[u] for u in self.adj[w])
                 for w in self.ids]
 
-    def riemann_roch(self, d, ldeg) -> Fraction:
-        """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for D = sum_w d_w E_w and
-        L.E_w = ldeg_w (lists in ids order), with
-        D.K = sum_w d_w (-E_w^2 - 2) by adjunction."""
+    def riemann_roch(self, d, ldeg) -> int:
+        """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for the integral cycle
+        D = sum_w d_w E_w and integer degrees L.E_w = ldeg_w (lists in ids
+        order), with D.K = sum_w d_w (-E_w^2 - 2) by adjunction, so that
+        D.(D+K) = 2 p_a(D) - 2 is even."""
         dd_k = sum(x * (y - self.weight[w] - 2)
                    for w, x, y in zip(self.ids, d, self.intersections(d)) if x)
-        return sum(x * l for x, l in zip(d, ldeg) if x) - Fraction(dd_k, 2)
+        assert dd_k % 2 == 0, f"D.(D+K) = {dd_k} is odd for D = {d}"
+        return sum(x * l for x, l in zip(d, ldeg) if x) - dd_k // 2
 
     def fingerprint(self):
         """Deterministic identity of the weighted graph (ids included)."""
@@ -381,8 +383,7 @@ class ResolutionGraph:
                 break
             z[k] += 1
         pa = 1 - self.riemann_roch(z, [0] * len(z))
-        assert pa.denominator == 1
-        result = (QCycle(dict(zip(self.ids, z))), int(pa))
+        result = (QCycle(dict(zip(self.ids, z))), pa)
         self._cache[key] = result
         return result
 

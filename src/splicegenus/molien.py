@@ -272,9 +272,9 @@ def c_v_route_a(g, v, chi: Character) -> Fraction:
     return value
 
 
-def c_v_chi(g: ResolutionGraph, v, chi: Character) -> Fraction:
+def c_v_chi(g: ResolutionGraph, v, chi: Character) -> int:
     """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity."""
-    return Fraction(_cv_at_infinity(g, v)[chi])
+    return _cv_at_infinity(g, v)[chi]
 
 
 def c_v_chi_routes(g, v, chi: Character):

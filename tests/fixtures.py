@@ -4,14 +4,20 @@ fig1: the 14-vertex three-node graph with |H| = 36 and p_g = 7.
 exmc: the 6-vertex two-node graph whose splice system is
       z1^2 + z2^2 + z3 z4^2, z3^2 + z4^3 + z1 z2.
 star: a central curve with Hirzebruch-Jung legs, given by Seifert pairs.
+splice_quotient_trees: seeded random trees with at least two nodes, small
+      |H| and the monomial condition established.
 """
 
 import itertools
 import os
+import random
 from fractions import Fraction
 from math import gcd
 
 from splicegenus import ResolutionGraph
+from splicegenus.discgroup import group_data
+from splicegenus.errors import GraphInputError
+from splicegenus.splice import check_monomial_condition
 
 GRAPHS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "graphs")
 
@@ -103,6 +109,28 @@ def small_stars(max_order=16):
                 out.append((b, legs))
                 b += 1
     return out
+
+
+def splice_quotient_trees(seed, count, max_order=500):
+    """``count`` seeded random trees (6-10 vertices, weights -1..-5) that are
+    valid resolution graphs with at least two nodes, |H| <= max_order and
+    the monomial condition satisfied within bound 16: splice quotients
+    outside the fixtures."""
+    rng = random.Random(seed)
+    while count:
+        ids = [f"x{i}" for i in range(rng.randint(6, 10))]
+        g = ResolutionGraph([(v, -rng.randint(1, 5)) for v in ids],
+                            [(ids[rng.randrange(i)], ids[i])
+                             for i in range(1, len(ids))])
+        try:
+            g.require_valid()
+        except GraphInputError:
+            continue
+        if (len(g.nodes()) >= 2 and group_data(g).order <= max_order
+                and check_monomial_condition(g, bound=16).verdict
+                == "satisfied"):
+            count -= 1
+            yield g
 
 
 def graph_file(name) -> str:

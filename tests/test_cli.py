@@ -157,6 +157,15 @@ def test_pg_uac_all_nodes_byte_identical(capsys):
     assert data["pgUAC"] == 165 and data["rootsChecked"] == ["v0", "v1", "v2"]
 
 
+@pytest.mark.parametrize("command", ["pg", "pg-uac"])
+def test_all_nodes_on_chain_checks_no_root(capsys, command):
+    # a chain has no node, so --all-nodes checks no root
+    code, data, err = _payload(
+        capsys, [command, "--input", graph_file("a3.dsl"), "--all-nodes",
+                 "--format", "json"])
+    assert code == 0 and data["rootsChecked"] == [] and "chain" in err
+
+
 def test_h1_trivial_character_is_pg(capsys):
     code, data, _ = _payload(
         capsys, ["h1", "--input", graph_file("exmc.json"), "--char", "0",
@@ -192,7 +201,7 @@ def test_resource_exhaustion_exits_2_without_traceback(monkeypatch, capsys,
                                                        error):
     import splicegenus.cli as cli
 
-    def exhausted(args):
+    def exhausted(*args):
         raise error("maximum depth" if error is RecursionError else "")
 
     monkeypatch.setitem(cli._HANDLERS, "pg", exhausted)

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 
 import reference as ref
-from fixtures import a_chain, d4, e8, exmc, fig1, small_stars, star
+from fixtures import (
+    a_chain,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    small_stars,
+    splice_quotient_trees,
+    star,
+)
 from splicegenus.genus import (
     euler_char_on_cycle,
     genus_report,
@@ -14,9 +23,9 @@ from splicegenus.genus import (
     pg,
     pg_uac,
 )
-from splicegenus.graph import QCycle, unit_cycle
-from splicegenus.errors import CycleOutOfRange, NonEffective
-from splicegenus.molien import group_data
+from splicegenus.graph import QCycle, ResolutionGraph, unit_cycle
+from splicegenus.errors import CycleOutOfRange, GraphInputError, NonEffective
+from splicegenus.molien import c_v_chi, group_data
 
 
 # -- Riemann-Roch on cycles ------------------------------------------------
@@ -47,6 +56,31 @@ def test_euler_char_twist_adds_degrees():
 def test_euler_char_rejects_non_effective():
     with pytest.raises(NonEffective):
         euler_char_on_cycle(d4(), QCycle({"c": -1}))
+
+
+def test_euler_char_rejects_non_integral():
+    with pytest.raises(CycleOutOfRange) as info:
+        euler_char_on_cycle(d4(), QCycle({"c": Fraction(1, 2)}))
+    assert isinstance(info.value, GraphInputError)
+
+
+def test_riemann_roch_values_are_ints():
+    # D.(D+K) is even by adjunction, so no value of the recursion needs a
+    # Fraction
+    g = fig1()
+    gd = group_data(g)
+    Z, pa = g.fundamental_cycle()
+    assert type(pa) is int
+    assert type(euler_char_on_cycle(g, Z)) is int
+    assert type(euler_char_on_cycle(g, Z, lambda w: 1)) is int
+    assert type(g.riemann_roch([1] * len(g.ids), [0] * len(g.ids))) is int
+    for chi in gd.characters():
+        assert type(c_v_chi(g, "v0", chi)) is int
+        assert type(h1_eigensheaf(g, chi)) is int
+    h = exmc()
+    values = h1_twisted(h, "E5", group_data(h).trivial_character, 2,
+                        unit_cycle("E6"))
+    assert [type(x) for x in values] == [int, int]
 
 
 # -- minimal nef correction ------------------------------------------------
@@ -139,6 +173,18 @@ def test_h1_independent_of_root_node():
         tables[root] = {chi.coords: h1_eigensheaf(g, chi, root=root)
                         for chi in gd.characters()}
     assert tables["v0"] == tables["v1"] == tables["v2"]
+
+
+def test_h1_independent_of_root_on_generated_splice_quotients():
+    # every root of a fresh copy of the graph gives the same h1 table, so
+    # no root reads values cached by another
+    for g in splice_quotient_trees(seed=1, count=10):
+        vs = [(v, g.weight[v]) for v in g.ids]
+        tables = [genus_report(ResolutionGraph(vs, g.edges),
+                               root=r).per_character_h1
+                  for r in sorted(g.nodes())]
+        assert all(t == tables[0] for t in tables[1:]), g.fingerprint()
+        assert min(tables[0].values()) >= 0, g.fingerprint()
 
 
 def test_fig1_h1_values_nonnegative_and_bounded_by_pg():
