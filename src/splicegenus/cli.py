@@ -5,6 +5,7 @@ Every command takes one path through ``run``: read the graph, check it
 ``pg-uac`` and ``h1``, then print what the command's handler
 ``_run_<command>(g, args)`` computed, (exit code, JSON body or None, text
 lines), as JSON with ``version`` and ``fingerprint`` added or as text.
+The argument parser is built once per process, on the first ``run``.
 
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
 check, 3 Unknown verdict (monomial-condition search hit its bound; for
@@ -18,6 +19,7 @@ Reports go to standard output, diagnostics to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -57,6 +59,7 @@ _degree = _nonnegative("degree")
 _bound = _nonnegative("bound")
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="splicegenus",

@@ -2,10 +2,11 @@
 
 One fraction-free Gauss-Jordan elimination (``eliminate``, after Bareiss,
 Math. Comp. 22, 1968) serves every solve, adjugate, rank and determinant in
-the package; definiteness reads its determinants and the Smith normal form
-is the only other routine.  Matrices are lists of rows of ints.  Sizes are
-tiny (resolution graphs have at most a few dozen vertices) so clarity wins
-over asymptotics.
+the package.  Definiteness runs the same Bareiss step forward only, without
+row exchanges, so that its pivots are the leading principal minors; the
+Smith normal form is the only other routine.  Matrices are lists of rows of
+ints.  Sizes are tiny (resolution graphs have at most a few dozen vertices)
+so clarity wins over asymptotics.
 """
 
 
@@ -61,12 +62,20 @@ def negative_definite_violation(A):
     A symmetric integer matrix is negative definite iff the k-th leading
     principal minor has sign (-1)^k.  Returns the 1-based offending index,
     or None if the matrix is negative definite.
+
+    The k-th pivot of a forward Bareiss pass without row exchanges is the
+    k-th leading minor, so one pass stops at the first bad pivot.
     """
-    n = len(A)
-    for k in range(1, n + 1):
-        d = det_bareiss([row[:k] for row in A[:k]])
-        if d == 0 or (d > 0) != (k % 2 == 0):
-            return k
+    R = [list(row) for row in A]
+    prev = 1
+    for k, prow in enumerate(R):
+        p = prow[k]
+        if p == 0 or (p > 0) != (k % 2 == 1):
+            return k + 1
+        for i in range(k + 1, len(R)):
+            f = R[i][k]
+            R[i] = [(p * x - f * y) // prev for x, y in zip(R[i], prow)]
+        prev = p
     return None
 
 

@@ -25,7 +25,8 @@ def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
     """chi(L (x) O_D) = -D.(D+K)/2 + L.D by Riemann-Roch.
 
     Ldeg maps a vertex w to the integer degree L.E_w of the twisting bundle
-    on E_w (default 0).  D must be integral; the result is an int.
+    on E_w (default 0).  D and the degrees on its support must be integral;
+    the result is an int.
     """
     if not D.is_integral():
         raise CycleOutOfRange(f"cycle is not integral: {D!r}")
@@ -35,7 +36,10 @@ def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
     if Ldeg is None:
         return g.riemann_roch(d, [0] * len(d))
     deg = Ldeg if callable(Ldeg) else Ldeg.__getitem__
-    return g.riemann_roch(d, [deg(w) if x else 0 for w, x in zip(g.ids, d)])
+    ldeg = [deg(w) if x else 0 for w, x in zip(g.ids, d)]
+    if any(int(l) != l for l in ldeg):
+        raise CycleOutOfRange(f"degrees are not integral: {ldeg!r}")
+    return g.riemann_roch(d, [int(l) for l in ldeg])
 
 
 @dataclass

@@ -116,6 +116,7 @@ class ValidationReport:
     ends: list
     error: str | None = None
     warnings: list = field(default_factory=list)
+    minor_index: int | None = None  # first wrongly signed leading minor
 
 
 @dataclass
@@ -261,7 +262,8 @@ class ResolutionGraph:
         bad = exact.negative_definite_violation(self.intersection_matrix())
         if bad is not None:
             return ValidationReport(False, True, False, False, [], [],
-                                    error=f"not negative definite (minor {bad})")
+                                    error=f"not negative definite (minor {bad})",
+                                    minor_index=bad)
         chain = self.is_chain()
         warnings = []
         if chain:
@@ -295,8 +297,7 @@ class ResolutionGraph:
                 if not rep.is_tree:
                     raise NotATree(rep.error)
                 if not rep.negative_definite:
-                    bad = exact.negative_definite_violation(self.intersection_matrix())
-                    raise NotNegativeDefinite(bad)
+                    raise NotNegativeDefinite(rep.minor_index)
                 raise GraphInputError(rep.error)
             self._cache[key] = rep
         return self._cache[key]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import signal
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fixtures import GRAPHS_DIR, fig1, graph_file
+from splicegenus import cli
 from splicegenus.cli import run
 
 
@@ -48,6 +50,52 @@ def test_invalid_graph_exits_1(tmp_path, capsys):
         capsys, ["validate", "--input", str(bad), "--format", "json"])
     assert code == 1
     assert data["valid"] is False and data["negativeDefinite"] is False
+
+
+# the chain -2, -1, -2: leading minors -2, 1, 0
+_INDEFINITE_TREE = "vertex a -2\nvertex b -1\nvertex c -2\nedge a b\nedge b c\n"
+
+
+@pytest.mark.parametrize("command, out, err", [
+    ("validate", "valid: False\ntree: True\nnegative definite: False\n"
+                 "chain: False\nnodes: -\nends: -\n"
+                 "error: not negative definite (minor 3)\n", ""),
+    ("pg", "", "error: intersection matrix is not negative definite "
+               "(leading principal minor 3 has wrong sign)\n"),
+])
+def test_indefinite_tree_names_its_minor(tmp_path, capsys, command, out, err):
+    path = tmp_path / "indefinite.dsl"
+    path.write_text(_INDEFINITE_TREE)
+    assert _json_out(capsys, [command, "--input", str(path)]) == (1, out, err)
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "indefinite.dsl"
+    bad.write_text(_INDEFINITE_TREE)
+    calls = [["pg", "--bogus"], ["--version"], ["pg"],
+             ["validate", "--input", str(bad)],
+             ["pg-uac", "--input", graph_file("fig1.json"), "--format", "json"]]
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    fresh = [subprocess.run([sys.executable, "-m", "splicegenus.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+             for argv in calls]
+
+    parsers = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kw):
+        parsers.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    built = []
+    for argv, proc in zip(calls, fresh):
+        assert _json_out(capsys, argv) == (proc.returncode, proc.stdout,
+                                           proc.stderr), argv
+        built.append(len(parsers))
+    assert built[0] > 0 and built[-1] == built[0]
 
 
 def test_monomial_check_bound_zero_exits_3(capsys):

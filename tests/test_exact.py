@@ -1,12 +1,16 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fixtures import GRAPHS_DIR
 from test_graph import random_trees
-from splicegenus.exact import det_bareiss, eliminate
+from splicegenus import exact
+from splicegenus.exact import det_bareiss, eliminate, negative_definite_violation
+from splicegenus.graph import parse_graph
 from splicegenus.splice import find_admissible_monomial, validate_witness
 
 
@@ -102,6 +106,67 @@ def test_inconsistent_system_pivots_in_last_column():
 def test_eliminate_rejects_non_integers():
     with pytest.raises(TypeError):
         eliminate([[Fraction(1, 2), 1]])
+
+
+# -- negative definiteness --------------------------------------------------
+
+def violation_by_minors(A):
+    """Reference: one determinant per leading principal minor."""
+    for k in range(1, len(A) + 1):
+        d = det_bareiss([row[:k] for row in A[:k]])
+        if d == 0 or (d > 0) != (k % 2 == 0):
+            return k
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=8):
+    """Symmetric integer matrices.  A negative diagonal with small
+    off-diagonal entries is often definite or fails at a late minor; fully
+    random entries fail early, at zero or wrongly signed minors."""
+    n = draw(st.integers(1, max_n))
+    lo, hi = draw(st.sampled_from([(-3, 3), (-9, -1)]))
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = draw(st.integers(lo, hi))
+        for j in range(i):
+            M[i][j] = M[j][i] = draw(st.integers(-2, 2))
+    return M
+
+
+@given(symmetric_matrices())
+@example([[-1]])
+@example([[0]])
+@example([[2]])
+@example([[-2, 2], [2, -2]])           # second minor zero
+@example([[-1, 2], [2, -1]])           # indefinite
+@example([[-2, 1, 0], [1, -1, 1], [0, 1, -2]])  # third minor zero
+@example([[0, 1], [1, -2]])            # zero first minor, nonzero second
+@settings(max_examples=400, deadline=None)
+def test_negative_definite_violation_matches_minors(M):
+    assert negative_definite_violation(M) == violation_by_minors(M)
+
+
+def test_negative_definite_violation_takes_one_pass(monkeypatch):
+    def per_minor(*args):
+        raise AssertionError("per-minor elimination")
+    monkeypatch.setattr(exact, "det_bareiss", per_minor)
+    monkeypatch.setattr(exact, "eliminate", per_minor)
+    assert negative_definite_violation([[-2, 1], [1, -2]]) is None
+    assert negative_definite_violation([[-2, 1, 0], [1, -1, 1], [0, 1, -2]]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(GRAPHS_DIR)))
+def test_graph_files_are_negative_definite(name):
+    with open(os.path.join(GRAPHS_DIR, name), encoding="utf-8") as fh:
+        g = parse_graph(fh.read())
+    assert negative_definite_violation(g.intersection_matrix()) is None
+
+
+@given(random_trees())
+@settings(max_examples=100, deadline=None)
+def test_random_trees_are_negative_definite(g):
+    assert negative_definite_violation(g.intersection_matrix()) is None
 
 
 # -- the integer solve of the monomial search --------------------------------

@@ -64,6 +64,20 @@ def test_euler_char_rejects_non_integral():
     assert isinstance(info.value, GraphInputError)
 
 
+@pytest.mark.parametrize("ldeg", [{"c": Fraction(1, 2)},
+                                  lambda w: Fraction(-3, 2)],
+                         ids=["mapping", "callable"])
+def test_euler_char_rejects_non_integral_degrees(ldeg):
+    with pytest.raises(CycleOutOfRange):
+        euler_char_on_cycle(d4(), unit_cycle("c"), ldeg)
+
+
+def test_euler_char_reads_integral_fraction_degrees_as_ints():
+    value = euler_char_on_cycle(d4(), unit_cycle("c"), {"c": Fraction(4, 2)})
+    assert type(value) is int
+    assert value == euler_char_on_cycle(d4(), unit_cycle("c"), {"c": 2})
+
+
 def test_riemann_roch_values_are_ints():
     # D.(D+K) is even by adjunction, so no value of the recursion needs a
     # Fraction
