@@ -138,8 +138,3 @@ def nef_shift(branch, phi):
     assert all(c >= 0 for c in D), "D_{chi,i} is not effective"
     return D
 
-
-def psi_branch(parent_gd: GroupData, branch, chi: Character) -> Character:
-    """psi_i(chi) = theta_i(phi_i(c_1(L_chi)))."""
-    return group_data(branch.subgraph).theta_alpha(
-        phi_alpha(parent_gd, branch, chi))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .discgroup import Character, group_data, nef_shift, phi_alpha, psi_branch
+from .discgroup import Character, group_data, nef_shift, phi_alpha
 from .errors import CycleOutOfRange, InternalCheckError, NegativeH1, NonEffective
 from .graph import QCycle, ResolutionGraph
 from .molien import P_chi, c_v_chi
@@ -98,12 +98,12 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
 
     Values are kept in the graph's cache under ("h1", node, chi); a value
     computed from one root is compared with those already there for the
-    other roots.
+    other roots.  Nodes and chains are read from the cached validation.
     """
-    g.require_valid()
-    if g.is_chain():
+    rep = g.require_valid()
+    if rep.is_chain:
         return 0
-    nodes = sorted(g.nodes())
+    nodes = sorted(rep.nodes)
     v = root if root is not None else nodes[0]
     assert v in nodes, f"{v!r} is not a node"
     key = ("h1", v, chi.coords)
@@ -119,11 +119,12 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
         # which is also the degree of -L_chi on E_w
         phi = phi_alpha(gd, br, chi)
         e_term = sub.riemann_roch(nef_shift(br, phi), phi)
-        if sub.is_chain():
+        if sub.require_valid().is_chain:
             h1_br = 0
             psi_coords = None
         else:
-            psi = psi_branch(gd, br, chi)
+            # psi_i(chi) = theta_i(phi_i(c_1(L_chi)))
+            psi = group_data(sub).theta_alpha(phi)
             psi_coords = psi.coords
             h1_br = h1_eigensheaf(sub, psi, trace=trace)
         value += h1_br - e_term
@@ -151,8 +152,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
 
 def pg(g: ResolutionGraph, root=None) -> int:
     """Geometric genus p_g(X) = h1 at the trivial character."""
-    g.require_valid()
-    if g.is_chain():
+    if g.require_valid().is_chain:
         return 0
     gd = group_data(g)
     return h1_eigensheaf(g, gd.trivial_character, root=root)
@@ -160,8 +160,7 @@ def pg(g: ResolutionGraph, root=None) -> int:
 
 def pg_uac(g: ResolutionGraph, root=None) -> int:
     """p_g of the universal abelian cover: sum of h1(L_chi) over all chi."""
-    g.require_valid()
-    if g.is_chain():
+    if g.require_valid().is_chain:
         return 0
     gd = group_data(g)
     return sum(h1_eigensheaf(g, chi, root=root) for chi in gd.characters())
@@ -209,12 +208,12 @@ class GenusReport:
 
 
 def genus_report(g: ResolutionGraph, root=None, with_trace=False) -> GenusReport:
-    g.require_valid()
+    chain = g.require_valid().is_chain
     gd = group_data(g)
     trace = [] if with_trace else None
     table = {}
     for chi in gd.characters():
-        if g.is_chain():
+        if chain:
             table[chi] = 0
         else:
             table[chi] = h1_eigensheaf(g, chi, root=root, trace=trace)

@@ -212,9 +212,6 @@ class ResolutionGraph:
     def ends(self):
         return [v for v in self.ids if self.degree(v) <= 1]
 
-    def is_chain(self):
-        return not self.nodes()
-
     def intersection_matrix(self):
         n = len(self.ids)
         pos = {v: i for i, v in enumerate(self.ids)}
@@ -264,7 +261,8 @@ class ResolutionGraph:
             return ValidationReport(False, True, False, False, [], [],
                                     error=f"not negative definite (minor {bad})",
                                     minor_index=bad)
-        chain = self.is_chain()
+        nodes = self.nodes()
+        chain = not nodes
         warnings = []
         if chain:
             warnings.append(
@@ -275,7 +273,7 @@ class ResolutionGraph:
                 return ValidationReport(False, True, True, chain, [], [],
                                         error=f"weight of {v!r} must be <= -1")
         return ValidationReport(True, True, True, chain,
-                                self.nodes(), self.ends(), warnings=warnings)
+                                nodes, self.ends(), warnings=warnings)
 
     def _connected(self):
         if not self.ids:

@@ -3,8 +3,11 @@
 Independent of the Molien machinery: enumerate all end-variable monomials of
 each v-degree, split them into character blocks, span the ideal's graded
 piece by monomial multiples of the leading forms of the emitted equations,
-and count dimensions by exact Gaussian rank.  Agreement with molien_coeffs
-is the core anti-bug property of the whole package.
+and count dimensions by exact Gaussian rank.  One pass per node serves every
+character: the monomial table and the character of each monomial are built
+once, the character being theta (GroupData.theta_alpha) of the exponent
+vector, which is the monomial's E*-coordinates at the ends.  Agreement with
+molien_coeffs is the core anti-bug property of the whole package.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from . import exact
 from .discgroup import group_data
 from .graph import ResolutionGraph
 from .molien import molien_coeffs
-from .splice import SpliceSystem, emit_splice_system
+from .splice import SpliceSystem, _alpha, emit_splice_system
 
 
 def artin_rational(g: ResolutionGraph) -> bool:
@@ -57,22 +60,14 @@ def _monomials_by_degree(weights, up_to):
 
 
 def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
-                         chi, up_to, shuffle_seed=None):
-    """dim G^chi_i for i = 0..up_to, by monomial linear algebra."""
+                         up_to, shuffle_seed=None):
+    """{chi: [dim G^chi_i for i = 0..up_to]} for every character, by
+    monomial linear algebra."""
     gd = group_data(g)
-    nw = g.node_weights(v)
     ends = g.ends()
-    weights = [nw.m[w] for w in ends]
-    # character of a monomial is multiplicative in the exponents
-    end_chars = [gd.dual_character(w) for w in ends]
 
     def char_of(exps):
-        coords = [0] * gd.rank
-        for a, ec in zip(exps, end_chars):
-            if a:
-                coords = [(x + a * y) % d for x, y, d in
-                          zip(coords, ec.coords, gd.invariant_factors)]
-        return tuple(coords)
+        return gd.theta_alpha(_alpha(g, dict(zip(ends, exps))))
 
     gens = []
     for ns in system.nodes:
@@ -83,33 +78,32 @@ def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
             assert len(chars) == 1, "leading form is not isotypic"
             gens.append((low, chars.pop(), vecs))
 
-    monos = _monomials_by_degree(weights, up_to)
+    nw = g.node_weights(v)
+    monos = _monomials_by_degree([nw.m[w] for w in ends], up_to)
     if shuffle_seed is not None:
         rng = random.Random(shuffle_seed)
         for lst in monos:
             rng.shuffle(lst)
+    char = {m: char_of(m) for lst in monos for m in lst}
 
-    target = tuple(chi.coords)
-    dims = []
+    dims = {chi: [] for chi in gd.characters()}
     for i in range(up_to + 1):
-        # basis of the target block in degree i
-        block = [m for m in monos[i] if char_of(m) == target]
-        pos = {m: k for k, m in enumerate(block)}
-        rows = []
+        # degree i split into character blocks, each monomial at its column
+        blocks, pos, rows = {}, {}, {}
+        for m in monos[i]:
+            block = blocks.setdefault(char[m], [])
+            pos[m] = len(block)
+            block.append(m)
         for low, gchar, vecs in gens:
-            if low > i:
-                continue
-            for mu in monos[i - low]:
-                prod_char = tuple((a + b) % d for a, b, d in
-                                  zip(char_of(mu), gchar, gd.invariant_factors))
-                if prod_char != target:
-                    continue
-                row = [0] * len(block)
+            for mu in monos[i - low] if low <= i else ():
+                chi = gd.char_mul(char[mu], gchar)
+                row = [0] * len(blocks[chi])
                 for c, e in vecs:
-                    key = tuple(x + y for x, y in zip(mu, e))
-                    row[pos[key]] += c
-                rows.append(row)
-        dims.append(len(block) - len(exact.eliminate(rows)[0]))
+                    row[pos[tuple(x + y for x, y in zip(mu, e))]] += c
+                rows.setdefault(chi, []).append(row)
+        for chi, tab in dims.items():
+            rank = len(exact.eliminate(rows[chi])[0]) if chi in rows else 0
+            tab.append(len(blocks.get(chi, ())) - rank)
     return dims
 
 
@@ -123,9 +117,9 @@ def oracle_verify(g: ResolutionGraph, up_to, seed=0, bound=64):
     diffs = []
     for v in g.nodes():
         tables = molien_coeffs(g, v, up_to)
+        brute = bruteforce_eigendims(g, v, system, up_to)
         for chi in gd.characters():
-            brute = bruteforce_eigendims(g, v, system, chi, up_to)
-            if brute != tables[chi]:
+            if brute[chi] != tables[chi]:
                 diffs.append({"node": v, "char": list(chi.coords),
-                              "molien": tables[chi], "bruteforce": brute})
+                              "molien": tables[chi], "bruteforce": brute[chi]})
     return diffs

@@ -132,10 +132,10 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
 
     The support constraints (D - E*_v vanishes outside the branch) cut out
     an affine subspace of the exponent space; its free coordinates are
-    enumerated over [0, bound] in lexicographic order and every candidate
-    is validated by the independent path.  Among the solutions found, the
-    one with the smallest total exponent (ties by lex order) is returned;
-    None means not found within the bound.
+    enumerated over [0, bound] in lexicographic order, and a candidate is
+    validated by the independent path when its key (total exponent, then
+    lex order) is below the best witness so far.  So the solution with the
+    smallest key is returned; None means not found within the bound.
     """
     g.require_valid()
     A = dict(zip(g.ids, g.dual_data().adjugate))
@@ -164,12 +164,14 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
                 break
             alpha[p] = a
         else:
+            # only a candidate that beats the best so far is validated
+            key = (sum(alpha), tuple(alpha))
+            if best is not None and key >= best[0]:
+                continue
             exps = {w: a for w, a in zip(ends, alpha) if a}
             wit = validate_witness(g, v, branch, exps)
             if wit is not None:
-                key = (wit.monomial.total(), tuple(alpha))
-                if best is None or key < best[0]:
-                    best = (key, wit)
+                best = (key, wit)
     return best[1] if best else None
 
 

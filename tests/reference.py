@@ -30,6 +30,7 @@ from splicegenus import exact
 from splicegenus.discgroup import Character, mod1
 from splicegenus.errors import GraphInputError
 from splicegenus.graph import QCycle, unit_cycle
+from splicegenus.splice import validate_witness
 
 
 class NotInDualLattice(GraphInputError):
@@ -203,3 +204,41 @@ def phi_branch(g, branch, D: QCycle) -> QCycle:
 def nef_shift_cycle(g, branch, chi: Character) -> QCycle:
     """D_{chi,i} = -[phi_i(c_1(L_chi))]."""
     return -phi_branch(g, branch, fractional_representative(g, chi)).floor()
+
+
+# -- the exhaustive monomial search -------------------------------------------
+
+def find_admissible_monomial(g, v, branch, bound=64):
+    """The monomial search validating every candidate: each solution of the
+    support constraints within [0, bound] goes through validate_witness, and
+    the one with the smallest (total exponent, lex) key is returned."""
+    A = dict(zip(g.ids, g.dual_data().adjugate))
+    ends = g.ends()
+    branch_vs = set(branch.subgraph.ids)
+    cols = [g.index(u) for u in g.ids if u not in branch_vs]
+    pivots, reduced = exact.eliminate(
+        [[A[w][c] for w in ends] + [A[v][c]] for c in cols])
+    if pivots and pivots[-1] == len(ends):
+        return None
+    free = [c for c in range(len(ends)) if c not in pivots]
+    solved = [(p, row[p], [row[c] for c in free] + [row[-1]])
+              for p, row in zip(pivots, reduced)]
+    best = None
+    for vals in itertools.product(range(bound + 1), repeat=len(free)):
+        alpha = [0] * len(ends)
+        for c, val in zip(free, vals):
+            alpha[c] = val
+        for p, den, coeffs in solved:
+            a, rem = divmod(coeffs[-1] - sum(k * x for k, x in zip(coeffs, vals)),
+                            den)
+            if rem or not 0 <= a <= bound:
+                break
+            alpha[p] = a
+        else:
+            exps = {w: a for w, a in zip(ends, alpha) if a}
+            wit = validate_witness(g, v, branch, exps)
+            if wit is not None:
+                key = (wit.monomial.total(), tuple(alpha))
+                if best is None or key < best[0]:
+                    best = (key, wit)
+    return best[1] if best else None

@@ -15,7 +15,6 @@ from splicegenus.discgroup import (
     mod1,
     nef_shift,
     phi_alpha,
-    psi_branch,
 )
 
 
@@ -195,7 +194,7 @@ def test_psi_trivial_maps_to_trivial():
     gd = GroupData(g)
     for br in g.branches("v0"):
         sub_gd = group_data(br.subgraph)
-        psi = psi_branch(gd, br, gd.trivial_character)
+        psi = sub_gd.theta_alpha(phi_alpha(gd, br, gd.trivial_character))
         assert psi == sub_gd.trivial_character
 
 
@@ -206,7 +205,7 @@ def test_psi_matches_direct_class_computation():
         sub_gd = group_data(br.subgraph)
         sub = br.subgraph
         for chi in gd.characters():
-            psi = psi_branch(gd, br, chi)
+            psi = sub_gd.theta_alpha(phi_alpha(gd, br, chi))
             phi = ref.phi_branch(g, br, ref.fractional_representative(g, chi))
             assert psi == ref.theta(sub, ref.class_of(sub, phi))
 

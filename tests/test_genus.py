@@ -290,3 +290,25 @@ def test_h1_recursion_reads_c_v_without_tables(monkeypatch):
 
     monkeypatch.setattr(M, "molien_coeffs", no_tables)
     assert pg(fig1()) == 7
+
+
+def test_pg_uac_scans_for_nodes_once_per_graph(monkeypatch):
+    # nodes and chains come from the cached validation, so the number of
+    # degree scans does not grow with the number of characters
+    calls = []
+    real = ResolutionGraph.nodes
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ResolutionGraph, "nodes", counted)
+    scanned = []
+    for b in (3, 4):
+        calls.clear()
+        pg_uac(star(b, [(2, 1)] * 4))
+        scanned.append(list(calls))
+    assert [group_data(star(b, [(2, 1)] * 4)).order for b in (3, 4)] == [16, 32]
+    assert len(scanned[0]) == len(scanned[1])
+    # the star and each of its four legs, once each
+    assert all(len(set(map(id, s))) == len(s) == 5 for s in scanned)

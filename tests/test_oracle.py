@@ -1,4 +1,5 @@
-from fixtures import a_chain, d4, e8, exmc, fig1
+from fixtures import a_chain, d4, e8, exmc, fig1, splice_quotient_trees
+import splicegenus.oracle as O
 from splicegenus.molien import group_data, molien_coeffs, total_ci_coeffs
 from splicegenus.oracle import (
     artin_rational,
@@ -26,23 +27,27 @@ def test_bruteforce_matches_molien_on_quotient_graph():
 
 def test_bruteforce_shuffle_invariant():
     g = exmc()
-    gd = group_data(g)
     system = emit_splice_system(g, seed=0)
-    chi = next(c for c in gd.characters() if c != gd.trivial_character)
-    ref = bruteforce_eigendims(g, "E5", system, chi, 12)
+    ref = bruteforce_eigendims(g, "E5", system, 12)
     for seed in (1, 2, 3):
-        assert bruteforce_eigendims(g, "E5", system, chi, 12,
+        assert bruteforce_eigendims(g, "E5", system, 12,
                                     shuffle_seed=seed) == ref
+
+
+def test_bruteforce_returns_every_character():
+    g = fig1()
+    gd = group_data(g)
+    dims = bruteforce_eigendims(g, "v0", emit_splice_system(g), 6)
+    assert list(dims) == list(gd.characters())
+    assert all(len(tab) == 7 for tab in dims.values())
 
 
 def test_bruteforce_sums_to_total_series():
     g = exmc()
-    gd = group_data(g)
     system = emit_splice_system(g, seed=0)
     for v in g.nodes():
         total = total_ci_coeffs(g, v, 12)
-        per_char = [bruteforce_eigendims(g, v, system, chi, 12)
-                    for chi in gd.characters()]
+        per_char = bruteforce_eigendims(g, v, system, 12).values()
         for i in range(13):
             assert sum(tab[i] for tab in per_char) == total[i]
 
@@ -53,6 +58,41 @@ def test_different_seeds_give_same_dimensions():
     gd = group_data(g)
     tables = molien_coeffs(g, "E6", 10)
     for seed in (0, 11):
-        system = emit_splice_system(g, seed=seed)
+        dims = bruteforce_eigendims(g, "E6", emit_splice_system(g, seed=seed), 10)
         for chi in gd.characters():
-            assert bruteforce_eigendims(g, "E6", system, chi, 10) == tables[chi]
+            assert dims[chi] == tables[chi]
+
+
+def test_oracle_builds_monomials_once_per_node(monkeypatch):
+    calls = []
+    real = O._monomials_by_degree
+
+    def counted(weights, up_to):
+        calls.append(weights)
+        return real(weights, up_to)
+
+    monkeypatch.setattr(O, "_monomials_by_degree", counted)
+    g = exmc()
+    assert oracle_verify(g, 12) == []
+    assert len(calls) == len(g.nodes()) == 2
+
+
+def test_oracle_mismatch_records_follow_node_then_character(monkeypatch):
+    g = exmc()
+    gd = group_data(g)
+    real = O.bruteforce_eigendims
+
+    def off_by_one(*args, **kwargs):
+        return {chi: [d + 1 for d in tab]
+                for chi, tab in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(O, "bruteforce_eigendims", off_by_one)
+    diffs = oracle_verify(g, 4)
+    assert [(d["node"], d["char"]) for d in diffs] == [
+        (v, list(chi.coords)) for v in g.nodes() for chi in gd.characters()]
+    assert all(d["bruteforce"] == [x + 1 for x in d["molien"]] for d in diffs)
+
+
+def test_oracle_agrees_on_generated_splice_quotients():
+    for g in splice_quotient_trees(seed=1, count=10):
+        assert oracle_verify(g, up_to=8) == []

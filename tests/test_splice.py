@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import reference as ref
-from fixtures import d4, e8, exmc, fig1
+from fixtures import d4, e8, exmc, fig1, splice_quotient_trees
 from splicegenus.splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -218,6 +218,20 @@ def test_validate_witness_matches_qcycle_definition(make):
                 assert wit.monomial == mono
                 assert wit.residual == mono.cycle - ref.dual_cycle(g, v)
     assert hits > 0
+
+
+def test_monomial_search_matches_exhaustive_loop():
+    # validating only candidates that can still win returns the witness of
+    # the loop that validates every candidate
+    graphs = [d4(), e8(), exmc(), fig1(), *splice_quotient_trees(seed=1, count=10)]
+    checked = 0
+    for g in graphs:
+        for v in g.nodes():
+            for br in g.branches(v):
+                wit = find_admissible_monomial(g, v, br, bound=16)
+                assert wit == ref.find_admissible_monomial(g, v, br, bound=16)
+                checked += wit is not None
+    assert checked >= 3 * 14
 
 
 def _pairings(g, D):
