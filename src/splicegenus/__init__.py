@@ -20,7 +20,6 @@ from .molien import (
     c_v_chi_routes,
     c_v_route_a,
     hilbert_data,
-    molien_ci,
     molien_closed,
     molien_coeffs,
     P_chi,
@@ -43,7 +42,7 @@ __all__ = [
     "unit_cycle", "euler_char_on_cycle", "genus_report", "h1_eigensheaf",
     "h1_twisted", "minimal_nef_correction", "pg", "pg_uac", "a_invariant",
     "c_v_chi", "c_v_chi_routes", "c_v_route_a", "group_data", "hilbert_data",
-    "molien_ci", "molien_closed", "molien_coeffs", "P_chi", "truncation_m",
+    "molien_closed", "molien_coeffs", "P_chi", "truncation_m",
     "artin_rational", "bruteforce_eigendims", "oracle_verify",
     "polynomial_part", "check_monomial_condition", "emit_splice_system",
     "find_admissible_monomial", "v_degree", "validate_witness",

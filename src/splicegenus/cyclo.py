@@ -1,14 +1,13 @@
-"""Cyclotomic polynomials, and the reduction Z[x]/(x^N - 1) -> Z[zeta_N].
+"""Cyclotomic polynomials, for the closed forms of the Hilbert series.
 
 Phi_N is computed from Phi_N = prod_{d | N} (x^d - 1)^{mu(N/d)} by exact
 multiplications and divisions by x^d - 1, all in the integers.
 
-Two users in :mod:`splicegenus.molien`: ``molien_ci`` evaluates Molien's sum
-over Q(zeta_N) with length-N integer vectors (the group ring
-Z[x]/(x^N - 1), where a root of unity acts by a cyclic shift) and reads a
-coefficient as rational iff ``reduce_group_ring``, the remainder mod
-Phi_N, is a constant; ``molien_closed`` cancels cyclotomic factors of a
-denominator with ``cyclotomic_quotient``.
+One user, :func:`splicegenus.molien.molien_closed`: it cancels cyclotomic
+factors of a denominator with ``cyclotomic_quotient`` and rebuilds the
+reduced denominator from ``cyclotomic_polynomial``.  The reduction
+Z[x]/(x^N - 1) -> Z[zeta_N] of the reference Molien sum lives in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-
-from .series import PolyQ
 
 
 def _prime_factors(n):
@@ -83,14 +80,3 @@ def cyclotomic_polynomial(N: int):
     assert N >= 1
     plus, minus = _mobius_divisors(N)
     return tuple(_reshape([1], plus, minus))
-
-
-@lru_cache(maxsize=None)
-def euler_phi(N: int) -> int:
-    return len(cyclotomic_polynomial(N)) - 1
-
-
-def reduce_group_ring(vec, N):
-    """sum_j vec[j] x^j mod Phi_N: the remainder of exact long division by
-    Phi_N, a coefficient list of length at most phi(N)."""
-    return list(divmod(PolyQ(vec), PolyQ(cyclotomic_polynomial(N)))[1].coeffs)

@@ -10,25 +10,19 @@ In these coordinates theta(alpha) = T alpha mod d for an integer matrix T,
 the rows of V^T that Smith keeps, so row k of V^{-1} = S^{-1} U I lifts the
 k-th unit character, and c_1(L_chi) is one row combination of them.
 Characters are the one representation of H, and all work stays in the
-integers: nothing here reads a QCycle.  The Fraction routes from the
-definitions (classes of QCycles, the pairing, c_1 as a QCycle) live in
-tests/reference.py as the independent reference.
+integers: nothing here reads a QCycle or a Fraction.  The Fraction routes
+from the definitions (classes of QCycles, the pairing and its reduction
+mod 1, c_1 as a QCycle) live in tests/reference.py as the independent
+reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import exact
 from .graph import ResolutionGraph
-
-
-def mod1(x) -> Fraction:
-    """Reduce an exact rational into [0, 1)."""
-    x = Fraction(x)
-    return Fraction(x.numerator % x.denominator, x.denominator)
 
 
 @dataclass(frozen=True)

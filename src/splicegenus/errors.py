@@ -53,10 +53,6 @@ class InternalCheckError(SpliceGenusError):
     pass
 
 
-class IrrationalCoefficient(InternalCheckError):
-    """A Hilbert coefficient failed to reduce to a rational number."""
-
-
 class NegativeDimension(InternalCheckError):
     """A computed eigenspace dimension came out negative."""
 

@@ -28,6 +28,8 @@ def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
     on E_w (default 0).  D and the degrees on its support must be integral;
     the result is an int.
     """
+    if not D.support() <= set(g.ids):
+        raise CycleOutOfRange(f"cycle has vertices outside the graph: {D!r}")
     if not D.is_integral():
         raise CycleOutOfRange(f"cycle is not integral: {D!r}")
     if not D.is_effective():
@@ -174,8 +176,9 @@ def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
     effective, and requires 0 <= D <= D_{chi,n}.
     """
     gd = group_data(g)
-    if not (D.is_integral() and D.is_effective()):
-        raise CycleOutOfRange(f"cycle must be integral and effective: {D!r}")
+    if not (D.is_integral() and D.is_effective() and D.support() <= set(g.ids)):
+        raise CycleOutOfRange(
+            f"cycle must be integral, effective and on the graph: {D!r}")
     bound = minimal_nef_correction(g, v, chi, n).cycle
     if any(D[w] > bound[w] for w in g.ids):
         raise CycleOutOfRange(

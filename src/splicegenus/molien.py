@@ -17,8 +17,10 @@ characters at once.  The same kernel expanded at t = infinity gives the
 polynomial part of H^chi from its first a(G) + 1 coefficients, hence
 c_v^chi = p(1) (the periodic-constant view of Braun-Nemethi).  Route A
 (partial sums P^chi(m a_v) minus a quadratic term) and Route B (p(1) from
-the closed rational form) stay as independent checks, and ``molien_ci``
-evaluates Molien's sum over Q(zeta) as a reference for the kernel.
+the closed rational form) stay as independent checks.  This kernel is the
+package's one Molien evaluator; the generic sum over Q(zeta), which sums
+over the group elements and reduces mod Phi_N, is kept in
+tests/reference.py as the reference the tests hold it against.
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .cyclo import cyclotomic_polynomial, cyclotomic_quotient, reduce_group_ring
-from .discgroup import Character, GroupData, group_data, mod1
+from .cyclo import cyclotomic_polynomial, cyclotomic_quotient
+from .discgroup import Character, GroupData, group_data
 from .errors import (
     InternalCheckError,
-    IrrationalCoefficient,
     MismatchedRoutes,
     NegativeDimension,
     UnstableInM,
@@ -291,106 +291,6 @@ def c_v_chi_routes(g, v, chi: Character):
         raise MismatchedRoutes(
             f"c_v at node {v}: Route A {route_a} != Route B {route_b}")
     return route_a, route_b
-
-
-# -- general complete-intersection Molien ---------------------------------
-
-
-def _rot(vec, k, N):
-    """Multiply by x^k in Z[x]/(x^N - 1)."""
-    k %= N
-    if k == 0:
-        return vec
-    return vec[N - k:] + vec[:N - k]
-
-
-def _series_product(factors, up_to, N):
-    """Expand prod (1 - x^r t^m)^e to degree up_to over Z[x]/(x^N - 1).
-
-    factors: iterable of (r, m, e) with m >= 1; e may be negative.
-    Returns a list of length up_to+1 of length-N integer vectors.
-    """
-    S = [[0] * N for _ in range(up_to + 1)]
-    S[0][0] = 1
-    for r, m, e in factors:
-        if e == 0:
-            continue
-        if e < 0:
-            # division: repeated geometric-series recurrence
-            for _ in range(-e):
-                for i in range(m, up_to + 1):
-                    rotated = _rot(S[i - m], r, N)
-                    row = S[i]
-                    S[i] = [a + b for a, b in zip(row, rotated)]
-        else:
-            new = [row[:] for row in S]
-            for j in range(1, e + 1):
-                shift = j * m
-                if shift > up_to:
-                    break
-                c = (-1) ** j * comb(e, j)
-                rr = (r * j) % N
-                for i in range(shift, up_to + 1):
-                    rotated = _rot(S[i - shift], rr, N)
-                    row = new[i]
-                    new[i] = [a + c * b for a, b in zip(row, rotated)]
-            S = new
-    return S
-
-
-def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
-    """Molien series of a complete intersection with diagonal group action.
-
-    weights: degrees w_j of the variables.
-    orders: orders o_k of the group generators (G = prod Z/o_k).
-    action_exponents: per variable, the list of exponents eps_jk in
-        g_k . z_j = exp(2 pi i eps_jk) z_j (exact rationals mod 1).
-    relations: list of (degree d_i, character coords c_i) with
-        chi_i(g) = exp(2 pi i sum_k c_ik g_k / o_k).
-    chi: target character coords.
-
-    Returns the coefficients of t^0 .. t^up_to as Fractions, each asserted
-    rational.
-    """
-    orders = list(orders)
-    n_vars = len(weights)
-    assert len(action_exponents) == n_vars
-    N = 1
-    for o in orders:
-        N = math.lcm(N, o)
-    for row in action_exponents:
-        for e in row:
-            N = math.lcm(N, Fraction(e).denominator)
-    order = 1
-    for o in orders:
-        order *= o
-    acc = [[0] * N for _ in range(up_to + 1)]
-    for gtup in itertools.product(*(range(o) for o in orders)):
-        factors = []
-        for j in range(n_vars):
-            r = N * mod1(sum(Fraction(e) * gk
-                             for e, gk in zip(action_exponents[j], gtup)))
-            assert r.denominator == 1
-            factors.append((int(r) % N, weights[j], -1))
-        for d_i, c_i in relations:
-            r = N * mod1(sum(Fraction(c * gk, o)
-                             for c, gk, o in zip(c_i, gtup, orders)))
-            assert r.denominator == 1
-            factors.append((int(r) % N, d_i, 1))
-        S = _series_product(factors, up_to, N)
-        s_val = N * mod1(-sum(Fraction(c * gk, o)
-                              for c, gk, o in zip(chi, gtup, orders)))
-        assert s_val.denominator == 1
-        s = int(s_val) % N
-        for i in range(up_to + 1):
-            acc[i] = [a + b for a, b in zip(acc[i], _rot(S[i], s, N))]
-    out = []
-    for i, vec in enumerate(acc):
-        red = reduce_group_ring(vec, N)
-        if any(c != 0 for c in red[1:]):
-            raise IrrationalCoefficient(f"coefficient t^{i} is irrational")
-        out.append(Fraction(red[0] if red else 0, order))
-    return out
 
 
 # -- bundled per-node data -------------------------------------------------

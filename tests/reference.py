@@ -1,21 +1,29 @@
-"""Fraction references for the lattice and group code, from the definitions.
+"""Fraction and Q(zeta) references for the lattice, group and Molien code.
 
-The package works on integer E*-coordinates over a cached adjugate and on
-characters only.  The functions here recompute the same objects from their
-definitions, over the rationals, so that tests can hold the integer core
-against them:
+The package works on integer E*-coordinates over a cached adjugate, on
+characters only, and computes every eigenspace Hilbert series with one
+integer kernel over the character group.  The functions here recompute the
+same objects from their definitions, over the rationals and over Q(zeta),
+so that tests can hold the integer core against them:
 
 - ``intersect`` is the intersection form on QCycles;
 - ``dual_cycles`` solves I X = -Id by a Fraction Gauss-Jordan elimination;
 - H = L*/L is presented by this module's own call of
   ``exact.smith_normal_form(I)`` (U I V = S): the class of D is U alpha(D)
   mod d, and generator j lifts to column j of U^{-1};
-- ``theta`` reads the pairing D.D' mod 1 against those generators, and
-  ``fractional_representative`` inverts it by walking H.
+- ``theta`` reads the pairing D.D' mod 1 (``mod1``) against those
+  generators, and ``fractional_representative`` inverts it by walking H;
+- ``molien_ci`` evaluates Molien's sum for a complete intersection with a
+  diagonal group action, summing over the group elements: each term is a
+  series over Z[x]/(x^N - 1) (``_series_product``, where a root of unity
+  acts by the cyclic shift ``_rot``), and a coefficient is rational iff
+  ``reduce_group_ring``, its remainder mod Phi_N, is a constant
+  (``IrrationalCoefficient`` otherwise).
 
-Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha`` or
-``theta_matrix``.  Group sizes in the tests are small, so clarity wins over
-speed; per-graph results are memoised on graph identity.
+Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha``,
+``theta_matrix`` or ``molien_coeffs``.  Group sizes in the tests are small,
+so clarity wins over speed; per-graph results are memoised on graph
+identity.
 """
 
 from __future__ import annotations
@@ -27,14 +35,26 @@ from fractions import Fraction
 from functools import lru_cache
 
 from splicegenus import exact
-from splicegenus.discgroup import Character, mod1
-from splicegenus.errors import GraphInputError
+from splicegenus.cyclo import cyclotomic_polynomial
+from splicegenus.discgroup import Character
+from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.graph import QCycle, unit_cycle
+from splicegenus.series import PolyQ
 from splicegenus.splice import validate_witness
 
 
 class NotInDualLattice(GraphInputError):
     """Cycle is not an integer combination of the dual cycles E*_w."""
+
+
+class IrrationalCoefficient(InternalCheckError):
+    """A Hilbert coefficient failed to reduce to a rational number."""
+
+
+def mod1(x) -> Fraction:
+    """Reduce an exact rational into [0, 1)."""
+    x = Fraction(x)
+    return Fraction(x.numerator % x.denominator, x.denominator)
 
 
 @dataclass(frozen=True)
@@ -46,6 +66,8 @@ class HElement:
 
 def intersect(g, x: QCycle, y: QCycle) -> Fraction:
     """Intersection number x . y via the intersection form."""
+    if len(y.coeffs) < len(x.coeffs):
+        x, y = y, x  # the form is symmetric: walk the smaller support
     total = Fraction(0)
     for v, cv in x.coeffs.items():
         total += cv * g.weight[v] * y[v]
@@ -242,3 +264,106 @@ def find_admissible_monomial(g, v, branch, bound=64):
                 if best is None or key < best[0]:
                     best = (key, wit)
     return best[1] if best else None
+
+
+# -- Molien's sum over Q(zeta) ------------------------------------------------
+
+def reduce_group_ring(vec, N):
+    """sum_j vec[j] x^j mod Phi_N: the remainder of exact long division by
+    Phi_N, a coefficient list of length at most phi(N)."""
+    return list(divmod(PolyQ(vec), PolyQ(cyclotomic_polynomial(N)))[1].coeffs)
+
+
+def _rot(vec, k, N):
+    """Multiply by x^k in Z[x]/(x^N - 1)."""
+    k %= N
+    if k == 0:
+        return vec
+    return vec[N - k:] + vec[:N - k]
+
+
+def _series_product(factors, up_to, N):
+    """Expand prod (1 - x^r t^m)^e to degree up_to over Z[x]/(x^N - 1).
+
+    factors: iterable of (r, m, e) with m >= 1; e may be negative.
+    Returns a list of length up_to+1 of length-N integer vectors.
+    """
+    S = [[0] * N for _ in range(up_to + 1)]
+    S[0][0] = 1
+    for r, m, e in factors:
+        if e == 0:
+            continue
+        if e < 0:
+            # division: repeated geometric-series recurrence
+            for _ in range(-e):
+                for i in range(m, up_to + 1):
+                    rotated = _rot(S[i - m], r, N)
+                    row = S[i]
+                    S[i] = [a + b for a, b in zip(row, rotated)]
+        else:
+            new = [row[:] for row in S]
+            for j in range(1, e + 1):
+                shift = j * m
+                if shift > up_to:
+                    break
+                c = (-1) ** j * math.comb(e, j)
+                rr = (r * j) % N
+                for i in range(shift, up_to + 1):
+                    rotated = _rot(S[i - shift], rr, N)
+                    row = new[i]
+                    new[i] = [a + c * b for a, b in zip(row, rotated)]
+            S = new
+    return S
+
+
+def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
+    """Molien series of a complete intersection with diagonal group action.
+
+    weights: degrees w_j of the variables.
+    orders: orders o_k of the group generators (G = prod Z/o_k).
+    action_exponents: per variable, the list of exponents eps_jk in
+        g_k . z_j = exp(2 pi i eps_jk) z_j (exact rationals mod 1).
+    relations: list of (degree d_i, character coords c_i) with
+        chi_i(g) = exp(2 pi i sum_k c_ik g_k / o_k).
+    chi: target character coords.
+
+    Returns the coefficients of t^0 .. t^up_to as Fractions, each asserted
+    rational.
+    """
+    orders = list(orders)
+    n_vars = len(weights)
+    assert len(action_exponents) == n_vars
+    N = 1
+    for o in orders:
+        N = math.lcm(N, o)
+    for row in action_exponents:
+        for e in row:
+            N = math.lcm(N, Fraction(e).denominator)
+    order = math.prod(orders)
+    acc = [[0] * N for _ in range(up_to + 1)]
+    for gtup in itertools.product(*(range(o) for o in orders)):
+        factors = []
+        for j in range(n_vars):
+            r = N * mod1(sum(Fraction(e) * gk
+                             for e, gk in zip(action_exponents[j], gtup)))
+            assert r.denominator == 1
+            factors.append((int(r) % N, weights[j], -1))
+        for d_i, c_i in relations:
+            r = N * mod1(sum(Fraction(c * gk, o)
+                             for c, gk, o in zip(c_i, gtup, orders)))
+            assert r.denominator == 1
+            factors.append((int(r) % N, d_i, 1))
+        S = _series_product(factors, up_to, N)
+        s_val = N * mod1(-sum(Fraction(c * gk, o)
+                              for c, gk, o in zip(chi, gtup, orders)))
+        assert s_val.denominator == 1
+        s = int(s_val) % N
+        for i in range(up_to + 1):
+            acc[i] = [a + b for a, b in zip(acc[i], _rot(S[i], s, N))]
+    out = []
+    for i, vec in enumerate(acc):
+        red = reduce_group_ring(vec, N)
+        if any(c != 0 for c in red[1:]):
+            raise IrrationalCoefficient(f"coefficient t^{i} is irrational")
+        out.append(Fraction(red[0] if red else 0, order))
+    return out

@@ -5,14 +5,13 @@ from hypothesis import assume, given, settings
 
 import reference as ref
 from fixtures import a_chain, d4, e8, exmc, fig1, single
-from reference import HElement, NotInDualLattice
+from reference import HElement, NotInDualLattice, mod1
 from test_graph import random_trees
 from splicegenus import QCycle, unit_cycle
 from splicegenus.discgroup import (
     Character,
     GroupData,
     group_data,
-    mod1,
     nef_shift,
     phi_alpha,
 )

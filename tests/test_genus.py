@@ -236,6 +236,16 @@ def test_h1_twisted_rejects_out_of_range_cycles():
         h1_twisted(g, "E5", gd.trivial_character, 0, unit_cycle("E1"))
 
 
+def test_cycles_on_unknown_vertices_are_rejected():
+    g = exmc()
+    gd = group_data(g)
+    for D in (QCycle({"nope": 5}), QCycle({"E1": 1, "nope": 1})):
+        with pytest.raises(CycleOutOfRange):
+            euler_char_on_cycle(g, D)
+    with pytest.raises(CycleOutOfRange):
+        h1_twisted(g, "E5", gd.trivial_character, 0, QCycle({"nope": 7}))
+
+
 # -- reports ---------------------------------------------------------------
 
 def test_genus_report_json_shape():

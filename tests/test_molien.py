@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import reference as ref
-from fixtures import d4, e8, exmc, fig1, small_stars, star
-from reference import HElement
+from fixtures import d4, e8, exmc, fig1, small_stars, splice_quotient_trees, star
+from reference import HElement, molien_ci
 from splicegenus.errors import InternalCheckError
 from splicegenus.molien import (
     P_chi,
@@ -15,7 +15,6 @@ from splicegenus.molien import (
     c_v_route_a,
     group_data,
     hilbert_data,
-    molien_ci,
     molien_closed,
     molien_coeffs,
     total_ci_coeffs,
@@ -269,10 +268,11 @@ def test_molien_ci_hypersurface():
     assert molien_ci([1, 1], [], [[], []], [(2, ())], (), 5) == [1, 2, 2, 2, 2, 2]
 
 
-def test_molien_ci_matches_graph_kernel():
-    g = exmc()
+def _molien_ci_at_node(g, v, chi, up_to):
+    """The Q(zeta) reference at node v: the ends are the variables, acted on
+    by theta(E*_w), and each node w carries delta_w - 2 relations of degree
+    m_vw and character theta(E*_w); all read off the Fraction pairing."""
     gd = group_data(g)
-    v = "E5"
     nw = g.node_weights(v)
     ends = [w for w in g.ids if g.degree(w) == 1]
     gens = [HElement(tuple(int(i == k) for i in range(gd.rank)))
@@ -285,11 +285,40 @@ def test_molien_ci_matches_graph_kernel():
             coords = [int(o * ref.pair(g, h, ref.dual_cycle(g, w))) % o
                       for h, o in zip(gens, gd.invariant_factors)]
             rels += [(nw.m[w], coords)] * (g.degree(w) - 2)
-    for chi in gd.characters():
-        S = molien_ci(weights, gd.invariant_factors, action, rels,
-                      chi.coords, 12)
-        tab = molien_coeffs(g, v, 12)[chi]
-        assert S == tab
+    return molien_ci(weights, gd.invariant_factors, action, rels,
+                     chi.coords, up_to)
+
+
+def test_molien_ci_matches_graph_kernel():
+    for g in (d4(), e8(), exmc(), fig1()):
+        for v in sorted(g.nodes()):
+            tabs = molien_coeffs(g, v, 12)
+            for chi in group_data(g).characters():
+                assert _molien_ci_at_node(g, v, chi, 12) == tabs[chi], (v, chi)
+
+
+# -- the sum over characters needs no group --------------------------------
+
+def _cv_sum_without_group(g, v):
+    """sum_chi c_v^chi by the Koszul identity: the s^0 .. s^a(G)
+    coefficients of the trivial-group series, which total_ci_coeffs gives
+    in t (the s-expansion is the same product)."""
+    a = a_invariant(g, v)
+    return sum(total_ci_coeffs(g, v, a)) if a >= 0 else 0
+
+
+def test_cv_sum_over_characters_needs_no_group():
+    graphs = [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
+              *splice_quotient_trees(seed=1, count=10)]
+    for g in graphs:
+        chars = list(group_data(g).characters())
+        for v in sorted(g.nodes()):
+            assert sum(c_v_chi(g, v, chi) for chi in chars) == \
+                _cv_sum_without_group(g, v), (g.fingerprint(), v)
+    g, h = fig1(), exmc()
+    assert [_cv_sum_without_group(g, v) for v in ("v0", "v1", "v2")] == \
+        [55, 141, 42]
+    assert [_cv_sum_without_group(h, v) for v in ("E5", "E6")] == [1, 1]
 
 
 # -- bundled data ----------------------------------------------------------
