@@ -1,7 +1,7 @@
 """Exact linear algebra over the integers.
 
 One fraction-free Gauss-Jordan elimination (``eliminate``, after Bareiss,
-Math. Comp. 22, 1968) serves every solve, adjugate, rank and determinant in
+Math. Comp. 22, 1968) serves every adjugate, rank and determinant in
 the package.  Definiteness runs the same Bareiss step forward only, without
 row exchanges, so that its pivots are the leading principal minors; the
 Smith normal form is the only other routine.  Matrices are lists of rows of

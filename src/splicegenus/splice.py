@@ -6,6 +6,11 @@ integral cycle supported on C.  The monomial condition asks for one such D
 per branch per node; the emitted system takes delta_v - 2 generic linear
 combinations of the delta_v admissible monomials at each node.
 
+The search is finite: C does not contain v, so an admissible D has the
+v-coefficient of E*_v and its v-degree is sum_w alpha_w m_vw = m_vv.  Every
+m_vw > 0, so alpha_w <= m_vv // m_vw, and only the branch's ends carry
+exponents; the candidates are the solutions of this one equation.
+
 Everything here runs in the integers: the exponent vector of D is its
 E*-coordinates alpha, A alpha (A the graph's adjugate) is |det I| times its
 E-coefficients, and its class in H is read by theta(alpha) = T alpha mod d.
@@ -130,49 +135,39 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
 def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     """Search for an admissible monomial for (v, branch).
 
-    The support constraints (D - E*_v vanishes outside the branch) cut out
-    an affine subspace of the exponent space; its free coordinates are
-    enumerated over [0, bound] in lexicographic order, and a candidate is
-    validated by the independent path when its key (total exponent, then
-    lex order) is below the best witness so far.  So the solution with the
-    smallest key is returned; None means not found within the bound.
+    D - E*_v is supported on the branch, which does not contain v, so D has
+    the v-coefficient of E*_v: its v-degree is fixed,
+    sum_w alpha_w m_vw = m_vv.  Every m_vw > 0, so alpha_w is capped by
+    min(bound, m_vv // m_vw), and ends off the branch carry 0.  The
+    solutions of this bounded knapsack over the branch's ends (the last end
+    is determined by the others) are validated by the independent path in
+    key order (total exponent, then lex over g.ends()), and the first valid
+    one is returned.  None means not found within the bound; a bound of at
+    least every m_vv // m_vw makes the search exhaustive.
     """
     g.require_valid()
-    A = dict(zip(g.ids, g.dual_data().adjugate))
-    ends = g.ends()
+    m = g.node_weights(v).m
     branch_vs = set(branch.subgraph.ids)
-    # row u: coefficient of E_u in |det I| (sum_w alpha_w E*_w - E*_v) = 0
-    cols = [g.index(u) for u in g.ids if u not in branch_vs]
-    pivots, reduced = exact.eliminate(
-        [[A[w][c] for w in ends] + [A[v][c]] for c in cols])
-    if pivots and pivots[-1] == len(ends):
-        return None  # inconsistent
-    free = [c for c in range(len(ends)) if c not in pivots]
-    # pivot row p of d * RREF: d alpha_p = b - sum_c k_c alpha_c over the
-    # free columns c, with coeffs = [k_c ..., b]
-    solved = [(p, row[p], [row[c] for c in free] + [row[-1]])
-              for p, row in zip(pivots, reduced)]
-    best = None
-    for vals in itertools.product(range(bound + 1), repeat=len(free)):
-        alpha = [0] * len(ends)
-        for c, val in zip(free, vals):
-            alpha[c] = val
-        for p, den, coeffs in solved:
-            a, rem = divmod(coeffs[-1] - sum(k * x for k, x in zip(coeffs, vals)),
-                            den)
-            if rem or not 0 <= a <= bound:
-                break
-            alpha[p] = a
-        else:
-            # only a candidate that beats the best so far is validated
-            key = (sum(alpha), tuple(alpha))
-            if best is not None and key >= best[0]:
-                continue
-            exps = {w: a for w, a in zip(ends, alpha) if a}
-            wit = validate_witness(g, v, branch, exps)
-            if wit is not None:
-                best = (key, wit)
-    return best[1] if best else None
+    ends = [w for w in g.ends() if w in branch_vs]
+    caps = [min(bound, m[v] // m[w]) for w in ends]
+
+    def solutions(k, rest):
+        # exponents of ends[k:] with sum alpha_w m_vw = rest
+        if k == len(ends) - 1:
+            a, rem = divmod(rest, m[ends[k]])
+            if not rem and a <= caps[k]:
+                yield (a,)
+            return
+        for a in range(min(caps[k], rest // m[ends[k]]) + 1):
+            for tail in solutions(k + 1, rest - a * m[ends[k]]):
+                yield (a,) + tail
+
+    for alpha in sorted(solutions(0, m[v]), key=lambda a: (sum(a), a)):
+        wit = validate_witness(g, v, branch,
+                               {w: a for w, a in zip(ends, alpha) if a})
+        if wit is not None:
+            return wit
+    return None
 
 
 @dataclass

@@ -169,7 +169,7 @@ def test_random_trees_are_negative_definite(g):
     assert negative_definite_violation(g.intersection_matrix()) is None
 
 
-# -- the integer solve of the monomial search --------------------------------
+# -- the monomial search against a brute force over the box -----------------
 
 def _bruteforce_monomial(g, v, branch, bound):
     ends = g.ends()

@@ -4,7 +4,9 @@ import itertools
 import pytest
 
 import reference as ref
-from fixtures import d4, e8, exmc, fig1, splice_quotient_trees
+from fixtures import d4, e8, exmc, fig1, small_stars, splice_quotient_trees, star
+from splicegenus import splice
+from splicegenus.graph import parse_graph
 from splicegenus.splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -14,6 +16,23 @@ from splicegenus.splice import (
     validate_witness,
     verify_equivariance,
 )
+
+
+# The two trees of the ROADMAP's monomial-condition item: one whose (x2, x1)
+# and (x3, x2) witnesses need an exponent above 64 (115 at one end), and one
+# with no witness for (x3, x1)
+TREE_115 = (
+    '{"vertices":[{"id":"x0","weight":-5},{"id":"x1","weight":-5},'
+    '{"id":"x2","weight":-5},{"id":"x3","weight":-3},{"id":"x4","weight":-5},'
+    '{"id":"x5","weight":-4},{"id":"x6","weight":-5},{"id":"x7","weight":-5},'
+    '{"id":"x8","weight":-5}],"edges":[["x0","x1"],["x1","x2"],["x2","x3"],'
+    '["x2","x4"],["x3","x5"],["x2","x6"],["x3","x7"],["x0","x8"]]}')
+TREE_VIOLATED = (
+    '{"vertices":[{"id":"x0","weight":-5},{"id":"x1","weight":-2},'
+    '{"id":"x2","weight":-3},{"id":"x3","weight":-5},{"id":"x4","weight":-3},'
+    '{"id":"x5","weight":-4},{"id":"x6","weight":-2},{"id":"x7","weight":-3},'
+    '{"id":"x8","weight":-4}],"edges":[["x0","x1"],["x1","x2"],["x1","x3"],'
+    '["x1","x4"],["x4","x5"],["x3","x6"],["x6","x7"],["x3","x8"]]}')
 
 
 def _branch(g, v, attach):
@@ -222,17 +241,76 @@ def test_validate_witness_matches_qcycle_definition(make):
 
 
 def test_monomial_search_matches_exhaustive_loop():
-    # validating only candidates that can still win returns the witness of
-    # the loop that validates every candidate
-    graphs = [d4(), e8(), exmc(), fig1(), *splice_quotient_trees(seed=1, count=10)]
+    # enumerating the v-degree equation and validating in key order returns
+    # the witness of the loop over the [0, bound] box that validates every
+    # candidate
+    graphs = [d4(), e8(), exmc(), fig1(), *splice_quotient_trees(seed=1, count=10),
+              *(star(b, legs) for b, legs in small_stars())]
     checked = 0
     for g in graphs:
         for v in g.nodes():
             for br in g.branches(v):
-                wit = find_admissible_monomial(g, v, br, bound=16)
-                assert wit == ref.find_admissible_monomial(g, v, br, bound=16)
-                checked += wit is not None
+                for bound in (0, 1, 2, 16):
+                    wit = find_admissible_monomial(g, v, br, bound=bound)
+                    assert wit == ref.find_admissible_monomial(g, v, br, bound=bound)
+                    checked += wit is not None
     assert checked >= 3 * 14
+    # the ROADMAP trees: one needs exponent 115 at an end, one is violated
+    g = parse_graph(TREE_115)
+    missing = {64: {("x2", "x1"), ("x3", "x2")}, 120: set()}
+    for bound, absent in missing.items():
+        for v in g.nodes():
+            for br in g.branches(v):
+                wit = find_admissible_monomial(g, v, br, bound=bound)
+                assert wit == ref.find_admissible_monomial(g, v, br, bound=bound)
+                assert (wit is None) == ((v, br.attach) in absent)
+    g = parse_graph(TREE_VIOLATED)
+    br = _branch(g, "x3", "x1")
+    for bound in (64, 120):
+        assert ref.find_admissible_monomial(g, "x3", br, bound=bound) is None
+        assert find_admissible_monomial(g, "x3", br, bound=bound) is None
+    # 10**6 is above every m_vv // m_vw, so the search is exhaustive
+    assert find_admissible_monomial(g, "x3", br, bound=10**6) is None
+
+
+def _count_validations(monkeypatch, check=None):
+    calls = []
+
+    def counted(g, v, branch, exponents):
+        if check:
+            check(g, v, branch, exponents)
+        calls.append(dict(exponents))
+        return validate_witness(g, v, branch, exponents)
+
+    monkeypatch.setattr(splice, "validate_witness", counted)
+    return calls
+
+
+def test_large_bound_costs_the_caps(monkeypatch):
+    # every m_vv // m_vw on fig1 is below 64, so a larger bound visits the
+    # same candidates
+    calls = _count_validations(monkeypatch)
+    found = {}
+    for bound in (64, 10**9):
+        calls.clear()
+        rep = check_monomial_condition(fig1(), bound=bound)
+        found[bound] = ({k: w.monomial.exponents for k, w in rep.witnesses.items()},
+                        len(calls))
+    assert found[64] == found[10**9]
+    assert found[64][1] > 0
+
+
+def test_candidates_have_the_node_v_degree(monkeypatch):
+    graphs = [d4(), e8(), exmc(), fig1(), *splice_quotient_trees(seed=1, count=10)]
+
+    def check(g, v, branch, exps):
+        assert v_degree(g, v, exps) == g.node_weights(v).m[v]
+        assert set(exps) <= set(g.ends()) & set(branch.subgraph.ids)
+
+    calls = _count_validations(monkeypatch, check)
+    for g in graphs:
+        assert check_monomial_condition(g).verdict == "satisfied"
+    assert len(calls) >= sum(len(g.branches(v)) for g in graphs for v in g.nodes())
 
 
 @functools.lru_cache(maxsize=16)
