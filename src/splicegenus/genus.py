@@ -154,18 +154,13 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
 
 def pg(g: ResolutionGraph, root=None) -> int:
     """Geometric genus p_g(X) = h1 at the trivial character."""
-    if g.require_valid().is_chain:
-        return 0
-    gd = group_data(g)
-    return h1_eigensheaf(g, gd.trivial_character, root=root)
+    return h1_eigensheaf(g, group_data(g).trivial_character, root=root)
 
 
 def pg_uac(g: ResolutionGraph, root=None) -> int:
     """p_g of the universal abelian cover: sum of h1(L_chi) over all chi."""
-    if g.require_valid().is_chain:
-        return 0
-    gd = group_data(g)
-    return sum(h1_eigensheaf(g, chi, root=root) for chi in gd.characters())
+    return sum(h1_eigensheaf(g, chi, root=root)
+               for chi in group_data(g).characters())
 
 
 def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
@@ -211,15 +206,10 @@ class GenusReport:
 
 
 def genus_report(g: ResolutionGraph, root=None, with_trace=False) -> GenusReport:
-    chain = g.require_valid().is_chain
     gd = group_data(g)
     trace = [] if with_trace else None
-    table = {}
-    for chi in gd.characters():
-        if chain:
-            table[chi] = 0
-        else:
-            table[chi] = h1_eigensheaf(g, chi, root=root, trace=trace)
+    table = {chi: h1_eigensheaf(g, chi, root=root, trace=trace)
+             for chi in gd.characters()}
     pg_val = table[gd.trivial_character]
     total = sum(table.values())
     return GenusReport(pg=pg_val, per_character_h1=table, pg_uac=total,

@@ -157,8 +157,6 @@ class Branch:
     Vertex ids are shared with the parent graph.
     """
 
-    parent: "ResolutionGraph"
-    node: str
     attach: str            # the branch vertex adjacent to the node
     subgraph: "ResolutionGraph"
 
@@ -409,8 +407,7 @@ class ResolutionGraph:
                     if x != v and x not in comp:
                         comp.add(x)
                         stack.append(x)
-            out.append(Branch(parent=self, node=v, attach=u,
-                              subgraph=self.subgraph(comp)))
+            out.append(Branch(attach=u, subgraph=self.subgraph(comp)))
         self._cache[key] = out
         return out
 

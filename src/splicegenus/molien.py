@@ -10,22 +10,23 @@ of the character group H^:
 
     prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2},   psi_w = theta(E*_w).
 
-Multiplying by a group element [psi] permutes the character indices, so
-every coefficient is an integer by construction: no roots of unity, no
-cyclotomic reduction, and O(|H| * degree * #factors) work for all
-characters at once.  The same kernel expanded at t = infinity gives the
+Multiplying by a group element [psi] moves the coefficient of chi to
+chi + psi, so every coefficient is an integer by construction: no roots of
+unity and no cyclotomic reduction.  Each degree is a dict over the
+characters it reaches, so the work is per character reached, not per
+element of H.  The same kernel expanded at t = infinity gives the
 polynomial part of H^chi from its first a(G) + 1 coefficients, hence
-c_v^chi = p(1) (the periodic-constant view of Braun-Nemethi).  Route A
-(partial sums P^chi(m a_v) minus a quadratic term) and Route B (p(1) from
-the closed rational form) stay as independent checks.  This kernel is the
-package's one Molien evaluator; the generic sum over Q(zeta), which sums
-over the group elements and reduces mod Phi_N, is kept in
-tests/reference.py as the reference the tests hold it against.
+c_v^chi = p(1) (the periodic-constant view of Braun-Nemethi), with nothing
+built over all of H.  Route A (partial sums P^chi(m a_v) minus a quadratic
+term) and Route B (p(1) from the closed rational form) stay as independent
+checks.  This kernel is the package's one Molien evaluator; the generic
+sum over Q(zeta), which sums over the group elements and reduces mod
+Phi_N, and the kernel's dense |H|-wide layout are kept in
+tests/reference.py as the references the tests hold it against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,34 +64,32 @@ def truncation_m(g: ResolutionGraph, v) -> int:
 def _zh_product(dims, factors, up_to):
     """Expand prod (1 - [psi] t^m)^e in Z[H^][[t]] to degree up_to.
 
-    dims: invariant factors of the character group; characters are indexed
-    in the order of ``GroupData.characters()``, the trivial one first.
-    factors: (psi coords, m, e) with m >= 1; e may be negative.
-    Returns one coefficient list (degrees 0..up_to) per character.
+    dims: invariant factors of the character group; characters are their
+    coordinate tuples.  factors: (psi coords, m, e) with m >= 1; e may be
+    negative.  Returns one dict per degree 0..up_to, mapping each character
+    reached to its coefficient; characters not reached have coefficient 0.
+    The work is per character reached, never per element of H.
     """
-    chars = list(itertools.product(*(range(d) for d in dims)))
-    index = {c: k for k, c in enumerate(chars)}
-    zero = [0] * len(chars)
-    rows = [zero] * (up_to + 1)  # rows are replaced, never mutated
-    rows[0] = [1] + zero[1:]
+    rows = [{} for _ in range(up_to + 1)]
+    rows[0][(0,) * len(dims)] = 1
     for psi, m, e in factors:
         if e == 0 or m > up_to:
             continue
-        # multiplying by [psi] moves the coefficient of chi - psi to chi
-        perm = [index[tuple((x - y) % d for x, y, d in zip(c, psi, dims))]
-                for c in chars]
+        moved = {}  # c -> c + psi, over the characters reached
+        if e > 0:  # times (1 - [psi] t^m), top-down
+            sign, degrees = -1, range(up_to, m - 1, -1)
+        else:  # divided by it: the geometric series, bottom-up
+            sign, degrees = 1, range(m, up_to + 1)
         for _ in range(abs(e)):
-            if e > 0:  # times (1 - [psi] t^m), top-down
-                for i in range(up_to, m - 1, -1):
-                    src = rows[i - m]
-                    if src is not zero:
-                        rows[i] = [a - src[p] for a, p in zip(rows[i], perm)]
-            else:  # divided by it: the geometric series, bottom-up
-                for i in range(m, up_to + 1):
-                    src = rows[i - m]
-                    if src is not zero:
-                        rows[i] = [a + src[p] for a, p in zip(rows[i], perm)]
-    return [list(col) for col in zip(*rows)]
+            for i in degrees:
+                row = rows[i]
+                for c, x in rows[i - m].items():
+                    t = moved.get(c)
+                    if t is None:
+                        t = moved[c] = tuple((a + b) % d
+                                             for a, b, d in zip(c, psi, dims))
+                    row[t] = row.get(t, 0) + sign * x
+    return rows
 
 
 def _node_factors(g, v):
@@ -102,34 +101,42 @@ def _node_factors(g, v):
             for w in g.ids if g.degree(w) != 2]
 
 
-def molien_coeffs(g: ResolutionGraph, v, up_to, chars=None):
-    """Coefficient tables dim G^chi_i for i <= up_to.
-
-    Returns a dict Character -> list of nonnegative ints (length up_to+1),
-    for every character or only those in ``chars``.  H^chi is the [chi]
-    coefficient of prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2}; the whole
-    table is computed at once and kept for the largest degree asked for.
-    """
-    gd = group_data(g)
+def _node_rows(g, v, up_to):
+    """The kernel's rows at node v to at least degree up_to, cached for the
+    largest degree asked for; every coefficient must be a dimension."""
     key = ("molien", v)
-    tables = g._cache.get(key)
-    if tables is None or len(tables[gd.trivial_character]) <= up_to:
-        cols = _zh_product(gd.invariant_factors, _node_factors(g, v), up_to)
-        tables = dict(zip(gd.characters(), cols))
-        for chi, tab in tables.items():
-            if min(tab) < 0:
-                i = next(i for i, c in enumerate(tab) if c < 0)
-                raise NegativeDimension(f"dim G^{chi.coords}_{i} = {tab[i]}")
-        g._cache[key] = tables
-    wanted = gd.characters() if chars is None else chars
-    return {c: tables[c][: up_to + 1] for c in wanted}
+    rows = g._cache.get(key)
+    if rows is None or len(rows) <= up_to:
+        rows = _zh_product(group_data(g).invariant_factors,
+                           _node_factors(g, v), up_to)
+        for i, row in enumerate(rows):
+            for c, x in row.items():
+                if x < 0:
+                    raise NegativeDimension(f"dim G^{c}_{i} = {x}")
+        g._cache[key] = rows
+    return rows
+
+
+def _series(g, v, chi: Character, up_to):
+    """dim G^chi_i for i <= up_to."""
+    rows = _node_rows(g, v, up_to)
+    return [row.get(chi.coords, 0) for row in rows[: up_to + 1]]
+
+
+def molien_coeffs(g: ResolutionGraph, v, up_to):
+    """Coefficient tables dim G^chi_i for i <= up_to, for every character.
+
+    Returns a dict Character -> list of nonnegative ints (length up_to+1).
+    H^chi is the [chi] coefficient of prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2}.
+    """
+    return {chi: _series(g, v, chi, up_to) for chi in group_data(g).characters()}
 
 
 def P_chi(g, v, chi: Character, n: int) -> int:
     """P^chi(n) = sum_{i<n} dim G^chi_i."""
     if n <= 0:
         return 0
-    return sum(molien_coeffs(g, v, n - 1, chars=[chi])[chi])
+    return sum(_series(g, v, chi, n - 1))
 
 
 def total_ci_coeffs(g, v, up_to):
@@ -141,7 +148,7 @@ def total_ci_coeffs(g, v, up_to):
     nw = g.node_weights(v)
     factors = [((), nw.m[w], g.degree(w) - 2)
                for w in g.ids if g.degree(w) != 2]
-    return _zh_product((), factors, up_to)[0]
+    return [row.get((), 0) for row in _zh_product((), factors, up_to)]
 
 
 # -- closed forms ----------------------------------------------------------
@@ -174,7 +181,7 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     a = a_invariant(g, v)
     deg_a = deg_b + max(a, 0)
     bound = deg_a + 1  # one spare coefficient to catch truncation bugs
-    coeffs = molien_coeffs(g, v, bound, chars=[chi])[chi]
+    coeffs = _series(g, v, chi, bound)
     B = [1]
     for k in ks:
         B = mul(B, [1] + [0] * (k - 1) + [-1])
@@ -217,7 +224,8 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
 
 
 def _cv_at_infinity(g, v):
-    """c_v^chi for every character, read off the expansion at t = infinity.
+    """c_v^chi for the characters reached, read off the expansion at
+    t = infinity, as a dict from coordinates to values (0 if absent).
 
     With s = 1/t, H^chi is the [chi] coefficient of
     t^a(G) [g] prod_w (1 - [-psi_w] s^{m_vw})^{delta_w - 2}, where
@@ -228,20 +236,19 @@ def _cv_at_infinity(g, v):
     """
     key = ("cv", v)
     if key not in g._cache:
-        gd = group_data(g)
-        dims = gd.invariant_factors
+        dims = group_data(g).invariant_factors
         a = a_invariant(g, v)
         factors = _node_factors(g, v)
-        shift = Character(tuple(
-            -sum(e * psi[i] for psi, _, e in factors) % d
-            for i, d in enumerate(dims)))
+        shift = [sum(e * psi[i] for psi, _, e in factors)  # g
+                 for i in range(len(dims))]
         inverse = [(tuple(-x % d for x, d in zip(psi, dims)), m, e)
                    for psi, m, e in factors]
-        sums = ([sum(col) for col in _zh_product(dims, inverse, a)]
-                if a >= 0 else [0] * gd.order)
-        value = dict(zip(gd.characters(), sums))
-        g._cache[key] = {chi: value[gd.char_mul(chi, shift)]
-                         for chi in gd.characters()}
+        sums = {}
+        for row in _zh_product(dims, inverse, a) if a >= 0 else ():
+            for c, x in row.items():
+                sums[c] = sums.get(c, 0) + x
+        g._cache[key] = {tuple((y + z) % d for y, z, d in zip(c, shift, dims)): x
+                         for c, x in sums.items()}
     return g._cache[key]
 
 
@@ -261,7 +268,7 @@ def c_v_route_a(g, v, chi: Character) -> Fraction:
     asserted stable under m -> m+1, m+2 above the threshold."""
     m = truncation_m(g, v)
     # build the table once, to the largest degree the three values use
-    molien_coeffs(g, v, (m + 2) * g.node_weights(v).a_v - 1, chars=())
+    _node_rows(g, v, (m + 2) * g.node_weights(v).a_v - 1)
     value = _route_a_value(g, v, chi, m)
     for mm in (m + 1, m + 2):
         other = _route_a_value(g, v, chi, mm)
@@ -274,7 +281,7 @@ def c_v_route_a(g, v, chi: Character) -> Fraction:
 
 def c_v_chi(g: ResolutionGraph, v, chi: Character) -> int:
     """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity."""
-    return _cv_at_infinity(g, v)[chi]
+    return _cv_at_infinity(g, v).get(chi.coords, 0)
 
 
 def c_v_chi_routes(g, v, chi: Character):

@@ -6,6 +6,8 @@ exmc: the 6-vertex two-node graph whose splice system is
 star: a central curve with Hirzebruch-Jung legs, given by Seifert pairs.
 splice_quotient_trees: seeded random trees with at least two nodes, small
       |H| and the monomial condition established.
+HUGE_H_TREES: three trees with |H| = 19,273, 34,908 and 119,154, as JSON
+      text; too large for any table over H.
 """
 
 import itertools
@@ -131,6 +133,34 @@ def splice_quotient_trees(seed, count, max_order=500):
                 == "satisfied"):
             count -= 1
             yield g
+
+
+# |H| -> the graph as JSON text; p_g is 0, 0 and 1
+HUGE_H_TREES = {
+    19273: '{"vertices":[{"id":"x0","weight":-5},{"id":"x1","weight":-2},'
+           '{"id":"x2","weight":-4},{"id":"x3","weight":-3},'
+           '{"id":"x4","weight":-3},{"id":"x5","weight":-3},'
+           '{"id":"x6","weight":-3},{"id":"x7","weight":-3},'
+           '{"id":"x8","weight":-2},{"id":"x9","weight":-3}],'
+           '"edges":[["x0","x1"],["x1","x2"],["x0","x3"],["x0","x4"],'
+           '["x2","x5"],["x0","x6"],["x4","x7"],["x3","x8"],["x3","x9"]]}',
+    34908: '{"vertices":[{"id":"x0","weight":-3},{"id":"x1","weight":-3},'
+           '{"id":"x2","weight":-3},{"id":"x3","weight":-3},'
+           '{"id":"x4","weight":-7},{"id":"x5","weight":-2},'
+           '{"id":"x6","weight":-2},{"id":"x7","weight":-4},'
+           '{"id":"x8","weight":-3},{"id":"x9","weight":-5}],'
+           '"edges":[["x0","x1"],["x1","x2"],["x2","x3"],["x1","x4"],'
+           '["x0","x5"],["x0","x6"],["x3","x7"],["x0","x8"],["x8","x9"]]}',
+    119154: '{"vertices":[{"id":"x0","weight":-4},{"id":"x1","weight":-5},'
+            '{"id":"x10","weight":-2},{"id":"x11","weight":-7},'
+            '{"id":"x2","weight":-2},{"id":"x3","weight":-2},'
+            '{"id":"x4","weight":-5},{"id":"x5","weight":-2},'
+            '{"id":"x6","weight":-3},{"id":"x7","weight":-3},'
+            '{"id":"x8","weight":-2},{"id":"x9","weight":-6}],'
+            '"edges":[["x0","x1"],["x0","x2"],["x0","x3"],["x0","x4"],'
+            '["x3","x5"],["x2","x6"],["x1","x7"],["x2","x8"],["x3","x9"],'
+            '["x5","x10"],["x8","x11"]]}',
+}
 
 
 def graph_file(name) -> str:

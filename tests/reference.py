@@ -18,7 +18,12 @@ so that tests can hold the integer core against them:
   series over Z[x]/(x^N - 1) (``_series_product``, where a root of unity
   acts by the cyclic shift ``_rot``), and a coefficient is rational iff
   ``reduce_group_ring``, its remainder mod Phi_N, is a constant
-  (``IrrationalCoefficient`` otherwise).
+  (``IrrationalCoefficient`` otherwise);
+- ``dense_zh_product`` is the earlier layout of the package's Z[H^]
+  kernel, one row of |H| coefficients per degree and one permutation of
+  the characters per factor, fed with this module's theta; it gives every
+  character's table at t = 0 (``dense_molien_coeffs``) and every c_v^chi
+  at t = infinity (``dense_cv_at_infinity``).
 
 Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha``,
 ``theta_matrix`` or ``molien_coeffs``.  Group sizes in the tests are small,
@@ -367,3 +372,74 @@ def molien_ci(weights, orders, action_exponents, relations, chi, up_to):
             raise IrrationalCoefficient(f"coefficient t^{i} is irrational")
         out.append(Fraction(red[0] if red else 0, order))
     return out
+
+
+# -- the dense Z[H^] kernel ----------------------------------------------------
+
+def dense_zh_product(dims, factors, up_to):
+    """Expand prod (1 - [psi] t^m)^e in Z[H^][[t]] to degree up_to.
+
+    dims: invariant factors of the character group; characters are indexed
+    in the order of ``GroupData.characters()``, the trivial one first.
+    factors: (psi coords, m, e) with m >= 1; e may be negative.
+    Returns one coefficient list (degrees 0..up_to) per character.
+    """
+    chars = list(itertools.product(*(range(d) for d in dims)))
+    index = {c: k for k, c in enumerate(chars)}
+    zero = [0] * len(chars)
+    rows = [zero] * (up_to + 1)  # rows are replaced, never mutated
+    rows[0] = [1] + zero[1:]
+    for psi, m, e in factors:
+        if e == 0 or m > up_to:
+            continue
+        # multiplying by [psi] moves the coefficient of chi - psi to chi
+        perm = [index[tuple((x - y) % d for x, y, d in zip(c, psi, dims))]
+                for c in chars]
+        for _ in range(abs(e)):
+            if e > 0:  # times (1 - [psi] t^m), top-down
+                for i in range(up_to, m - 1, -1):
+                    src = rows[i - m]
+                    if src is not zero:
+                        rows[i] = [a - src[p] for a, p in zip(rows[i], perm)]
+            else:  # divided by it: the geometric series, bottom-up
+                for i in range(m, up_to + 1):
+                    src = rows[i - m]
+                    if src is not zero:
+                        rows[i] = [a + src[p] for a, p in zip(rows[i], perm)]
+    return [list(col) for col in zip(*rows)]
+
+
+def _dense_factors(g, v):
+    """(theta(E*_w), m_vw, delta_w - 2) for the vertices w of degree != 2."""
+    nw = g.node_weights(v)
+    return [(theta(g, dual_cycle(g, w)).coords, nw.m[w], g.degree(w) - 2)
+            for w in g.ids if g.degree(w) != 2]
+
+
+def _characters(g):
+    return [Character(h.coords) for h in elements(g)]
+
+
+def dense_molien_coeffs(g, v, up_to):
+    """Character -> dim G^chi_i for i <= up_to, from the dense kernel."""
+    cols = dense_zh_product(invariant_factors(g), _dense_factors(g, v), up_to)
+    return dict(zip(_characters(g), cols))
+
+
+def dense_cv_at_infinity(g, v):
+    """Character -> c_v^chi for every character: the [chi - g] coefficient
+    of prod_w (1 - [-psi_w] s^{m_vw})^{delta_w - 2}, summed over
+    s^0 .. s^a(G), with g = sum_w (delta_w - 2) psi_w."""
+    dims = invariant_factors(g)
+    factors = _dense_factors(g, v)
+    a = sum(e * m for _, m, e in factors)
+    shift = [-sum(e * psi[i] for psi, _, e in factors) for i in range(len(dims))]
+    inverse = [(tuple(-x % d for x, d in zip(psi, dims)), m, e)
+               for psi, m, e in factors]
+    chars = _characters(g)
+    sums = ([sum(col) for col in dense_zh_product(dims, inverse, a)]
+            if a >= 0 else [0] * len(chars))
+    value = {chi.coords: s for chi, s in zip(chars, sums)}
+    return {chi: value[tuple((x + y) % d for x, y, d in
+                             zip(chi.coords, shift, dims))]
+            for chi in chars}

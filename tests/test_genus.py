@@ -299,6 +299,7 @@ def test_h1_recursion_reads_c_v_without_tables(monkeypatch):
         raise AssertionError("the h1 recursion built a Hilbert table")
 
     monkeypatch.setattr(M, "molien_coeffs", no_tables)
+    monkeypatch.setattr(M, "_node_rows", no_tables)
     assert pg(fig1()) == 7
 
 

@@ -4,11 +4,22 @@ from fractions import Fraction
 import pytest
 
 import reference as ref
-from fixtures import d4, e8, exmc, fig1, small_stars, splice_quotient_trees, star
+from fixtures import (
+    HUGE_H_TREES,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    small_stars,
+    splice_quotient_trees,
+    star,
+)
 from reference import HElement, molien_ci
+from splicegenus import GroupData, parse_graph, pg
 from splicegenus.errors import InternalCheckError
 from splicegenus.molien import (
     P_chi,
+    _cv_at_infinity,
     a_invariant,
     c_v_chi,
     c_v_chi_routes,
@@ -96,14 +107,6 @@ def test_koszul_identity_to_degree_15():
         total = total_ci_coeffs(g, v, 15)
         for i in range(16):
             assert sum(t[i] for t in tabs.values()) == total[i]
-
-
-def test_partial_char_request_agrees_with_full_table():
-    g = exmc()
-    gd = group_data(g)
-    chi = next(c for c in gd.characters() if c != gd.trivial_character)
-    assert molien_coeffs(g, "E5", 9, chars=[chi])[chi] == \
-        molien_coeffs(g, "E5", 9)[chi]
 
 
 def test_P_chi_partial_sums():
@@ -319,6 +322,37 @@ def test_cv_sum_over_characters_needs_no_group():
     assert [_cv_sum_without_group(g, v) for v in ("v0", "v1", "v2")] == \
         [55, 141, 42]
     assert [_cv_sum_without_group(h, v) for v in ("E5", "E6")] == [1, 1]
+
+
+def test_pg_does_no_work_over_h(monkeypatch):
+    # the t = infinity kernel reaches few characters, so p_g never walks H;
+    # the sum of c_v^chi over them is still checked, without the group
+    def no_walk(self):
+        raise AssertionError("walked the characters of H")
+
+    monkeypatch.setattr(GroupData, "characters", no_walk)
+    found = {}
+    for order, text in HUGE_H_TREES.items():
+        g = parse_graph(text)
+        assert group_data(g).order == order
+        found[order] = pg(g)
+        for v in sorted(g.nodes()):
+            assert sum(_cv_at_infinity(g, v).values()) == \
+                _cv_sum_without_group(g, v), (order, v)
+    assert found == {19273: 0, 34908: 0, 119154: 1}
+
+
+# -- the sparse kernel against the dense reference -------------------------
+
+def test_sparse_kernel_matches_dense_reference():
+    graphs = [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
+              *(star(b, legs) for b, legs in small_stars()),
+              *splice_quotient_trees(seed=1, count=10)]
+    for g in graphs:
+        for v in sorted(g.nodes()):
+            assert molien_coeffs(g, v, 16) == ref.dense_molien_coeffs(g, v, 16)
+            assert {chi: c_v_chi(g, v, chi) for chi in group_data(g).characters()} \
+                == ref.dense_cv_at_infinity(g, v), (g.fingerprint(), v)
 
 
 # -- bundled data ----------------------------------------------------------
