@@ -1,82 +1,64 @@
-"""Cyclotomic polynomials, for the closed forms of the Hilbert series.
+"""Products and exact quotients by the factors 1 - t^e, for the closed forms.
 
-Phi_N is computed from Phi_N = prod_{d | N} (x^d - 1)^{mu(N/d)} by exact
-multiplications and divisions by x^d - 1, all in the integers.
+Every closed-form denominator is prod_e (1 - t^e)^{n_e}, held as the map
+e -> n_e, and every cyclotomic factor is such a product too:
 
-One user, :func:`splicegenus.molien.molien_closed`: it cancels cyclotomic
-factors of a denominator with ``cyclotomic_quotient`` and rebuilds the
-reduced denominator from ``cyclotomic_polynomial``.  The reduction
-Z[x]/(x^N - 1) -> Z[zeta_N] of the reference Molien sum lives in
-tests/reference.py.
+    P_d = prod_{e | d} (1 - t^e)^{mu(d/e)},
+
+which is Phi_d for d > 1 and 1 - t = -Phi_1 for d = 1 (the product of
+P_d over d | k is 1 - t^k).  :func:`reshape` does every multiplication and
+exact division by these factors, each one pass over the coefficients, all
+in the integers.  One user, :func:`splicegenus.molien.molien_closed`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from functools import lru_cache
 
 
-def _prime_factors(n):
-    out, p = [], 2
-    while p * p <= n:
+def _cyclotomic_exponents(d):
+    """{e: mu(d/e)} over the e | d with mu(d/e) != 0, so that
+    P_d = prod_e (1 - t^e)^{mu(d/e)}."""
+    exps, n, p = {d: 1}, d, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # the last prime factor
         if n % p == 0:
-            out.append(p)
+            exps.update({e // p: -m for e, m in exps.items()})
             while n % p == 0:
                 n //= p
         p += 1
-    return out + [n] if n > 1 else out
+    return exps
 
 
-def _mobius_divisors(d):
-    """The e | d with mu(d/e) = +1, and those with mu(d/e) = -1."""
-    primes = _prime_factors(d)
-    plus, minus = [], []
-    for r in range(len(primes) + 1):
-        for combo in itertools.combinations(primes, r):
-            (minus if r % 2 else plus).append(d // math.prod(combo))
-    return plus, minus
+def reshape(q, exponents):
+    """q * prod_e (1 - t^e)^{n_e} for exponents {e: n_e}, dividing exactly
+    where n_e < 0; None if a division is not exact.
 
-
-def _reshape(q, times, divide):
-    """q * prod_times (x^e - 1) / prod_divide (x^e - 1), or None if a
-    division is not exact.  q has no trailing zeros and stays so."""
-    for e in times:
-        q = [a - b for a, b in zip([0] * e + q, q + [0] * e)]
-    for e in divide:
-        # q = (x^e - 1) r  <=>  r_i = r_{i-e} - q_i, with r_i = 0 for i >= n
-        n = len(q) - e
-        if n < 0:
-            return None
-        r = [-c for c in q[:e]] + [0] * max(0, n - e)
-        for i in range(e, n):
-            r[i] = r[i - e] - q[i]
-        if q[n:] != ([0] * e + r)[n:n + e]:
-            return None
-        q = r[:n]
-    return q
-
-
-def cyclotomic_quotient(poly, d):
-    """poly / Phi_d as an integer coefficient list, or None if Phi_d does
-    not divide poly.
-
-    Phi_d = prod_{e | d} (x^e - 1)^{mu(d/e)}, so the quotient is a few
-    multiplications and exact divisions by x^e - 1, each one pass over the
-    coefficients; every division is exact iff Phi_d divides poly.
+    q is a list of ints, constant term first; the result has no trailing
+    zeros.  Multiplications go first, so the result is None exactly when
+    the product is not a polynomial.
     """
-    q = list(poly)
+    q = list(q)
     while q and q[-1] == 0:
         q.pop()
     if not q:
         return q
-    plus, minus = _mobius_divisors(d)
-    return _reshape(q, minus, plus)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(N: int):
-    """Coefficients of Phi_N, constant term first."""
-    assert N >= 1
-    plus, minus = _mobius_divisors(N)
-    return tuple(_reshape([1], plus, minus))
+    for e, n in exponents.items():
+        for _ in range(n):
+            # times (1 - t^e)
+            q += [0] * e
+            q[e:] = [a - b for a, b in zip(q[e:], q)]
+    for e, n in exponents.items():
+        for _ in range(-n):
+            # q / (1 - t^e) as a series: prefix sums along each class mod e;
+            # exact iff the series stops before degree len(q) - e
+            top = len(q) - e
+            if top <= 0:
+                return None
+            for j in range(e):
+                q[j::e] = itertools.accumulate(q[j::e])
+            if any(q[top:]):
+                return None
+            del q[top:]
+    return q

@@ -55,7 +55,6 @@ class GroupData:
         for d in self.invariant_factors:
             self.order *= d
         assert self.order == self.dual.det_abs, "|H| must equal |det I|"
-        self.exponent = self.invariant_factors[-1] if self.invariant_factors else 1
         # theta(E*_w)_j = d_j (E*_w . gen_j) = V_{w k_j} mod d_j, because
         # A I V = -|det I| V; rows j of the theta matrix T, columns w
         self.theta_matrix = [[row[k] % diag[k] for row in V] for k in kept]

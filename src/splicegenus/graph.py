@@ -239,12 +239,9 @@ class ResolutionGraph:
 
     def fingerprint(self):
         """Deterministic identity of the weighted graph (ids included)."""
-        key = "fingerprint"
-        if key not in self._cache:
-            vs = ";".join(f"{v}:{self.weight[v]}" for v in sorted(self.ids))
-            es = ";".join(f"{a}-{b}" for a, b in self.edges)
-            self._cache[key] = vs + "|" + es
-        return self._cache[key]
+        vs = ";".join(f"{v}:{self.weight[v]}" for v in sorted(self.ids))
+        es = ";".join(f"{a}-{b}" for a, b in self.edges)
+        return vs + "|" + es
 
     # -- validation -------------------------------------------------------
 
@@ -351,26 +348,18 @@ class ResolutionGraph:
         K = -I^{-1} (-E_w^2 - 2) = A (E_w^2 + 2) / |det I|.
         Returns (K, numerically_gorenstein).
         """
-        key = "canonical"
-        if key in self._cache:
-            return self._cache[key]
         dd = self.dual_data()
         num = dd.numerators([self.weight[w] + 2 for w in self.ids])
         assert self.intersections(num) == [
             dd.det_abs * (-self.weight[w] - 2) for w in self.ids]
         K = QCycle({w: Fraction(c, dd.det_abs) for w, c in zip(self.ids, num)})
-        result = (K, K.is_integral())
-        self._cache[key] = result
-        return result
+        return K, K.is_integral()
 
     def fundamental_cycle(self):
         """Artin's fundamental cycle Z by Laufer's increment loop.
 
         Returns (Z, p_a(Z)) with p_a(Z) = 1 - chi(O_Z) by Riemann-Roch.
         """
-        key = "fundamental"
-        if key in self._cache:
-            return self._cache[key]
         self.require_valid()
         z = [1] * len(self.ids)
         while True:
@@ -380,9 +369,7 @@ class ResolutionGraph:
                 break
             z[k] += 1
         pa = 1 - self.riemann_roch(z, [0] * len(z))
-        result = (QCycle(dict(zip(self.ids, z))), pa)
-        self._cache[key] = result
-        return result
+        return QCycle(dict(zip(self.ids, z))), pa
 
     # -- branches ----------------------------------------------------------
 

@@ -28,11 +28,12 @@ tests/reference.py as the references the tests hold it against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import cyclotomic_polynomial, cyclotomic_quotient
-from .discgroup import Character, GroupData, group_data
+from .cyclo import _cyclotomic_exponents, reshape
+from .discgroup import Character, group_data
 from .errors import (
     InternalCheckError,
     MismatchedRoutes,
@@ -154,70 +155,64 @@ def total_ci_coeffs(g, v, up_to):
 # -- closed forms ----------------------------------------------------------
 
 
-def _class_order(gd: GroupData, coords) -> int:
-    out = 1
-    for c, d in zip(coords, gd.invariant_factors):
-        out = math.lcm(out, d // math.gcd(d, c))
-    return out
+def _closed_degrees(g, v):
+    """(k_w for the ends w, deg A) for the closed form at v: k_w = n_w m_vw
+    with n_w the order of psi_w, and deg A = sum k_w + max(a(G), 0) bounds
+    the numerator over prod (1 - t^{k_w})."""
+    gd = group_data(g)
+    nw = g.node_weights(v)
+    ks = [math.lcm(*(d // math.gcd(d, c) for c, d in
+                     zip(gd.dual_character(w).coords, gd.invariant_factors)))
+          * nw.m[w] for w in g.ends()]
+    return ks, sum(ks) + max(a_invariant(g, v), 0)
 
 
 def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
-    """Exact closed form of H^chi(t), numerator and denominator in Z[t].
+    """Exact closed form of H^chi(t) = num/den in Z[t], reduced, den(0) = 1.
 
     G^chi is a finitely generated module over the invariant polynomial
     subring generated by z_w^{n_w} (n_w = order of [E*_w] in H, which is
-    the order of psi_w = theta(E*_w)), so
-    H^chi * prod_ends (1 - t^{n_w m_vw}) is a polynomial of degree at most
-    deg(denominator) + a(G); it is recovered from the coefficient table and
-    reduced by cancelling cyclotomic factors of the denominator.
+    the order of psi_w = theta(E*_w)), so A = H^chi * prod_ends (1 - t^{k_w})
+    is a polynomial of degree at most deg A (``_closed_degrees``); it is
+    read off the coefficient table.  The denominator stays a map e -> n_e
+    of exponents of 1 - t^e.  1 - t^k is the product of the P_d over d | k
+    (``cyclo``), and P_d is cancelled as often as it divides A (at most
+    once per k_w it divides), each time subtracting mu(d/e) from n_e.  A is
+    divided once by all the cancelled factors, and the denominator is built
+    once at the end; every factor has constant term 1, so den(0) = 1.
     """
-    gd = group_data(g)
-    nw = g.node_weights(v)
-    ks = []
-    for w in g.ends():
-        n_w = _class_order(gd, gd.dual_character(w).coords)
-        ks.append(n_w * nw.m[w])
-    deg_b = sum(ks)
-    a = a_invariant(g, v)
-    deg_a = deg_b + max(a, 0)
+    ks, deg_a = _closed_degrees(g, v)
     bound = deg_a + 1  # one spare coefficient to catch truncation bugs
     coeffs = _series(g, v, chi, bound)
-    B = [1]
-    for k in ks:
-        B = mul(B, [1] + [0] * (k - 1) + [-1])
-    # A = (series) * B, truncated; must be a polynomial of degree <= deg_a
-    A = mul(B, coeffs, bound)
-    if any(A[deg_a + 1:]):
+    den_exps = Counter(ks)
+    A = reshape(coeffs, den_exps)
+    if any(A[deg_a + 1:bound + 1]):
         raise InternalCheckError(
             f"H^{chi.coords} * denominator is not a polynomial "
             f"of the predicted degree at t^{deg_a + 1}")
-    A = A[: deg_a + 1]
-    # cancel cyclotomic factors: 1 - t^k = -prod_{d | k} Phi_d
-    mult = {}
-    for k in ks:
-        for d in range(1, k + 1):
-            if k % d == 0:
-                mult[d] = mult.get(d, 0) + 1
-    sign = (-1) ** len(ks)
-    if any(A):
-        for d in sorted(mult):
-            while mult[d] > 0:
-                # Phi_d divides A iff it divides A mod (t^d - 1)
-                folded = [sum(A[j::d]) for j in range(d)]
-                if cyclotomic_quotient(folded, d) is None:
-                    break
-                A = cyclotomic_quotient(A, d)
-                mult[d] -= 1
-    den = [1]
-    for d, e in sorted(mult.items()):
-        phi_d = cyclotomic_polynomial(d)
-        for _ in range(e):
-            den = mul(den, phi_d)
-    # the closed form expands back to the table: den * series = sign * A
-    expect = [sign * c for c in A[: bound + 1]]
-    expect += [0] * (bound + 1 - len(expect))
-    assert mul(den, coeffs, bound) == expect
-    return RationalFunctionQ(PolyQ(expect), PolyQ(den))
+    del A[deg_a + 1:]
+    cancel = Counter()
+    derivatives = [A]  # A, A', A'', ... as far as needed
+    divisors = sorted({d for k in ks for d in range(1, k + 1) if k % d == 0})
+    for d in divisors if A else ():
+        p_d = _cyclotomic_exponents(d)
+        inverse = {e: -n for e, n in p_d.items()}
+        for i in range(sum(k % d == 0 for k in ks)):
+            # P_d^(i+1) divides A iff P_d divides A, A', ..., A^(i), and P_d
+            # divides B iff it divides B mod (t^d - 1)
+            if i == len(derivatives):
+                B = derivatives[-1]
+                derivatives.append([j * c for j, c in enumerate(B)][1:])
+            B = derivatives[i]
+            if reshape([sum(B[j::d]) for j in range(d)], inverse) is None:
+                break
+            cancel.subtract(p_d)
+    A = reshape(A, cancel)
+    den_exps.update(cancel)
+    den = reshape([1], den_exps)
+    # the closed form expands back to the table: den * series = A
+    assert mul(den, coeffs, bound) == A + [0] * (bound + 1 - len(A))
+    return RationalFunctionQ(PolyQ(A), PolyQ(den))
 
 
 # -- the constants c_v^chi -------------------------------------------------
@@ -263,12 +258,16 @@ def _route_a_value(g, v, chi, m):
     return P_chi(g, v, chi, m * nw.a_v) - quad
 
 
+def _route_a_degree(g, v):
+    """The largest degree the three Route A values read: (m + 2) a_v - 1."""
+    return (truncation_m(g, v) + 2) * g.node_weights(v).a_v - 1
+
+
 def c_v_route_a(g, v, chi: Character) -> Fraction:
     """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
     asserted stable under m -> m+1, m+2 above the threshold."""
     m = truncation_m(g, v)
-    # build the table once, to the largest degree the three values use
-    _node_rows(g, v, (m + 2) * g.node_weights(v).a_v - 1)
+    _node_rows(g, v, _route_a_degree(g, v))
     value = _route_a_value(g, v, chi, m)
     for mm in (m + 1, m + 2):
         other = _route_a_value(g, v, chi, mm)
@@ -290,6 +289,8 @@ def c_v_chi_routes(g, v, chi: Character):
     A mismatch for the trivial character is an error; for nontrivial
     characters the caller decides how to report a discrepancy.
     """
+    # build the table once, to the largest degree either route reads
+    _node_rows(g, v, max(_route_a_degree(g, v), _closed_degrees(g, v)[1] + 1))
     route_a = c_v_route_a(g, v, chi)
     p, _ = polynomial_part(molien_closed(g, v, chi))
     route_b = p(1)
@@ -312,6 +313,8 @@ class HilbertData:
 
 
 def hilbert_data(g, v, up_to, closed_for=()) -> HilbertData:
+    if closed_for:  # build the table once, to the largest degree read
+        _node_rows(g, v, max(up_to, _closed_degrees(g, v)[1] + 1))
     coeffs = molien_coeffs(g, v, up_to)
     total = total_ci_coeffs(g, v, up_to)
     for i in range(up_to + 1):

@@ -150,6 +150,8 @@ class RationalFunctionQ:
 
     def __eq__(self, other):
         """Exact equality as rational functions (cross-multiplication)."""
+        if not isinstance(other, RationalFunctionQ):
+            return NotImplemented
         return (self.num * other.den) == (self.den * other.num)
 
     def __repr__(self):

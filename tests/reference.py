@@ -13,6 +13,8 @@ so that tests can hold the integer core against them:
   mod d, and generator j lifts to column j of U^{-1};
 - ``theta`` reads the pairing D.D' mod 1 (``mod1``) against those
   generators, and ``fractional_representative`` inverts it by walking H;
+- ``cyclotomic_polynomial`` divides x^N - 1 by the Phi_d of the proper
+  divisors d of N, by long division in ``PolyQ``;
 - ``molien_ci`` evaluates Molien's sum for a complete intersection with a
   diagonal group action, summing over the group elements: each term is a
   series over Z[x]/(x^N - 1) (``_series_product``, where a root of unity
@@ -40,7 +42,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from splicegenus import exact
-from splicegenus.cyclo import cyclotomic_polynomial
 from splicegenus.discgroup import Character
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.graph import QCycle, unit_cycle
@@ -273,10 +274,22 @@ def find_admissible_monomial(g, v, branch, bound=64):
 
 # -- Molien's sum over Q(zeta) ------------------------------------------------
 
+@lru_cache(maxsize=256)
+def cyclotomic_polynomial(N) -> PolyQ:
+    """Phi_N: x^N - 1 divided by Phi_d for every proper divisor d of N, by
+    exact long division (each remainder asserted zero)."""
+    out = PolyQ([-1] + [0] * (N - 1) + [1])
+    for d in range(1, N):
+        if N % d == 0:
+            out, rem = divmod(out, cyclotomic_polynomial(d))
+            assert rem.is_zero()
+    return out
+
+
 def reduce_group_ring(vec, N):
     """sum_j vec[j] x^j mod Phi_N: the remainder of exact long division by
     Phi_N, a coefficient list of length at most phi(N)."""
-    return list(divmod(PolyQ(vec), PolyQ(cyclotomic_polynomial(N)))[1].coeffs)
+    return list(divmod(PolyQ(vec), cyclotomic_polynomial(N))[1].coeffs)
 
 
 def _rot(vec, k, N):

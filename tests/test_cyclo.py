@@ -4,20 +4,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import IrrationalCoefficient, _rot, molien_ci, reduce_group_ring
-from splicegenus.cyclo import cyclotomic_polynomial, cyclotomic_quotient
+from reference import (
+    IrrationalCoefficient,
+    _rot,
+    cyclotomic_polynomial,
+    molien_ci,
+    reduce_group_ring,
+)
+from splicegenus.cyclo import _cyclotomic_exponents, reshape
 from splicegenus.series import mul
 
 
+def _p(d):
+    """P_d as a coefficient list, through reshape."""
+    return reshape([1], _cyclotomic_exponents(d))
+
+
+def _inverse(d):
+    return {e: -n for e, n in _cyclotomic_exponents(d).items()}
+
+
 def test_known_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(1).coeffs == (-1, 1)
+    assert cyclotomic_polynomial(2).coeffs == (1, 1)
+    assert cyclotomic_polynomial(3).coeffs == (1, 1, 1)
+    assert cyclotomic_polynomial(4).coeffs == (1, 0, 1)
+    assert cyclotomic_polynomial(6).coeffs == (1, -1, 1)
+    assert cyclotomic_polynomial(12).coeffs == (1, 0, -1, 0, 1)
     # first index with a coefficient outside {-1, 0, 1}
-    assert -2 in cyclotomic_polynomial(105)
+    assert -2 in cyclotomic_polynomial(105).coeffs
 
 
 @given(st.integers(min_value=1, max_value=60))
@@ -27,7 +42,7 @@ def test_product_over_divisors_is_xn_minus_1(n):
     prod = [1]
     for d in range(1, n + 1):
         if n % d == 0:
-            phi = cyclotomic_polynomial(d)
+            phi = cyclotomic_polynomial(d).coeffs
             out = [0] * (len(prod) + len(phi) - 1)
             for i, a in enumerate(prod):
                 for j, b in enumerate(phi):
@@ -36,25 +51,52 @@ def test_product_over_divisors_is_xn_minus_1(n):
     assert prod == [-1] + [0] * (n - 1) + [1]
 
 
+def test_p_d_is_the_reference_phi_d():
+    # P_d = Phi_d for d > 1 and 1 - t = -Phi_1 for d = 1
+    assert _p(1) == [1, -1]
+    for d in range(2, 121):
+        assert _p(d) == list(cyclotomic_polynomial(d).coeffs), d
+
+
+def test_p_d_over_the_divisors_of_k_is_one_minus_t_k():
+    # Moebius inversion: the exponents of prod_{d | k} P_d are {k: 1}
+    for k in range(1, 121):
+        total = {}
+        for d in range(1, k + 1):
+            if k % d == 0:
+                for e, n in _cyclotomic_exponents(d).items():
+                    total[e] = total.get(e, 0) + n
+        assert {e: n for e, n in total.items() if n} == {k: 1}, k
+
+
+def test_reshape_multiplies_before_dividing():
+    # (1 - t^2) / (1 - t) = 1 + t, although 1 / (1 - t) is not a polynomial
+    assert reshape([1], {1: -1, 2: 1}) == [1, 1]
+    assert reshape([1], {1: -1}) is None
+    assert reshape([1, 0, -1], {1: -2}) is None
+    assert reshape([1, 2, 3], {}) == [1, 2, 3]
+
+
 @given(st.integers(min_value=1, max_value=40),
        st.lists(st.integers(-3, 3), min_size=1, max_size=12))
 @settings(deadline=None)
-def test_cyclotomic_quotient_exact_division(d, q):
+def test_reshape_exact_division_round_trip(d, q):
     if not any(q):
         return
     while q[-1] == 0:
         q.pop()
-    phi = list(cyclotomic_polynomial(d))
-    assert cyclotomic_quotient(mul(q, phi), d) == q
-    assert cyclotomic_quotient(mul(q, phi) + [0, 0], d) == q
-    # adding 1 breaks divisibility unless Phi_d divides 1, which it never does
-    p = mul(q, phi)
+    p = mul(q, _p(d))
+    assert reshape(p, _inverse(d)) == q
+    assert reshape(p + [0, 0], _inverse(d)) == q
+    assert reshape(q, _cyclotomic_exponents(d)) == p
+    # adding 1 breaks divisibility unless P_d divides 1, which it never does
     p[0] += 1
-    assert cyclotomic_quotient(p, d) is None
+    assert reshape(p, _inverse(d)) is None
 
 
-def test_cyclotomic_quotient_of_zero_is_zero():
-    assert cyclotomic_quotient([0, 0], 6) == []
+def test_reshape_of_zero_is_zero():
+    assert reshape([0, 0], _inverse(6)) == []
+    assert reshape([], {3: 2, 1: -1}) == []
 
 
 def _sub(p, q):
@@ -102,8 +144,8 @@ def test_mul_zeta_pow_matches_explicit_product():
 @settings(deadline=None)
 def test_reduce_group_ring_is_remainder_mod_phi(N, vec):
     r = reduce_group_ring(vec, N)
-    assert len(r) <= len(cyclotomic_polynomial(N)) - 1  # phi(N)
-    assert cyclotomic_quotient(_sub(vec, r), N) is not None
+    assert len(r) <= cyclotomic_polynomial(N).degree()  # phi(N)
+    assert reshape(_sub(vec, r), _inverse(N)) is not None
 
 
 def test_reduce_group_ring_constant_vector_is_zero():

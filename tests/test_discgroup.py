@@ -25,7 +25,7 @@ def test_mod1():
 
 def test_e8_trivial_group():
     gd = GroupData(e8())
-    assert gd.order == 1 and gd.invariant_factors == [] and gd.exponent == 1
+    assert gd.order == 1 and gd.invariant_factors == []
     assert list(gd.characters()) == [gd.trivial_character]
 
 

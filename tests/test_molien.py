@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -245,6 +246,63 @@ def test_cv_at_infinity_sampled_characters_fig1_subgraphs():
                 _assert_cv_consistent(g, v, chi)
 
 
+def _cyclotomic_part(p, d):
+    """p mod (t^d - 1), which Phi_d divides iff it divides p; p itself when
+    it is no longer than d."""
+    if len(p.coeffs) <= d:
+        return p
+    return PolyQ([sum(p.coeffs[j::d]) for j in range(d)])
+
+
+def _phi_divides(d, p):
+    phi = ref.cyclotomic_polynomial(d)
+    return divmod(_cyclotomic_part(p, d), phi)[1].is_zero()
+
+
+def _assert_reduced(g, v, ks, chi):
+    """den(0) = 1, den divides prod (1 - t^k), and no Phi_d divides both
+    num and den, by long division by the reference Phi_d."""
+    f = molien_closed(g, v, chi)
+    assert f.den[0] == 1 and not f.num.is_zero()
+    rest = f.den  # divided by each Phi_d while it divides
+    for d in sorted({d for k in ks for d in range(1, k + 1) if k % d == 0}):
+        phi = ref.cyclotomic_polynomial(d)
+        times = 0
+        while phi.degree() <= rest.degree() and _phi_divides(d, rest):
+            rest, rem = divmod(rest, phi)
+            assert rem.is_zero()
+            times += 1
+        assert times <= sum(k % d == 0 for k in ks), (d, chi.coords)
+        if times:
+            assert not _phi_divides(d, f.num), (d, chi.coords)
+    assert rest.coeffs in ((1,), (-1,)), chi.coords
+
+
+def test_closed_forms_are_fully_reduced():
+    # long division by the reference Phi_d is quadratic: the nodes whose
+    # prod (1 - t^k_w) has degree above 2000 (three nodes of the fig1
+    # recursion graphs, up to degree 18,318) would take minutes
+    graphs = [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
+              *(star(b, legs) for b, legs in small_stars())]
+    checked = 0
+    for g in graphs:
+        gd = group_data(g)
+        for v in g.nodes():
+            m = g.node_weights(v).m
+            # k_w = (order of [E*_w] in H) m_vw, the order from the reference
+            ks = []
+            for w in g.ends():
+                h = ref.class_of(g, ref.dual_cycle(g, w))
+                ks.append(math.lcm(*(d // math.gcd(d, c) for c, d in
+                                     zip(h.coords, ref.invariant_factors(g))))
+                          * m[w])
+            if sum(ks) <= 2000:
+                for chi in gd.characters():
+                    _assert_reduced(g, v, ks, chi)
+                    checked += 1
+    assert checked == 1267
+
+
 def test_exmc_trivial_c_is_one():
     g = exmc()
     gd = group_data(g)
@@ -381,3 +439,18 @@ def test_hilbert_data_detects_broken_totals(monkeypatch):
     monkeypatch.setattr(M, "total_ci_coeffs", broken)
     with pytest.raises(InternalCheckError):
         M.hilbert_data(g, "c", 6)
+
+
+def test_closed_form_detects_a_short_degree_bound(monkeypatch):
+    import splicegenus.molien as M
+    g = fig1()
+    chi = group_data(g).trivial_character
+    f = molien_closed(g, "v0", chi)
+    ks, _ = M._closed_degrees(g, "v0")
+    # the degree of H * prod (1 - t^k), before any factor is cancelled
+    top = f.num.degree() + sum(ks) - f.den.degree()
+    monkeypatch.setattr(M, "_closed_degrees", lambda g_, v_: (ks, top - 1))
+    with pytest.raises(InternalCheckError):
+        molien_closed(g, "v0", chi)
+    monkeypatch.setattr(M, "_closed_degrees", lambda g_, v_: (ks, top))
+    assert molien_closed(g, "v0", chi) == f

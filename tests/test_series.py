@@ -90,6 +90,13 @@ def test_reduce_false_keeps_factors_but_eq_holds():
     assert f == RationalFunctionQ(PolyQ([1, 1]), PolyQ([1]))
 
 
+def test_eq_with_other_types_is_false():
+    f = RationalFunctionQ(PolyQ([1]), PolyQ.one_minus_tk(1))
+    assert f != None and not f == None  # noqa: E711
+    assert f != PolyQ([1]) and f != 1
+    assert f in [None, f] and [None, f].index(f) == 1
+
+
 def test_denominator_normalized_to_constant_term_one():
     f = RationalFunctionQ(PolyQ([0, 2]), PolyQ([-1, 0, 1]))
     assert f.num == PolyQ([0, -2]) and f.den == PolyQ([1, 0, -1])
