@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .discgroup import Character, GroupData, group_data
+from .discgroup import GroupData, group_data
 from .genus import (
     GenusReport,
     euler_char_on_cycle,
@@ -26,7 +26,7 @@ from .molien import (
     truncation_m,
 )
 from .oracle import artin_rational, bruteforce_eigendims, oracle_verify
-from .series import PolyQ, RationalFunctionQ, polynomial_part
+from .series import RationalFunctionQ, polynomial_part
 from .splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -37,9 +37,9 @@ from .splice import (
 )
 
 __all__ = [
-    "Character", "GroupData", "GenusReport", "QCycle",
-    "ResolutionGraph", "PolyQ", "RationalFunctionQ", "parse_graph",
-    "unit_cycle", "euler_char_on_cycle", "genus_report", "h1_eigensheaf",
+    "GroupData", "GenusReport", "QCycle", "ResolutionGraph",
+    "RationalFunctionQ", "parse_graph", "unit_cycle",
+    "euler_char_on_cycle", "genus_report", "h1_eigensheaf",
     "h1_twisted", "minimal_nef_correction", "pg", "pg_uac", "a_invariant",
     "c_v_chi", "c_v_chi_routes", "c_v_route_a", "group_data", "hilbert_data",
     "molien_closed", "molien_coeffs", "P_chi", "truncation_m",

@@ -25,7 +25,7 @@ import signal
 import sys
 
 from . import __version__
-from .discgroup import Character, group_data
+from .discgroup import group_data
 from .errors import GraphInputError, InternalCheckError, MonomialConditionUnknown
 from .genus import genus_report, h1_eigensheaf, pg
 from .graph import parse_graph
@@ -111,7 +111,7 @@ def _load_graph(path):
     return parse_graph(text)
 
 
-def _parse_char(g, text) -> Character:
+def _parse_char(g, text):
     gd = group_data(g)
     if text is None:
         return gd.trivial_character
@@ -126,7 +126,7 @@ def _parse_char(g, text) -> Character:
     for c, d in zip(coords, gd.invariant_factors):
         if not 0 <= c < d:
             raise GraphInputError(f"coordinate {c} out of range [0,{d})")
-    return Character(tuple(coords))
+    return tuple(coords)
 
 
 def _pick_node(g, node):
@@ -193,18 +193,17 @@ def _run_hilbert(g, args):
         up_to = truncation_m(g, v) * g.node_weights(v).a_v
     data = hilbert_data(g, v, up_to, closed_for=[chi])
     closed = data.closed_forms[chi]
-    tables = sorted(data.coefficients.items(), key=lambda kv: kv[0].coords)
+    tables = sorted(data.coefficients.items())
     body = {
         "node": v,
         "aInvariant": data.a_invariant,
         "maxDegree": up_to,
-        "coefficients": [{"char": list(c.coords), "dims": tab}
-                         for c, tab in tables],
-        "closedForm": {"char": list(chi.coords), **closed.to_json()}}
+        "coefficients": [{"char": list(c), "dims": tab} for c, tab in tables],
+        "closedForm": {"char": list(chi), **closed.to_json()}}
     lines = [f"node {v}: a(G) = {data.a_invariant}",
-             f"H^{list(chi.coords)}(t) = ({render_poly(closed.num)}) / "
+             f"H^{list(chi)}(t) = ({render_poly(closed.num)}) / "
              f"({render_poly(closed.den)})"]
-    lines += [f"chi {list(c.coords)}: {tab}" for c, tab in tables]
+    lines += [f"chi {list(c)}: {tab}" for c, tab in tables]
     return EXIT_OK, body, lines
 
 
@@ -214,9 +213,9 @@ def _run_cv(g, args):
     route_a, route_b = c_v_chi_routes(g, v, chi)
     agree = route_a == route_b
     if not agree:
-        print(f"warning: routes disagree for chi {list(chi.coords)}: "
+        print(f"warning: routes disagree for chi {list(chi)}: "
               f"A={route_a} B={route_b}", file=sys.stderr)
-    body = {"node": v, "char": list(chi.coords),
+    body = {"node": v, "char": list(chi),
             "routeA": str(route_a), "routeB": str(route_b),
             "routesAgree": agree}
     return EXIT_OK, body, [f"c_{v}^chi = {route_a} (Route A), "
@@ -248,7 +247,7 @@ def _run_pg(g, args, uac):
 def _run_h1(g, args):
     chi = _parse_char(g, args.char)
     value = h1_eigensheaf(g, chi)
-    return EXIT_OK, {"char": list(chi.coords), "h1": value}, \
+    return EXIT_OK, {"char": list(chi), "h1": value}, \
         [f"h1(L_chi) = {value}"]
 
 

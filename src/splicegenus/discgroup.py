@@ -9,7 +9,9 @@ a character with coordinates c acts by chi(h) = exp(2 pi i * sum_j c_j h_j / d_j
 In these coordinates theta(alpha) = T alpha mod d for an integer matrix T,
 the rows of V^T that Smith keeps, so row k of V^{-1} = S^{-1} U I lifts the
 k-th unit character, and c_1(L_chi) is one row combination of them.
-Characters are the one representation of H, and all work stays in the
+Characters are the one representation of H, and a character is the tuple
+of its coordinates c_j in [0, d_j): the c_1 cache, the h1 cache and the
+Molien kernel rows are keyed by these tuples.  All work stays in the
 integers: nothing here reads a QCycle or a Fraction.  The Fraction routes
 from the definitions (classes of QCycles, the pairing and its reduction
 mod 1, c_1 as a QCycle) live in tests/reference.py as the independent
@@ -19,15 +21,9 @@ reference.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import exact
 from .graph import ResolutionGraph
-
-
-@dataclass(frozen=True)
-class Character:
-    coords: tuple  # coords[j] in [0, d_j) over the invariant factors d_j
 
 
 def group_data(g: ResolutionGraph) -> GroupData:
@@ -72,36 +68,34 @@ class GroupData:
         return len(self.invariant_factors)
 
     def characters(self):
-        for tup in itertools.product(*(range(d) for d in self.invariant_factors)):
-            yield Character(tup)
+        return itertools.product(*(range(d) for d in self.invariant_factors))
 
     @property
     def trivial_character(self):
-        return Character((0,) * self.rank)
+        return (0,) * self.rank
 
-    def char_mul(self, a: Character, b: Character) -> Character:
-        return Character(tuple((x + y) % d for x, y, d in
-                               zip(a.coords, b.coords, self.invariant_factors)))
+    def char_mul(self, a, b):
+        return tuple((x + y) % d for x, y, d in
+                     zip(a, b, self.invariant_factors))
 
     # -- E*-coordinates ---------------------------------------------------
 
-    def theta_alpha(self, alpha) -> Character:
+    def theta_alpha(self, alpha):
         """theta of the class of sum_w alpha_w E*_w: T alpha mod d."""
-        return Character(tuple(
-            sum(t * a for t, a in zip(row, alpha) if a) % d
-            for row, d in zip(self.theta_matrix, self.invariant_factors)))
+        return tuple(sum(t * a for t, a in zip(row, alpha) if a) % d
+                     for row, d in zip(self.theta_matrix, self.invariant_factors))
 
-    def dual_character(self, w) -> Character:
+    def dual_character(self, w):
         """psi_w = theta(E*_w), column w of the theta matrix."""
         k = self.graph.index(w)
-        return Character(tuple(row[k] for row in self.theta_matrix))
+        return tuple(row[k] for row in self.theta_matrix)
 
-    def c1_alpha(self, chi: Character):
+    def c1_alpha(self, chi):
         """E*-coordinates of c_1(L_chi), the representative of chi with
         E-coefficients in [0, 1)."""
         if chi not in self._c1:
             alpha = [0] * len(self.graph.ids)
-            for c, row in zip(chi.coords, self._unit_alphas):
+            for c, row in zip(chi, self._unit_alphas):
                 if c:
                     alpha = [a + c * x for a, x in zip(alpha, row)]
             det = self.dual.det_abs
@@ -116,7 +110,7 @@ class GroupData:
         return self._c1[chi]
 
 
-def phi_alpha(parent_gd: GroupData, branch, chi: Character):
+def phi_alpha(parent_gd: GroupData, branch, chi):
     """phi_i(c_1(L_chi)) in the branch's E*-coordinates: alpha restricted to
     the branch, in branch.subgraph.ids order."""
     alpha = dict(zip(parent_gd.graph.ids, parent_gd.c1_alpha(chi)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .discgroup import Character, group_data, nef_shift, phi_alpha
+from .discgroup import group_data, nef_shift, phi_alpha
 from .errors import CycleOutOfRange, InternalCheckError, NegativeH1, NonEffective
 from .graph import QCycle, ResolutionGraph
 from .molien import P_chi, c_v_chi
@@ -63,39 +63,24 @@ def _floor_c1_shift(g, v, chi, n):
     return q
 
 
-def minimal_nef_correction(g: ResolutionGraph, v, chi: Character, n: int,
+def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int,
                            order=None) -> NefCorrection:
     """Smallest D >= 0 making -L_chi + [c_1(L_chi) - (n/e_v)E_v] - D nef.
 
-    Laufer-style loop: while some E_w has negative intersection with the
-    corrected class, add E_w to D.  The order of processing violations does
-    not affect the result; ``order`` permutes the scan for testing that.
-    The class base = [c_1 - (n/e_v)E_v] - c_1 has base.E_w = (I q)_w + alpha_w,
-    with alpha the E*-coordinates of c_1, so the loop runs in the integers.
+    Laufer's loop (``ResolutionGraph.laufer``): while some E_w has negative
+    intersection with the corrected class, add E_w to D.  The order of
+    processing violations does not affect the result; ``order`` permutes the
+    scan for testing that.  The class base = [c_1 - (n/e_v)E_v] - c_1 has
+    base.E_w = (I q)_w + alpha_w, with alpha the E*-coordinates of c_1, so
+    the loop runs in the integers.
     """
-    gd = group_data(g)
     q = _floor_c1_shift(g, v, chi, n)
-    # slack_w = (base - D).E_w
-    slack = dict(zip(g.ids, (x + a for x, a in
-                             zip(g.intersections(q), gd.c1_alpha(chi)))))
-    scan = list(order) if order is not None else list(g.ids)
-    D = dict.fromkeys(g.ids, 0)
-    iterations = 0
-    while True:
-        for w in scan:
-            if slack[w] < 0:
-                D[w] += 1
-                slack[w] -= g.weight[w]
-                for u in g.adj[w]:
-                    slack[u] -= 1
-                iterations += 1
-                break
-        else:
-            break
+    base = [x + a for x, a in zip(g.intersections(q), group_data(g).c1_alpha(chi))]
+    D, iterations = g.laufer(base, g.ids if order is None else list(order))
     return NefCorrection(cycle=QCycle(D), iterations=iterations)
 
 
-def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> int:
+def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     """h1(L_chi) by the node/branch recursion; chains return 0.
 
     Values are kept in the graph's cache under ("h1", node, chi); a value
@@ -108,7 +93,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
     nodes = sorted(rep.nodes)
     v = root if root is not None else nodes[0]
     assert v in nodes, f"{v!r} is not a node"
-    key = ("h1", v, chi.coords)
+    key = ("h1", v, chi)
     if trace is None and key in g._cache:
         return g._cache[key]
     gd = group_data(g)
@@ -122,33 +107,30 @@ def h1_eigensheaf(g: ResolutionGraph, chi: Character, root=None, trace=None) -> 
         phi = phi_alpha(gd, br, chi)
         e_term = sub.riemann_roch(nef_shift(br, phi), phi)
         if sub.require_valid().is_chain:
-            h1_br = 0
-            psi_coords = None
+            h1_br, psi = 0, None
         else:
             # psi_i(chi) = theta_i(phi_i(c_1(L_chi)))
             psi = group_data(sub).theta_alpha(phi)
-            psi_coords = psi.coords
             h1_br = h1_eigensheaf(sub, psi, trace=trace)
         value += h1_br - e_term
-        steps.append({"attach": br.attach, "psi": psi_coords,
-                      "h1": h1_br, "euler": str(e_term)})
+        steps.append({"attach": br.attach, "psi": psi,
+                      "h1": h1_br, "euler": e_term})
     if value < 0:
         raise NegativeH1(
-            f"h1 = {value} at node {v}, chi {chi.coords} (c_v = {c_v})",
-            trace={"node": v, "chi": list(chi.coords), "c_v": str(c_v),
+            f"h1 = {value} at node {v}, chi {chi} (c_v = {c_v})",
+            trace={"node": v, "chi": list(chi), "c_v": c_v,
                    "branches": steps})
     if trace is not None:
-        trace.append({"graph": g.fingerprint(), "node": v,
-                      "chi": list(chi.coords), "c_v": str(c_v),
-                      "branches": steps, "h1": value})
+        trace.append({"graph": g.fingerprint(), "node": v, "chi": list(chi),
+                      "c_v": c_v, "branches": steps, "h1": value})
     g._cache[key] = value
     # node-independence across the roots computed so far
     for other in nodes:
-        prev = g._cache.get(("h1", other, chi.coords))
+        prev = g._cache.get(("h1", other, chi))
         if prev is not None and prev != value:
             raise InternalCheckError(
                 f"h1 depends on the root node: {prev} at {other}, "
-                f"{value} at {v} (chi {chi.coords})")
+                f"{value} at {v} (chi {chi})")
     return value
 
 
@@ -163,7 +145,7 @@ def pg_uac(g: ResolutionGraph, root=None) -> int:
                for chi in group_data(g).characters())
 
 
-def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
+def h1_twisted(g: ResolutionGraph, v, chi, n: int, D: QCycle):
     """(h0drop, h1) for the degree-n twist along node v.
 
     h0drop = P^chi(n) is the codimension of sections vanishing to v-order n;
@@ -190,7 +172,7 @@ def h1_twisted(g: ResolutionGraph, v, chi: Character, n: int, D: QCycle):
 @dataclass
 class GenusReport:
     pg: int
-    per_character_h1: dict          # Character -> int
+    per_character_h1: dict          # character tuple -> int
     pg_uac: int
     trace: list = field(default_factory=list)
 
@@ -198,9 +180,8 @@ class GenusReport:
         return {
             "pg": self.pg,
             "pgUAC": self.pg_uac,
-            "h1": [{"char": list(chi.coords), "value": h}
-                   for chi, h in sorted(self.per_character_h1.items(),
-                                        key=lambda kv: kv[0].coords)],
+            "h1": [{"char": list(chi), "value": h}
+                   for chi, h in sorted(self.per_character_h1.items())],
             "trace": self.trace,
         }
 

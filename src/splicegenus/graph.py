@@ -361,15 +361,29 @@ class ResolutionGraph:
         Returns (Z, p_a(Z)) with p_a(Z) = 1 - chi(O_Z) by Riemann-Roch.
         """
         self.require_valid()
-        z = [1] * len(self.ids)
-        while True:
-            k = next((i for i, x in enumerate(self.intersections(z)) if x > 0),
-                     None)
-            if k is None:
-                break
-            z[k] += 1
+        # slack_w = -(Z.E_w) for Z = sum_w E_w
+        D, _ = self.laufer([-x for x in self.intersections([1] * len(self.ids))],
+                           self.ids)
+        z = [1 + D[w] for w in self.ids]
         pa = 1 - self.riemann_roch(z, [0] * len(z))
         return QCycle(dict(zip(self.ids, z))), pa
+
+    def laufer(self, slack, scan):
+        """Laufer's loop from slack_w = B.E_w (a list in ids order): while
+        some slack_w < 0, the first in ``scan`` (the vertices in some
+        order), add E_w to D and subtract column w of I from the slack, so
+        that slack_w stays (B - D).E_w.  Returns (D as a dict over ids, the
+        number of steps)."""
+        slack = dict(zip(self.ids, slack))
+        D = dict.fromkeys(self.ids, 0)
+        steps = 0
+        while (w := next((u for u in scan if slack[u] < 0), None)) is not None:
+            D[w] += 1
+            slack[w] -= self.weight[w]
+            for u in self.adj[w]:
+                slack[u] -= 1
+            steps += 1
+        return D, steps
 
     # -- branches ----------------------------------------------------------
 

@@ -13,12 +13,13 @@ of the character group H^:
 Multiplying by a group element [psi] moves the coefficient of chi to
 chi + psi, so every coefficient is an integer by construction: no roots of
 unity and no cyclotomic reduction.  Each degree is a dict over the
-characters it reaches, so the work is per character reached, not per
-element of H.  The same kernel expanded at t = infinity gives the
-polynomial part of H^chi from its first a(G) + 1 coefficients, hence
-c_v^chi = p(1) (the periodic-constant view of Braun-Nemethi), with nothing
-built over all of H.  Route A (partial sums P^chi(m a_v) minus a quadratic
-term) and Route B (p(1) from the closed rational form) stay as independent
+characters it reaches, keyed by their coordinate tuples (discgroup), so
+the work is per character reached, not per element of H.  The same kernel
+expanded at t = infinity gives the polynomial part of H^chi from its first
+a(G) + 1 coefficients, hence c_v^chi = p(1) (the periodic-constant view of
+Braun-Nemethi), with nothing built over all of H.  Route A (partial sums
+P^chi(m a_v) minus a quadratic term) and Route B (p(1) = sum(p) from the
+closed rational form, an int tuple over int tuples) stay as independent
 checks.  This kernel is the package's one Molien evaluator; the generic
 sum over Q(zeta), which sums over the group elements and reduces mod
 Phi_N, and the kernel's dense |H|-wide layout are kept in
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import _cyclotomic_exponents, reshape
-from .discgroup import Character, group_data
+from .discgroup import group_data
 from .errors import (
     InternalCheckError,
     MismatchedRoutes,
@@ -41,7 +42,7 @@ from .errors import (
     UnstableInM,
 )
 from .graph import ResolutionGraph
-from .series import PolyQ, RationalFunctionQ, mul, polynomial_part
+from .series import RationalFunctionQ, mul, polynomial_part
 
 
 def a_invariant(g: ResolutionGraph, v) -> int:
@@ -66,7 +67,7 @@ def _zh_product(dims, factors, up_to):
     """Expand prod (1 - [psi] t^m)^e in Z[H^][[t]] to degree up_to.
 
     dims: invariant factors of the character group; characters are their
-    coordinate tuples.  factors: (psi coords, m, e) with m >= 1; e may be
+    coordinate tuples.  factors: (psi, m, e) with m >= 1; e may be
     negative.  Returns one dict per degree 0..up_to, mapping each character
     reached to its coefficient; characters not reached have coefficient 0.
     The work is per character reached, never per element of H.
@@ -98,7 +99,7 @@ def _node_factors(g, v):
     psi_w = theta(E*_w)."""
     gd = group_data(g)
     nw = g.node_weights(v)
-    return [(gd.dual_character(w).coords, nw.m[w], g.degree(w) - 2)
+    return [(gd.dual_character(w), nw.m[w], g.degree(w) - 2)
             for w in g.ids if g.degree(w) != 2]
 
 
@@ -118,22 +119,22 @@ def _node_rows(g, v, up_to):
     return rows
 
 
-def _series(g, v, chi: Character, up_to):
+def _series(g, v, chi, up_to):
     """dim G^chi_i for i <= up_to."""
     rows = _node_rows(g, v, up_to)
-    return [row.get(chi.coords, 0) for row in rows[: up_to + 1]]
+    return [row.get(chi, 0) for row in rows[: up_to + 1]]
 
 
 def molien_coeffs(g: ResolutionGraph, v, up_to):
     """Coefficient tables dim G^chi_i for i <= up_to, for every character.
 
-    Returns a dict Character -> list of nonnegative ints (length up_to+1).
+    Returns a dict character -> list of nonnegative ints (length up_to+1).
     H^chi is the [chi] coefficient of prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2}.
     """
     return {chi: _series(g, v, chi, up_to) for chi in group_data(g).characters()}
 
 
-def P_chi(g, v, chi: Character, n: int) -> int:
+def P_chi(g, v, chi, n: int) -> int:
     """P^chi(n) = sum_{i<n} dim G^chi_i."""
     if n <= 0:
         return 0
@@ -162,12 +163,12 @@ def _closed_degrees(g, v):
     gd = group_data(g)
     nw = g.node_weights(v)
     ks = [math.lcm(*(d // math.gcd(d, c) for c, d in
-                     zip(gd.dual_character(w).coords, gd.invariant_factors)))
+                     zip(gd.dual_character(w), gd.invariant_factors)))
           * nw.m[w] for w in g.ends()]
     return ks, sum(ks) + max(a_invariant(g, v), 0)
 
 
-def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
+def molien_closed(g: ResolutionGraph, v, chi) -> RationalFunctionQ:
     """Exact closed form of H^chi(t) = num/den in Z[t], reduced, den(0) = 1.
 
     G^chi is a finitely generated module over the invariant polynomial
@@ -188,7 +189,7 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     A = reshape(coeffs, den_exps)
     if any(A[deg_a + 1:bound + 1]):
         raise InternalCheckError(
-            f"H^{chi.coords} * denominator is not a polynomial "
+            f"H^{chi} * denominator is not a polynomial "
             f"of the predicted degree at t^{deg_a + 1}")
     del A[deg_a + 1:]
     cancel = Counter()
@@ -212,7 +213,7 @@ def molien_closed(g: ResolutionGraph, v, chi: Character) -> RationalFunctionQ:
     den = reshape([1], den_exps)
     # the closed form expands back to the table: den * series = A
     assert mul(den, coeffs, bound) == A + [0] * (bound + 1 - len(A))
-    return RationalFunctionQ(PolyQ(A), PolyQ(den))
+    return RationalFunctionQ(A, den)
 
 
 # -- the constants c_v^chi -------------------------------------------------
@@ -263,7 +264,7 @@ def _route_a_degree(g, v):
     return (truncation_m(g, v) + 2) * g.node_weights(v).a_v - 1
 
 
-def c_v_route_a(g, v, chi: Character) -> Fraction:
+def c_v_route_a(g, v, chi) -> Fraction:
     """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
     asserted stable under m -> m+1, m+2 above the threshold."""
     m = truncation_m(g, v)
@@ -274,16 +275,16 @@ def c_v_route_a(g, v, chi: Character) -> Fraction:
         if other != value:
             raise UnstableInM(
                 f"c_v^chi changed from {value} to {other} at m={mm} "
-                f"(node {v}, chi {chi.coords})")
+                f"(node {v}, chi {chi})")
     return value
 
 
-def c_v_chi(g: ResolutionGraph, v, chi: Character) -> int:
+def c_v_chi(g: ResolutionGraph, v, chi) -> int:
     """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity."""
-    return _cv_at_infinity(g, v).get(chi.coords, 0)
+    return _cv_at_infinity(g, v).get(chi, 0)
 
 
-def c_v_chi_routes(g, v, chi: Character):
+def c_v_chi_routes(g, v, chi):
     """Both routes: (Route A, Route B = p(1) from the closed form).
 
     A mismatch for the trivial character is an error; for nontrivial
@@ -293,9 +294,8 @@ def c_v_chi_routes(g, v, chi: Character):
     _node_rows(g, v, max(_route_a_degree(g, v), _closed_degrees(g, v)[1] + 1))
     route_a = c_v_route_a(g, v, chi)
     p, _ = polynomial_part(molien_closed(g, v, chi))
-    route_b = p(1)
-    trivial = all(c == 0 for c in chi.coords)
-    if trivial and route_a != route_b:
+    route_b = sum(p)
+    if not any(chi) and route_a != route_b:
         raise MismatchedRoutes(
             f"c_v at node {v}: Route A {route_a} != Route B {route_b}")
     return route_a, route_b
@@ -308,8 +308,8 @@ def c_v_chi_routes(g, v, chi: Character):
 class HilbertData:
     node: str
     a_invariant: int
-    coefficients: dict      # Character -> list[int]
-    closed_forms: dict      # Character -> RationalFunctionQ (may be empty)
+    coefficients: dict      # character tuple -> list[int]
+    closed_forms: dict      # character tuple -> RationalFunctionQ (may be empty)
 
 
 def hilbert_data(g, v, up_to, closed_for=()) -> HilbertData:

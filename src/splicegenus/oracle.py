@@ -12,8 +12,6 @@ molien_coeffs is the core anti-bug property of the whole package.
 
 from __future__ import annotations
 
-import random
-
 from . import exact
 from .discgroup import group_data
 from .graph import ResolutionGraph
@@ -59,8 +57,7 @@ def _monomials_by_degree(weights, up_to):
     return table
 
 
-def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
-                         up_to, shuffle_seed=None):
+def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem, up_to):
     """{chi: [dim G^chi_i for i = 0..up_to]} for every character, by
     monomial linear algebra."""
     gd = group_data(g)
@@ -80,10 +77,6 @@ def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem,
 
     nw = g.node_weights(v)
     monos = _monomials_by_degree([nw.m[w] for w in ends], up_to)
-    if shuffle_seed is not None:
-        rng = random.Random(shuffle_seed)
-        for lst in monos:
-            rng.shuffle(lst)
     char = {m: char_of(m) for lst in monos for m in lst}
 
     dims = {chi: [] for chi in gd.characters()}
@@ -120,6 +113,6 @@ def oracle_verify(g: ResolutionGraph, up_to, seed=0, bound=64):
         brute = bruteforce_eigendims(g, v, system, up_to)
         for chi in gd.characters():
             if brute[chi] != tables[chi]:
-                diffs.append({"node": v, "char": list(chi.coords),
+                diffs.append({"node": v, "char": list(chi),
                               "molien": tables[chi], "bruteforce": brute[chi]})
     return diffs

@@ -14,7 +14,7 @@ so that tests can hold the integer core against them:
 - ``theta`` reads the pairing D.D' mod 1 (``mod1``) against those
   generators, and ``fractional_representative`` inverts it by walking H;
 - ``cyclotomic_polynomial`` divides x^N - 1 by the Phi_d of the proper
-  divisors d of N, by long division in ``PolyQ``;
+  divisors d of N, by long division (``series.divide``);
 - ``molien_ci`` evaluates Molien's sum for a complete intersection with a
   diagonal group action, summing over the group elements: each term is a
   series over Z[x]/(x^N - 1) (``_series_product``, where a root of unity
@@ -42,10 +42,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from splicegenus import exact
-from splicegenus.discgroup import Character
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.graph import QCycle, unit_cycle
-from splicegenus.series import PolyQ
+from splicegenus.series import divide
 from splicegenus.splice import validate_witness
 
 
@@ -187,7 +186,7 @@ def pair(g, x, y) -> Fraction:
     return mod1(intersect(g, _cycle(g, x), _cycle(g, y)))
 
 
-def theta(g, x) -> Character:
+def theta(g, x) -> tuple:
     """The character theta(x): h -> exp(2 pi i x.h), read on the generators."""
     ds = invariant_factors(g)
     coords = []
@@ -196,13 +195,13 @@ def theta(g, x) -> Character:
         c = d * pair(g, x, unit)
         assert c.denominator == 1
         coords.append(int(c))
-    return Character(tuple(coords))
+    return tuple(coords)
 
 
-def char_value_exponent(g, chi: Character, h: HElement) -> Fraction:
+def char_value_exponent(g, chi, h: HElement) -> Fraction:
     """Exponent r in chi(h) = exp(2 pi i r), as a rational in [0,1)."""
     return mod1(sum(Fraction(c * x, d) for c, x, d in
-                    zip(chi.coords, h.coords, invariant_factors(g))))
+                    zip(chi, h.coords, invariant_factors(g))))
 
 
 # -- c_1(L_chi) and the branch maps -------------------------------------------
@@ -214,7 +213,7 @@ def _theta_inverse(g):
     return table
 
 
-def fractional_representative(g, chi: Character) -> QCycle:
+def fractional_representative(g, chi) -> QCycle:
     """c_1(L_chi): the L*-representative of theta^{-1}(chi) with
     E-coefficients in [0, 1), a lift minus its integral part."""
     D = lift(g, _theta_inverse(g)[chi])
@@ -229,7 +228,7 @@ def phi_branch(g, branch, D: QCycle) -> QCycle:
     return _from_alpha(sub, [alpha[w] for w in sub.ids])
 
 
-def nef_shift_cycle(g, branch, chi: Character) -> QCycle:
+def nef_shift_cycle(g, branch, chi) -> QCycle:
     """D_{chi,i} = -[phi_i(c_1(L_chi))]."""
     return -phi_branch(g, branch, fractional_representative(g, chi)).floor()
 
@@ -275,21 +274,21 @@ def find_admissible_monomial(g, v, branch, bound=64):
 # -- Molien's sum over Q(zeta) ------------------------------------------------
 
 @lru_cache(maxsize=256)
-def cyclotomic_polynomial(N) -> PolyQ:
+def cyclotomic_polynomial(N) -> tuple:
     """Phi_N: x^N - 1 divided by Phi_d for every proper divisor d of N, by
     exact long division (each remainder asserted zero)."""
-    out = PolyQ([-1] + [0] * (N - 1) + [1])
+    out = (-1,) + (0,) * (N - 1) + (1,)
     for d in range(1, N):
         if N % d == 0:
-            out, rem = divmod(out, cyclotomic_polynomial(d))
-            assert rem.is_zero()
+            out, rem = divide(out, cyclotomic_polynomial(d))
+            assert not rem
     return out
 
 
 def reduce_group_ring(vec, N):
     """sum_j vec[j] x^j mod Phi_N: the remainder of exact long division by
     Phi_N, a coefficient list of length at most phi(N)."""
-    return list(divmod(PolyQ(vec), cyclotomic_polynomial(N))[1].coeffs)
+    return list(divide(vec, cyclotomic_polynomial(N))[1])
 
 
 def _rot(vec, k, N):
@@ -425,22 +424,22 @@ def dense_zh_product(dims, factors, up_to):
 def _dense_factors(g, v):
     """(theta(E*_w), m_vw, delta_w - 2) for the vertices w of degree != 2."""
     nw = g.node_weights(v)
-    return [(theta(g, dual_cycle(g, w)).coords, nw.m[w], g.degree(w) - 2)
+    return [(theta(g, dual_cycle(g, w)), nw.m[w], g.degree(w) - 2)
             for w in g.ids if g.degree(w) != 2]
 
 
 def _characters(g):
-    return [Character(h.coords) for h in elements(g)]
+    return [h.coords for h in elements(g)]
 
 
 def dense_molien_coeffs(g, v, up_to):
-    """Character -> dim G^chi_i for i <= up_to, from the dense kernel."""
+    """character -> dim G^chi_i for i <= up_to, from the dense kernel."""
     cols = dense_zh_product(invariant_factors(g), _dense_factors(g, v), up_to)
     return dict(zip(_characters(g), cols))
 
 
 def dense_cv_at_infinity(g, v):
-    """Character -> c_v^chi for every character: the [chi - g] coefficient
+    """character -> c_v^chi for every character: the [chi - g] coefficient
     of prod_w (1 - [-psi_w] s^{m_vw})^{delta_w - 2}, summed over
     s^0 .. s^a(G), with g = sum_w (delta_w - 2) psi_w."""
     dims = invariant_factors(g)
@@ -452,7 +451,7 @@ def dense_cv_at_infinity(g, v):
     chars = _characters(g)
     sums = ([sum(col) for col in dense_zh_product(dims, inverse, a)]
             if a >= 0 else [0] * len(chars))
-    value = {chi.coords: s for chi, s in zip(chars, sums)}
+    value = dict(zip(chars, sums))
     return {chi: value[tuple((x + y) % d for x, y, d in
-                             zip(chi.coords, shift, dims))]
+                             zip(chi, shift, dims))]
             for chi in chars}

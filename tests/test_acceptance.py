@@ -8,6 +8,7 @@ import time
 import reference as ref
 from fixtures import a_chain, d4, e8, exmc, fig1, graph_file
 from reference import HElement
+from test_molien import _rf
 from splicegenus.cli import run as cli_run
 from splicegenus.genus import genus_report, pg, pg_uac
 from splicegenus.molien import (
@@ -20,7 +21,6 @@ from splicegenus.molien import (
     total_ci_coeffs,
 )
 from splicegenus.oracle import artin_rational, oracle_verify
-from splicegenus.series import PolyQ, RationalFunctionQ
 from splicegenus.splice import (
     check_monomial_condition,
     emit_splice_system,
@@ -32,11 +32,6 @@ from splicegenus.splice import (
 def _report(n, ok, desc):
     print(f"criterion {n:2d}: {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"criterion {n} failed: {desc}"
-
-
-def _rf(num_terms, den_terms):
-    return RationalFunctionQ(PolyQ.from_terms(num_terms),
-                             PolyQ.from_terms(den_terms))
 
 
 def _fig1_branches():

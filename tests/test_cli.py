@@ -185,8 +185,8 @@ def test_text_pg_needs_only_the_trivial_character(monkeypatch, capsys):
     h1 = genus.h1_eigensheaf
 
     def trivial_only(g, chi, *args, **kwargs):
-        if any(chi.coords):
-            raise AssertionError(f"h1 asked at chi {chi.coords}")
+        if any(chi):
+            raise AssertionError(f"h1 asked at chi {chi}")
         return h1(g, chi, *args, **kwargs)
 
     monkeypatch.setattr(genus, "h1_eigensheaf", trivial_only)
@@ -439,6 +439,23 @@ def test_pg_uac_all_nodes_detects_root_dependence(monkeypatch, capsys):
         capsys, ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"])
     assert code == 2 and out == ""
     assert err.startswith("internal check failed: h1 depends on the root node")
+
+
+def test_negative_h1_exits_2_with_integer_trace(monkeypatch, capsys):
+    import splicegenus.genus as genus
+
+    real = genus.c_v_chi
+    monkeypatch.setattr(genus, "c_v_chi",
+                        lambda g, v, chi: real(g, v, chi) - 10**6)
+    code, out, err = _json_out(capsys, ["pg", "--input", graph_file("fig1.json")])
+    assert code == 2 and out == ""
+    message, trace, *rest = err.splitlines()
+    assert not rest
+    assert message.startswith("internal check failed: h1 = -")
+    trace = json.loads(trace)
+    assert type(trace["c_v"]) is int and trace["c_v"] < -10**5
+    assert trace["branches"]
+    assert all(type(step["euler"]) is int for step in trace["branches"])
 
 
 # -- broken pipe ---------------------------------------------------------------

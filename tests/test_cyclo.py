@@ -25,14 +25,14 @@ def _inverse(d):
 
 
 def test_known_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1).coeffs == (-1, 1)
-    assert cyclotomic_polynomial(2).coeffs == (1, 1)
-    assert cyclotomic_polynomial(3).coeffs == (1, 1, 1)
-    assert cyclotomic_polynomial(4).coeffs == (1, 0, 1)
-    assert cyclotomic_polynomial(6).coeffs == (1, -1, 1)
-    assert cyclotomic_polynomial(12).coeffs == (1, 0, -1, 0, 1)
+    assert cyclotomic_polynomial(1) == (-1, 1)
+    assert cyclotomic_polynomial(2) == (1, 1)
+    assert cyclotomic_polynomial(3) == (1, 1, 1)
+    assert cyclotomic_polynomial(4) == (1, 0, 1)
+    assert cyclotomic_polynomial(6) == (1, -1, 1)
+    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     # first index with a coefficient outside {-1, 0, 1}
-    assert -2 in cyclotomic_polynomial(105).coeffs
+    assert -2 in cyclotomic_polynomial(105)
 
 
 @given(st.integers(min_value=1, max_value=60))
@@ -42,7 +42,7 @@ def test_product_over_divisors_is_xn_minus_1(n):
     prod = [1]
     for d in range(1, n + 1):
         if n % d == 0:
-            phi = cyclotomic_polynomial(d).coeffs
+            phi = cyclotomic_polynomial(d)
             out = [0] * (len(prod) + len(phi) - 1)
             for i, a in enumerate(prod):
                 for j, b in enumerate(phi):
@@ -55,7 +55,7 @@ def test_p_d_is_the_reference_phi_d():
     # P_d = Phi_d for d > 1 and 1 - t = -Phi_1 for d = 1
     assert _p(1) == [1, -1]
     for d in range(2, 121):
-        assert _p(d) == list(cyclotomic_polynomial(d).coeffs), d
+        assert _p(d) == list(cyclotomic_polynomial(d)), d
 
 
 def test_p_d_over_the_divisors_of_k_is_one_minus_t_k():
@@ -144,7 +144,7 @@ def test_mul_zeta_pow_matches_explicit_product():
 @settings(deadline=None)
 def test_reduce_group_ring_is_remainder_mod_phi(N, vec):
     r = reduce_group_ring(vec, N)
-    assert len(r) <= cyclotomic_polynomial(N).degree()  # phi(N)
+    assert len(r) <= len(cyclotomic_polynomial(N)) - 1  # phi(N)
     assert reshape(_sub(vec, r), _inverse(N)) is not None
 
 

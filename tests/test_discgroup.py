@@ -9,7 +9,6 @@ from reference import HElement, NotInDualLattice, mod1
 from test_graph import random_trees
 from splicegenus import QCycle, unit_cycle
 from splicegenus.discgroup import (
-    Character,
     GroupData,
     group_data,
     nef_shift,
@@ -296,7 +295,7 @@ def test_c1_alpha_builds_no_table_over_h(monkeypatch):
     det = gd.dual.det_abs
     rng = random.Random(7)
     chis = [gd.trivial_character] + [
-        Character(tuple(rng.randrange(d) for d in gd.invariant_factors))
+        tuple(rng.randrange(d) for d in gd.invariant_factors)
         for _ in range(3)]
     for chi in chis:
         alpha = gd.c1_alpha(chi)

@@ -166,7 +166,7 @@ def test_rational_singularities_have_pg_zero():
 def test_exmc_h1_table():
     g = exmc()
     gd = group_data(g)
-    table = {chi.coords: h1_eigensheaf(g, chi) for chi in gd.characters()}
+    table = {chi: h1_eigensheaf(g, chi) for chi in gd.characters()}
     assert table == {(0,): 1, (1,): 0, (2,): 0, (3,): 0}
     assert pg(g) == 1 and pg_uac(g) == 1
 
@@ -184,7 +184,7 @@ def test_h1_independent_of_root_node():
     gd = group_data(g)
     tables = {}
     for root in ("v0", "v1", "v2"):
-        tables[root] = {chi.coords: h1_eigensheaf(g, chi, root=root)
+        tables[root] = {chi: h1_eigensheaf(g, chi, root=root)
                         for chi in gd.characters()}
     assert tables["v0"] == tables["v1"] == tables["v2"]
 

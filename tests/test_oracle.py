@@ -1,3 +1,5 @@
+import random
+
 from fixtures import a_chain, d4, e8, exmc, fig1, splice_quotient_trees
 import splicegenus.oracle as O
 from splicegenus.molien import group_data, molien_coeffs, total_ci_coeffs
@@ -25,13 +27,22 @@ def test_bruteforce_matches_molien_on_quotient_graph():
     assert oracle_verify(d4(), up_to=15) == []
 
 
-def test_bruteforce_shuffle_invariant():
+def test_bruteforce_shuffle_invariant(monkeypatch):
     g = exmc()
     system = emit_splice_system(g, seed=0)
     ref = bruteforce_eigendims(g, "E5", system, 12)
+    real = O._monomials_by_degree
     for seed in (1, 2, 3):
-        assert bruteforce_eigendims(g, "E5", system, 12,
-                                    shuffle_seed=seed) == ref
+        rng = random.Random(seed)
+
+        def shuffled(weights, up_to):
+            table = real(weights, up_to)
+            for lst in table:
+                rng.shuffle(lst)
+            return table
+
+        monkeypatch.setattr(O, "_monomials_by_degree", shuffled)
+        assert bruteforce_eigendims(g, "E5", system, 12) == ref
 
 
 def test_bruteforce_returns_every_character():
@@ -89,7 +100,7 @@ def test_oracle_mismatch_records_follow_node_then_character(monkeypatch):
     monkeypatch.setattr(O, "bruteforce_eigendims", off_by_one)
     diffs = oracle_verify(g, 4)
     assert [(d["node"], d["char"]) for d in diffs] == [
-        (v, list(chi.coords)) for v in g.nodes() for chi in gd.characters()]
+        (v, list(chi)) for v in g.nodes() for chi in gd.characters()]
     assert all(d["bruteforce"] == [x + 1 for x in d["molien"]] for d in diffs)
 
 
