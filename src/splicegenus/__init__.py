@@ -13,7 +13,7 @@ from .genus import (
     pg,
     pg_uac,
 )
-from .graph import QCycle, ResolutionGraph, parse_graph, unit_cycle
+from .graph import ResolutionGraph, parse_graph
 from .molien import (
     a_invariant,
     c_v_chi,
@@ -37,8 +37,8 @@ from .splice import (
 )
 
 __all__ = [
-    "GroupData", "GenusReport", "QCycle", "ResolutionGraph",
-    "RationalFunctionQ", "parse_graph", "unit_cycle",
+    "GroupData", "GenusReport", "ResolutionGraph",
+    "RationalFunctionQ", "parse_graph",
     "euler_char_on_cycle", "genus_report", "h1_eigensheaf",
     "h1_twisted", "minimal_nef_correction", "pg", "pg_uac", "a_invariant",
     "c_v_chi", "c_v_chi_routes", "c_v_route_a", "group_data", "hilbert_data",

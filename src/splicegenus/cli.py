@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import signal
 import sys
 
@@ -141,6 +142,17 @@ def _pick_node(g, node):
     return node
 
 
+def _render_cycle(g, num, den=1):
+    """The JSON object of the cycle sum_w (num_w / den) E_w: the nonzero
+    coefficients in lowest terms ("2", "-1/3"), keyed by id, sorted."""
+    out = {}
+    for w, c in sorted(zip(g.ids, num)):
+        if c:
+            k = math.gcd(c, den)
+            out[w] = str(c // k) if k == den else f"{c // k}/{den // k}"
+    return out
+
+
 # -- command implementations ----------------------------------------------
 
 
@@ -174,7 +186,7 @@ def _run_invariants(g, args):
         "groupOrder": gd.order,
         "invariantFactors": gd.invariant_factors,
         "numericallyGorenstein": gor,
-        "canonicalCycle": K.to_json(),
+        "canonicalCycle": _render_cycle(g, K, gd.dual.det_abs),
         "nodes": nodes}
     lines = [f"|det I| = {gd.dual.det_abs}",
              f"|H| = {gd.order}  invariant factors {gd.invariant_factors}",
@@ -298,8 +310,9 @@ def _run_oracle_verify(g, args):
 
 def _run_fundamental_cycle(g, args):
     Z, pa = g.fundamental_cycle()
-    return EXIT_OK, {"cycle": Z.to_json(), "pa": pa}, \
-        [f"Z = {Z.to_json()}", f"p_a(Z) = {pa}"]
+    cycle = _render_cycle(g, Z)
+    return EXIT_OK, {"cycle": cycle, "pa": pa}, \
+        [f"Z = {cycle}", f"p_a(Z) = {pa}"]
 
 
 _HANDLERS = {

@@ -12,10 +12,12 @@ k-th unit character, and c_1(L_chi) is one row combination of them.
 Characters are the one representation of H, and a character is the tuple
 of its coordinates c_j in [0, d_j): the c_1 cache, the h1 cache and the
 Molien kernel rows are keyed by these tuples.  All work stays in the
-integers: nothing here reads a QCycle or a Fraction.  The Fraction routes
-from the definitions (classes of QCycles, the pairing and its reduction
-mod 1, c_1 as a QCycle) live in tests/reference.py as the independent
-reference.
+integers: a class of L* is an int list of E*-coordinates, c_1(L_chi) one
+such list (its E-coefficients are its numerators over |det I|), and
+D_{chi,i} an int list of E-coefficients.  The rational routes from the
+definitions (classes of rational cycles, the pairing and its reduction
+mod 1, c_1 as a rational cycle) live in tests/reference.py as the
+independent reference.
 """
 
 from __future__ import annotations

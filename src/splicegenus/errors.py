@@ -37,12 +37,9 @@ class NotNegativeDefinite(GraphInputError):
         )
 
 
-class NonEffective(GraphInputError):
-    """A cycle required to be effective has a negative coefficient."""
-
-
 class CycleOutOfRange(GraphInputError):
-    """Cycle violates the bounds required by the twisted-h1 formula."""
+    """A cycle or degree list is malformed, not effective, or outside the
+    bounds required by the twisted-h1 formula."""
 
 
 class MonomialConditionUnknown(SpliceGenusError):

@@ -9,6 +9,10 @@ is Riemann-Roch on the branch.  Chains contribute 0 for every character
 (their universal abelian covers are smooth).  p_g(X) is the value at the
 trivial character and p_g of the universal abelian cover is the sum over
 all characters.
+
+Cycles are int lists of E-coefficients in g.ids order, and so are the
+degree lists of line bundles; c_1(L_chi) is held by its E*-coordinates
+(``GroupData.c1_alpha``), so every term is an integer.
 """
 
 from __future__ import annotations
@@ -16,37 +20,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .discgroup import group_data, nef_shift, phi_alpha
-from .errors import CycleOutOfRange, InternalCheckError, NegativeH1, NonEffective
-from .graph import QCycle, ResolutionGraph
+from .errors import (
+    CycleOutOfRange,
+    GraphInputError,
+    InternalCheckError,
+    NegativeH1,
+)
+from .graph import ResolutionGraph
 from .molien import P_chi, c_v_chi
 
 
-def euler_char_on_cycle(g: ResolutionGraph, D: QCycle, Ldeg=None):
+def _check_ints(g, x, what, effective=False):
+    """Check that x is a list (or tuple) of ints in g.ids order, >= 0 if
+    ``effective``; CycleOutOfRange otherwise."""
+    if not (isinstance(x, (list, tuple)) and len(x) == len(g.ids)
+            and all(type(c) is int for c in x)):
+        raise CycleOutOfRange(
+            f"{what} must be {len(g.ids)} ints in the graph's vertex order, "
+            f"got {x!r}")
+    if effective and any(c < 0 for c in x):
+        raise CycleOutOfRange(f"{what} is not effective: {x!r}")
+
+
+def euler_char_on_cycle(g: ResolutionGraph, d, ldeg=None) -> int:
     """chi(L (x) O_D) = -D.(D+K)/2 + L.D by Riemann-Roch.
 
-    Ldeg maps a vertex w to the integer degree L.E_w of the twisting bundle
-    on E_w (default 0).  D and the degrees on its support must be integral;
-    the result is an int.
+    d is the effective integral cycle D = sum_w d_w E_w and ldeg the
+    degrees L.E_w of the twisting bundle (default 0), both int lists in
+    g.ids order.
     """
-    if not D.support() <= set(g.ids):
-        raise CycleOutOfRange(f"cycle has vertices outside the graph: {D!r}")
-    if not D.is_integral():
-        raise CycleOutOfRange(f"cycle is not integral: {D!r}")
-    if not D.is_effective():
-        raise NonEffective(f"cycle is not effective: {D!r}")
-    d = [int(D[w]) for w in g.ids]
-    if Ldeg is None:
-        return g.riemann_roch(d, [0] * len(d))
-    deg = Ldeg if callable(Ldeg) else Ldeg.__getitem__
-    ldeg = [deg(w) if x else 0 for w, x in zip(g.ids, d)]
-    if any(int(l) != l for l in ldeg):
-        raise CycleOutOfRange(f"degrees are not integral: {ldeg!r}")
-    return g.riemann_roch(d, [int(l) for l in ldeg])
+    _check_ints(g, d, "cycle", effective=True)
+    ldeg = [0] * len(g.ids) if ldeg is None else ldeg
+    _check_ints(g, ldeg, "degree list")
+    return g.riemann_roch(d, ldeg)
 
 
 @dataclass
 class NefCorrection:
-    cycle: QCycle
+    cycle: list            # integer E-coefficients in g.ids order
     iterations: int
 
 
@@ -54,30 +65,29 @@ def _floor_c1_shift(g, v, chi, n):
     """q = [c_1(L_chi) - (n/e_v)E_v] as integer E-coefficients in g.ids
     order; only the coefficient at v can be nonzero."""
     gd = group_data(g)
-    det = gd.dual.det_abs
-    e_v = g.node_weights(v).e
-    k = g.index(v)
+    det, e_v, k = gd.dual.det_abs, g.node_weights(v).e, g.index(v)
     r_v = gd.dual.numerators(gd.c1_alpha(chi))[k]
     q = [0] * len(g.ids)
     q[k] = (r_v * e_v - n * det) // (det * e_v)
     return q
 
 
-def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int,
-                           order=None) -> NefCorrection:
-    """Smallest D >= 0 making -L_chi + [c_1(L_chi) - (n/e_v)E_v] - D nef.
+def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> NefCorrection:
+    """Smallest D >= 0 making -L_chi + [c_1(L_chi) - (n/e_v)E_v] - D nef,
+    for a node v.
 
     Laufer's loop (``ResolutionGraph.laufer``): while some E_w has negative
-    intersection with the corrected class, add E_w to D.  The order of
-    processing violations does not affect the result; ``order`` permutes the
-    scan for testing that.  The class base = [c_1 - (n/e_v)E_v] - c_1 has
-    base.E_w = (I q)_w + alpha_w, with alpha the E*-coordinates of c_1, so
-    the loop runs in the integers.
+    intersection with the corrected class, add E_w to D; the result does
+    not depend on the scan order.  The class base = [c_1 - (n/e_v)E_v] - c_1
+    has base.E_w = (I q)_w + alpha_w, with alpha the E*-coordinates of c_1,
+    so the loop runs in the integers.
     """
+    if v not in g.require_valid().nodes:
+        raise GraphInputError(f"{v!r} is not a node of the graph")
     q = _floor_c1_shift(g, v, chi, n)
     base = [x + a for x, a in zip(g.intersections(q), group_data(g).c1_alpha(chi))]
-    D, iterations = g.laufer(base, g.ids if order is None else list(order))
-    return NefCorrection(cycle=QCycle(D), iterations=iterations)
+    D = g.laufer(base, g.ids)
+    return NefCorrection(cycle=D, iterations=sum(D))
 
 
 def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
@@ -145,28 +155,25 @@ def pg_uac(g: ResolutionGraph, root=None) -> int:
                for chi in group_data(g).characters())
 
 
-def h1_twisted(g: ResolutionGraph, v, chi, n: int, D: QCycle):
+def h1_twisted(g: ResolutionGraph, v, chi, n: int, d):
     """(h0drop, h1) for the degree-n twist along node v.
 
     h0drop = P^chi(n) is the codimension of sections vanishing to v-order n;
     h1 uses Riemann-Roch on D' = D - [c_1(L_chi) - (n/e_v)E_v], which is
-    effective, and requires 0 <= D <= D_{chi,n}.
+    effective, and requires 0 <= D <= D_{chi,n} for the int list d of
+    E-coefficients of D in g.ids order.
     """
-    gd = group_data(g)
-    if not (D.is_integral() and D.is_effective() and D.support() <= set(g.ids)):
-        raise CycleOutOfRange(
-            f"cycle must be integral, effective and on the graph: {D!r}")
+    _check_ints(g, d, "cycle", effective=True)
     bound = minimal_nef_correction(g, v, chi, n).cycle
-    if any(D[w] > bound[w] for w in g.ids):
+    if any(x > b for x, b in zip(d, bound)):
         raise CycleOutOfRange(
             f"cycle exceeds the minimal nef correction {bound!r}")
-    q = _floor_c1_shift(g, v, chi, n)
-    d_prime = [int(D[w]) - x for w, x in zip(g.ids, q)]
+    d_prime = [x - y for x, y in zip(d, _floor_c1_shift(g, v, chi, n))]
     assert all(x >= 0 for x in d_prime)
     h0drop = P_chi(g, v, chi, n)
     # the degree of -L_chi on E_w is -c_1(L_chi).E_w = alpha_w
-    return h0drop, g.riemann_roch(d_prime, gd.c1_alpha(chi)) - h0drop \
-        + h1_eigensheaf(g, chi)
+    h1 = g.riemann_roch(d_prime, group_data(g).c1_alpha(chi)) - h0drop
+    return h0drop, h1 + h1_eigensheaf(g, chi)
 
 
 @dataclass

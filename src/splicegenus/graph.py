@@ -2,17 +2,15 @@
 
 A resolution graph is a tree of rational curves E_v with self-intersection
 weights; the intersection matrix I has the weights on the diagonal and 1 for
-each edge.  All linear algebra is exact.
+each edge.  All linear algebra is in the integers.
 
-Elements D of the dual lattice L* are held by their integer E*-coordinates
-alpha_w = -D.E_w, so D = sum_w alpha_w E*_w.  The integer adjugate
-A = |det I| (-I^{-1}), computed once per graph, turns them into
-E-coefficients: D = sum_u (A alpha)_u / |det I| E_u.  Integral cycles are
-integer lists of E-coefficients, with ``intersections`` (I x) and
-``riemann_roch`` on them.  ``QCycle`` (rational E-coefficients) is
-boundary-only: it is built to accept a cycle from, or return one to, an API
-or JSON caller (``DualData.cycle``), and nothing here reads one back through
-the intersection form.
+Every cycle is an integer list in ``ids`` order, in one of two forms.  An
+integral cycle D = sum_u x_u E_u is the list x of its E-coefficients, with
+``intersections`` (I x) and ``riemann_roch`` on it.  A rational cycle is
+held by its integer E*-coordinates alpha_w = -D.E_w, so
+D = sum_w alpha_w E*_w; the integer adjugate A = |det I| (-I^{-1}),
+computed once per graph, turns them into numerators over |det I|:
+D = sum_u (A alpha)_u / |det I| E_u (``DualData.numerators``).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import exact
 from .errors import (
@@ -29,81 +26,6 @@ from .errors import (
     NotATree,
     NotNegativeDefinite,
 )
-
-
-class QCycle:
-    """A formal rational combination of the vertices E_v.
-
-    Missing keys mean coefficient zero.  Immutable in spirit: all operations
-    return new cycles.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for k, v in dict(coeffs).items():
-                v = Fraction(v)
-                if v != 0:
-                    self.coeffs[k] = v
-
-    def __getitem__(self, v):
-        return self.coeffs.get(v, Fraction(0))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return QCycle(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return QCycle(out)
-
-    def __neg__(self):
-        return QCycle({k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, c):
-        c = Fraction(c)
-        return QCycle({k: c * v for k, v in self.coeffs.items()})
-
-    def floor(self):
-        """Coefficientwise integral part [D]."""
-        return QCycle({k: Fraction(math.floor(v)) for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_integral(self):
-        return all(v.denominator == 1 for v in self.coeffs.values())
-
-    def is_effective(self):
-        return all(v >= 0 for v in self.coeffs.values())
-
-    def support(self):
-        return set(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, QCycle) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "QCycle(0)"
-        parts = [f"{v}*E[{k}]" for k, v in sorted(self.coeffs.items())]
-        return "QCycle(" + " + ".join(parts) + ")"
-
-    def to_json(self):
-        return {k: str(v) for k, v in sorted(self.coeffs.items())}
-
-
-def unit_cycle(v):
-    return QCycle({v: 1})
 
 
 @dataclass
@@ -126,7 +48,6 @@ class DualData:
     A is symmetric with positive entries, and row v of A is |det I| E*_v.
     """
 
-    ids: list
     adjugate: list         # A as a list of rows, in ids order
     det_abs: int
 
@@ -134,11 +55,6 @@ class DualData:
         """|det I| times the E-coefficients of sum_w alpha_w E*_w."""
         nz = [(j, a) for j, a in enumerate(alpha) if a]
         return [sum(row[j] * a for j, a in nz) for row in self.adjugate]
-
-    def cycle(self, alpha) -> QCycle:
-        """sum_w alpha_w E*_w as a QCycle (alpha in ids order)."""
-        return QCycle({v: Fraction(c, self.det_abs)
-                       for v, c in zip(self.ids, self.numerators(alpha))})
 
 
 @dataclass
@@ -317,7 +233,7 @@ class ResolutionGraph:
         for i, col in enumerate(A):
             assert self.intersections(col) == [
                 -det_abs if j == i else 0 for j in range(n)]
-        data = DualData(ids=list(self.ids), adjugate=A, det_abs=det_abs)
+        data = DualData(adjugate=A, det_abs=det_abs)
         self._cache[key] = data
         return data
 
@@ -343,47 +259,45 @@ class ResolutionGraph:
     # -- canonical and fundamental cycles ---------------------------------
 
     def canonical_cycle(self):
-        """c_1(K): the QCycle with K . E_w = -E_w^2 - 2 for every w.
+        """c_1(K), the cycle with K . E_w = -E_w^2 - 2 for every w.
 
-        K = -I^{-1} (-E_w^2 - 2) = A (E_w^2 + 2) / |det I|.
-        Returns (K, numerically_gorenstein).
+        K = -I^{-1} (-E_w^2 - 2) = A (E_w^2 + 2) / |det I|.  Returns (the
+        numerators of K over |det I|, numerically_gorenstein).
         """
         dd = self.dual_data()
         num = dd.numerators([self.weight[w] + 2 for w in self.ids])
         assert self.intersections(num) == [
             dd.det_abs * (-self.weight[w] - 2) for w in self.ids]
-        K = QCycle({w: Fraction(c, dd.det_abs) for w, c in zip(self.ids, num)})
-        return K, K.is_integral()
+        return num, all(c % dd.det_abs == 0 for c in num)
 
     def fundamental_cycle(self):
         """Artin's fundamental cycle Z by Laufer's increment loop.
 
-        Returns (Z, p_a(Z)) with p_a(Z) = 1 - chi(O_Z) by Riemann-Roch.
+        Returns (Z as an integer list, p_a(Z)) with p_a(Z) = 1 - chi(O_Z) by
+        Riemann-Roch.
         """
         self.require_valid()
         # slack_w = -(Z.E_w) for Z = sum_w E_w
-        D, _ = self.laufer([-x for x in self.intersections([1] * len(self.ids))],
-                           self.ids)
-        z = [1 + D[w] for w in self.ids]
+        D = self.laufer([-x for x in self.intersections([1] * len(self.ids))],
+                        self.ids)
+        z = [1 + x for x in D]
         pa = 1 - self.riemann_roch(z, [0] * len(z))
-        return QCycle(dict(zip(self.ids, z))), pa
+        return z, pa
 
     def laufer(self, slack, scan):
         """Laufer's loop from slack_w = B.E_w (a list in ids order): while
         some slack_w < 0, the first in ``scan`` (the vertices in some
         order), add E_w to D and subtract column w of I from the slack, so
-        that slack_w stays (B - D).E_w.  Returns (D as a dict over ids, the
-        number of steps)."""
+        that slack_w stays (B - D).E_w.  Returns D as an integer list in
+        ids order; the number of steps is sum(D)."""
         slack = dict(zip(self.ids, slack))
         D = dict.fromkeys(self.ids, 0)
-        steps = 0
         while (w := next((u for u in scan if slack[u] < 0), None)) is not None:
             D[w] += 1
             slack[w] -= self.weight[w]
             for u in self.adj[w]:
                 slack[u] -= 1
-            steps += 1
-        return D, steps
+        return [D[w] for w in self.ids]
 
     # -- branches ----------------------------------------------------------
 

@@ -18,12 +18,14 @@ the work is per character reached, not per element of H.  The same kernel
 expanded at t = infinity gives the polynomial part of H^chi from its first
 a(G) + 1 coefficients, hence c_v^chi = p(1) (the periodic-constant view of
 Braun-Nemethi), with nothing built over all of H.  Route A (partial sums
-P^chi(m a_v) minus a quadratic term) and Route B (p(1) = sum(p) from the
-closed rational form, an int tuple over int tuples) stay as independent
-checks.  This kernel is the package's one Molien evaluator; the generic
-sum over Q(zeta), which sums over the group elements and reduces mod
-Phi_N, and the kernel's dense |H|-wide layout are kept in
-tests/reference.py as the references the tests hold it against.
+P^chi(m a_v) minus a quadratic term, exact in the integers) and Route B
+(p(1) = sum(p) from the closed rational form, an int tuple over int
+tuples) read the same kernel at t = 0, so they check its expansion at
+infinity against its expansion at 0, not the kernel itself.  This kernel
+is the package's one Molien evaluator; the generic sum over Q(zeta), which
+sums over the group elements and reduces mod Phi_N, and the kernel's dense
+|H|-wide layout are kept in tests/reference.py as the references the tests
+hold it against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclo import _cyclotomic_exponents, reshape
 from .discgroup import group_data
@@ -251,11 +252,18 @@ def _cv_at_infinity(g, v):
 def _route_a_value(g, v, chi, m):
     gd = group_data(g)
     nw = g.node_weights(v)
-    # (K + 2 c_1(L_chi)) . E*_v = -(coefficient at v), and A alpha is
-    # |det I| times the coefficients; K has alpha_w = E_w^2 + 2
+    det = gd.dual.det_abs
+    # (K + 2 c_1(L_chi)).E*_v = -N_v / |det I| with N_v = (A alpha)_v, where
+    # K has alpha_w = E_w^2 + 2, so the quadratic term
+    # (m^2 a_v |det I| + m e_v N_v) / (2 |det I|) is an exact division
     alpha = [g.weight[w] + 2 + 2 * a for w, a in zip(g.ids, gd.c1_alpha(chi))]
-    pairing = Fraction(-gd.dual.numerators(alpha)[g.index(v)], gd.dual.det_abs)
-    quad = Fraction(m * m * nw.a_v - m * nw.e * pairing, 2)
+    n_v = gd.dual.numerators(alpha)[g.index(v)]
+    top = m * m * nw.a_v * det + m * nw.e * n_v
+    quad, rem = divmod(top, 2 * det)
+    if rem:
+        raise InternalCheckError(
+            f"Route A's quadratic term {top}/{2 * det} is not an integer "
+            f"(node {v}, chi {chi}, m={m})")
     return P_chi(g, v, chi, m * nw.a_v) - quad
 
 
@@ -264,7 +272,7 @@ def _route_a_degree(g, v):
     return (truncation_m(g, v) + 2) * g.node_weights(v).a_v - 1
 
 
-def c_v_route_a(g, v, chi) -> Fraction:
+def c_v_route_a(g, v, chi) -> int:
     """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
     asserted stable under m -> m+1, m+2 above the threshold."""
     m = truncation_m(g, v)

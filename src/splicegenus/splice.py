@@ -14,8 +14,8 @@ exponents; the candidates are the solutions of this one equation.
 Everything here runs in the integers: the exponent vector of D is its
 E*-coordinates alpha, A alpha (A the graph's adjugate) is |det I| times its
 E-coefficients, and its class in H is read by theta(alpha) = T alpha mod d.
-``QCycle`` is built only for the API: the cycle of a monomial and the
-residual of a witness that passed.
+The residual D - E*_v of a witness is an integral cycle, an int list of
+E-coefficients in g.ids order.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from . import exact
 from .discgroup import group_data
 from .errors import DegenerateCoefficients, MonomialConditionUnknown
-from .graph import QCycle, ResolutionGraph
+from .graph import ResolutionGraph
 
 
 @dataclass
 class MonomialCycle:
-    exponents: dict            # end-id -> nonnegative int
-    cycle: QCycle              # sum alpha_w E*_w
+    exponents: dict            # end-id -> positive int; D = sum alpha_w E*_w
 
     def total(self):
         return sum(self.exponents.values())
@@ -44,7 +43,7 @@ class AdmissibilityWitness:
     node: str
     attach: str                # identifies the branch
     monomial: MonomialCycle
-    residual: QCycle           # = cycle - E*_v
+    residual: list             # D - E*_v, E-coefficients in g.ids order
 
 
 @dataclass
@@ -81,15 +80,9 @@ def _alpha(g: ResolutionGraph, exponents):
     return [int(exponents.get(w, 0)) for w in g.ids]
 
 
-def monomial_cycle(g: ResolutionGraph, exponents) -> MonomialCycle:
-    exps = {}
-    for w, a in exponents.items():
-        a = int(a)
-        assert a >= 0
-        if a:
-            exps[w] = a
-    cycle = g.dual_data().cycle(_alpha(g, exps))
-    return MonomialCycle(exponents=exps, cycle=cycle)
+def monomial_cycle(exponents) -> MonomialCycle:
+    assert all(int(a) >= 0 for a in exponents.values())
+    return MonomialCycle({w: int(a) for w, a in exponents.items() if a})
 
 
 def v_degree(g: ResolutionGraph, v, exponents) -> int:
@@ -120,16 +113,16 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
         return None
     dd = g.dual_data()
     det = dd.det_abs
-    residual = {}
+    residual = []
     for u, x, y in zip(g.ids, dd.numerators(_alpha(g, exponents)),
                        dd.adjugate[g.index(v)]):
         r, rem = divmod(x - y, det)
         if rem or r < 0 or (r and u not in branch_vs):
             return None
-        residual[u] = r
+        residual.append(r)
     return AdmissibilityWitness(node=v, attach=branch.attach,
-                                monomial=monomial_cycle(g, exponents),
-                                residual=QCycle(residual))
+                                monomial=monomial_cycle(exponents),
+                                residual=residual)
 
 
 def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):

@@ -6,6 +6,9 @@ integer kernel over the character group.  The functions here recompute the
 same objects from their definitions, over the rationals and over Q(zeta),
 so that tests can hold the integer core against them:
 
+- ``QCycle`` is a rational cycle (a dict of Fraction E-coefficients), and
+  ``as_qcycle`` reads the package's int lists and numerators over |det I|
+  as one;
 - ``intersect`` is the intersection form on QCycles;
 - ``dual_cycles`` solves I X = -Id by a Fraction Gauss-Jordan elimination;
 - H = L*/L is presented by this module's own call of
@@ -43,7 +46,6 @@ from functools import lru_cache
 
 from splicegenus import exact
 from splicegenus.errors import GraphInputError, InternalCheckError
-from splicegenus.graph import QCycle, unit_cycle
 from splicegenus.series import divide
 from splicegenus.splice import validate_witness
 
@@ -60,6 +62,87 @@ def mod1(x) -> Fraction:
     """Reduce an exact rational into [0, 1)."""
     x = Fraction(x)
     return Fraction(x.numerator % x.denominator, x.denominator)
+
+
+class QCycle:
+    """A formal rational combination of the vertices E_v.
+
+    Missing keys mean coefficient zero.  Immutable in spirit: all operations
+    return new cycles.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {}
+        if coeffs:
+            for k, v in dict(coeffs).items():
+                v = Fraction(v)
+                if v != 0:
+                    self.coeffs[k] = v
+
+    def __getitem__(self, v):
+        return self.coeffs.get(v, Fraction(0))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return QCycle(out)
+
+    def __sub__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, Fraction(0)) - v
+        return QCycle(out)
+
+    def __neg__(self):
+        return QCycle({k: -v for k, v in self.coeffs.items()})
+
+    def scale(self, c):
+        c = Fraction(c)
+        return QCycle({k: c * v for k, v in self.coeffs.items()})
+
+    def floor(self):
+        """Coefficientwise integral part [D]."""
+        return QCycle({k: Fraction(math.floor(v)) for k, v in self.coeffs.items()})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_integral(self):
+        return all(v.denominator == 1 for v in self.coeffs.values())
+
+    def is_effective(self):
+        return all(v >= 0 for v in self.coeffs.values())
+
+    def support(self):
+        return set(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, QCycle) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "QCycle(0)"
+        parts = [f"{v}*E[{k}]" for k, v in sorted(self.coeffs.items())]
+        return "QCycle(" + " + ".join(parts) + ")"
+
+    def to_json(self):
+        return {k: str(v) for k, v in sorted(self.coeffs.items())}
+
+
+def unit_cycle(v):
+    return QCycle({v: 1})
+
+
+def as_qcycle(g, num, den=1) -> QCycle:
+    """sum_w (num_w / den) E_w for an int list num in g.ids order: an
+    integral cycle with den = 1, numerators over |det I| otherwise."""
+    return QCycle({w: Fraction(c, den) for w, c in zip(g.ids, num)})
 
 
 @dataclass(frozen=True)
@@ -111,7 +194,7 @@ def dual_cycle(g, v) -> QCycle:
     return dual_cycles(g)[v]
 
 
-def _from_alpha(g, alpha) -> QCycle:
+def from_alpha(g, alpha) -> QCycle:
     """sum_w alpha_w E*_w (alpha in g.ids order)."""
     out = QCycle()
     for w, a in zip(g.ids, alpha):
@@ -174,7 +257,7 @@ def lift(g, h: HElement) -> QCycle:
     alpha = [0] * len(g.ids)
     for c, gen in zip(h.coords, _presentation(g)[2]):
         alpha = [a + c * x for a, x in zip(alpha, gen)]
-    return _from_alpha(g, alpha)
+    return from_alpha(g, alpha)
 
 
 def _cycle(g, x) -> QCycle:
@@ -225,7 +308,7 @@ def phi_branch(g, branch, D: QCycle) -> QCycle:
     with the branch's own dual cycles."""
     alpha = dict(zip(g.ids, alpha_of(g, D)))
     sub = branch.subgraph
-    return _from_alpha(sub, [alpha[w] for w in sub.ids])
+    return from_alpha(sub, [alpha[w] for w in sub.ids])
 
 
 def nef_shift_cycle(g, branch, chi) -> QCycle:

@@ -2,19 +2,21 @@
 harness under bench/ imports (tier-1 does not collect bench/, so a removal
 there would otherwise go unnoticed)."""
 
+import ast
 import json
+from pathlib import Path
 
 import splicegenus
 
 PUBLIC = [
-    "GenusReport", "GroupData", "P_chi", "QCycle", "RationalFunctionQ",
+    "GenusReport", "GroupData", "P_chi", "RationalFunctionQ",
     "ResolutionGraph", "a_invariant", "artin_rational", "bruteforce_eigendims",
     "c_v_chi", "c_v_chi_routes", "c_v_route_a", "check_monomial_condition",
     "emit_splice_system", "euler_char_on_cycle", "find_admissible_monomial",
     "genus_report", "group_data", "h1_eigensheaf", "h1_twisted",
     "hilbert_data", "minimal_nef_correction", "molien_closed",
     "molien_coeffs", "oracle_verify", "parse_graph", "pg", "pg_uac",
-    "polynomial_part", "truncation_m", "unit_cycle", "v_degree",
+    "polynomial_part", "truncation_m", "v_degree",
     "validate_witness", "verify_equivariance",
 ]
 
@@ -31,6 +33,24 @@ def test_all_is_pinned():
         assert getattr(splicegenus, name) is not None
     assert not hasattr(splicegenus, "Character")
     assert not hasattr(splicegenus, "PolyQ")
+    assert not hasattr(splicegenus, "QCycle")
+    assert not hasattr(splicegenus, "unit_cycle")
+
+
+def test_package_does_not_import_fractions():
+    # cycles are int lists and numerators over |det I|, and Route A divides
+    # exactly in the integers; rational cycles live in tests/reference.py
+    sources = sorted(Path(splicegenus.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "fractions" not in names, f"{path.name} imports fractions"
 
 
 def test_names_the_benchmark_uses_resolve():

@@ -285,26 +285,27 @@ def test_negative_bound_exits_1(capsys, command):
     assert code == 1 and out == "" and "bound must be >= 0" in err
 
 
-# -- QCycle only at the boundary -------------------------------------------
+# -- integers only ------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["exmc.json", "fig1.json"])
 def test_commands_run_without_fraction_cycle_algebra(name, monkeypatch, capsys):
-    # the splice layer, Route A and the fundamental cycle stay on integer
-    # E*-coordinates: the Fraction routes live in tests/reference.py, and
-    # QCycle is only built at the boundary, never combined
-    from splicegenus.graph import QCycle
+    # cycles, Route A and the reports stay in the integers: the Fraction
+    # routes live in tests/reference.py, and no command makes a Fraction
+    import fractions
 
-    def boundary_only(*args, **kwargs):
-        raise AssertionError("Fraction cycle algebra off the boundary")
+    def no_fractions(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
 
-    for op in ("__add__", "__sub__", "__neg__", "scale", "floor"):
-        monkeypatch.setattr(QCycle, op, boundary_only)
+    monkeypatch.setattr(fractions.Fraction, "__new__", no_fractions)
     path = graph_file(name)
-    for argv in (["monomial-check"], ["emit-equations"],
-                 ["oracle-verify", "--max-degree", "6"], ["cv"], ["pg-uac"],
+    for argv in (["validate"], ["invariants"], ["hilbert"], ["cv"], ["pg"],
+                 ["pg-uac"], ["monomial-check"], ["emit-equations"],
+                 ["oracle-verify", "--max-degree", "6"],
                  ["fundamental-cycle"]):
         code, _, err = _json_out(capsys, argv + ["--input", path])
         assert code == 0, (argv, err)
+    with pytest.raises(AssertionError):
+        fractions.Fraction(1, 3)
 
 
 # -- malformed JSON input ---------------------------------------------------

@@ -23,20 +23,26 @@ from splicegenus.genus import (
     pg,
     pg_uac,
 )
-from splicegenus.graph import QCycle, ResolutionGraph, unit_cycle
-from splicegenus.errors import CycleOutOfRange, GraphInputError, NonEffective
+from splicegenus.graph import ResolutionGraph
+from splicegenus.errors import CycleOutOfRange, GraphInputError
 from splicegenus.molien import c_v_chi, group_data
+
+
+def _ints(g, coeffs):
+    """The int list in g.ids order of a dict of E-coefficients."""
+    return [coeffs.get(w, 0) for w in g.ids]
 
 
 # -- Riemann-Roch on cycles ------------------------------------------------
 
 def test_euler_char_zero_cycle():
-    assert euler_char_on_cycle(d4(), QCycle()) == 0
+    assert euler_char_on_cycle(d4(), [0] * 4) == 0
 
 
 def test_euler_char_single_rational_curve():
     # chi(O_E) = 1 for a -2 curve (K = 0)
-    assert euler_char_on_cycle(e8(), unit_cycle("e1")) == 1
+    g = e8()
+    assert euler_char_on_cycle(g, _ints(g, {"e1": 1})) == 1
 
 
 def test_euler_char_of_fundamental_cycle_matches_pa():
@@ -47,35 +53,47 @@ def test_euler_char_of_fundamental_cycle_matches_pa():
 
 def test_euler_char_twist_adds_degrees():
     g = d4()
-    D = QCycle({"c": 2, "l1": 1})
+    D = _ints(g, {"c": 2, "l1": 1})
     base = euler_char_on_cycle(g, D)
-    twisted = euler_char_on_cycle(g, D, {"c": 3, "l1": -1, "l2": 7, "l3": 7})
+    twisted = euler_char_on_cycle(
+        g, D, _ints(g, {"c": 3, "l1": -1, "l2": 7, "l3": 7}))
     assert twisted == base + 2 * 3 + 1 * (-1)
+    # -D.(D+K)/2 by the Fraction intersection form
+    K = ref.as_qcycle(g, g.canonical_cycle()[0], g.dual_data().det_abs)
+    Dq = ref.as_qcycle(g, D)
+    assert base == -ref.intersect(g, Dq, Dq + K) / 2
 
 
 def test_euler_char_rejects_non_effective():
-    with pytest.raises(NonEffective):
-        euler_char_on_cycle(d4(), QCycle({"c": -1}))
+    g = d4()
+    with pytest.raises(CycleOutOfRange):
+        euler_char_on_cycle(g, _ints(g, {"c": -1}))
 
 
 def test_euler_char_rejects_non_integral():
+    g = d4()
     with pytest.raises(CycleOutOfRange) as info:
-        euler_char_on_cycle(d4(), QCycle({"c": Fraction(1, 2)}))
+        euler_char_on_cycle(g, _ints(g, {"c": Fraction(1, 2)}))
     assert isinstance(info.value, GraphInputError)
 
 
 @pytest.mark.parametrize("ldeg", [{"c": Fraction(1, 2)},
-                                  lambda w: Fraction(-3, 2)],
-                         ids=["mapping", "callable"])
+                                  lambda w: Fraction(-3, 2),
+                                  [Fraction(1, 2), 0, 0, 0],
+                                  [Fraction(4, 2), 0, 0, 0],
+                                  ["x", 0, 0, 0],
+                                  [1.0, 0, 0, 0],
+                                  [0, 0, 0]],
+                         ids=["mapping", "callable", "fraction",
+                              "integral-fraction", "string", "float",
+                              "short"])
 def test_euler_char_rejects_non_integral_degrees(ldeg):
-    with pytest.raises(CycleOutOfRange):
-        euler_char_on_cycle(d4(), unit_cycle("c"), ldeg)
-
-
-def test_euler_char_reads_integral_fraction_degrees_as_ints():
-    value = euler_char_on_cycle(d4(), unit_cycle("c"), {"c": Fraction(4, 2)})
-    assert type(value) is int
-    assert value == euler_char_on_cycle(d4(), unit_cycle("c"), {"c": 2})
+    # degrees are an int list in g.ids order: anything else is refused,
+    # also where the cycle is 0
+    g = d4()
+    for d in (_ints(g, {"c": 1}), [0] * 4):
+        with pytest.raises(CycleOutOfRange):
+            euler_char_on_cycle(g, d, ldeg)
 
 
 def test_riemann_roch_values_are_ints():
@@ -86,45 +104,55 @@ def test_riemann_roch_values_are_ints():
     Z, pa = g.fundamental_cycle()
     assert type(pa) is int
     assert type(euler_char_on_cycle(g, Z)) is int
-    assert type(euler_char_on_cycle(g, Z, lambda w: 1)) is int
+    assert type(euler_char_on_cycle(g, Z, [1] * len(g.ids))) is int
     assert type(g.riemann_roch([1] * len(g.ids), [0] * len(g.ids))) is int
     for chi in gd.characters():
         assert type(c_v_chi(g, "v0", chi)) is int
         assert type(h1_eigensheaf(g, chi)) is int
     h = exmc()
     values = h1_twisted(h, "E5", group_data(h).trivial_character, 2,
-                        unit_cycle("E6"))
+                        _ints(h, {"E6": 1}))
     assert [type(x) for x in values] == [int, int]
 
 
 # -- minimal nef correction ------------------------------------------------
 
+def _reference_base(g, v, chi, n):
+    """[c_1(L_chi) - (n/e_v)E_v] - c_1(L_chi) from the Fraction reference."""
+    c1 = ref.fractional_representative(g, chi)
+    e_v = g.node_weights(v).e
+    return (c1 - ref.unit_cycle(v).scale(Fraction(n, e_v))).floor() - c1
+
+
 def test_nef_correction_trivial_n0_is_zero():
     g = exmc()
     gd = group_data(g)
     nc = minimal_nef_correction(g, "E5", gd.trivial_character, 0)
-    assert nc.cycle.is_zero() and nc.iterations == 0
+    assert nc.cycle == [0] * len(g.ids) and nc.iterations == 0
 
 
 def test_nef_correction_known_cycle():
     g = exmc()
     gd = group_data(g)
     nc = minimal_nef_correction(g, "E5", gd.trivial_character, 2)
-    assert nc.cycle == QCycle({"E1": 1, "E2": 1, "E3": 1, "E4": 1,
-                               "E5": 1, "E6": 2})
+    assert nc.cycle == _ints(g, {"E1": 1, "E2": 1, "E3": 1, "E4": 1,
+                                 "E5": 1, "E6": 2})
 
 
 def test_nef_correction_order_independent():
+    # Laufer's loop from the reference's slack base.E_w gives the package's
+    # correction whatever order it scans the vertices in
     g = exmc()
     gd = group_data(g)
     rng = random.Random(7)
     for chi in gd.characters():
-        ref = minimal_nef_correction(g, "E6", chi, 3).cycle
+        nc = minimal_nef_correction(g, "E6", chi, 3)
+        base = _reference_base(g, "E6", chi, 3)
+        slack = [int(ref.intersect(g, base, ref.unit_cycle(w))) for w in g.ids]
         for _ in range(5):
             order = list(g.ids)
             rng.shuffle(order)
-            alt = minimal_nef_correction(g, "E6", chi, 3, order=order).cycle
-            assert alt == ref
+            assert g.laufer(slack, order) == nc.cycle
 
 
 def test_nef_correction_result_is_nef_and_minimal():
@@ -132,19 +160,27 @@ def test_nef_correction_result_is_nef_and_minimal():
     gd = group_data(g)
     for chi in gd.characters():
         for n in (1, 2, 3):
-            e_v = g.node_weights("E5").e
-            c1 = ref.fractional_representative(g, chi)
-            base = (c1 - unit_cycle("E5").scale(Fraction(n, e_v))).floor() - c1
-            D = minimal_nef_correction(g, "E5", chi, n).cycle
+            base = _reference_base(g, "E5", chi, n)
+            D = ref.as_qcycle(g, minimal_nef_correction(g, "E5", chi, n).cycle)
             for w in g.ids:
-                assert ref.intersect(g, base - D, unit_cycle(w)) >= 0
+                assert ref.intersect(g, base - D, ref.unit_cycle(w)) >= 0
             # decrementing any support coordinate must break nefness
             for w in g.ids:
                 if D[w] > 0:
-                    smaller = D - unit_cycle(w)
+                    smaller = D - ref.unit_cycle(w)
                     assert any(
-                        ref.intersect(g, base - smaller, unit_cycle(u)) < 0
+                        ref.intersect(g, base - smaller, ref.unit_cycle(u)) < 0
                         for u in g.ids)
+
+
+def test_twists_are_only_along_nodes():
+    g = exmc()
+    chi = group_data(g).trivial_character
+    for v in ("nope", "E1"):  # not a vertex; an end
+        with pytest.raises(GraphInputError):
+            minimal_nef_correction(g, v, chi, 3)
+        with pytest.raises(GraphInputError):
+            h1_twisted(g, v, chi, 0, [0] * len(g.ids))
 
 
 # -- the h1 recursion ------------------------------------------------------
@@ -214,36 +250,53 @@ def test_fig1_h1_values_nonnegative_and_bounded_by_pg():
 def test_h1_twisted_degenerate_case_recovers_pg():
     g = exmc()
     gd = group_data(g)
-    h0drop, h1 = h1_twisted(g, "E5", gd.trivial_character, 0, QCycle())
+    h0drop, h1 = h1_twisted(g, "E5", gd.trivial_character, 0, [0] * len(g.ids))
     assert h0drop == 0 and h1 == pg(g)
 
 
 def test_h1_twisted_known_values():
     g = exmc()
     gd = group_data(g)
-    assert h1_twisted(g, "E5", gd.trivial_character, 2, QCycle()) == (1, 1)
-    assert h1_twisted(g, "E5", gd.trivial_character, 2,
-                      unit_cycle("E6")) == (1, 1)
+    chi = gd.trivial_character
+    assert h1_twisted(g, "E5", chi, 2, [0] * len(g.ids)) == (1, 1)
+    assert h1_twisted(g, "E5", chi, 2, _ints(g, {"E6": 1})) == (1, 1)
 
 
 def test_h1_twisted_rejects_out_of_range_cycles():
     g = exmc()
     gd = group_data(g)
     with pytest.raises(CycleOutOfRange):
-        h1_twisted(g, "E5", gd.trivial_character, 0, QCycle({"E1": -1}))
+        h1_twisted(g, "E5", gd.trivial_character, 0, _ints(g, {"E1": -1}))
     with pytest.raises(CycleOutOfRange):
         # n = 0 forces the bound cycle to be 0
-        h1_twisted(g, "E5", gd.trivial_character, 0, unit_cycle("E1"))
+        h1_twisted(g, "E5", gd.trivial_character, 0, _ints(g, {"E1": 1}))
 
 
 def test_cycles_on_unknown_vertices_are_rejected():
+    # a cycle is an int list in g.ids order: one that also carries a
+    # vertex outside the graph, or misses one, has the wrong length
     g = exmc()
-    gd = group_data(g)
-    for D in (QCycle({"nope": 5}), QCycle({"E1": 1, "nope": 1})):
+    n = len(g.ids)
+    chi = group_data(g).trivial_character
+    for d in ([5] + [0] * n, [1] * (n + 1), [0] * (n - 1), []):
         with pytest.raises(CycleOutOfRange):
-            euler_char_on_cycle(g, D)
+            euler_char_on_cycle(g, d)
+        with pytest.raises(CycleOutOfRange):
+            euler_char_on_cycle(g, [0] * n, d)
+        with pytest.raises(CycleOutOfRange):
+            h1_twisted(g, "E5", chi, 0, d)
+
+
+@pytest.mark.parametrize("bad", ["x", Fraction(1), 1.0, None],
+                         ids=["string", "fraction", "float", "none"])
+def test_h1_twisted_rejects_non_int_entries(bad):
+    g = exmc()
+    d = [0] * len(g.ids)
+    d[0] = bad
     with pytest.raises(CycleOutOfRange):
-        h1_twisted(g, "E5", gd.trivial_character, 0, QCycle({"nope": 7}))
+        h1_twisted(g, "E5", group_data(g).trivial_character, 0, d)
+    with pytest.raises(CycleOutOfRange):
+        euler_char_on_cycle(g, d)
 
 
 # -- reports ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from fixtures import (
     e8,
     exmc,
     fig1,
+    graph_file,
     small_stars,
     splice_quotient_trees,
     star,
@@ -212,7 +213,7 @@ def test_routes_agree_on_every_character():
         for chi in group_data(g).characters():
             a, b = c_v_chi_routes(g, v, chi)
             assert a == b
-            assert a >= 0 and a.denominator == 1
+            assert a >= 0 and type(a) is int
 
 
 def _recursion_graphs(g, seen=None):
@@ -231,7 +232,7 @@ def _assert_cv_consistent(g, v, chi):
     and for the trivial character equals Route B."""
     value = c_v_chi(g, v, chi)
     assert c_v_route_a(g, v, chi) == c_v_chi(g, v, chi)
-    assert value.denominator == 1 and value >= 0
+    assert type(value) is int and value >= 0
     if chi == group_data(g).trivial_character:
         assert c_v_chi_routes(g, v, chi)[1] == value
 
@@ -255,6 +256,37 @@ def test_cv_at_infinity_sampled_characters_fig1_subgraphs():
         for v in sorted(g.nodes()):
             for chi in [gd.trivial_character] + rng.sample(others, 2):
                 _assert_cv_consistent(g, v, chi)
+
+
+def test_route_a_is_an_int_equal_to_c_v_chi():
+    # Route A divides its quadratic term exactly in the integers; every
+    # node and character of the fixtures, fig1's recursion graphs (|H| up
+    # to 258) and the 96 small stars
+    graphs = [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
+              *(star(b, legs) for b, legs in small_stars())]
+    checked = 0
+    for g in graphs:
+        for v in g.nodes():
+            for chi in group_data(g).characters():
+                value = c_v_route_a(g, v, chi)
+                assert type(value) is int and value == c_v_chi(g, v, chi)
+                checked += 1
+    assert checked > 1000
+
+
+def test_route_a_raises_on_a_non_exact_quadratic_term(monkeypatch, capsys):
+    import splicegenus.molien as M
+    from splicegenus.cli import run
+
+    # one more than the true numerator, so 2 |det I| cannot divide it
+    monkeypatch.setattr(M, "divmod", lambda a, b: divmod(a + 1, b),
+                        raising=False)
+    g = exmc()
+    with pytest.raises(InternalCheckError, match="not an integer"):
+        c_v_route_a(g, "E5", group_data(g).trivial_character)
+    assert run(["cv", "--input", graph_file("exmc.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal check failed: Route A's")
 
 
 def _cyclotomic_part(p, d):

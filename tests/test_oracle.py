@@ -28,21 +28,28 @@ def test_bruteforce_matches_molien_on_quotient_graph():
 
 
 def test_bruteforce_shuffle_invariant(monkeypatch):
-    g = exmc()
+    # at fig1's v0 the blocks up to degree 8 hold up to 25 monomials, so a
+    # shuffle reorders them
+    g = fig1()
     system = emit_splice_system(g, seed=0)
-    ref = bruteforce_eigendims(g, "E5", system, 12)
+    ref = bruteforce_eigendims(g, "v0", system, 8)
     real = O._monomials_by_degree
     for seed in (1, 2, 3):
         rng = random.Random(seed)
+        moved = []
 
         def shuffled(weights, up_to):
             table = real(weights, up_to)
             for lst in table:
+                before = list(lst)
                 rng.shuffle(lst)
+                if len(lst) >= 2:
+                    moved.append(lst != before)
             return table
 
         monkeypatch.setattr(O, "_monomials_by_degree", shuffled)
-        assert bruteforce_eigendims(g, "E5", system, 12) == ref
+        assert bruteforce_eigendims(g, "v0", system, 8) == ref
+        assert len(moved) >= 5 and 2 * sum(moved) > len(moved), moved
 
 
 def test_bruteforce_returns_every_character():
