@@ -271,7 +271,7 @@ def _run_monomial_check(g, args):
             lines.append(f"node {v}, branch at {u}: not found within bound")
         else:
             lines.append(f"node {v}, branch at {u}: "
-                         f"{dict(wit.monomial.exponents)}")
+                         f"{dict(wit.exponents)}")
     code = EXIT_OK if report.verdict == "satisfied" else EXIT_UNKNOWN
     return code, report.to_json(), lines
 
@@ -292,7 +292,7 @@ def _run_emit_equations(g, args):
     lines = []
     for ns in system.nodes:
         lines.append(f"node {ns.node} (v-degree {ns.v_degree}):")
-        monos = ", ".join(str(dict(m.exponents)) for m in ns.monomials)
+        monos = ", ".join(str(dict(m)) for m in ns.monomials)
         lines.append(f"  monomials: {monos}")
         for eq in ns.equations:
             lines.append(f"  {_render_equation(eq)} = 0")

@@ -55,12 +55,6 @@ def euler_char_on_cycle(g: ResolutionGraph, d, ldeg=None) -> int:
     return g.riemann_roch(d, ldeg)
 
 
-@dataclass
-class NefCorrection:
-    cycle: list            # integer E-coefficients in g.ids order
-    iterations: int
-
-
 def _floor_c1_shift(g, v, chi, n):
     """q = [c_1(L_chi) - (n/e_v)E_v] as integer E-coefficients in g.ids
     order; only the coefficient at v can be nonzero."""
@@ -72,9 +66,9 @@ def _floor_c1_shift(g, v, chi, n):
     return q
 
 
-def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> NefCorrection:
+def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     """Smallest D >= 0 making -L_chi + [c_1(L_chi) - (n/e_v)E_v] - D nef,
-    for a node v.
+    for a node v, as integer E-coefficients in g.ids order.
 
     Laufer's loop (``ResolutionGraph.laufer``): while some E_w has negative
     intersection with the corrected class, add E_w to D; the result does
@@ -86,8 +80,7 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> NefCorrection:
         raise GraphInputError(f"{v!r} is not a node of the graph")
     q = _floor_c1_shift(g, v, chi, n)
     base = [x + a for x, a in zip(g.intersections(q), group_data(g).c1_alpha(chi))]
-    D = g.laufer(base, g.ids)
-    return NefCorrection(cycle=D, iterations=sum(D))
+    return g.laufer(base, g.ids)
 
 
 def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
@@ -164,7 +157,7 @@ def h1_twisted(g: ResolutionGraph, v, chi, n: int, d):
     E-coefficients of D in g.ids order.
     """
     _check_ints(g, d, "cycle", effective=True)
-    bound = minimal_nef_correction(g, v, chi, n).cycle
+    bound = minimal_nef_correction(g, v, chi, n)
     if any(x > b for x, b in zip(d, bound)):
         raise CycleOutOfRange(
             f"cycle exceeds the minimal nef correction {bound!r}")

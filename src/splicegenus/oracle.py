@@ -6,7 +6,10 @@ piece by monomial multiples of the leading forms of the emitted equations,
 and count dimensions by exact Gaussian rank.  One pass per node serves every
 character: the monomial table and the character of each monomial are built
 once, the character being theta (GroupData.theta_alpha) of the exponent
-vector, which is the monomial's E*-coordinates at the ends.  Agreement with
+vector, which is the monomial's E*-coordinates at the ends.  The table comes
+from the monomial search's enumerator (splice._exponent_vectors, pruned by
+gcd and capped sum), called once per node with a slack exponent of weight 1
+so that every degree up to the limit is listed in one pass.  Agreement with
 molien_coeffs is the core anti-bug property of the whole package.
 """
 
@@ -16,7 +19,7 @@ from . import exact
 from .discgroup import group_data
 from .graph import ResolutionGraph
 from .molien import molien_coeffs
-from .splice import SpliceSystem, _alpha, emit_splice_system
+from .splice import SpliceSystem, _alpha, _exponent_vectors, emit_splice_system
 
 
 def artin_rational(g: ResolutionGraph) -> bool:
@@ -39,21 +42,11 @@ def _leading_form(g, v, equation):
 
 
 def _monomials_by_degree(weights, up_to):
-    """All exponent tuples with sum a_j * weights[j] = d, for d <= up_to."""
+    """All exponent tuples of degree d = sum a_j * weights[j] <= up_to, in
+    one call with a slack exponent up_to - d of weight 1."""
     table = [[] for _ in range(up_to + 1)]
-    n = len(weights)
-
-    def rec(j, deg, acc):
-        if j == n:
-            table[deg].append(tuple(acc))
-            return
-        w = weights[j]
-        k = 0
-        while deg + k * w <= up_to:
-            rec(j + 1, deg + k * w, acc + [k])
-            k += 1
-
-    rec(0, 0, [])
+    for a in _exponent_vectors([*weights, 1], up_to):
+        table[up_to - a[-1]].append(a[:-1])
     return table
 
 

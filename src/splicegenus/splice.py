@@ -9,7 +9,9 @@ combinations of the delta_v admissible monomials at each node.
 The search is finite: C does not contain v, so an admissible D has the
 v-coefficient of E*_v and its v-degree is sum_w alpha_w m_vw = m_vv.  Every
 m_vw > 0, so alpha_w <= m_vv // m_vw, and only the branch's ends carry
-exponents; the candidates are the solutions of this one equation.
+exponents; the candidates are the solutions of this one equation, listed
+by _exponent_vectors (pruned by gcd and capped sum), which also lists the
+oracle's monomials.  A monomial is its exponent dict {end id: positive int}.
 
 Everything here runs in the integers: the exponent vector of D is its
 E*-coordinates alpha, A alpha (A the graph's adjugate) is |det I| times its
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import gcd
 
 from . import exact
 from .discgroup import group_data
@@ -31,27 +34,18 @@ from .graph import ResolutionGraph
 
 
 @dataclass
-class MonomialCycle:
-    exponents: dict            # end-id -> positive int; D = sum alpha_w E*_w
-
-    def total(self):
-        return sum(self.exponents.values())
-
-
-@dataclass
 class AdmissibilityWitness:
     node: str
     attach: str                # identifies the branch
-    monomial: MonomialCycle
+    exponents: dict            # end id -> positive int
     residual: list             # D - E*_v, E-coefficients in g.ids order
 
 
 @dataclass
 class NodeSystem:
     node: str
-    monomials: list            # one MonomialCycle per branch, branch order
+    monomials: list            # one exponent dict per branch, branch order
     v_degree: int
-    coefficients: list         # (delta-2) x delta rows of ints
     equations: list            # per row: list of (coeff, exponents dict)
 
 
@@ -66,7 +60,7 @@ class SpliceSystem:
             "nodes": [
                 {"node": ns.node,
                  "vDegree": ns.v_degree,
-                 "monomials": [dict(m.exponents) for m in ns.monomials],
+                 "monomials": [dict(m) for m in ns.monomials],
                  "equations": [
                      [{"coefficient": str(c), "exponents": dict(e)}
                       for c, e in eq]
@@ -78,11 +72,6 @@ class SpliceSystem:
 def _alpha(g: ResolutionGraph, exponents):
     """The exponent vector as E*-coordinates, in g.ids order."""
     return [int(exponents.get(w, 0)) for w in g.ids]
-
-
-def monomial_cycle(exponents) -> MonomialCycle:
-    assert all(int(a) >= 0 for a in exponents.values())
-    return MonomialCycle({w: int(a) for w, a in exponents.items() if a})
 
 
 def v_degree(g: ResolutionGraph, v, exponents) -> int:
@@ -121,8 +110,49 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
             return None
         residual.append(r)
     return AdmissibilityWitness(node=v, attach=branch.attach,
-                                monomial=monomial_cycle(exponents),
+                                exponents={w: int(a) for w, a in
+                                           exponents.items() if a},
                                 residual=residual)
+
+
+def _exponent_vectors(weights, degree, caps=None):
+    """Every tuple a, in lex order, with 0 <= a_j <= caps[j] (no cap when
+    caps is None) and sum_j a_j weights[j] = degree; weights is a nonempty
+    list of positive ints.  A prefix is extended only while the rest of the
+    degree is a multiple of the gcd of the remaining weights and at most
+    their capped sum, and the last exponent is computed: besides the
+    output, the state is O(len(weights))."""
+    n = len(weights)
+    caps = caps or [degree // w for w in weights]
+    # gcd and capped sum of weights[j:]
+    gcds, tops = [0] * (n + 1), [0] * (n + 1)
+    for j in reversed(range(n)):
+        gcds[j] = gcd(weights[j], gcds[j + 1])
+        tops[j] = tops[j + 1] + caps[j] * weights[j]
+    out, a = [], [0] * n
+
+    def extend(j, rest):
+        # rest is a multiple of gcds[j] and at most tops[j]; j < n - 1
+        w, d = weights[j], gcds[j]
+        lo = max(0, -((tops[j + 1] - rest) // w))
+        # rest - k w is a multiple of gcds[j + 1] on one class of k mod step
+        step = gcds[j + 1] // d
+        if step > 1:
+            lo += (rest // d * pow(w // d, -1, step) - lo) % step
+        for k in range(lo, min(caps[j], rest // w) + 1, step):
+            a[j] = k
+            if j + 2 < n:
+                extend(j + 1, rest - k * w)
+            else:  # the last exponent is determined
+                a[-1] = (rest - k * w) // weights[-1]
+                out.append(tuple(a))
+
+    if 0 <= degree <= tops[0] and degree % gcds[0] == 0:
+        if n > 1:
+            extend(0, degree)
+        else:
+            out.append((degree // weights[0],))
+    return out
 
 
 def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
@@ -132,30 +162,22 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     the v-coefficient of E*_v: its v-degree is fixed,
     sum_w alpha_w m_vw = m_vv.  Every m_vw > 0, so alpha_w is capped by
     min(bound, m_vv // m_vw), and ends off the branch carry 0.  The
-    solutions of this bounded knapsack over the branch's ends (the last end
-    is determined by the others) are validated by the independent path in
-    key order (total exponent, then lex over g.ends()), and the first valid
-    one is returned.  None means not found within the bound; a bound of at
-    least every m_vv // m_vw makes the search exhaustive.
+    solutions of this bounded knapsack over the branch's ends, listed with
+    the ends by decreasing m_vw (so the computed last exponent has the
+    smallest weight), are validated by the independent path in key order
+    (total exponent, then lex over g.ends()); the first valid one is
+    returned.  None means not found within the bound; a bound of at least
+    every m_vv // m_vw makes the search exhaustive.
     """
     g.require_valid()
     m = g.node_weights(v).m
     branch_vs = set(branch.subgraph.ids)
     ends = [w for w in g.ends() if w in branch_vs]
-    caps = [min(bound, m[v] // m[w]) for w in ends]
-
-    def solutions(k, rest):
-        # exponents of ends[k:] with sum alpha_w m_vw = rest
-        if k == len(ends) - 1:
-            a, rem = divmod(rest, m[ends[k]])
-            if not rem and a <= caps[k]:
-                yield (a,)
-            return
-        for a in range(min(caps[k], rest // m[ends[k]]) + 1):
-            for tail in solutions(k + 1, rest - a * m[ends[k]]):
-                yield (a,) + tail
-
-    for alpha in sorted(solutions(0, m[v]), key=lambda a: (sum(a), a)):
+    by_m = sorted(ends, key=lambda w: -m[w])
+    pos = [by_m.index(w) for w in ends]
+    vecs = _exponent_vectors([m[w] for w in by_m], m[v],
+                             [min(bound, m[v] // m[w]) for w in by_m])
+    for _, *alpha in sorted((sum(a), *map(a.__getitem__, pos)) for a in vecs):
         wit = validate_witness(g, v, branch,
                                {w: a for w, a in zip(ends, alpha) if a})
         if wit is not None:
@@ -176,7 +198,7 @@ class MonomialConditionReport:
             "branches": [
                 {"node": v, "attach": u,
                  "found": w is not None,
-                 "exponents": dict(w.monomial.exponents) if w else None}
+                 "exponents": dict(w.exponents) if w else None}
                 for (v, u), w in sorted(self.witnesses.items())],
         }
 
@@ -195,17 +217,9 @@ def check_monomial_condition(g: ResolutionGraph, bound=64) -> MonomialConditionR
                                    bound=bound)
 
 
-def _draw_coefficients(rng, nrows, ncols):
-    return [[rng.randint(1, 997) for _ in range(ncols)]
-            for _ in range(nrows)]
-
-
-def _all_maximal_minors_nonzero(F, nrows, ncols):
-    for cols in itertools.combinations(range(ncols), nrows):
-        sub = [[F[i][c] for c in cols] for i in range(nrows)]
-        if exact.det_bareiss(sub) == 0:
-            return False
-    return True
+def _all_maximal_minors_nonzero(F):
+    return all(exact.det_bareiss([[row[c] for c in cols] for row in F])
+               for cols in itertools.combinations(range(len(F[0])), len(F)))
 
 
 def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
@@ -223,28 +237,25 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
     rng = random.Random(seed)
     out = []
     for v in g.nodes():
-        monos = [report.witnesses[(v, br.attach)].monomial
+        monos = [report.witnesses[(v, br.attach)].exponents
                  for br in g.branches(v)]
-        degs = {v_degree(g, v, m.exponents) for m in monos}
+        degs = {v_degree(g, v, m) for m in monos}
         assert len(degs) == 1, f"monomials at {v} are not quasihomogeneous"
         delta = len(monos)
-        nrows = delta - 2
-        F = None
-        if nrows > 0:
+        F = []
+        if delta > 2:
             for _ in range(200):
-                cand = _draw_coefficients(rng, nrows, delta)
-                if _all_maximal_minors_nonzero(cand, nrows, delta):
-                    F = cand
+                F = [[rng.randint(1, 997) for _ in range(delta)]
+                     for _ in range(delta - 2)]
+                if _all_maximal_minors_nonzero(F):
                     break
-            if F is None:
+            else:
                 raise DegenerateCoefficients(
                     f"no generic coefficient matrix found at node {v}")
-        else:
-            F = []
-        equations = [[(row[j], dict(monos[j].exponents)) for j in range(delta)]
+        equations = [[(row[j], dict(monos[j])) for j in range(delta)]
                      for row in F]
         out.append(NodeSystem(node=v, monomials=monos, v_degree=degs.pop(),
-                              coefficients=F, equations=equations))
+                              equations=equations))
     return SpliceSystem(nodes=out, seed=seed)
 
 
@@ -260,7 +271,7 @@ def verify_equivariance(g: ResolutionGraph, system: SpliceSystem):
     for ns in system.nodes:
         target = gd.dual_character(ns.node)
         for mono in ns.monomials:
-            got = gd.theta_alpha(_alpha(g, mono.exponents))
+            got = gd.theta_alpha(_alpha(g, mono))
             if got != target:
-                return False, (got, ns.node, dict(mono.exponents))
+                return False, (got, ns.node, dict(mono))
     return True, None

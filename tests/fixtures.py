@@ -8,6 +8,8 @@ splice_quotient_trees: seeded random trees with at least two nodes, small
       |H| and the monomial condition established.
 HUGE_H_TREES: three trees with |H| = 19,273, 34,908 and 119,154, as JSON
       text; too large for any table over H.
+caterpillar: a spine of k nodes, each with two leaves; |H| grows about
+      tenfold per node.
 """
 
 import itertools
@@ -133,6 +135,20 @@ def splice_quotient_trees(seed, count, max_order=500):
                 == "satisfied"):
             count -= 1
             yield g
+
+
+def caterpillar(k) -> ResolutionGraph:
+    """The spine n0 - n1 - ... - n{k-1}: n_i has weight -3 for odd i and
+    -(3 + i mod 3) for even i, and carries the leaves a_i (weight -2) and
+    b_i (weight -3)."""
+    vs, es = [], []
+    for i in range(k):
+        vs += [(f"n{i}", -3 if i % 2 else -(3 + i % 3)), (f"a{i}", -2),
+               (f"b{i}", -3)]
+        es += [(f"n{i}", f"a{i}"), (f"n{i}", f"b{i}")]
+        if i:
+            es.append((f"n{i - 1}", f"n{i}"))
+    return ResolutionGraph(vs, es)
 
 
 # |H| -> the graph as JSON text; p_g is 0, 0 and 1

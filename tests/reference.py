@@ -348,7 +348,7 @@ def find_admissible_monomial(g, v, branch, bound=64):
             exps = {w: a for w, a in zip(ends, alpha) if a}
             wit = validate_witness(g, v, branch, exps)
             if wit is not None:
-                key = (wit.monomial.total(), tuple(alpha))
+                key = (sum(alpha), tuple(alpha))
                 if best is None or key < best[0]:
                     best = (key, wit)
     return best[1] if best else None

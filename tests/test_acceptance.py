@@ -113,7 +113,7 @@ def test_criterion_6_monomial_condition_two_node_graph():
     six_ok = all(validate_witness(g, v, branch[(v, a)], e) is not None
                  for v, a, e in witnesses)
     system = emit_splice_system(g, seed=0)
-    supports = {ns.node: sorted(sorted(m.exponents.items())
+    supports = {ns.node: sorted(sorted(m.items())
                                 for m in ns.monomials)
                 for ns in system.nodes}
     expected = {

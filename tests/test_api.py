@@ -37,6 +37,15 @@ def test_all_is_pinned():
     assert not hasattr(splicegenus, "unit_cycle")
 
 
+def test_monomials_and_nef_corrections_are_plain_values():
+    # a monomial is its exponent dict and a nef correction its int list
+    from splicegenus import genus, splice
+
+    assert not hasattr(splice, "MonomialCycle")
+    assert not hasattr(splice, "monomial_cycle")
+    assert not hasattr(genus, "NefCorrection")
+
+
 def test_package_does_not_import_fractions():
     # cycles are int lists and numerators over |det I|, and Route A divides
     # exactly in the integers; rational cycles live in tests/reference.py

@@ -178,7 +178,7 @@ def _bruteforce_monomial(g, v, branch, bound):
         exps = {w: a for w, a in zip(ends, alpha) if a}
         wit = validate_witness(g, v, branch, exps)
         if wit is not None:
-            key = (wit.monomial.total(), alpha)
+            key = (sum(wit.exponents.values()), alpha)
             if best is None or key < best:
                 best = key
     return best
@@ -196,5 +196,5 @@ def test_admissible_monomial_search_matches_bruteforce(g):
                 assert found is None
             else:
                 assert found is not None
-                alpha = tuple(found.monomial.exponents.get(w, 0) for w in ends)
-                assert (found.monomial.total(), alpha) == best
+                alpha = tuple(found.exponents.get(w, 0) for w in ends)
+                assert (sum(alpha), alpha) == best

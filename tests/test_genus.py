@@ -128,14 +128,14 @@ def test_nef_correction_trivial_n0_is_zero():
     g = exmc()
     gd = group_data(g)
     nc = minimal_nef_correction(g, "E5", gd.trivial_character, 0)
-    assert nc.cycle == [0] * len(g.ids) and nc.iterations == 0
+    assert nc == [0] * len(g.ids) and sum(nc) == 0
 
 
 def test_nef_correction_known_cycle():
     g = exmc()
     gd = group_data(g)
     nc = minimal_nef_correction(g, "E5", gd.trivial_character, 2)
-    assert nc.cycle == _ints(g, {"E1": 1, "E2": 1, "E3": 1, "E4": 1,
+    assert nc == _ints(g, {"E1": 1, "E2": 1, "E3": 1, "E4": 1,
                                  "E5": 1, "E6": 2})
 
 
@@ -152,7 +152,7 @@ def test_nef_correction_order_independent():
         for _ in range(5):
             order = list(g.ids)
             rng.shuffle(order)
-            assert g.laufer(slack, order) == nc.cycle
+            assert g.laufer(slack, order) == nc
 
 
 def test_nef_correction_result_is_nef_and_minimal():
@@ -161,7 +161,7 @@ def test_nef_correction_result_is_nef_and_minimal():
     for chi in gd.characters():
         for n in (1, 2, 3):
             base = _reference_base(g, "E5", chi, n)
-            D = ref.as_qcycle(g, minimal_nef_correction(g, "E5", chi, n).cycle)
+            D = ref.as_qcycle(g, minimal_nef_correction(g, "E5", chi, n))
             for w in g.ids:
                 assert ref.intersect(g, base - D, ref.unit_cycle(w)) >= 0
             # decrementing any support coordinate must break nefness

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -321,13 +322,104 @@ def _assert_reduced(g, v, ks, chi):
     assert rest in ((1,), (-1,)), chi
 
 
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] * (n > 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _roots_of_unity(d, count=3):
+    """(p, z) for the first ``count`` odd primes p = 1 (mod d), with z a
+    primitive d-th root of unity mod p."""
+    qs, out, p = _prime_factors(d), [], 1
+    while len(out) < count:
+        p += d
+        if p > 2 and _prime_factors(p) == [p]:
+            out.append((p, next(z for z in (pow(x, (p - 1) // d, p)
+                                             for x in range(2, p))
+                                if all(pow(z, d // q, p) != 1 for q in qs))))
+    return out
+
+
+def _root_multiplicity(f, d, p, z):
+    """How often t - z divides f mod p, for z of order d: f(z) is read off
+    f mod (t^d - 1), and each zero divides f by t - z (synthetic division)."""
+    times = 0
+    while f:
+        value = 0
+        for c in reversed(_cyclotomic_part(f, d)):
+            value = (value * z + c) % p
+        if value:
+            return times
+        q, r = [], 0
+        for c in reversed(f):  # Horner: quotient high to low, then f(z) = 0
+            r = (r * z + c) % p
+            q.append(r)
+        f, times = q[-2::-1], times + 1
+    return times  # f = 0 mod p: no bound from this prime
+
+
+def _cyclotomic_bound(f, d):
+    """An upper bound on the multiplicity of Phi_d in f: Phi_d^j | f makes
+    (t - z)^j divide f mod p.  A zero mod p may be an accident, so a
+    positive count is retried at the next prime until two primes agree."""
+    counts = []
+    for p, z in _roots_of_unity(d):
+        counts.append(_root_multiplicity(f, d, p, z))
+        if not counts[-1] or counts[-1] in counts[:-1]:
+            break
+    return min(counts)
+
+
+def _assert_reduced_mod_p(g, v, ks, chi):
+    """The claims of _assert_reduced without dividing by Phi_d: bounds u_d on
+    the multiplicities in den, at most the number of k divisible by d; den
+    equal to prod Phi_d^u_d (so every u_d is exact); and num(z) != 0 mod some
+    p wherever u_d > 0."""
+    f = molien_closed(g, v, chi)
+    assert f.den[0] == 1 and f.num
+    top = len(f.den) - 1
+    powers, degree = {}, 0  # prod Phi_d^u_d = +-prod (1 - t^e)^powers[e]
+    for d in sorted({d for k in ks for d in range(1, k + 1) if k % d == 0}):
+        u = _cyclotomic_bound(f.den, d)
+        assert u <= sum(k % d == 0 for k in ks), (d, chi)
+        if u:
+            assert _cyclotomic_bound(f.num, d) == 0, (d, chi)
+            qs = _prime_factors(d)
+            degree += u * math.prod(q - 1 for q in qs) * d // math.prod(qs)
+            for e in range(1, d + 1):  # Mobius: Phi_d = prod (1 - t^e)^mu(d/e)
+                m = d // e
+                if d % e == 0 and all(m % (q * q) for q in _prime_factors(m)):
+                    powers[e] = powers.get(e, 0) + u * (-1) ** len(_prime_factors(m))
+    assert degree == top, chi
+    # the product has degree top, so it is its own expansion mod t^(top + 1)
+    series = [1] + [0] * top
+    for e, n in powers.items():
+        for _ in range(abs(n)):
+            if n > 0:
+                for i in range(top, e - 1, -1):
+                    series[i] -= series[i - e]
+            else:
+                for i in range(e, top + 1):
+                    series[i] += series[i - e]
+    assert series == list(f.den), chi
+
+
 def test_closed_forms_are_fully_reduced():
-    # long division by the reference Phi_d is quadratic: the nodes whose
+    # long division by the reference Phi_d is quadratic, so where
     # prod (1 - t^k_w) has degree above 2000 (three nodes of the fig1
-    # recursion graphs, up to degree 18,318) would take minutes
+    # recursion graphs, up to degree 18,318) the check runs modulo primes,
+    # on the trivial character and four others
     graphs = [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
               *(star(b, legs) for b, legs in small_stars())]
-    checked = 0
+    checked = large = 0
     for g in graphs:
         gd = group_data(g)
         for v in g.nodes():
@@ -343,7 +435,13 @@ def test_closed_forms_are_fully_reduced():
                 for chi in gd.characters():
                     _assert_reduced(g, v, ks, chi)
                     checked += 1
-    assert checked == 1267
+            else:
+                large += 1
+                others = [c for c in gd.characters() if c != gd.trivial_character]
+                for chi in [gd.trivial_character, *random.Random(v).sample(others, 4)]:
+                    _assert_reduced_mod_p(g, v, ks, chi)
+                    checked += 1
+    assert (checked, large) == (1267 + 3 * 5, 3)
 
 
 def test_exmc_trivial_c_is_one():

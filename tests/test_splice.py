@@ -2,16 +2,27 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
-from fixtures import d4, e8, exmc, fig1, small_stars, splice_quotient_trees, star
+from fixtures import (
+    caterpillar,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    small_stars,
+    splice_quotient_trees,
+    star,
+)
 from splicegenus import splice
+from splicegenus.discgroup import group_data
 from splicegenus.graph import parse_graph
 from splicegenus.splice import (
     check_monomial_condition,
     emit_splice_system,
     find_admissible_monomial,
-    monomial_cycle,
     v_degree,
     validate_witness,
     verify_equivariance,
@@ -39,11 +50,12 @@ def _branch(g, v, attach):
     return next(b for b in g.branches(v) if b.attach == attach)
 
 
-# -- monomial cycles and v-degrees -----------------------------------------
+# -- monomials and v-degrees ------------------------------------------------
 
-def test_monomial_cycle_drops_zero_exponents():
-    m = monomial_cycle({"E1": 2, "E2": 0})
-    assert m.exponents == {"E1": 2} and m.total() == 2
+def test_witness_exponents_drop_zero_entries():
+    g = exmc()
+    wit = validate_witness(g, "E5", _branch(g, "E5", "E1"), {"E1": 2, "E2": 0})
+    assert wit.exponents == {"E1": 2}
 
 
 def test_v_degree_known_values():
@@ -112,15 +124,34 @@ def test_validate_rejects_bad_witnesses():
 
 # -- the search ------------------------------------------------------------
 
+@st.composite
+def _knapsacks(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    caps = draw(st.none() | st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return weights, draw(st.integers(0, 40)), caps
+
+
+@given(_knapsacks())
+@settings(max_examples=300, deadline=None)
+def test_exponent_vectors_match_the_box(case):
+    # the box [0, cap]^n, with degree // w as the cap of an uncapped weight
+    weights, degree, caps = case
+    tops = caps or [degree // w for w in weights]
+    box = [a for a in itertools.product(*(range(c + 1) for c in tops))
+           if sum(x * w for x, w in zip(a, weights)) == degree]
+    assert splice._exponent_vectors(weights, degree, caps) == box
+
+
 def test_search_agrees_with_validation_path():
     g = exmc()
     for v in g.nodes():
         for br in g.branches(v):
             wit = find_admissible_monomial(g, v, br)
             assert wit is not None
-            again = validate_witness(g, v, br, wit.monomial.exponents)
+            again = validate_witness(g, v, br, wit.exponents)
             assert again is not None
-            assert again.monomial.exponents == wit.monomial.exponents
+            assert again.exponents == wit.exponents
 
 
 def test_search_returns_none_at_bound_zero():
@@ -132,7 +163,7 @@ def test_search_returns_none_at_bound_zero():
 def test_condition_report_two_node_graph():
     rep = check_monomial_condition(exmc())
     assert rep.verdict == "satisfied"
-    found = {k: w.monomial.exponents for k, w in rep.witnesses.items()}
+    found = {k: w.exponents for k, w in rep.witnesses.items()}
     assert found == {
         ("E5", "E1"): {"E1": 2},
         ("E5", "E2"): {"E2": 2},
@@ -146,7 +177,7 @@ def test_condition_report_two_node_graph():
 def test_condition_report_three_node_graph_minimal_witnesses():
     rep = check_monomial_condition(fig1())
     assert rep.verdict == "satisfied"
-    found = {k: w.monomial.exponents for k, w in rep.witnesses.items()}
+    found = {k: w.exponents for k, w in rep.witnesses.items()}
     # minimal by (total exponent, lex); differs from the published choice
     # at (v1, u4) and (v2, u7) by equally admissible monomials
     assert found[("v0", "u4")] == {"w1": 1}
@@ -170,7 +201,7 @@ def test_emitted_system_shape_and_quasihomogeneity():
     assert [ns.node for ns in system.nodes] == ["E5", "E6"]
     for ns in system.nodes:
         assert len(ns.monomials) == 3 and len(ns.equations) == 1
-        degs = {v_degree(g, ns.node, m.exponents) for m in ns.monomials}
+        degs = {v_degree(g, ns.node, m) for m in ns.monomials}
         assert degs == {ns.v_degree}
     assert system.nodes[0].v_degree == 14
     assert system.nodes[1].v_degree == 6
@@ -194,7 +225,7 @@ def test_equivariance_of_emitted_systems():
 def test_equivariance_detects_corruption():
     g = exmc()
     system = emit_splice_system(g, seed=0)
-    bad = monomial_cycle({"E1": 1})  # wrong character at E5
+    bad = {"E1": 1}  # wrong character at E5
     system.nodes[0].monomials[0] = bad
     ok, offender = verify_equivariance(g, system)
     assert not ok
@@ -215,35 +246,33 @@ def test_emit_requires_monomial_condition():
 
 # -- the QCycle definitions as references ------------------------------------
 
-def _cycle(g, mono):
+def _cycle(g, exponents):
     """sum_w alpha_w E*_w as a reference QCycle."""
-    return ref.from_alpha(g, [mono.exponents.get(w, 0) for w in g.ids])
-
-
-def _admissible_by_definition(g, v, br, mono):
-    residual = _cycle(g, mono) - ref.dual_cycle(g, v)
-    return (residual.is_integral() and residual.is_effective()
-            and residual.support() <= set(br.subgraph.ids))
+    return ref.from_alpha(g, [exponents.get(w, 0) for w in g.ids])
 
 
 @pytest.mark.parametrize("make", [exmc, fig1])
 def test_validate_witness_matches_qcycle_definition(make):
-    # every end-exponent vector with entries <= 3, on every branch
+    # every end-exponent vector with entries <= 3, on every branch: D - E*_v
+    # must be integral, effective and supported on the branch
     g = make()
     ends = g.ends()
-    branches = [(v, br) for v in g.nodes() for br in g.branches(v)]
+    duals = {v: ref.dual_cycle(g, v) for v in g.nodes()}
     hits = 0
     for vals in itertools.product(range(4), repeat=len(ends)):
         exps = dict(zip(ends, vals))
-        mono = monomial_cycle(exps)
-        for v, br in branches:
-            wit = validate_witness(g, v, br, exps)
-            assert (wit is not None) == _admissible_by_definition(g, v, br, mono)
-            if wit is not None:
-                hits += 1
-                assert wit.monomial == mono
-                assert (ref.as_qcycle(g, wit.residual)
-                        == _cycle(g, mono) - ref.dual_cycle(g, v))
+        D = _cycle(g, exps)
+        for v, dual in duals.items():
+            residual = D - dual
+            ok = residual.is_integral() and residual.is_effective()
+            for br in g.branches(v):
+                wit = validate_witness(g, v, br, exps)
+                assert (wit is not None) == (
+                    ok and residual.support() <= set(br.subgraph.ids))
+                if wit is not None:
+                    hits += 1
+                    assert wit.exponents == {w: a for w, a in exps.items() if a}
+                    assert ref.as_qcycle(g, wit.residual) == residual
     assert hits > 0
 
 
@@ -262,6 +291,14 @@ def test_monomial_search_matches_exhaustive_loop():
                     assert wit == ref.find_admissible_monomial(g, v, br, bound=bound)
                     checked += wit is not None
     assert checked >= 3 * 14
+    # caterpillars: many nodes, and ends of unequal weight on each branch
+    for k, bounds in ((3, range(17)), (4, (0, 1, 2)), (5, (0, 1, 2))):
+        g = caterpillar(k)
+        for v in g.nodes():
+            for br in g.branches(v):
+                for bound in bounds:
+                    wit = find_admissible_monomial(g, v, br, bound=bound)
+                    assert wit == ref.find_admissible_monomial(g, v, br, bound=bound)
     # the ROADMAP trees: one needs exponent 115 at an end, one is violated
     g = parse_graph(TREE_115)
     missing = {64: {("x2", "x1"), ("x3", "x2")}, 120: set()}
@@ -278,6 +315,14 @@ def test_monomial_search_matches_exhaustive_loop():
         assert find_admissible_monomial(g, "x3", br, bound=bound) is None
     # 10**6 is above every m_vv // m_vw, so the search is exhaustive
     assert find_admissible_monomial(g, "x3", br, bound=10**6) is None
+
+
+@pytest.mark.parametrize("k, order", [(3, 2857), (4, 32353), (5, 511855),
+                                      (6, 5489407)])
+def test_caterpillars_satisfy_the_monomial_condition(k, order):
+    g = caterpillar(k)
+    assert group_data(g).order == order
+    assert check_monomial_condition(g, bound=64).verdict == "satisfied"
 
 
 def _count_validations(monkeypatch, check=None):
@@ -301,7 +346,7 @@ def test_large_bound_costs_the_caps(monkeypatch):
     for bound in (64, 10**9):
         calls.clear()
         rep = check_monomial_condition(fig1(), bound=bound)
-        found[bound] = ({k: w.monomial.exponents for k, w in rep.witnesses.items()},
+        found[bound] = ({k: w.exponents for k, w in rep.witnesses.items()},
                         len(calls))
     assert found[64] == found[10**9]
     assert found[64][1] > 0
@@ -357,7 +402,7 @@ def test_equivariance_matches_pairing_definition(make):
     ends = g.ends()
     target = _pairings(g, ref.dual_cycle(g, system.nodes[0].node))
     for vals in itertools.product(range(3), repeat=len(ends)):
-        mono = monomial_cycle(dict(zip(ends, vals)))
+        mono = {w: a for w, a in zip(ends, vals) if a}
         system.nodes[0].monomials[0] = mono
         ok, offender = verify_equivariance(g, system)
         # the other monomials are equivariant, as checked above
@@ -365,4 +410,4 @@ def test_equivariance_matches_pairing_definition(make):
         assert ok == (_class_pairings(g, cls) == target)
         if not ok:
             assert offender == (_class_theta(g, cls),
-                                system.nodes[0].node, mono.exponents)
+                                system.nodes[0].node, mono)
