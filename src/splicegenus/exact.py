@@ -1,13 +1,18 @@
 """Exact linear algebra over the integers.
 
-One fraction-free Gauss-Jordan elimination (``eliminate``, after Bareiss,
-Math. Comp. 22, 1968) serves every adjugate, rank and determinant in
-the package.  Definiteness runs the same Bareiss step forward only, without
-row exchanges, so that its pivots are the leading principal minors; the
-Smith normal form is the only other routine.  Matrices are lists of rows of
-ints.  Sizes are tiny (resolution graphs have at most a few dozen vertices)
-so clarity wins over asymptotics.
+``eliminate`` is the one fraction-free Gauss-Jordan elimination (after
+Bareiss, Math. Comp. 22, 1968): it returns a scaled reduced row echelon
+form, which the adjugate of the intersection matrix needs.  Callers that
+need only a rank use ``rank``, a forward pass over sparse rows that keeps
+no reduced form; its rows are kept primitive (divided by the gcd of their
+entries), so entries stay near the size of the input instead of growing
+into the minors Bareiss carries.  Definiteness runs the Bareiss step
+forward only, without row exchanges, so that its pivots are the leading
+principal minors; the Smith normal form is the only other routine.
+Matrices are lists of rows of ints.
 """
+
+from math import gcd
 
 
 def eliminate(rows):
@@ -48,12 +53,42 @@ def eliminate(rows):
     return pivots, R[:len(pivots)]
 
 
-def det_bareiss(A):
-    """Exact determinant of a square integer matrix: the d of ``eliminate``."""
-    if not A:
-        return 1
-    pivots, R = eliminate(A)
-    return R[0][pivots[0]] if len(pivots) == len(A) else 0
+def rank(rows):
+    """Rank over Q of an integer matrix, by forward elimination.
+
+    Each row becomes a sparse dict {column: nonzero int}.  The basis holds
+    one primitive row per leading column; an incoming row whose leading
+    entry f meets a basis row with leading entry p is replaced by
+    (p/g) row - (f/g) basis_row, g = gcd(p, f), until its leading column
+    is free or it vanishes.  A row joins the basis divided by the gcd of
+    its entries.  Every step scales by a nonzero integer and subtracts a
+    basis row, so the row space over Q is kept, and basis rows with
+    distinct leading columns are independent: the rank is the basis size.
+    A nonzero entry that is not an int raises TypeError.
+    """
+    basis = {}
+    for row in rows:
+        r = {c: x for c, x in enumerate(row) if x}
+        if not all(isinstance(x, int) for x in r.values()):
+            raise TypeError("rank takes a matrix of ints")
+        while r:
+            lead = min(r)
+            b = basis.get(lead)
+            if b is None:
+                g = gcd(*r.values())
+                basis[lead] = {c: x // g for c, x in r.items()}
+                break
+            f, p = r[lead], b[lead]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            r = {c: p * x for c, x in r.items()}
+            for c, y in b.items():
+                x = r.get(c, 0) - f * y
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(basis)
 
 
 def negative_definite_violation(A):

@@ -3,14 +3,16 @@
 Independent of the Molien machinery: enumerate all end-variable monomials of
 each v-degree, split them into character blocks, span the ideal's graded
 piece by monomial multiples of the leading forms of the emitted equations,
-and count dimensions by exact Gaussian rank.  One pass per node serves every
-character: the monomial table and the character of each monomial are built
-once, the character being theta (GroupData.theta_alpha) of the exponent
-vector, which is the monomial's E*-coordinates at the ends.  The table comes
-from the monomial search's enumerator (splice._exponent_vectors, pruned by
-gcd and capped sum), called once per node with a slack exponent of weight 1
-so that every degree up to the limit is listed in one pass.  Agreement with
-molien_coeffs is the core anti-bug property of the whole package.
+and count dimensions by exact rank over Q (exact.rank).  One pass per node
+serves every character: the monomial table and the character of each
+monomial are built once.  An exponent vector a is the monomial's
+E*-coordinates at the ends, so its character is
+theta(sum_w a_w E*_w) = sum_w a_w psi_w mod d, read from the ends' columns
+psi_w of the theta matrix.  The table comes from the monomial search's
+enumerator (splice._exponent_vectors, pruned by gcd and capped sum), called
+once per node with a slack exponent of weight 1 so that every degree up to
+the limit is listed in one pass.  Agreement with molien_coeffs is the core
+anti-bug property of the whole package.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import exact
 from .discgroup import group_data
 from .graph import ResolutionGraph
 from .molien import molien_coeffs
-from .splice import SpliceSystem, _alpha, _exponent_vectors, emit_splice_system
+from .splice import SpliceSystem, _exponent_vectors, emit_splice_system
 
 
 def artin_rational(g: ResolutionGraph) -> bool:
@@ -50,14 +52,26 @@ def _monomials_by_degree(weights, up_to):
     return table
 
 
+def _end_theta(g):
+    """exps (over g.ends()) -> sum_w exps_w psi_w mod d, psi_w the ends'
+    columns of the theta matrix."""
+    gd = group_data(g)
+    cols = [g.index(w) for w in g.ends()]
+    theta = [([row[k] for k in cols], d) for row, d in
+             zip(gd.theta_matrix, gd.invariant_factors)]
+
+    def char_of(exps):
+        return tuple(sum(t * a for t, a in zip(row, exps)) % d
+                     for row, d in theta)
+    return char_of
+
+
 def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem, up_to):
     """{chi: [dim G^chi_i for i = 0..up_to]} for every character, by
     monomial linear algebra."""
     gd = group_data(g)
     ends = g.ends()
-
-    def char_of(exps):
-        return gd.theta_alpha(_alpha(g, dict(zip(ends, exps))))
+    char_of = _end_theta(g)
 
     gens = []
     for ns in system.nodes:
@@ -88,7 +102,7 @@ def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem, up_to):
                     row[pos[tuple(x + y for x, y in zip(mu, e))]] += c
                 rows.setdefault(chi, []).append(row)
         for chi, tab in dims.items():
-            rank = len(exact.eliminate(rows[chi])[0]) if chi in rows else 0
+            rank = exact.rank(rows[chi]) if chi in rows else 0
             tab.append(len(blocks.get(chi, ())) - rank)
     return dims
 

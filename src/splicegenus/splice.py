@@ -218,7 +218,8 @@ def check_monomial_condition(g: ResolutionGraph, bound=64) -> MonomialConditionR
 
 
 def _all_maximal_minors_nonzero(F):
-    return all(exact.det_bareiss([[row[c] for c in cols] for row in F])
+    """A square submatrix has a nonzero determinant iff it has full rank."""
+    return all(exact.rank([[row[c] for c in cols] for row in F]) == len(F)
                for cols in itertools.combinations(range(len(F[0])), len(F)))
 
 

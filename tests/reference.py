@@ -10,6 +10,8 @@ so that tests can hold the integer core against them:
   ``as_qcycle`` reads the package's int lists and numerators over |det I|
   as one;
 - ``intersect`` is the intersection form on QCycles;
+- ``det_bareiss`` reads a determinant off ``exact.eliminate``, for the
+  tests that hold ``exact.rank`` and definiteness against minors;
 - ``dual_cycles`` solves I X = -Id by a Fraction Gauss-Jordan elimination;
 - H = L*/L is presented by this module's own call of
   ``exact.smith_normal_form(I)`` (U I V = S): the class of D is U alpha(D)
@@ -162,6 +164,16 @@ def intersect(g, x: QCycle, y: QCycle) -> Fraction:
         for u in g.adj[v]:
             total += cv * y[u]
     return total
+
+
+def det_bareiss(A):
+    """Exact determinant of a square integer matrix: the d of
+    ``exact.eliminate`` (its Gauss-Jordan pass with the row exchanges
+    signed)."""
+    if not A:
+        return 1
+    pivots, R = exact.eliminate(A)
+    return R[0][pivots[0]] if len(pivots) == len(A) else 0
 
 
 def _inverse(M):

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import GRAPHS_DIR
+from reference import det_bareiss
 from test_graph import random_trees
 from splicegenus import exact
-from splicegenus.exact import det_bareiss, eliminate, negative_definite_violation
+from splicegenus.exact import eliminate, negative_definite_violation, rank
 from splicegenus.graph import parse_graph
 from splicegenus.splice import find_admissible_monomial, validate_witness
 
@@ -108,6 +109,59 @@ def test_eliminate_rejects_non_integers():
         eliminate([[Fraction(1, 2), 1]])
 
 
+# -- rank -------------------------------------------------------------------
+
+def wide_entry_matrices():
+    """Tall, wide and empty matrices with entries up to +-1000; zeros and
+    small entries are drawn often, so sparse rows occur."""
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-1000, 1000))
+    return st.tuples(st.integers(0, 9), st.integers(1, 9)).flatmap(
+        lambda shape: st.lists(
+            st.lists(entry, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0]))
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Rows that are integer combinations of at most three base rows, so
+    the rank is usually below both dimensions."""
+    m = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(st.integers(-30, 30), min_size=m,
+                                  max_size=m), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=len(base),
+                               max_size=len(base)))
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                     for j in range(m)])
+    return rows
+
+
+@given(st.one_of(wide_entry_matrices(), dependent_matrices()))
+@example([])
+@example([[0, 0, 0]])
+@example([[1000, -1000], [999, 1], [-1, 1000], [7, 7]])    # tall
+@example([[0, 868, 0, 1, 0, 0], [5, 0, 0, 0, 868, 2]])     # wide
+@example([[6, 10, 15], [12, 20, 30], [3, 5, 7]])
+@settings(max_examples=250, deadline=None)
+def test_rank_matches_eliminate(M):
+    assert rank(M) == len(eliminate(M)[0])
+
+
+def test_rank_when_every_entry_shares_a_prime():
+    # a rank mod p would read 0 here: the rank is taken over Q
+    assert rank([[2, 4], [4, 8]]) == 1
+    assert rank([[3, 0], [0, 3]]) == 2
+    assert rank([[7, 14, 21], [14, 7, 0], [21, 21, 21]]) == 2
+
+
+def test_rank_rejects_non_integers():
+    with pytest.raises(TypeError):
+        rank([[1, 0], [Fraction(1, 2), 1]])
+    with pytest.raises(TypeError):
+        rank([[1.0, 2]])
+
+
 # -- negative definiteness --------------------------------------------------
 
 def violation_by_minors(A):
@@ -150,7 +204,7 @@ def test_negative_definite_violation_matches_minors(M):
 def test_negative_definite_violation_takes_one_pass(monkeypatch):
     def per_minor(*args):
         raise AssertionError("per-minor elimination")
-    monkeypatch.setattr(exact, "det_bareiss", per_minor)
+    monkeypatch.setattr(exact, "rank", per_minor)
     monkeypatch.setattr(exact, "eliminate", per_minor)
     assert negative_definite_violation([[-2, 1], [1, -2]]) is None
     assert negative_definite_violation([[-2, 1, 0], [1, -1, 1], [0, 1, -2]]) == 3

@@ -172,8 +172,7 @@ def test_dual_cycles_pair_to_minus_delta(g):
 @given(random_trees())
 @settings(max_examples=40, deadline=None)
 def test_det_sign_alternates(g):
-    from splicegenus import exact
-    det = exact.det_bareiss(g.intersection_matrix())
+    det = ref.det_bareiss(g.intersection_matrix())
     assert (det > 0) == (len(g) % 2 == 0)
     assert abs(det) == g.dual_data().det_abs
 

@@ -1,6 +1,16 @@
 import random
 
-from fixtures import a_chain, d4, e8, exmc, fig1, splice_quotient_trees
+from fixtures import (
+    a_chain,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    small_stars,
+    splice_quotient_trees,
+    star,
+    star_order,
+)
 import splicegenus.oracle as O
 from splicegenus.molien import group_data, molien_coeffs, total_ci_coeffs
 from splicegenus.oracle import (
@@ -8,7 +18,7 @@ from splicegenus.oracle import (
     bruteforce_eigendims,
     oracle_verify,
 )
-from splicegenus.splice import emit_splice_system
+from splicegenus.splice import _alpha, emit_splice_system
 
 
 def test_artin_rational_values():
@@ -114,3 +124,47 @@ def test_oracle_mismatch_records_follow_node_then_character(monkeypatch):
 def test_oracle_agrees_on_generated_splice_quotients():
     for g in splice_quotient_trees(seed=1, count=10):
         assert oracle_verify(g, up_to=8) == []
+
+
+def test_oracle_does_no_gauss_jordan(monkeypatch):
+    # the blocks are ranked by the sparse forward pass; the adjugate's
+    # elimination happens once, in group_data
+    from splicegenus import exact
+
+    graphs = [(d4(), 15), (exmc(), 25)]
+    for g, _ in graphs:
+        group_data(g)
+
+    def no_gauss_jordan(rows):
+        raise AssertionError("Gauss-Jordan elimination in the oracle")
+
+    monkeypatch.setattr(exact, "eliminate", no_gauss_jordan)
+    for g, up_to in graphs:
+        assert oracle_verify(g, up_to) == []
+
+
+def _node_query_stars():
+    """The middle star of each of 8 equal |H| strata of the small stars,
+    as the node-queries benchmark picks them."""
+    stars = sorted(small_stars(), key=lambda t: (star_order(*t), t[0], t[1]))
+    size = len(stars) / 8
+    return [star(*stars[int((k + 0.5) * size)]) for k in range(8)]
+
+
+def test_end_characters_match_theta_of_alpha():
+    # second route: theta of the full E*-coordinate vector, against the
+    # sum of the ends' theta columns
+    graphs = [d4(), e8(), exmc(), fig1(), *_node_query_stars()]
+    checked = 0
+    for g in graphs:
+        gd = group_data(g)
+        ends = g.ends()
+        char_of = O._end_theta(g)
+        for v in g.nodes():
+            m = g.node_weights(v).m
+            for lst in O._monomials_by_degree([m[w] for w in ends], 12):
+                for exps in lst:
+                    want = gd.theta_alpha(_alpha(g, dict(zip(ends, exps))))
+                    assert char_of(exps) == want, (v, exps)
+                    checked += 1
+    assert checked > 500

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,35 @@ def test_emit_requires_monomial_condition():
     system = emit_splice_system(g, seed=1)
     assert len(system.nodes) == 1 and len(system.nodes[0].equations) == 1
     assert verify_equivariance(g, system)[0]
+
+
+def _coefficient_rows(rng, delta):
+    """delta - 2 rows of delta entries: the generic draw of
+    emit_splice_system, or small entries and repeated or scaled columns,
+    where some maximal minors vanish."""
+    kind = rng.randrange(3)
+    hi = 997 if kind == 0 else 2
+    F = [[rng.randint(0 if kind else 1, hi) for _ in range(delta)]
+         for _ in range(delta - 2)]
+    if kind == 2:
+        i, j = rng.sample(range(delta), 2)
+        c = rng.randint(-3, 3)
+        for row in F:
+            row[j] = c * row[i]
+    return F
+
+
+def test_minor_check_by_rank_matches_determinants():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(300):
+        F = _coefficient_rows(rng, rng.randint(3, 7))
+        by_det = all(ref.det_bareiss([[row[c] for c in cols] for row in F])
+                     for cols in itertools.combinations(range(len(F[0])),
+                                                        len(F)))
+        assert splice._all_maximal_minors_nonzero(F) == by_det, F
+        seen.add(by_det)
+    assert seen == {True, False}
 
 
 # -- the QCycle definitions as references ------------------------------------
