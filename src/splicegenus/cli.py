@@ -120,13 +120,7 @@ def _parse_char(g, text):
         coords = [int(x) for x in text.split(",")] if text.strip() else []
     except ValueError:
         raise GraphInputError(f"bad character {text!r}: expected integers")
-    if len(coords) != gd.rank:
-        raise GraphInputError(
-            f"character needs {gd.rank} coordinates (invariant factors "
-            f"{gd.invariant_factors}), got {len(coords)}")
-    for c, d in zip(coords, gd.invariant_factors):
-        if not 0 <= c < d:
-            raise GraphInputError(f"coordinate {c} out of range [0,{d})")
+    gd.check_character(coords)
     return tuple(coords)
 
 

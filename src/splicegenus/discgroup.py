@@ -2,13 +2,18 @@
 
 H is presented as Z^n / I Z^n in the E*-coordinates alpha of L*
 (alpha_w = -D.E_w for D = sum_w alpha_w E*_w); the Smith normal form
-U I V = S gives invariant-factor coordinates d_j.  The theta pairing is the
-intersection form reduced mod 1, D.D' = -alpha^T A alpha' / |det I| with A
-the graph's integer adjugate, and it identifies H with its character group:
-a character with coordinates c acts by chi(h) = exp(2 pi i * sum_j c_j h_j / d_j).
-In these coordinates theta(alpha) = T alpha mod d for an integer matrix T,
-the rows of V^T that Smith keeps, so row k of V^{-1} = S^{-1} U I lifts the
-k-th unit character, and c_1(L_chi) is one row combination of them.
+U I V = S gives invariant-factor coordinates d_j.  It is the graph's one
+decomposition of I: ``ResolutionGraph.dual_data`` computes it once, reads
+the adjugate A off it, and keeps U, S and V for this module.  The theta
+pairing is the intersection form reduced mod 1,
+D.D' = -alpha^T A alpha' / |det I|, and it identifies H with its character
+group: a character with coordinates c acts by
+chi(h) = exp(2 pi i * sum_j c_j h_j / d_j).  In these coordinates
+theta(alpha) = T alpha mod d for an integer matrix T, the rows of V^T that
+Smith keeps, so row k of V^{-1} = S^{-1} U I lifts the k-th unit
+character.  As A I = -|det I| Id, that lift has E-coefficients
+-U_k / s_k, numerators -(|det I| / s_k) U_k over |det I|: c_1(L_chi) is
+the fractional part of one combination of rows of U.
 Characters are the one representation of H, and a character is the tuple
 of its coordinates c_j in [0, d_j): the c_1 cache, the h1 cache and the
 Molien kernel rows are keyed by these tuples.  All work stays in the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import exact
+from .errors import GraphInputError
 from .graph import ResolutionGraph
 
 
@@ -41,28 +46,18 @@ class GroupData:
     def __init__(self, graph: ResolutionGraph):
         graph.require_valid()
         self.graph = graph
-        self.dual = graph.dual_data()
-        I = graph.intersection_matrix()
-        U, S, V = exact.smith_normal_form(I)
-        n = len(graph.ids)
-        diag = [S[i][i] for i in range(n)]
-        assert all(d > 0 for d in diag)
-        kept = [i for i in range(n) if diag[i] > 1]
-        self.invariant_factors = [diag[i] for i in kept]
-        self.order = 1
-        for d in self.invariant_factors:
-            self.order *= d
-        assert self.order == self.dual.det_abs, "|H| must equal |det I|"
+        self.dual = dd = graph.dual_data()
+        kept = [k for k, d in enumerate(dd.diag) if d > 1]
+        self.invariant_factors = [dd.diag[k] for k in kept]
+        self.order = dd.det_abs
         # theta(E*_w)_j = d_j (E*_w . gen_j) = V_{w k_j} mod d_j, because
         # A I V = -|det I| V; rows j of the theta matrix T, columns w
-        self.theta_matrix = [[row[k] % diag[k] for row in V] for k in kept]
-        # row k_j of V^{-1} = S^{-1} U I: E*-coordinates whose theta is the
-        # j-th unit character (U_k I = I U_k^T, as I is symmetric)
-        self._unit_alphas = []
-        for k in kept:
-            row, rem = zip(*(divmod(x, diag[k]) for x in graph.intersections(U[k])))
-            assert not any(rem), "V^{-1} must be integral"
-            self._unit_alphas.append(row)
+        self.theta_matrix = [[row[k] % dd.diag[k] for row in dd.V] for k in kept]
+        # row k_j of V^{-1} = S^{-1} U I lifts the j-th unit character; its
+        # numerators over |det I| are -(|det I| / d_j) U_{k_j}, kept mod |det I|
+        self._unit_numerators = [
+            [-(dd.det_abs // dd.diag[k]) * x % dd.det_abs for x in dd.U[k]]
+            for k in kept]
         self._c1 = {}
 
     @property
@@ -92,18 +87,30 @@ class GroupData:
         k = self.graph.index(w)
         return tuple(row[k] for row in self.theta_matrix)
 
+    def check_character(self, chi):
+        """GraphInputError unless chi has one coordinate c_j in [0, d_j)
+        per invariant factor d_j."""
+        if len(chi) != self.rank:
+            raise GraphInputError(
+                f"character needs {self.rank} coordinates (invariant factors "
+                f"{self.invariant_factors}), got {len(chi)}")
+        for c, d in zip(chi, self.invariant_factors):
+            if not 0 <= c < d:
+                raise GraphInputError(f"coordinate {c} out of range [0,{d})")
+
     def c1_alpha(self, chi):
         """E*-coordinates of c_1(L_chi), the representative of chi with
         E-coefficients in [0, 1)."""
         if chi not in self._c1:
-            alpha = [0] * len(self.graph.ids)
-            for c, row in zip(chi, self._unit_alphas):
-                if c:
-                    alpha = [a + c * x for a, x in zip(alpha, row)]
+            self.check_character(chi)
             det = self.dual.det_abs
             # |det I| times the fractional part of the lift's E-coefficients,
             # and back to E*-coordinates: alpha = -I rep / |det I|
-            rep = [c % det for c in self.dual.numerators(alpha)]
+            rep = [0] * len(self.graph.ids)
+            for c, row in zip(chi, self._unit_numerators):
+                if c:
+                    rep = [r + c * x for r, x in zip(rep, row)]
+            rep = [r % det for r in rep]
             alpha, rem = zip(*(divmod(-x, det) for x in
                                self.graph.intersections(rep)))
             assert not any(rem), "c_1(L_chi) is not in L*"

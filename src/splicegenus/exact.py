@@ -1,56 +1,18 @@
 """Exact linear algebra over the integers.
 
-``eliminate`` is the one fraction-free Gauss-Jordan elimination (after
-Bareiss, Math. Comp. 22, 1968): it returns a scaled reduced row echelon
-form, which the adjugate of the intersection matrix needs.  Callers that
-need only a rank use ``rank``, a forward pass over sparse rows that keeps
-no reduced form; its rows are kept primitive (divided by the gcd of their
-entries), so entries stay near the size of the input instead of growing
-into the minors Bareiss carries.  Definiteness runs the Bareiss step
-forward only, without row exchanges, so that its pivots are the leading
-principal minors; the Smith normal form is the only other routine.
-Matrices are lists of rows of ints.
+``smith_normal_form`` is the one decomposition of a graph's intersection
+matrix I: ``ResolutionGraph.dual_data`` calls it once per graph and reads
+|det I|, the adjugate and the discriminant group H = L*/L off U I V = S.
+Callers that need only a rank use ``rank``, a forward pass over sparse
+rows that keeps no reduced form; its rows are kept primitive (divided by
+the gcd of their entries), so entries stay near the size of the input
+instead of growing into the minors a fraction-free elimination carries.
+Definiteness runs the Bareiss step forward only, without row exchanges,
+so that its pivots are the leading principal minors.  Matrices are lists
+of rows of ints.
 """
 
 from math import gcd
-
-
-def eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
-
-    Returns (pivots, R) with R = d * RREF: R holds the nonzero rows of the
-    reduced form scaled by one integer d != 0, row k with d in column
-    pivots[k] and zeros elsewhere in that column.  Every entry of R is, up
-    to sign, a minor of the input, so each division by the previous pivot
-    is exact.
-    A row exchange negates the row moved up, so a square matrix of full
-    rank has d = its determinant.  Augmented blocks ride along: [A | Id]
-    with A invertible reduces to [det A * Id | adj A], and a pivot in the
-    last column of [A | b] means that A x = b has no solution.
-    """
-    R = [list(row) for row in rows if any(row)]
-    if not all(isinstance(x, int) for row in R for x in row):
-        raise TypeError("eliminate takes a matrix of ints")
-    pivots = []
-    prev = 1
-    for col in range(len(R[0]) if R else 0):
-        k = len(pivots)
-        if k == len(R):
-            break
-        piv = next((i for i in range(k, len(R)) if R[i][col]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            R[k], R[piv] = [-x for x in R[piv]], R[k]
-        prow = R[k]
-        p = prow[col]
-        for i, row in enumerate(R):
-            if i != k:
-                f = row[col]
-                R[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = p
-        pivots.append(col)
-    return pivots, R[:len(pivots)]
 
 
 def rank(rows):

@@ -95,7 +95,8 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
         return 0
     nodes = sorted(rep.nodes)
     v = root if root is not None else nodes[0]
-    assert v in nodes, f"{v!r} is not a node"
+    if v not in nodes:
+        raise GraphInputError(f"{v!r} is not a node of the graph")
     key = ("h1", v, chi)
     if trace is None and key in g._cache:
         return g._cache[key]

@@ -8,9 +8,14 @@ Every cycle is an integer list in ``ids`` order, in one of two forms.  An
 integral cycle D = sum_u x_u E_u is the list x of its E-coefficients, with
 ``intersections`` (I x) and ``riemann_roch`` on it.  A rational cycle is
 held by its integer E*-coordinates alpha_w = -D.E_w, so
-D = sum_w alpha_w E*_w; the integer adjugate A = |det I| (-I^{-1}),
-computed once per graph, turns them into numerators over |det I|:
-D = sum_u (A alpha)_u / |det I| E_u (``DualData.numerators``).
+D = sum_w alpha_w E*_w; the integer adjugate A = |det I| (-I^{-1}) turns
+them into numerators over |det I|: D = sum_u (A alpha)_u / |det I| E_u
+(``DualData.numerators``).
+
+The Smith normal form U I V = S is the one decomposition of I, computed
+once per graph in ``dual_data``: |det I| is the product of the s_k, and
+I^{-1} = V S^{-1} U gives A = -V diag(|det I| / s_k) U.  ``DualData``
+keeps U, the diagonal of S and V, from which ``discgroup`` reads H = L*/L.
 """
 
 from __future__ import annotations
@@ -43,13 +48,17 @@ class ValidationReport:
 
 @dataclass
 class DualData:
-    """|det I| and the integer adjugate A = |det I| (-I^{-1}).
+    """|det I|, the integer adjugate A = |det I| (-I^{-1}) and the Smith
+    form U I V = S it is read from.
 
     A is symmetric with positive entries, and row v of A is |det I| E*_v.
     """
 
     adjugate: list         # A as a list of rows, in ids order
     det_abs: int
+    U: list                # unimodular, as a list of rows
+    diag: list             # s_k = S[k][k] > 0, each dividing the next
+    V: list                # unimodular, as a list of rows
 
     def numerators(self, alpha):
         """|det I| times the E-coefficients of sum_w alpha_w E*_w."""
@@ -218,22 +227,23 @@ class ResolutionGraph:
         if key in self._cache:
             return self._cache[key]
         self.require_valid()
-        I = self.intersection_matrix()
-        n = len(I)
-        # one pass on [I | Id] gives [d Id | adj I] with d = det I
-        pivots, R = exact.eliminate(
-            [row + [int(i == j) for j in range(n)] for i, row in enumerate(I)])
-        assert pivots == list(range(n)), "intersection matrix is singular"
-        d = R[0][0]
-        det_abs = abs(d)
-        A = [[-x for x in row[n:]] if d > 0 else row[n:] for row in R]
+        U, S, V = exact.smith_normal_form(self.intersection_matrix())
+        n = len(S)
+        diag = [S[k][k] for k in range(n)]
+        assert all(diag), "intersection matrix is singular"
+        det_abs = math.prod(diag)
+        # A = -V diag(|det I| / s_k) U, from I^{-1} = V S^{-1} U
+        cols = list(zip(*([det_abs // s * x for x in row]
+                          for s, row in zip(diag, U))))
+        A = [[-sum(v * x for v, x in zip(vrow, col)) for col in cols]
+             for vrow in V]
         assert all(x > 0 for row in A for x in row), \
             "entries of |det I| (-I^{-1}) must be positive integers"
         # I A = -|det I| Id, checked in the integers (A is symmetric)
         for i, col in enumerate(A):
             assert self.intersections(col) == [
                 -det_abs if j == i else 0 for j in range(n)]
-        data = DualData(adjugate=A, det_abs=det_abs)
+        data = DualData(adjugate=A, det_abs=det_abs, U=U, diag=diag, V=V)
         self._cache[key] = data
         return data
 

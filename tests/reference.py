@@ -10,8 +10,11 @@ so that tests can hold the integer core against them:
   ``as_qcycle`` reads the package's int lists and numerators over |det I|
   as one;
 - ``intersect`` is the intersection form on QCycles;
-- ``det_bareiss`` reads a determinant off ``exact.eliminate``, for the
-  tests that hold ``exact.rank`` and definiteness against minors;
+- ``eliminate`` is a fraction-free Gauss-Jordan elimination (after
+  Bareiss, Math. Comp. 22, 1968) returning a scaled reduced row echelon
+  form; ``det_bareiss`` reads a determinant off it, for the tests that
+  hold ``exact.rank`` and definiteness against minors, and the exhaustive
+  monomial search solves its support constraints with it;
 - ``dual_cycles`` solves I X = -Id by a Fraction Gauss-Jordan elimination;
 - H = L*/L is presented by this module's own call of
   ``exact.smith_normal_form(I)`` (U I V = S): the class of D is U alpha(D)
@@ -166,13 +169,50 @@ def intersect(g, x: QCycle, y: QCycle) -> Fraction:
     return total
 
 
+def eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (pivots, R) with R = d * RREF: R holds the nonzero rows of the
+    reduced form scaled by one integer d != 0, row k with d in column
+    pivots[k] and zeros elsewhere in that column.  Every entry of R is, up
+    to sign, a minor of the input, so each division by the previous pivot
+    is exact.
+    A row exchange negates the row moved up, so a square matrix of full
+    rank has d = its determinant.  Augmented blocks ride along: [A | Id]
+    with A invertible reduces to [det A * Id | adj A], and a pivot in the
+    last column of [A | b] means that A x = b has no solution.
+    """
+    R = [list(row) for row in rows if any(row)]
+    if not all(isinstance(x, int) for row in R for x in row):
+        raise TypeError("eliminate takes a matrix of ints")
+    pivots = []
+    prev = 1
+    for col in range(len(R[0]) if R else 0):
+        k = len(pivots)
+        if k == len(R):
+            break
+        piv = next((i for i in range(k, len(R)) if R[i][col]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            R[k], R[piv] = [-x for x in R[piv]], R[k]
+        prow = R[k]
+        p = prow[col]
+        for i, row in enumerate(R):
+            if i != k:
+                f = row[col]
+                R[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        pivots.append(col)
+    return pivots, R[:len(pivots)]
+
+
 def det_bareiss(A):
     """Exact determinant of a square integer matrix: the d of
-    ``exact.eliminate`` (its Gauss-Jordan pass with the row exchanges
-    signed)."""
+    ``eliminate`` (its Gauss-Jordan pass with the row exchanges signed)."""
     if not A:
         return 1
-    pivots, R = exact.eliminate(A)
+    pivots, R = eliminate(A)
     return R[0][pivots[0]] if len(pivots) == len(A) else 0
 
 
@@ -338,7 +378,7 @@ def find_admissible_monomial(g, v, branch, bound=64):
     ends = g.ends()
     branch_vs = set(branch.subgraph.ids)
     cols = [g.index(u) for u in g.ids if u not in branch_vs]
-    pivots, reduced = exact.eliminate(
+    pivots, reduced = eliminate(
         [[A[w][c] for w in ends] + [A[v][c]] for c in cols])
     if pivots and pivots[-1] == len(ends):
         return None

@@ -72,3 +72,19 @@ def test_names_the_benchmark_uses_resolve():
     assert group_data(g).order == 1
     assert check_monomial_condition(g, bound=64).verdict == "satisfied"
     assert callable(run)
+
+
+def test_tracer_layers_import():
+    # bench/tracer.py wraps the public functions of splicegenus.<layer> for
+    # each name in its LAYERS; read that tuple without importing the tracer
+    import importlib
+
+    path = Path(__file__).parent.parent / "bench" / "tracer.py"
+    tree = ast.parse(path.read_text(), str(path))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                  == ["LAYERS"])
+    assert "exact" in layers and "discgroup" in layers
+    for layer in layers:
+        importlib.import_module(f"splicegenus.{layer}")

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import GRAPHS_DIR
-from reference import det_bareiss
+from reference import det_bareiss, eliminate
 from test_graph import random_trees
 from splicegenus import exact
-from splicegenus.exact import eliminate, negative_definite_violation, rank
+from splicegenus.exact import negative_definite_violation, rank
 from splicegenus.graph import parse_graph
 from splicegenus.splice import find_admissible_monomial, validate_witness
 
@@ -205,7 +205,7 @@ def test_negative_definite_violation_takes_one_pass(monkeypatch):
     def per_minor(*args):
         raise AssertionError("per-minor elimination")
     monkeypatch.setattr(exact, "rank", per_minor)
-    monkeypatch.setattr(exact, "eliminate", per_minor)
+    monkeypatch.setattr(exact, "smith_normal_form", per_minor)
     assert negative_definite_violation([[-2, 1], [1, -2]]) is None
     assert negative_definite_violation([[-2, 1, 0], [1, -1, 1], [0, 1, -2]]) == 3
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -376,3 +377,26 @@ def test_pg_uac_scans_for_nodes_once_per_graph(monkeypatch):
     assert len(scanned[0]) == len(scanned[1])
     # the star and each of its four legs, once each
     assert all(len(set(map(id, s))) == len(s) == 5 for s in scanned)
+
+
+@pytest.mark.parametrize("root", ["l1", "nope"], ids=["leaf", "unknown"])
+def test_root_that_is_not_a_node_is_an_input_error(root):
+    g = d4()
+    message = re.escape(f"{root!r} is not a node of the graph")
+    for f in (pg, pg_uac, genus_report):
+        with pytest.raises(GraphInputError, match=message):
+            f(g, root=root)
+
+
+@pytest.mark.parametrize("chi, message", [
+    ((0,), "character needs 2 coordinates (invariant factors [2, 2]), got 1"),
+    ((2, 0), "coordinate 2 out of range [0,2)"),
+    ((0, 0, 0), "character needs 2 coordinates (invariant factors [2, 2]), got 3"),
+])
+def test_malformed_character_is_an_input_error(chi, message):
+    # the CLI's --char check, reached from the library: d4 has H = Z/2 x Z/2
+    g = d4()
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        h1_eigensheaf(g, chi)
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        group_data(g).c1_alpha(chi)

@@ -6,7 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from fixtures import a_chain, d4, e8, exmc, fig1, single
+from fixtures import (
+    HUGE_H_TREES,
+    a_chain,
+    caterpillar,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    graph_file,
+    single,
+    small_stars,
+    star,
+)
 from reference import QCycle, as_qcycle, unit_cycle
 from splicegenus import ResolutionGraph, parse_graph
 from splicegenus.errors import (
@@ -155,9 +167,19 @@ def test_exmc_dual_identity():
     assert lhs == unit_cycle("E1")
 
 
-@given(random_trees())
-@settings(max_examples=40, deadline=None)
-def test_dual_cycles_pair_to_minus_delta(g):
+def _recursion_subgraphs(g):
+    """g and every branch subgraph reached from the nodes of g, of its
+    branches, and so on: each graph the h1 recursion can visit, once."""
+    seen, todo = {}, [g]
+    while todo:
+        h = todo.pop()
+        if seen.setdefault(h.fingerprint(), h) is h:
+            for v in h.nodes():
+                todo += [br.subgraph for br in h.branches(v)]
+    return list(seen.values())
+
+
+def _check_dual_cycles(g):
     dd = g.dual_data()
     for v in g.ids:
         # row v of the adjugate is |det I| E*_v
@@ -167,6 +189,61 @@ def test_dual_cycles_pair_to_minus_delta(g):
         for w in g.ids:
             expect = Fraction(-1 if v == w else 0)
             assert ref.intersect(g, dual, unit_cycle(w)) == expect
+
+
+@given(random_trees())
+@settings(max_examples=40, deadline=None)
+def test_dual_cycles_pair_to_minus_delta(g):
+    _check_dual_cycles(g)
+
+
+@pytest.mark.parametrize("family", ["fig1", "exmc", "stars", "huge", "cater"])
+def test_dual_cycles_pair_to_minus_delta_on_named_graphs(family):
+    # the adjugate read off the Smith form, on the fixtures, the small
+    # stars, graphs whose U and V entries grow large, and every recursion
+    # subgraph of each
+    graphs = {
+        "fig1": lambda: [fig1()],
+        "exmc": lambda: [exmc()],
+        "stars": lambda: [star(b, legs) for b, legs in small_stars()],
+        "huge": lambda: [parse_graph(t) for t in HUGE_H_TREES.values()],
+        "cater": lambda: [caterpillar(k) for k in range(3, 9)],
+    }[family]()
+    for g in graphs:
+        for h in _recursion_subgraphs(g):
+            _check_dual_cycles(h)
+
+
+def test_one_smith_form_per_graph(monkeypatch, capsys):
+    # |det I|, the adjugate, theta and c_1 all read one U I V = S per graph
+    from splicegenus import cli, exact
+    from splicegenus.discgroup import group_data
+
+    assert not hasattr(exact, "eliminate")
+    calls, built = [], {}
+    real_snf, real_dual = exact.smith_normal_form, ResolutionGraph.dual_data
+
+    def counted_snf(A):
+        calls.append(A)
+        return real_snf(A)
+
+    def recorded_dual(self):
+        built[id(self)] = self
+        return real_dual(self)
+
+    monkeypatch.setattr(exact, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(ResolutionGraph, "dual_data", recorded_dual)
+    argv = ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    # the recursion builds dual data on more graphs (chains included) than
+    # the 7 that need a GroupData, and each costs one Smith form
+    assert len(calls) == len(built) > 7
+    g = fig1()
+    g.dual_data()
+    calls.clear()
+    gd = group_data(g)
+    assert calls == [] and gd.dual is g.dual_data()
 
 
 @given(random_trees())

@@ -127,18 +127,18 @@ def test_oracle_agrees_on_generated_splice_quotients():
 
 
 def test_oracle_does_no_gauss_jordan(monkeypatch):
-    # the blocks are ranked by the sparse forward pass; the adjugate's
-    # elimination happens once, in group_data
+    # the blocks are ranked by the sparse forward pass; the graph's one
+    # decomposition, its Smith form, happens once, in group_data
     from splicegenus import exact
 
     graphs = [(d4(), 15), (exmc(), 25)]
     for g, _ in graphs:
         group_data(g)
 
-    def no_gauss_jordan(rows):
-        raise AssertionError("Gauss-Jordan elimination in the oracle")
+    def no_decomposition(rows):
+        raise AssertionError("a decomposition of I in the oracle")
 
-    monkeypatch.setattr(exact, "eliminate", no_gauss_jordan)
+    monkeypatch.setattr(exact, "smith_normal_form", no_decomposition)
     for g, up_to in graphs:
         assert oracle_verify(g, up_to) == []
 
