@@ -117,23 +117,11 @@ def _parse_char(g, text):
     if text is None:
         return gd.trivial_character
     try:
-        coords = [int(x) for x in text.split(",")] if text.strip() else []
+        coords = tuple(int(x) for x in text.split(",")) if text.strip() else ()
     except ValueError:
         raise GraphInputError(f"bad character {text!r}: expected integers")
     gd.check_character(coords)
-    return tuple(coords)
-
-
-def _pick_node(g, node):
-    nodes = sorted(g.nodes())
-    if not nodes:
-        raise GraphInputError("graph is a chain: no node to compute at")
-    if node is None:
-        return nodes[0]
-    if node not in nodes:
-        raise GraphInputError(f"{node!r} is not a node of the graph "
-                              f"(nodes: {nodes})")
-    return node
+    return coords
 
 
 def _render_cycle(g, num, den=1):
@@ -192,7 +180,7 @@ def _run_invariants(g, args):
 
 
 def _run_hilbert(g, args):
-    v = _pick_node(g, args.node)
+    v = g.node(args.node)
     chi = _parse_char(g, args.char)
     up_to = args.max_degree
     if up_to is None:
@@ -214,7 +202,7 @@ def _run_hilbert(g, args):
 
 
 def _run_cv(g, args):
-    v = _pick_node(g, args.node)
+    v = g.node(args.node)
     chi = _parse_char(g, args.char)
     route_a, route_b = c_v_chi_routes(g, v, chi)
     agree = route_a == route_b

@@ -44,7 +44,6 @@ class GroupData:
     """Invariant-factor presentation of H = L*/L for one graph."""
 
     def __init__(self, graph: ResolutionGraph):
-        graph.require_valid()
         self.graph = graph
         self.dual = dd = graph.dual_data()
         kept = [k for k, d in enumerate(dd.diag) if d > 1]
@@ -88,20 +87,25 @@ class GroupData:
         return tuple(row[k] for row in self.theta_matrix)
 
     def check_character(self, chi):
-        """GraphInputError unless chi has one coordinate c_j in [0, d_j)
-        per invariant factor d_j."""
+        """GraphInputError unless chi is a tuple of ints with one coordinate
+        c_j in [0, d_j) per invariant factor d_j."""
+        if not isinstance(chi, tuple):
+            raise GraphInputError(f"character must be a tuple of ints, got {chi!r}")
         if len(chi) != self.rank:
             raise GraphInputError(
                 f"character needs {self.rank} coordinates (invariant factors "
                 f"{self.invariant_factors}), got {len(chi)}")
         for c, d in zip(chi, self.invariant_factors):
+            if type(c) is not int:
+                raise GraphInputError(f"character must be a tuple of ints, got {chi!r}")
             if not 0 <= c < d:
                 raise GraphInputError(f"coordinate {c} out of range [0,{d})")
 
     def c1_alpha(self, chi):
         """E*-coordinates of c_1(L_chi), the representative of chi with
         E-coefficients in [0, 1)."""
-        if chi not in self._c1:
+        # the check, not the lookup, reports a list (it is unhashable)
+        if not isinstance(chi, tuple) or chi not in self._c1:
             self.check_character(chi)
             det = self.dual.det_abs
             # |det I| times the fractional part of the lift's E-coefficients,

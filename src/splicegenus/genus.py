@@ -20,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .discgroup import group_data, nef_shift, phi_alpha
-from .errors import (
-    CycleOutOfRange,
-    GraphInputError,
-    InternalCheckError,
-    NegativeH1,
-)
+from .errors import CycleOutOfRange, InternalCheckError, NegativeH1
 from .graph import ResolutionGraph
 from .molien import P_chi, c_v_chi
 
@@ -76,8 +71,7 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     has base.E_w = (I q)_w + alpha_w, with alpha the E*-coordinates of c_1,
     so the loop runs in the integers.
     """
-    if v not in g.require_valid().nodes:
-        raise GraphInputError(f"{v!r} is not a node of the graph")
+    g.node(v)  # v = None names no vertex: g.index rejects it below
     q = _floor_c1_shift(g, v, chi, n)
     base = [x + a for x, a in zip(g.intersections(q), group_data(g).c1_alpha(chi))]
     return g.laufer(base, g.ids)
@@ -88,17 +82,16 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
 
     Values are kept in the graph's cache under ("h1", node, chi); a value
     computed from one root is compared with those already there for the
-    other roots.  Nodes and chains are read from the cached validation.
+    other roots; a branch is one graph per vertex set, whichever node or
+    root reaches it.  Nodes and chains are read from the cached validation.
     """
     rep = g.require_valid()
     if rep.is_chain:
         return 0
-    nodes = sorted(rep.nodes)
-    v = root if root is not None else nodes[0]
-    if v not in nodes:
-        raise GraphInputError(f"{v!r} is not a node of the graph")
+    v = g.node(root)
     key = ("h1", v, chi)
-    if trace is None and key in g._cache:
+    # c_v_chi checks chi; a list (unhashable) skips the lookup to reach it
+    if trace is None and isinstance(chi, tuple) and key in g._cache:
         return g._cache[key]
     gd = group_data(g)
     c_v = c_v_chi(g, v, chi)
@@ -129,7 +122,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
                       "c_v": c_v, "branches": steps, "h1": value})
     g._cache[key] = value
     # node-independence across the roots computed so far
-    for other in nodes:
+    for other in sorted(rep.nodes):
         prev = g._cache.get(("h1", other, chi))
         if prev is not None and prev != value:
             raise InternalCheckError(

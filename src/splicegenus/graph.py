@@ -117,6 +117,7 @@ class ResolutionGraph:
             self.adj[b].add(a)
         self.edges.sort()
         self._cache = {}
+        self._subgraphs = {frozenset(self.ids): self}  # shared with subgraphs
 
     # -- basic queries ----------------------------------------------------
 
@@ -124,13 +125,26 @@ class ResolutionGraph:
         return len(self.ids)
 
     def index(self, v):
-        return self.ids.index(v)
+        try:
+            return self.ids.index(v)
+        except ValueError:
+            raise GraphInputError(f"{v!r} is not a vertex of the graph") from None
 
     def degree(self, v):
         return len(self.adj[v])
 
     def nodes(self):
         return [v for v in self.ids if self.degree(v) >= 3]
+
+    def node(self, v=None):
+        """v, checked to be a node; None names the first in sorted order."""
+        nodes = self.require_valid().nodes
+        if not nodes:
+            raise GraphInputError("graph is a chain: no node to compute at")
+        if v is not None and v not in nodes:
+            raise GraphInputError(f"{v!r} is not a node of the graph "
+                                  f"(nodes: {sorted(nodes)})")
+        return min(nodes) if v is None else v
 
     def ends(self):
         return [v for v in self.ids if self.degree(v) <= 1]
@@ -312,13 +326,19 @@ class ResolutionGraph:
     # -- branches ----------------------------------------------------------
 
     def subgraph(self, vertex_ids):
-        keep = set(vertex_ids)
-        vs = [(v, self.weight[v]) for v in self.ids if v in keep]
-        es = [(a, b) for a, b in self.edges if a in keep and b in keep]
-        return ResolutionGraph(vs, es)
+        """The induced subgraph, one object per vertex set for the graph and
+        all it builds: a subgraph's subgraph is the input's on those ids."""
+        keep = frozenset(vertex_ids)
+        if keep not in self._subgraphs:
+            vs = [(v, self.weight[v]) for v in self.ids if v in keep]
+            es = [(a, b) for a, b in self.edges if a in keep and b in keep]
+            sub = self._subgraphs[keep] = ResolutionGraph(vs, es)
+            sub._subgraphs = self._subgraphs
+        return self._subgraphs[keep]
 
     def branches(self, v):
-        """Connected components of E - E_v, ordered by attaching-vertex id."""
+        """Connected components of E - E_v, ordered by attaching-vertex id;
+        each is the one shared graph of its vertex set (``subgraph``)."""
         key = ("branches", v)
         if key in self._cache:
             return self._cache[key]

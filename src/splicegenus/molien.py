@@ -137,6 +137,7 @@ def molien_coeffs(g: ResolutionGraph, v, up_to):
 
 def P_chi(g, v, chi, n: int) -> int:
     """P^chi(n) = sum_{i<n} dim G^chi_i."""
+    group_data(g).check_character(chi)
     if n <= 0:
         return 0
     return sum(_series(g, v, chi, n - 1))
@@ -183,6 +184,7 @@ def molien_closed(g: ResolutionGraph, v, chi) -> RationalFunctionQ:
     divided once by all the cancelled factors, and the denominator is built
     once at the end; every factor has constant term 1, so den(0) = 1.
     """
+    group_data(g).check_character(chi)
     ks, deg_a = _closed_degrees(g, v)
     bound = deg_a + 1  # one spare coefficient to catch truncation bugs
     coeffs = _series(g, v, chi, bound)
@@ -289,6 +291,7 @@ def c_v_route_a(g, v, chi) -> int:
 
 def c_v_chi(g: ResolutionGraph, v, chi) -> int:
     """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity."""
+    group_data(g).check_character(chi)
     return _cv_at_infinity(g, v).get(chi, 0)
 
 

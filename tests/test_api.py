@@ -62,6 +62,20 @@ def test_package_does_not_import_fractions():
             assert "fractions" not in names, f"{path.name} imports fractions"
 
 
+def test_only_graph_builds_graphs():
+    # a graph and the subgraphs it builds share one object per vertex set
+    # (ResolutionGraph.subgraph); a ResolutionGraph(...) call elsewhere in
+    # the package would bring back per-call copies and their caches
+    sources = sorted(Path(splicegenus.__file__).parent.glob("*.py"))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                assert name != "ResolutionGraph" or path.name == "graph.py", \
+                    f"{path.name}:{node.lineno} calls ResolutionGraph(...)"
+
+
 def test_names_the_benchmark_uses_resolve():
     from splicegenus import check_monomial_condition, parse_graph, pg
     from splicegenus.cli import run

@@ -26,7 +26,7 @@ from splicegenus.genus import (
 )
 from splicegenus.graph import ResolutionGraph
 from splicegenus.errors import CycleOutOfRange, GraphInputError
-from splicegenus.molien import c_v_chi, group_data
+from splicegenus.molien import P_chi, c_v_chi, group_data, molien_closed
 
 
 def _ints(g, coeffs):
@@ -177,7 +177,7 @@ def test_nef_correction_result_is_nef_and_minimal():
 def test_twists_are_only_along_nodes():
     g = exmc()
     chi = group_data(g).trivial_character
-    for v in ("nope", "E1"):  # not a vertex; an end
+    for v in ("nope", "E1", None):  # not a vertex; an end; no default node
         with pytest.raises(GraphInputError):
             minimal_nef_correction(g, v, chi, 3)
         with pytest.raises(GraphInputError):
@@ -392,11 +392,18 @@ def test_root_that_is_not_a_node_is_an_input_error(root):
     ((0,), "character needs 2 coordinates (invariant factors [2, 2]), got 1"),
     ((2, 0), "coordinate 2 out of range [0,2)"),
     ((0, 0, 0), "character needs 2 coordinates (invariant factors [2, 2]), got 3"),
+    ((5, 0), "coordinate 5 out of range [0,2)"),
+    ((7, 7), "coordinate 7 out of range [0,2)"),
+    ((0, 0.5), "character must be a tuple of ints, got (0, 0.5)"),
+    ([0, 0], "character must be a tuple of ints, got [0, 0]"),
 ])
 def test_malformed_character_is_an_input_error(chi, message):
     # the CLI's --char check, reached from the library: d4 has H = Z/2 x Z/2
     g = d4()
-    with pytest.raises(GraphInputError, match=re.escape(message)):
-        h1_eigensheaf(g, chi)
-    with pytest.raises(GraphInputError, match=re.escape(message)):
-        group_data(g).c1_alpha(chi)
+    for call in (lambda: h1_eigensheaf(g, chi),
+                 lambda: group_data(g).c1_alpha(chi),
+                 lambda: c_v_chi(g, "c", chi),
+                 lambda: P_chi(g, "c", chi, 3),
+                 lambda: molien_closed(g, "c", chi)):
+        with pytest.raises(GraphInputError, match=re.escape(message)):
+            call()

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,8 @@ from splicegenus.errors import (
     NotATree,
     NotNegativeDefinite,
 )
+from splicegenus.molien import P_chi, c_v_chi, molien_coeffs
+from splicegenus.splice import v_degree
 
 
 @st.composite
@@ -214,12 +217,12 @@ def test_dual_cycles_pair_to_minus_delta_on_named_graphs(family):
             _check_dual_cycles(h)
 
 
-def test_one_smith_form_per_graph(monkeypatch, capsys):
-    # |det I|, the adjugate, theta and c_1 all read one U I V = S per graph
+def _smith_forms_of_pg_uac_all_nodes(monkeypatch, capsys, path):
+    """The number of Smith forms of one ``pg-uac --all-nodes`` run on the
+    graph file at path, and the fingerprints of the graph objects whose dual
+    data it built, one entry per object."""
     from splicegenus import cli, exact
-    from splicegenus.discgroup import group_data
 
-    assert not hasattr(exact, "eliminate")
     calls, built = [], {}
     real_snf, real_dual = exact.smith_normal_form, ResolutionGraph.dual_data
 
@@ -231,19 +234,40 @@ def test_one_smith_form_per_graph(monkeypatch, capsys):
         built[id(self)] = self
         return real_dual(self)
 
-    monkeypatch.setattr(exact, "smith_normal_form", counted_snf)
-    monkeypatch.setattr(ResolutionGraph, "dual_data", recorded_dual)
-    argv = ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"]
-    assert cli.run(argv) == 0
+    with monkeypatch.context() as m:
+        m.setattr(exact, "smith_normal_form", counted_snf)
+        m.setattr(ResolutionGraph, "dual_data", recorded_dual)
+        assert cli.run(["pg-uac", "--input", path, "--all-nodes"]) == 0
     capsys.readouterr()
-    # the recursion builds dual data on more graphs (chains included) than
-    # the 7 that need a GroupData, and each costs one Smith form
-    assert len(calls) == len(built) > 7
+    return len(calls), [h.fingerprint() for h in built.values()]
+
+
+def test_one_smith_form_per_graph(monkeypatch, capsys):
+    # |det I|, the adjugate, theta and c_1 all read one U I V = S per graph,
+    # and the recursion reaches one graph object per vertex set from every
+    # root, chains included: 12 Smith forms, where 28 objects for 12 sets
+    # were built before graphs shared their subgraphs
+    from splicegenus import exact
+    from splicegenus.discgroup import group_data
+
+    assert not hasattr(exact, "eliminate")
+    calls, prints = _smith_forms_of_pg_uac_all_nodes(
+        monkeypatch, capsys, graph_file("fig1.json"))
+    assert calls == len(prints) == len(set(prints)) == 12
     g = fig1()
     g.dual_data()
-    calls.clear()
-    gd = group_data(g)
-    assert calls == [] and gd.dual is g.dual_data()
+    monkeypatch.setattr(exact, "smith_normal_form", None)
+    assert group_data(g).dual is g.dual_data()
+
+
+def test_one_smith_form_per_vertex_set_on_a_huge_tree(monkeypatch, capsys,
+                                                      tmp_path):
+    # |H| = 19,273: 8 Smith forms, where 11 objects for 8 sets were built
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_H_TREES[19273])
+    calls, prints = _smith_forms_of_pg_uac_all_nodes(monkeypatch, capsys,
+                                                     str(path))
+    assert calls == len(prints) == len(set(prints)) == 8
 
 
 @given(random_trees())
@@ -398,6 +422,28 @@ def test_branch_order_deterministic():
     assert [b.attach for b in g.branches("v0")] == ["u4", "u6", "w3"]
 
 
+def _branch(g, v, attach):
+    return next(b.subgraph for b in g.branches(v) if b.attach == attach)
+
+
+def test_a_vertex_set_names_one_subgraph():
+    # {u2, u4, v1, w1, w2} from root v0, and from v0 inside v2's branch at u7
+    g = fig1()
+    from_v0 = _branch(g, "v0", "u4")
+    via_v2 = _branch(_branch(g, "v2", "u7"), "v0", "u4")
+    assert sorted(from_v0.ids) == ["u2", "u4", "v1", "w1", "w2"]
+    assert via_v2 is from_v0
+    assert g.subgraph(g.ids) is g
+    # it is the input's induced subgraph, in the input's vertex order
+    keep = set(from_v0.ids)
+    induced = ResolutionGraph([(v, g.weight[v]) for v in g.ids if v in keep],
+                              [e for e in g.edges if keep.issuperset(e)])
+    assert (from_v0.ids, from_v0.weight, from_v0.edges) == \
+        (induced.ids, induced.weight, induced.edges)
+    # sharing stays within one input
+    assert _branch(fig1(), "v0", "u4") is not from_v0
+
+
 @given(random_trees(max_n=7))
 @settings(max_examples=25, deadline=None)
 def test_branches_partition_and_validate(g):
@@ -410,6 +456,21 @@ def test_branches_partition_and_validate(g):
             assert not seen & set(b.subgraph.ids)
             seen |= set(b.subgraph.ids)
         assert seen == set(g.ids) - {v}
+
+
+# -- vertex ids -------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda g: c_v_chi(g, "zz", (0, 0)),
+    lambda g: molien_coeffs(g, "zz", 3),
+    lambda g: P_chi(g, "zz", (0, 0), 3),
+    lambda g: v_degree(g, "zz", {}),
+], ids=["c_v_chi", "molien_coeffs", "P_chi", "v_degree"])
+def test_unknown_vertex_is_an_input_error(call):
+    # every lookup of a vertex id goes through ResolutionGraph.index
+    with pytest.raises(GraphInputError,
+                       match=re.escape("'zz' is not a vertex of the graph")):
+        call(d4())
 
 
 # -- weight constraint ------------------------------------------------------
