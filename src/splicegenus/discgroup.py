@@ -104,9 +104,9 @@ class GroupData:
     def c1_alpha(self, chi):
         """E*-coordinates of c_1(L_chi), the representative of chi with
         E-coefficients in [0, 1)."""
-        # the check, not the lookup, reports a list (it is unhashable)
-        if not isinstance(chi, tuple) or chi not in self._c1:
-            self.check_character(chi)
+        # checked before the lookup: (0.0, 1) hashes and compares as (0, 1)
+        self.check_character(chi)
+        if chi not in self._c1:
             det = self.dual.det_abs
             # |det I| times the fractional part of the lift's E-coefficients,
             # and back to E*-coordinates: alpha = -I rep / |det I|
@@ -121,13 +121,6 @@ class GroupData:
             assert self.theta_alpha(alpha) == chi
             self._c1[chi] = list(alpha)
         return self._c1[chi]
-
-
-def phi_alpha(parent_gd: GroupData, branch, chi):
-    """phi_i(c_1(L_chi)) in the branch's E*-coordinates: alpha restricted to
-    the branch, in branch.subgraph.ids order."""
-    alpha = dict(zip(parent_gd.graph.ids, parent_gd.c1_alpha(chi)))
-    return [alpha[w] for w in branch.subgraph.ids]
 
 
 def nef_shift(branch, phi):

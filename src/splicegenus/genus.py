@@ -10,6 +10,12 @@ is Riemann-Roch on the branch.  Chains contribute 0 for every character
 trivial character and p_g of the universal abelian cover is the sum over
 all characters.
 
+A branch term depends on chi only through phi_i, the E*-coordinates of
+c_1(L_chi) on the branch, and many characters share one phi_i.  Each
+branch graph keeps a table phi -> (psi, h1(branch, psi), Euler term),
+filled on demand; a character costs c_v^chi, its c_1 and one table read
+per branch.  No table over H is built.
+
 Cycles are int lists of E-coefficients in g.ids order, and so are the
 degree lists of line bundles; c_1(L_chi) is held by its E*-coordinates
 (``GroupData.c1_alpha``), so every term is an integer.
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .discgroup import group_data, nef_shift, phi_alpha
+from .discgroup import group_data, nef_shift
 from .errors import CycleOutOfRange, InternalCheckError, NegativeH1
 from .graph import ResolutionGraph
 from .molien import P_chi, c_v_chi
@@ -77,38 +83,66 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     return g.laufer(base, g.ids)
 
 
+def _branch_tables(g, v):
+    """(branch, cols, table) for each branch at the node v, built once:
+    cols picks the branch's ids, in its own order, out of g.ids, and table
+    maps phi to the branch term (``_branch_term``), filled on demand.  The
+    term depends on the branch graph and phi alone, so the table is kept in
+    the branch's cache and serves every (graph, root) the branch hangs on."""
+    key = ("branch_terms", v)
+    if key not in g._cache:
+        pos = {w: k for k, w in enumerate(g.ids)}
+        g._cache[key] = [(br, [pos[w] for w in br.subgraph.ids],
+                          br.subgraph._cache.setdefault("terms", {}))
+                         for br in g.branches(v)]
+    return g._cache[key]
+
+
+def _branch_term(br, phi, trace):
+    """(psi, h1(branch, psi), chi(O_D(-L_chi))) for phi = phi_i(c_1(L_chi)),
+    the E*-coordinates alpha_w = -c_1(L_chi).E_w on the branch, which are
+    also the degrees of -L_chi, and D = D_{chi,i} = -[phi]."""
+    sub = br.subgraph
+    e_term = sub.riemann_roch(nef_shift(br, phi), phi)
+    if sub.require_valid().is_chain:
+        return None, 0, e_term
+    # psi_i(chi) = theta_i(phi_i(c_1(L_chi)))
+    psi = group_data(sub).theta_alpha(phi)
+    return psi, h1_eigensheaf(sub, psi, trace=trace), e_term
+
+
 def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     """h1(L_chi) by the node/branch recursion; chains return 0.
 
-    Values are kept in the graph's cache under ("h1", node, chi); a value
-    computed from one root is compared with those already there for the
-    other roots; a branch is one graph per vertex set, whichever node or
-    root reaches it.  Nodes and chains are read from the cached validation.
+    chi is checked before any cached value is read.  A branch enters only
+    through phi_i(c_1(L_chi)), so h1(L_chi) is c_v^chi plus one read per
+    branch of a table that holds one term per distinct phi
+    (``_branch_tables``); a traced call computes every term again, so the
+    trace lists every step.  Values are kept in the graph's cache under
+    ("h1", node, chi); a value computed from one root is compared with
+    those already there for the other roots; a branch is one graph per
+    vertex set, whichever node or root reaches it.  Nodes and chains are
+    read from the cached validation.
     """
     rep = g.require_valid()
+    gd = group_data(g)
+    gd.check_character(chi)
     if rep.is_chain:
         return 0
     v = g.node(root)
     key = ("h1", v, chi)
-    # c_v_chi checks chi; a list (unhashable) skips the lookup to reach it
-    if trace is None and isinstance(chi, tuple) and key in g._cache:
+    if trace is None and key in g._cache:
         return g._cache[key]
-    gd = group_data(g)
     c_v = c_v_chi(g, v, chi)
+    alpha = gd.c1_alpha(chi)
     value = c_v
     steps = []
-    for br in g.branches(v):
-        sub = br.subgraph
-        # phi_i(c_1(L_chi)) keeps alpha_w = -c_1(L_chi).E_w on the branch,
-        # which is also the degree of -L_chi on E_w
-        phi = phi_alpha(gd, br, chi)
-        e_term = sub.riemann_roch(nef_shift(br, phi), phi)
-        if sub.require_valid().is_chain:
-            h1_br, psi = 0, None
-        else:
-            # psi_i(chi) = theta_i(phi_i(c_1(L_chi)))
-            psi = group_data(sub).theta_alpha(phi)
-            h1_br = h1_eigensheaf(sub, psi, trace=trace)
+    for br, cols, table in _branch_tables(g, v):
+        phi = tuple(alpha[k] for k in cols)
+        term = table.get(phi) if trace is None else None
+        if term is None:
+            term = table[phi] = _branch_term(br, phi, trace)
+        psi, h1_br, e_term = term
         value += h1_br - e_term
         steps.append({"attach": br.attach, "psi": psi,
                       "h1": h1_br, "euler": e_term})

@@ -363,6 +363,13 @@ def phi_branch(g, branch, D: QCycle) -> QCycle:
     return from_alpha(sub, [alpha[w] for w in sub.ids])
 
 
+def phi_alpha(parent_gd, branch, chi):
+    """phi_i(c_1(L_chi)) in the branch's E*-coordinates: the package's
+    c_1 alpha restricted to the branch, in branch.subgraph.ids order."""
+    alpha = dict(zip(parent_gd.graph.ids, parent_gd.c1_alpha(chi)))
+    return [alpha[w] for w in branch.subgraph.ids]
+
+
 def nef_shift_cycle(g, branch, chi) -> QCycle:
     """D_{chi,i} = -[phi_i(c_1(L_chi))]."""
     return -phi_branch(g, branch, fractional_representative(g, chi)).floor()

@@ -5,13 +5,19 @@ from hypothesis import assume, given, settings
 
 import reference as ref
 from fixtures import a_chain, d4, e8, exmc, fig1, single
-from reference import HElement, NotInDualLattice, QCycle, mod1, unit_cycle
+from reference import (
+    HElement,
+    NotInDualLattice,
+    QCycle,
+    mod1,
+    phi_alpha,
+    unit_cycle,
+)
 from test_graph import random_trees
 from splicegenus.discgroup import (
     GroupData,
     group_data,
     nef_shift,
-    phi_alpha,
 )
 
 

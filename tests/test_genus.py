@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -24,8 +26,9 @@ from splicegenus.genus import (
     pg,
     pg_uac,
 )
+import splicegenus.genus as genus
 from splicegenus.graph import ResolutionGraph
-from splicegenus.errors import CycleOutOfRange, GraphInputError
+from splicegenus.errors import CycleOutOfRange, GraphInputError, NegativeH1
 from splicegenus.molien import P_chi, c_v_chi, group_data, molien_closed
 
 
@@ -396,10 +399,16 @@ def test_root_that_is_not_a_node_is_an_input_error(root):
     ((7, 7), "coordinate 7 out of range [0,2)"),
     ((0, 0.5), "character must be a tuple of ints, got (0, 0.5)"),
     ([0, 0], "character must be a tuple of ints, got [0, 0]"),
+    # these hash and compare as (0, 1), whose values are cached below
+    ((0.0, 1.0), "character must be a tuple of ints, got (0.0, 1.0)"),
+    ((0, True), "character must be a tuple of ints, got (0, True)"),
 ])
 def test_malformed_character_is_an_input_error(chi, message):
-    # the CLI's --char check, reached from the library: d4 has H = Z/2 x Z/2
+    # the CLI's --char check, reached from the library: d4 has H = Z/2 x Z/2;
+    # it runs before any cache lookup
     g = d4()
+    assert h1_eigensheaf(g, (0, 1)) == 0
+    assert group_data(g).c1_alpha((0, 1)) == group_data(g).c1_alpha((0, 1))
     for call in (lambda: h1_eigensheaf(g, chi),
                  lambda: group_data(g).c1_alpha(chi),
                  lambda: c_v_chi(g, "c", chi),
@@ -407,3 +416,108 @@ def test_malformed_character_is_an_input_error(chi, message):
                  lambda: molien_closed(g, "c", chi)):
         with pytest.raises(GraphInputError, match=re.escape(message)):
             call()
+
+
+# -- one branch term per distinct phi -----------------------------------------
+
+def _distinct_branch_terms(g, roots):
+    """The (branch vertex set, phi) pairs the recursion reaches from each
+    root over all characters, from ``c1_alpha`` restricted by vertex id."""
+    seen = set()
+
+    def walk(g, root, chars):
+        if g.require_valid().is_chain:
+            return
+        gd = group_data(g)
+        for br in g.branches(g.node(root)):
+            sub = br.subgraph
+            phis = {tuple(ref.phi_alpha(gd, br, chi)) for chi in chars}
+            seen.update((frozenset(sub.ids), phi) for phi in phis)
+            if not sub.require_valid().is_chain:
+                walk(sub, None, {group_data(sub).theta_alpha(p) for p in phis})
+
+    for root in roots:
+        walk(g, root, list(group_data(g).characters()))
+    return len(seen)
+
+
+@pytest.mark.parametrize("make, roots, total", [
+    (fig1, ["v0", "v1", "v2"], 165),
+    (lambda: star(3, [(2, 1)] * 4), [None], 1),
+], ids=["fig1-allroots", "star"])
+def test_one_branch_term_per_distinct_phi(monkeypatch, make, roots, total):
+    # Riemann-Roch and the nef shift run once per (branch, phi), not once
+    # per character and branch
+    calls = {"nef": 0, "rr": 0}
+    real_nef, real_rr = genus.nef_shift, ResolutionGraph.riemann_roch
+
+    def nef(*args):
+        calls["nef"] += 1
+        return real_nef(*args)
+
+    def rr(*args):
+        calls["rr"] += 1
+        return real_rr(*args)
+
+    monkeypatch.setattr(genus, "nef_shift", nef)
+    monkeypatch.setattr(ResolutionGraph, "riemann_roch", rr)
+    g = make()
+    values = {pg_uac(g, root=root) for root in roots}
+    expected = _distinct_branch_terms(make(), roots)
+    assert calls == {"nef": expected, "rr": expected}
+    per_character = sum(group_data(g).order * len(g.branches(g.node(root)))
+                        for root in roots)
+    assert expected < per_character
+    assert values == {total}
+
+
+def test_fig1_trace_is_unchanged():
+    # a traced call computes every branch term again: the trace lists every
+    # step of the recursion, as it did before the branch tables
+    trace = json.dumps(genus_report(fig1(), with_trace=True).trace)
+    assert hashlib.sha256(trace.encode()).hexdigest() == (
+        "0c9b5192e5746d75476cad90eef8076f5f18d1f6222e13b91573ef6cc1a5ee92")
+
+
+def test_negative_h1_from_a_table_read_keeps_its_branches(monkeypatch):
+    # two characters of fig1 share phi on a branch of v0; the second reads
+    # that term from the table and still reports every branch
+    g = fig1()
+    gd = group_data(g)
+    branches = g.branches("v0")
+    chars = list(gd.characters())
+    shared = next((br, a, b) for br in branches
+                  for i, a in enumerate(chars) for b in chars[i + 1:]
+                  if ref.phi_alpha(gd, br, a) == ref.phi_alpha(gd, br, b))
+    br, chi1, chi2 = shared
+    real_cv = genus.c_v_chi
+    monkeypatch.setattr(genus, "c_v_chi", lambda h, v, chi: (
+        -10**6 if h is g else real_cv(h, v, chi)))
+    reached = []
+    real_nef = genus.nef_shift
+
+    def nef(branch, phi):
+        reached.append(branch.attach)
+        return real_nef(branch, phi)
+
+    monkeypatch.setattr(genus, "nef_shift", nef)
+    errors = []
+    for chi in (chi1, chi2):
+        reached.clear()
+        with pytest.raises(NegativeH1) as info:
+            h1_eigensheaf(g, chi, root="v0")
+        errors.append(info.value.trace)
+    assert br.attach not in reached     # served from the table
+    expected = {}
+    for step in genus_report(fig1(), root="v0", with_trace=True).trace:
+        if step["graph"] == g.fingerprint():
+            expected[tuple(step["chi"])] = step
+    for chi, err in zip((chi1, chi2), errors):
+        assert err["node"] == "v0" and err["chi"] == list(chi)
+        assert err["c_v"] == -10**6
+        assert [set(s) for s in err["branches"]] == (
+            [{"attach", "psi", "h1", "euler"}] * len(branches))
+        assert [s["attach"] for s in err["branches"]] == [b.attach for b in branches]
+        assert err["branches"] == expected[chi]["branches"]
+    k = branches.index(br)
+    assert errors[0]["branches"][k] == errors[1]["branches"][k]
