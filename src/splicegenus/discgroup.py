@@ -19,7 +19,10 @@ of its coordinates c_j in [0, d_j): the c_1 cache, the h1 cache and the
 Molien kernel rows are keyed by these tuples.  All work stays in the
 integers: a class of L* is an int list of E*-coordinates, c_1(L_chi) one
 such list (its E-coefficients are its numerators over |det I|), and
-D_{chi,i} an int list of E-coefficients.  The rational routes from the
+D_{chi,i} an int list of E-coefficients, read from rows of the parent's
+adjugate (``nef_shift``), so a branch needs no decomposition of its own
+for it.  ``c1_alpha`` checks its character; the package's callers, which
+have checked it already, read ``_c1_alpha``.  The rational routes from the
 definitions (classes of rational cycles, the pairing and its reduction
 mod 1, c_1 as a rational cycle) live in tests/reference.py as the
 independent reference.
@@ -106,6 +109,10 @@ class GroupData:
         E-coefficients in [0, 1)."""
         # checked before the lookup: (0.0, 1) hashes and compares as (0, 1)
         self.check_character(chi)
+        return self._c1_alpha(chi)
+
+    def _c1_alpha(self, chi):
+        """``c1_alpha`` for a character the caller has already checked."""
         if chi not in self._c1:
             det = self.dual.det_abs
             # |det I| times the fractional part of the lift's E-coefficients,
@@ -123,11 +130,27 @@ class GroupData:
         return self._c1[chi]
 
 
-def nef_shift(branch, phi):
-    """D_{chi,i} = -[phi] for phi in the branch's E*-coordinates, as
-    integer E-coefficients in branch.subgraph.ids order; effective."""
-    dd = branch.subgraph.dual_data()
-    D = [-(c // dd.det_abs) for c in dd.numerators(phi)]
+def nef_shift(dual, k, cols, alpha):
+    """D_{chi,i} = -[phi_i(c_1(L_chi))] as integer E-coefficients in cols
+    order, read from the parent graph alone; effective.
+
+    dual is the parent's ``DualData``, k the position of the node v in its
+    ids, cols the positions of the branch's ids (in the branch's order)
+    and alpha the E*-coordinates of c_1(L_chi) on the parent.  On the
+    branch B, [phi_i] = c_1|_B - c_{1,v} E*^B_a, where a is the attaching
+    vertex, and E*^B_a = E*_v|_B / (E*_v)_v (the restriction rule of
+    Neumann-Wahl's splice diagrams).  With N = A alpha the numerators of
+    c_1 over |det I|,
+
+        D_w = -floor((N_w A_vv - N_v A_vw) / (|det I| A_vv)),
+
+    so only the rows v and B of the parent's adjugate A are read, and the
+    branch needs no dual data of its own.
+    """
+    row_v = dual.adjugate[k]
+    a_vv = row_v[k]
+    n_v, *num = dual.numerators(alpha, [k, *cols])
+    den = dual.det_abs * a_vv
+    D = [-((n * a_vv - n_v * row_v[w]) // den) for w, n in zip(cols, num)]
     assert all(c >= 0 for c in D), "D_{chi,i} is not effective"
     return D
-

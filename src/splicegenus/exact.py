@@ -81,6 +81,15 @@ def smith_normal_form(A):
 
     U and V are unimodular integer matrices; S is diagonal with
     S[i][i] dividing S[i+1][i+1] (entries nonnegative).
+
+    Each step moves a nonzero entry of least absolute value, the first in
+    row-major order, to the pivot, clears its row and column by division
+    with remainder, and folds a row whose entries the pivot does not divide
+    into the pivot row.  The pivot scan stops at the first entry of
+    absolute value 1, which no later entry can undercut; a pivot of ±1
+    divides everything, so it skips the divisibility scan; column
+    operations skip the rows whose entry in the source column is 0.  None
+    of these shortcuts changes U, S or V.
     """
     n = len(A)
     m = len(A[0]) if n else 0
@@ -93,10 +102,10 @@ def smith_normal_form(A):
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for row in S:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
+        for M in (S, V):
+            for row in M:
+                if row[j]:
+                    row[i] -= q * row[j]
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
@@ -110,44 +119,44 @@ def smith_normal_form(A):
 
     t = 0
     while t < min(n, m):
-        # find a nonzero pivot of minimal absolute value
-        best = None
+        # the first nonzero entry of minimal absolute value
+        best, least = None, 0
         for i in range(t, n):
+            row = S[i]
             for j in range(t, m):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
+                x = abs(row[j])
+                if x and (best is None or x < least):
+                    best, least = (i, j), x
+                    if x == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         swap_rows(t, best[0])
         swap_cols(t, best[1])
+        p = S[t][t]
         dirty = False
         for i in range(t + 1, n):
             if S[i][t] != 0:
-                q = S[i][t] // S[t][t]
-                row_op(i, t, q)
+                row_op(i, t, S[i][t] // p)
                 if S[i][t] != 0:
                     dirty = True
         for j in range(t + 1, m):
             if S[t][j] != 0:
-                q = S[t][j] // S[t][t]
-                col_op(j, t, q)
+                col_op(j, t, S[t][j] // p)
                 if S[t][j] != 0:
                     dirty = True
         if dirty:
             continue
-        # ensure divisibility of the remaining block by the pivot
-        bad = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if S[i][j] % S[t][t] != 0:
-                    bad = i
-                    break
+        if least != 1:
+            # ensure divisibility of the remaining block by the pivot
+            bad = next((i for i in range(t + 1, n)
+                        if any(S[i][j] % p for j in range(t + 1, m))), None)
             if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # fold the offending row into the pivot row
-            continue
-        if S[t][t] < 0:
+                row_op(t, bad, -1)  # fold the offending row into the pivot row
+                continue
+        if p < 0:
             S[t] = [-a for a in S[t]]
             U[t] = [-a for a in U[t]]
         t += 1

@@ -5,10 +5,12 @@ The central recursion: pick a node v, then
     h1(L_chi) = c_v^chi + sum_i [ h1(branch_i, psi_i(chi)) - chi(O_{D_i}(-L_chi)) ]
 
 where D_i = -[phi_i(c_1(L_chi))] is effective and the Euler characteristic
-is Riemann-Roch on the branch.  Chains contribute 0 for every character
-(their universal abelian covers are smooth).  p_g(X) is the value at the
-trivial character and p_g of the universal abelian cover is the sum over
-all characters.
+is Riemann-Roch on the branch.  D_i is read from the parent's adjugate
+(``discgroup.nef_shift``), so a branch is decomposed only if the recursion
+enters it.  Chains contribute 0 for every character (their universal
+abelian covers are smooth), so a chain branch is validated but never
+decomposed.  p_g(X) is the value at the trivial character and p_g of the
+universal abelian cover is the sum over all characters.
 
 A branch term depends on chi only through phi_i, the E*-coordinates of
 c_1(L_chi) on the branch, and many characters share one phi_i.  Each
@@ -61,7 +63,7 @@ def _floor_c1_shift(g, v, chi, n):
     order; only the coefficient at v can be nonzero."""
     gd = group_data(g)
     det, e_v, k = gd.dual.det_abs, g.node_weights(v).e, g.index(v)
-    r_v = gd.dual.numerators(gd.c1_alpha(chi))[k]
+    [r_v] = gd.dual.numerators(gd.c1_alpha(chi), [k])
     q = [0] * len(g.ids)
     q[k] = (r_v * e_v - n * det) // (det * e_v)
     return q
@@ -83,27 +85,31 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     return g.laufer(base, g.ids)
 
 
-def _branch_tables(g, v):
-    """(branch, cols, table) for each branch at the node v, built once:
-    cols picks the branch's ids, in its own order, out of g.ids, and table
-    maps phi to the branch term (``_branch_term``), filled on demand.  The
-    term depends on the branch graph and phi alone, so the table is kept in
-    the branch's cache and serves every (graph, root) the branch hangs on."""
-    key = ("branch_terms", v)
+def _node_record(g, v):
+    """(k, nodes, branches) for the node v, built once: k is the position
+    of v in g.ids, nodes the graph's nodes in sorted order, and branches
+    one (branch, cols, table) per branch at v, where cols picks the
+    branch's ids, in its own order, out of g.ids, and table maps phi to
+    the branch term (``_branch_term``), filled on demand.  The term depends
+    on the branch graph and phi alone, so the table is kept in the branch's
+    cache and serves every (graph, root) the branch hangs on."""
+    key = ("node_record", v)
     if key not in g._cache:
         pos = {w: k for k, w in enumerate(g.ids)}
-        g._cache[key] = [(br, [pos[w] for w in br.subgraph.ids],
-                          br.subgraph._cache.setdefault("terms", {}))
-                         for br in g.branches(v)]
+        g._cache[key] = (
+            pos[v], sorted(g.require_valid().nodes),
+            [(br, [pos[w] for w in br.subgraph.ids],
+              br.subgraph._cache.setdefault("terms", {}))
+             for br in g.branches(v)])
     return g._cache[key]
 
 
-def _branch_term(br, phi, trace):
+def _branch_term(br, phi, D, trace):
     """(psi, h1(branch, psi), chi(O_D(-L_chi))) for phi = phi_i(c_1(L_chi)),
     the E*-coordinates alpha_w = -c_1(L_chi).E_w on the branch, which are
-    also the degrees of -L_chi, and D = D_{chi,i} = -[phi]."""
+    also the degrees of -L_chi, and D = D_{chi,i} = -[phi] (``nef_shift``)."""
     sub = br.subgraph
-    e_term = sub.riemann_roch(nef_shift(br, phi), phi)
+    e_term = sub.riemann_roch(D, phi)
     if sub.require_valid().is_chain:
         return None, 0, e_term
     # psi_i(chi) = theta_i(phi_i(c_1(L_chi)))
@@ -117,8 +123,11 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     chi is checked before any cached value is read.  A branch enters only
     through phi_i(c_1(L_chi)), so h1(L_chi) is c_v^chi plus one read per
     branch of a table that holds one term per distinct phi
-    (``_branch_tables``); a traced call computes every term again, so the
-    trace lists every step.  Values are kept in the graph's cache under
+    (``_node_record``); on a miss, D_{chi,i} comes from the parent's
+    adjugate (``nef_shift``), so a chain branch is validated but never
+    decomposed.  A traced call computes every term again, so the trace
+    lists every step; the per-branch steps are built only for a trace or
+    a ``NegativeH1``.  Values are kept in the graph's cache under
     ("h1", node, chi); a value computed from one root is compared with
     those already there for the other roots; a branch is one graph per
     vertex set, whichever node or root reaches it.  Nodes and chains are
@@ -133,19 +142,22 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     key = ("h1", v, chi)
     if trace is None and key in g._cache:
         return g._cache[key]
+    k, nodes, branches = _node_record(g, v)
     c_v = c_v_chi(g, v, chi)
-    alpha = gd.c1_alpha(chi)
+    alpha = gd._c1_alpha(chi)
     value = c_v
-    steps = []
-    for br, cols, table in _branch_tables(g, v):
-        phi = tuple(alpha[k] for k in cols)
+    terms = []
+    for br, cols, table in branches:
+        phi = tuple(alpha[j] for j in cols)
         term = table.get(phi) if trace is None else None
         if term is None:
-            term = table[phi] = _branch_term(br, phi, trace)
-        psi, h1_br, e_term = term
-        value += h1_br - e_term
-        steps.append({"attach": br.attach, "psi": psi,
-                      "h1": h1_br, "euler": e_term})
+            D = nef_shift(gd.dual, k, cols, alpha)
+            term = table[phi] = _branch_term(br, phi, D, trace)
+        terms.append(term)
+        value += term[1] - term[2]
+    if value < 0 or trace is not None:
+        steps = [{"attach": br.attach, "psi": psi, "h1": h1_br, "euler": e_term}
+                 for (br, _, _), (psi, h1_br, e_term) in zip(branches, terms)]
     if value < 0:
         raise NegativeH1(
             f"h1 = {value} at node {v}, chi {chi} (c_v = {c_v})",
@@ -156,7 +168,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
                       "c_v": c_v, "branches": steps, "h1": value})
     g._cache[key] = value
     # node-independence across the roots computed so far
-    for other in sorted(rep.nodes):
+    for other in nodes:
         prev = g._cache.get(("h1", other, chi))
         if prev is not None and prev != value:
             raise InternalCheckError(

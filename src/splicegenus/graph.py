@@ -13,9 +13,14 @@ them into numerators over |det I|: D = sum_u (A alpha)_u / |det I| E_u
 (``DualData.numerators``).
 
 The Smith normal form U I V = S is the one decomposition of I, computed
-once per graph in ``dual_data``: |det I| is the product of the s_k, and
-I^{-1} = V S^{-1} U gives A = -V diag(|det I| / s_k) U.  ``DualData``
-keeps U, the diagonal of S and V, from which ``discgroup`` reads H = L*/L.
+in ``dual_data`` once per graph whose group or dual cycles are read: |det
+I| is the product of the s_k, and I^{-1} = V S^{-1} U gives
+A = -V diag(|det I| / s_k) U, summed from the rows of U at the nonzero
+entries of V.  ``DualData`` keeps U, the diagonal of S and V, from which
+``discgroup`` reads H = L*/L.  A chain reached as a branch of the h1
+recursion is validated but never decomposed: its nef shifts come from the
+parent's adjugate (``discgroup.nef_shift``).  ``intersections`` runs over
+weight and neighbour-position lists built once per graph.
 """
 
 from __future__ import annotations
@@ -60,10 +65,12 @@ class DualData:
     diag: list             # s_k = S[k][k] > 0, each dividing the next
     V: list                # unimodular, as a list of rows
 
-    def numerators(self, alpha):
-        """|det I| times the E-coefficients of sum_w alpha_w E*_w."""
+    def numerators(self, alpha, rows=None):
+        """|det I| times the E-coefficients of sum_w alpha_w E*_w, at the
+        positions ``rows`` (all of them by default)."""
         nz = [(j, a) for j, a in enumerate(alpha) if a]
-        return [sum(row[j] * a for j, a in nz) for row in self.adjugate]
+        A = self.adjugate if rows is None else [self.adjugate[i] for i in rows]
+        return [sum(row[j] * a for j, a in nz) for row in A]
 
 
 @dataclass
@@ -116,6 +123,10 @@ class ResolutionGraph:
             self.adj[a].add(b)
             self.adj[b].add(a)
         self.edges.sort()
+        # weights and neighbour positions in ids order, for ``intersections``
+        pos = {v: k for k, v in enumerate(self.ids)}
+        self._weights = [self.weight[v] for v in self.ids]
+        self._neighbours = [[pos[u] for u in self.adj[v]] for v in self.ids]
         self._cache = {}
         self._subgraphs = {frozenset(self.ids): self}  # shared with subgraphs
 
@@ -162,9 +173,8 @@ class ResolutionGraph:
 
     def intersections(self, x):
         """I x: the numbers D.E_w, w in ids order, for D = sum_u x_u E_u."""
-        c = dict(zip(self.ids, x))
-        return [self.weight[w] * c[w] + sum(c[u] for u in self.adj[w])
-                for w in self.ids]
+        return [w * a + sum(x[u] for u in nbrs)
+                for w, a, nbrs in zip(self._weights, x, self._neighbours)]
 
     def riemann_roch(self, d, ldeg) -> int:
         """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for the integral cycle
@@ -246,11 +256,16 @@ class ResolutionGraph:
         diag = [S[k][k] for k in range(n)]
         assert all(diag), "intersection matrix is singular"
         det_abs = math.prod(diag)
-        # A = -V diag(|det I| / s_k) U, from I^{-1} = V S^{-1} U
-        cols = list(zip(*([det_abs // s * x for x in row]
-                          for s, row in zip(diag, U))))
-        A = [[-sum(v * x for v, x in zip(vrow, col)) for col in cols]
-             for vrow in V]
+        # A = -V diag(|det I| / s_k) U, from I^{-1} = V S^{-1} U: row i of
+        # A sums the scaled rows of U at the nonzero entries of row i of V
+        scaled = [[-(det_abs // s) * x for x in row] for s, row in zip(diag, U)]
+        A = []
+        for vrow in V:
+            acc = [0] * n
+            for v, row in zip(vrow, scaled):
+                if v:
+                    acc = [a + v * x for a, x in zip(acc, row)]
+            A.append(acc)
         assert all(x > 0 for row in A for x in row), \
             "entries of |det I| (-I^{-1}) must be positive integers"
         # I A = -|det I| Id, checked in the integers (A is symmetric)

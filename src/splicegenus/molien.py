@@ -259,7 +259,7 @@ def _route_a_value(g, v, chi, m):
     # K has alpha_w = E_w^2 + 2, so the quadratic term
     # (m^2 a_v |det I| + m e_v N_v) / (2 |det I|) is an exact division
     alpha = [g.weight[w] + 2 + 2 * a for w, a in zip(g.ids, gd.c1_alpha(chi))]
-    n_v = gd.dual.numerators(alpha)[g.index(v)]
+    [n_v] = gd.dual.numerators(alpha, [g.index(v)])
     top = m * m * nw.a_v * det + m * nw.e * n_v
     quad, rem = divmod(top, 2 * det)
     if rem:

@@ -16,9 +16,14 @@ so that tests can hold the integer core against them:
   hold ``exact.rank`` and definiteness against minors, and the exhaustive
   monomial search solves its support constraints with it;
 - ``dual_cycles`` solves I X = -Id by a Fraction Gauss-Jordan elimination;
-- H = L*/L is presented by this module's own call of
-  ``exact.smith_normal_form(I)`` (U I V = S): the class of D is U alpha(D)
-  mod d, and generator j lifts to column j of U^{-1};
+- ``smith_normal_form`` is the package's Smith form as it was before its
+  scans were cut short (the pivot scan stops at a unit, a unit pivot skips
+  the divisibility scan, column operations skip zero entries), kept
+  verbatim so that tests can hold ``exact.smith_normal_form`` to the same
+  (U, S, V);
+- H = L*/L is presented by this module's own ``smith_normal_form(I)``
+  (U I V = S): the class of D is U alpha(D) mod d, and generator j lifts
+  to column j of U^{-1};
 - ``theta`` reads the pairing D.D' mod 1 (``mod1``) against those
   generators, and ``fractional_representative`` inverts it by walking H;
 - ``cyclotomic_polynomial`` divides x^N - 1 by the Phi_d of the proper
@@ -49,7 +54,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from splicegenus import exact
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.series import divide
 from splicegenus.splice import validate_witness
@@ -216,6 +220,84 @@ def det_bareiss(A):
     return R[0][pivots[0]] if len(pivots) == len(A) else 0
 
 
+def smith_normal_form(A):
+    """Smith normal form with transforms: returns (U, S, V) with U A V = S.
+
+    U and V are unimodular integer matrices; S is diagonal with
+    S[i][i] dividing S[i+1][i+1] (entries nonnegative).
+    """
+    n = len(A)
+    m = len(A[0]) if n else 0
+    S = [list(map(int, row)) for row in A]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        S[i] = [a - q * b for a, b in zip(S[i], S[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in S:
+            row[i] -= q * row[j]
+        for row in V:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in S:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(n, m):
+        # find a nonzero pivot of minimal absolute value
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if S[i][j] != 0 and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        swap_rows(t, best[0])
+        swap_cols(t, best[1])
+        dirty = False
+        for i in range(t + 1, n):
+            if S[i][t] != 0:
+                q = S[i][t] // S[t][t]
+                row_op(i, t, q)
+                if S[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, m):
+            if S[t][j] != 0:
+                q = S[t][j] // S[t][t]
+                col_op(j, t, q)
+                if S[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # ensure divisibility of the remaining block by the pivot
+        bad = None
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if S[i][j] % S[t][t] != 0:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_op(t, bad, -1)  # fold the offending row into the pivot row
+            continue
+        if S[t][t] < 0:
+            S[t] = [-a for a in S[t]]
+            U[t] = [-a for a in U[t]]
+        t += 1
+    return U, S, V
+
+
 def _inverse(M):
     """M^{-1} for an invertible square integer matrix, over the rationals."""
     n = len(M)
@@ -261,7 +343,7 @@ def from_alpha(g, alpha) -> QCycle:
 def _presentation(g):
     """(U rows, invariant factors d, generator lifts in E*-coordinates) for
     the kept invariant factors d > 1."""
-    U, S, _ = exact.smith_normal_form(g.intersection_matrix())
+    U, S, _ = smith_normal_form(g.intersection_matrix())
     kept = [i for i in range(len(S)) if S[i][i] > 1]
     U_inv = _inverse(U)
     gens = []
@@ -370,9 +452,13 @@ def phi_alpha(parent_gd, branch, chi):
     return [alpha[w] for w in branch.subgraph.ids]
 
 
-def nef_shift_cycle(g, branch, chi) -> QCycle:
-    """D_{chi,i} = -[phi_i(c_1(L_chi))]."""
-    return -phi_branch(g, branch, fractional_representative(g, chi)).floor()
+def nef_shift_cycle(g, branch, chi, c1=None) -> QCycle:
+    """D_{chi,i} = -[phi_i(c_1(L_chi))], with phi_i read through the
+    branch's own dual cycles; c1 is c_1(L_chi) as a QCycle, found by
+    walking H (``fractional_representative``) when not given."""
+    if c1 is None:
+        c1 = fractional_representative(g, chi)
+    return -phi_branch(g, branch, c1).floor()
 
 
 # -- the exhaustive monomial search -------------------------------------------

@@ -1,10 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 
 import reference as ref
-from fixtures import a_chain, d4, e8, exmc, fig1, single
+from fixtures import (
+    HUGE_H_TREES,
+    a_chain,
+    caterpillar,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    single,
+    small_stars,
+    splice_quotient_trees,
+    star,
+)
 from reference import (
     HElement,
     NotInDualLattice,
@@ -13,7 +26,8 @@ from reference import (
     phi_alpha,
     unit_cycle,
 )
-from test_graph import random_trees
+from test_graph import _recursion_subgraphs, random_trees
+from splicegenus import parse_graph
 from splicegenus.discgroup import (
     GroupData,
     group_data,
@@ -220,6 +234,15 @@ def test_psi_matches_direct_class_computation():
             assert psi == ref.theta(sub, ref.class_of(sub, phi))
 
 
+def _shift_cycle(gd, node, br, chi):
+    """The package's D_{chi,i}, read from the parent's adjugate, as a QCycle
+    on the branch."""
+    g = gd.graph
+    cols = [g.index(w) for w in br.subgraph.ids]
+    shift = nef_shift(gd.dual, g.index(node), cols, gd.c1_alpha(chi))
+    return QCycle(dict(zip(br.subgraph.ids, shift)))
+
+
 @pytest.mark.parametrize("make,node", [(fig1, "v0"), (fig1, "v2"),
                                        (exmc, "E5"), (exmc, "E6"),
                                        (d4, "c")])
@@ -231,8 +254,46 @@ def test_nef_shift_effective_for_all_characters(make, node):
             D = ref.nef_shift_cycle(g, br, chi)
             assert D.is_integral() and D.is_effective()
             # the integer D_{chi,i} of the recursion is the same cycle
-            shift = nef_shift(br, phi_alpha(gd, br, chi))
-            assert QCycle(dict(zip(br.subgraph.ids, shift))) == D
+            assert _shift_cycle(gd, node, br, chi) == D
+
+
+@pytest.mark.parametrize("family", ["fig1", "stars", "seeded", "cater", "huge"])
+def test_nef_shift_from_the_parent_matches_the_fraction_route(family):
+    # D_{chi,i} from rows v and B of the parent's adjugate against -[phi_i]
+    # through the branch's own dual cycles, at every (node, branch) of every
+    # graph the recursion reaches: every character where |H| <= 64, with
+    # c_1 found by walking H; the trivial and 4 seeded characters beyond,
+    # with c_1 the cycle of E-coefficients in [0, 1) whose theta is chi
+    tops = {
+        "fig1": lambda: [fig1()],
+        "stars": lambda: [star(b, legs) for b, legs in small_stars()],
+        "seeded": lambda: list(splice_quotient_trees(seed=1, count=10)),
+        "cater": lambda: [caterpillar(k) for k in range(3, 6)],
+        "huge": lambda: [parse_graph(t) for t in HUGE_H_TREES.values()],
+    }[family]()
+    rng = random.Random(1)
+    cases = 0
+    for top in tops:
+        for g in _recursion_subgraphs(top):
+            if g.require_valid().is_chain:
+                continue
+            gd = group_data(g)
+            walk = gd.order <= 64
+            chars = list(gd.characters()) if walk else [gd.trivial_character] + [
+                tuple(rng.randrange(d) for d in gd.invariant_factors)
+                for _ in range(4)]
+            for chi in chars:
+                c1 = None
+                if not walk:
+                    c1 = _c1_cycle(gd, chi)
+                    assert all(0 <= c < 1 for c in c1.coeffs.values())
+                    assert ref.theta(g, c1) == chi
+                for v in g.nodes():
+                    for br in g.branches(v):
+                        D = ref.nef_shift_cycle(g, br, chi, c1)
+                        assert _shift_cycle(gd, v, br, chi) == D
+                        cases += 1
+    assert cases > len(tops)
 
 
 # -- the integer core on random trees ----------------------------------------

@@ -6,9 +6,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixtures import GRAPHS_DIR
+from fixtures import (
+    GRAPHS_DIR,
+    HUGE_H_TREES,
+    caterpillar,
+    d4,
+    e8,
+    exmc,
+    fig1,
+    small_stars,
+    splice_quotient_trees,
+    star,
+)
 from reference import det_bareiss, eliminate
-from test_graph import random_trees
+from reference import smith_normal_form as ref_smith_normal_form
+from test_graph import _recursion_subgraphs, random_trees
 from splicegenus import exact
 from splicegenus.exact import negative_definite_violation, rank
 from splicegenus.graph import parse_graph
@@ -252,3 +264,52 @@ def test_admissible_monomial_search_matches_bruteforce(g):
                 assert found is not None
                 alpha = tuple(found.exponents.get(w, 0) for w in ends)
                 assert (sum(alpha), alpha) == best
+
+
+# -- the Smith form ----------------------------------------------------------
+
+def _check_smith(M):
+    U, S, V = exact.smith_normal_form(M)
+    assert (U, S, V) == ref_smith_normal_form(M)
+    n, m = len(M), len(M[0]) if M else 0
+    UMV = [[sum(U[i][k] * M[k][l] * V[l][j] for k in range(n) for l in range(m))
+            for j in range(m)] for i in range(n)]
+    assert UMV == S
+
+
+@given(st.one_of(matrices(), square_matrices(), wide_entry_matrices(),
+                 dependent_matrices()))
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[2, 4], [1, 2], [0, 0]])
+@example([[6, 10, 15], [12, 20, 30], [3, 5, 7]])
+@settings(max_examples=400, deadline=None)
+def test_smith_form_matches_the_reference(M):
+    # the pivot scan that stops at a unit, the skipped divisibility scan and
+    # the column operations that skip zeros give the reference's U, S and V
+    # on square, non-square and singular matrices
+    _check_smith(M)
+
+
+@given(random_trees())
+@settings(max_examples=60, deadline=None)
+def test_smith_form_matches_the_reference_on_random_trees(g):
+    _check_smith(g.intersection_matrix())
+
+
+def test_smith_form_matches_the_reference_on_named_graphs():
+    # every intersection matrix of the fixtures, the small stars, the seeded
+    # splice quotients, the caterpillars and the huge-|H| trees, and of every
+    # branch the recursion reaches on them, chains included
+    tops = [fig1(), exmc(), d4(), e8(), *list(splice_quotient_trees(1, 10)),
+            *[star(b, legs) for b, legs in small_stars()],
+            *[caterpillar(k) for k in range(3, 9)],
+            *[parse_graph(t) for t in HUGE_H_TREES.values()]]
+    seen = set()
+    for top in tops:
+        for g in _recursion_subgraphs(top):
+            M = g.intersection_matrix()
+            if repr(M) not in seen:
+                seen.add(repr(M))
+                assert exact.smith_normal_form(M) == ref_smith_normal_form(M)
+    assert len(seen) > 200

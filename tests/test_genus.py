@@ -493,21 +493,26 @@ def test_negative_h1_from_a_table_read_keeps_its_branches(monkeypatch):
     real_cv = genus.c_v_chi
     monkeypatch.setattr(genus, "c_v_chi", lambda h, v, chi: (
         -10**6 if h is g else real_cv(h, v, chi)))
+    # a term is computed, with its nef shift, only on a table miss; a shift
+    # on g names its branch by the branch's columns in g.ids
+    cols = [g.index(w) for w in br.subgraph.ids]
     reached = []
     real_nef = genus.nef_shift
 
-    def nef(branch, phi):
-        reached.append(branch.attach)
-        return real_nef(branch, phi)
+    def nef(dual, k, branch_cols, alpha):
+        if dual is gd.dual:
+            reached[-1].append(list(branch_cols))
+        return real_nef(dual, k, branch_cols, alpha)
 
     monkeypatch.setattr(genus, "nef_shift", nef)
     errors = []
     for chi in (chi1, chi2):
-        reached.clear()
+        reached.append([])
         with pytest.raises(NegativeH1) as info:
             h1_eigensheaf(g, chi, root="v0")
         errors.append(info.value.trace)
-    assert br.attach not in reached     # served from the table
+    assert len(reached[0]) == len(branches) and cols in reached[0]
+    assert cols not in reached[1]       # served from the table
     expected = {}
     for step in genus_report(fig1(), root="v0", with_trace=True).trace:
         if step["graph"] == g.fingerprint():

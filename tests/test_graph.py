@@ -218,9 +218,9 @@ def test_dual_cycles_pair_to_minus_delta_on_named_graphs(family):
 
 
 def _smith_forms_of_pg_uac_all_nodes(monkeypatch, capsys, path):
-    """The number of Smith forms of one ``pg-uac --all-nodes`` run on the
-    graph file at path, and the fingerprints of the graph objects whose dual
-    data it built, one entry per object."""
+    """The matrices one ``pg-uac --all-nodes`` run on the graph file at path
+    hands to the Smith form, and the graph objects whose dual data it
+    built, one entry per object."""
     from splicegenus import cli, exact
 
     calls, built = [], {}
@@ -239,35 +239,52 @@ def _smith_forms_of_pg_uac_all_nodes(monkeypatch, capsys, path):
         m.setattr(ResolutionGraph, "dual_data", recorded_dual)
         assert cli.run(["pg-uac", "--input", path, "--all-nodes"]) == 0
     capsys.readouterr()
-    return len(calls), [h.fingerprint() for h in built.values()]
+    return calls, list(built.values())
 
 
 def test_one_smith_form_per_graph(monkeypatch, capsys):
     # |det I|, the adjugate, theta and c_1 all read one U I V = S per graph,
     # and the recursion reaches one graph object per vertex set from every
-    # root, chains included: 12 Smith forms, where 28 objects for 12 sets
-    # were built before graphs shared their subgraphs
+    # root; a chain branch needs only its nef shifts, read from the parent,
+    # so only the 5 graphs with a node are decomposed (12 with the chains,
+    # 28 before graphs shared their subgraphs)
     from splicegenus import exact
     from splicegenus.discgroup import group_data
 
     assert not hasattr(exact, "eliminate")
-    calls, prints = _smith_forms_of_pg_uac_all_nodes(
+    calls, built = _smith_forms_of_pg_uac_all_nodes(
         monkeypatch, capsys, graph_file("fig1.json"))
-    assert calls == len(prints) == len(set(prints)) == 12
+    prints = [h.fingerprint() for h in built]
+    assert len(calls) == len(prints) == len(set(prints)) == 5
+    assert not any(h.require_valid().is_chain for h in built)
     g = fig1()
     g.dual_data()
     monkeypatch.setattr(exact, "smith_normal_form", None)
     assert group_data(g).dual is g.dual_data()
 
 
+def test_no_chain_reaches_the_smith_form(monkeypatch, capsys):
+    # every chain subgraph the recursion validates on fig1, from every root,
+    # is absent from the matrices the Smith form sees
+    calls, _ = _smith_forms_of_pg_uac_all_nodes(
+        monkeypatch, capsys, graph_file("fig1.json"))
+    chains = [h for h in _recursion_subgraphs(fig1())
+              if h.require_valid().is_chain]
+    assert len(chains) > 5
+    for h in chains:
+        assert h.intersection_matrix() not in calls
+
+
 def test_one_smith_form_per_vertex_set_on_a_huge_tree(monkeypatch, capsys,
                                                       tmp_path):
-    # |H| = 19,273: 8 Smith forms, where 11 objects for 8 sets were built
+    # |H| = 19,273: 2 Smith forms, where 8 were run with the chains and 11
+    # objects for 8 sets were built before
     path = tmp_path / "huge.json"
     path.write_text(HUGE_H_TREES[19273])
-    calls, prints = _smith_forms_of_pg_uac_all_nodes(monkeypatch, capsys,
-                                                     str(path))
-    assert calls == len(prints) == len(set(prints)) == 8
+    calls, built = _smith_forms_of_pg_uac_all_nodes(monkeypatch, capsys,
+                                                    str(path))
+    prints = [h.fingerprint() for h in built]
+    assert len(calls) == len(prints) == len(set(prints)) == 2
 
 
 @given(random_trees())
