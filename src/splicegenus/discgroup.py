@@ -18,14 +18,14 @@ Characters are the one representation of H, and a character is the tuple
 of its coordinates c_j in [0, d_j): the c_1 cache, the h1 cache and the
 Molien kernel rows are keyed by these tuples.  All work stays in the
 integers: a class of L* is an int list of E*-coordinates, c_1(L_chi) one
-such list (its E-coefficients are its numerators over |det I|), and
-D_{chi,i} an int list of E-coefficients, read from rows of the parent's
-adjugate (``nef_shift``), so a branch needs no decomposition of its own
-for it.  ``c1_alpha`` checks its character; the package's callers, which
-have checked it already, read ``_c1_alpha``.  The rational routes from the
-definitions (classes of rational cycles, the pairing and its reduction
-mod 1, c_1 as a rational cycle) live in tests/reference.py as the
-independent reference.
+such list, -I r / |det I| for its numerators r (``_c1_numerators``, not
+cached), and D_{chi,i} an int list of E-coefficients, read from r and row
+v of the parent's adjugate (``nef_shift``), so nothing multiplies by A.
+``c1_alpha`` checks its character; the package's callers, which have
+checked it already, read ``_c1_alpha``; theta(c_1(L_chi)) = chi is left
+to the tests.  The rational routes from the definitions (classes of
+rational cycles, the pairing and its reduction mod 1, c_1 as a rational
+cycle) live in tests/reference.py as the independent reference.
 """
 
 from __future__ import annotations
@@ -111,46 +111,48 @@ class GroupData:
         self.check_character(chi)
         return self._c1_alpha(chi)
 
+    def _c1_numerators(self, chi):
+        """|det I| times the E-coefficients of c_1(L_chi), each in
+        [0, |det I|), for a checked character; not cached."""
+        rep = [0] * len(self.graph.ids)
+        for c, row in zip(chi, self._unit_numerators):
+            if c:
+                rep = [r + c * x for r, x in zip(rep, row)]
+        det = self.dual.det_abs
+        return [r % det for r in rep]
+
     def _c1_alpha(self, chi):
         """``c1_alpha`` for a character the caller has already checked."""
         if chi not in self._c1:
-            det = self.dual.det_abs
-            # |det I| times the fractional part of the lift's E-coefficients,
-            # and back to E*-coordinates: alpha = -I rep / |det I|
-            rep = [0] * len(self.graph.ids)
-            for c, row in zip(chi, self._unit_numerators):
-                if c:
-                    rep = [r + c * x for r, x in zip(rep, row)]
-            rep = [r % det for r in rep]
+            # back to E*-coordinates: alpha = -I r / |det I|
+            det, r = self.dual.det_abs, self._c1_numerators(chi)
             alpha, rem = zip(*(divmod(-x, det) for x in
-                               self.graph.intersections(rep)))
+                               self.graph.intersections(r)))
             assert not any(rem), "c_1(L_chi) is not in L*"
-            assert self.theta_alpha(alpha) == chi
             self._c1[chi] = list(alpha)
         return self._c1[chi]
 
 
-def nef_shift(dual, k, cols, alpha):
+def nef_shift(dual, k, cols, num):
     """D_{chi,i} = -[phi_i(c_1(L_chi))] as integer E-coefficients in cols
     order, read from the parent graph alone; effective.
 
     dual is the parent's ``DualData``, k the position of the node v in its
     ids, cols the positions of the branch's ids (in the branch's order)
-    and alpha the E*-coordinates of c_1(L_chi) on the parent.  On the
-    branch B, [phi_i] = c_1|_B - c_{1,v} E*^B_a, where a is the attaching
-    vertex, and E*^B_a = E*_v|_B / (E*_v)_v (the restriction rule of
-    Neumann-Wahl's splice diagrams).  With N = A alpha the numerators of
-    c_1 over |det I|,
+    and num the numerators of c_1(L_chi) over |det I| on the parent
+    (``GroupData._c1_numerators``).  On the branch B,
+    [phi_i] = c_1|_B - c_{1,v} E*^B_a, where a is the attaching vertex,
+    and E*^B_a = E*_v|_B / (E*_v)_v (the restriction rule of Neumann-Wahl's
+    splice diagrams).  With N = r, the numerators c_1 was built from,
 
         D_w = -floor((N_w A_vv - N_v A_vw) / (|det I| A_vv)),
 
-    so only the rows v and B of the parent's adjugate A are read, and the
-    branch needs no dual data of its own.
+    so only row v of the parent's adjugate A is read, and the branch
+    needs no dual data of its own.
     """
     row_v = dual.adjugate[k]
-    a_vv = row_v[k]
-    n_v, *num = dual.numerators(alpha, [k, *cols])
+    a_vv, n_v = row_v[k], num[k]
     den = dual.det_abs * a_vv
-    D = [-((n * a_vv - n_v * row_v[w]) // den) for w, n in zip(cols, num)]
+    D = [-((num[w] * a_vv - n_v * row_v[w]) // den) for w in cols]
     assert all(c >= 0 for c in D), "D_{chi,i} is not effective"
     return D

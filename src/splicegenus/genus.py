@@ -5,7 +5,7 @@ The central recursion: pick a node v, then
     h1(L_chi) = c_v^chi + sum_i [ h1(branch_i, psi_i(chi)) - chi(O_{D_i}(-L_chi)) ]
 
 where D_i = -[phi_i(c_1(L_chi))] is effective and the Euler characteristic
-is Riemann-Roch on the branch.  D_i is read from the parent's adjugate
+is Riemann-Roch on the branch.  D_i is read from the parent graph
 (``discgroup.nef_shift``), so a branch is decomposed only if the recursion
 enters it.  Chains contribute 0 for every character (their universal
 abelian covers are smooth), so a chain branch is validated but never
@@ -20,7 +20,8 @@ per branch.  No table over H is built.
 
 Cycles are int lists of E-coefficients in g.ids order, and so are the
 degree lists of line bundles; c_1(L_chi) is held by its E*-coordinates
-(``GroupData.c1_alpha``), so every term is an integer.
+(``GroupData.c1_alpha``), and its floors read its numerators over |det I|
+(``GroupData._c1_numerators``), so every term is an integer.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ def euler_char_on_cycle(g: ResolutionGraph, d, ldeg=None) -> int:
 
 def _floor_c1_shift(g, v, chi, n):
     """q = [c_1(L_chi) - (n/e_v)E_v] as integer E-coefficients in g.ids
-    order; only the coefficient at v can be nonzero."""
+    order, for a checked chi; only the coefficient at v can be nonzero."""
     gd = group_data(g)
     det, e_v, k = gd.dual.det_abs, g.node_weights(v).e, g.index(v)
-    [r_v] = gd.dual.numerators(gd.c1_alpha(chi), [k])
+    r_v = gd._c1_numerators(chi)[k]
     q = [0] * len(g.ids)
     q[k] = (r_v * e_v - n * det) // (det * e_v)
     return q
@@ -80,8 +81,9 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     so the loop runs in the integers.
     """
     g.node(v)  # v = None names no vertex: g.index rejects it below
+    alpha = group_data(g).c1_alpha(chi)  # checks chi for _floor_c1_shift
     q = _floor_c1_shift(g, v, chi, n)
-    base = [x + a for x, a in zip(g.intersections(q), group_data(g).c1_alpha(chi))]
+    base = [x + a for x, a in zip(g.intersections(q), alpha)]
     return g.laufer(base, g.ids)
 
 
@@ -123,15 +125,15 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     chi is checked before any cached value is read.  A branch enters only
     through phi_i(c_1(L_chi)), so h1(L_chi) is c_v^chi plus one read per
     branch of a table that holds one term per distinct phi
-    (``_node_record``); on a miss, D_{chi,i} comes from the parent's
-    adjugate (``nef_shift``), so a chain branch is validated but never
-    decomposed.  A traced call computes every term again, so the trace
-    lists every step; the per-branch steps are built only for a trace or
-    a ``NegativeH1``.  Values are kept in the graph's cache under
-    ("h1", node, chi); a value computed from one root is compared with
-    those already there for the other roots; a branch is one graph per
-    vertex set, whichever node or root reaches it.  Nodes and chains are
-    read from the cached validation.
+    (``_node_record``); on a miss, D_{chi,i} comes from the numerators of
+    c_1, built once per call, and the parent's adjugate (``nef_shift``),
+    so a chain branch is validated but never decomposed.  A traced call
+    computes every term again, so the trace lists every step; the
+    per-branch steps are built only for a trace or a ``NegativeH1``.
+    Values are kept in the graph's cache under ("h1", node, chi); a value
+    computed from one root is compared with those already there for the
+    other roots; a branch is one graph per vertex set, whichever node or
+    root reaches it.  Nodes and chains are read from the cached validation.
     """
     rep = g.require_valid()
     gd = group_data(g)
@@ -147,11 +149,13 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     alpha = gd._c1_alpha(chi)
     value = c_v
     terms = []
+    num = None  # c_1's numerators, built at the first miss
     for br, cols, table in branches:
         phi = tuple(alpha[j] for j in cols)
         term = table.get(phi) if trace is None else None
         if term is None:
-            D = nef_shift(gd.dual, k, cols, alpha)
+            num = gd._c1_numerators(chi) if num is None else num
+            D = nef_shift(gd.dual, k, cols, num)
             term = table[phi] = _branch_term(br, phi, D, trace)
         terms.append(term)
         value += term[1] - term[2]

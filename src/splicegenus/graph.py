@@ -19,8 +19,8 @@ A = -V diag(|det I| / s_k) U, summed from the rows of U at the nonzero
 entries of V.  ``DualData`` keeps U, the diagonal of S and V, from which
 ``discgroup`` reads H = L*/L.  A chain reached as a branch of the h1
 recursion is validated but never decomposed: its nef shifts come from the
-parent's adjugate (``discgroup.nef_shift``).  ``intersections`` runs over
-weight and neighbour-position lists built once per graph.
+parent's adjugate (``discgroup.nef_shift``).  ``intersections`` is one
+pass over the edges, as position pairs built once per graph.
 """
 
 from __future__ import annotations
@@ -123,10 +123,10 @@ class ResolutionGraph:
             self.adj[a].add(b)
             self.adj[b].add(a)
         self.edges.sort()
-        # weights and neighbour positions in ids order, for ``intersections``
+        # ids-order weights and edge position pairs, for ``intersections``
         pos = {v: k for k, v in enumerate(self.ids)}
         self._weights = [self.weight[v] for v in self.ids]
-        self._neighbours = [[pos[u] for u in self.adj[v]] for v in self.ids]
+        self._edge_pos = [(pos[a], pos[b]) for a, b in self.edges]
         self._cache = {}
         self._subgraphs = {frozenset(self.ids): self}  # shared with subgraphs
 
@@ -173,16 +173,19 @@ class ResolutionGraph:
 
     def intersections(self, x):
         """I x: the numbers D.E_w, w in ids order, for D = sum_u x_u E_u."""
-        return [w * a + sum(x[u] for u in nbrs)
-                for w, a, nbrs in zip(self._weights, x, self._neighbours)]
+        y = [w * a for w, a in zip(self._weights, x)]
+        for i, j in self._edge_pos:
+            y[i] += x[j]
+            y[j] += x[i]
+        return y
 
     def riemann_roch(self, d, ldeg) -> int:
         """chi(L (x) O_D) = -(D.D + D.K)/2 + L.D for the integral cycle
         D = sum_w d_w E_w and integer degrees L.E_w = ldeg_w (lists in ids
         order), with D.K = sum_w d_w (-E_w^2 - 2) by adjunction, so that
         D.(D+K) = 2 p_a(D) - 2 is even."""
-        dd_k = sum(x * (y - self.weight[w] - 2)
-                   for w, x, y in zip(self.ids, d, self.intersections(d)) if x)
+        dd_k = sum(x * (y - w - 2)
+                   for w, x, y in zip(self._weights, d, self.intersections(d)) if x)
         assert dd_k % 2 == 0, f"D.(D+K) = {dd_k} is odd for D = {d}"
         return sum(x * l for x, l in zip(d, ldeg) if x) - dd_k // 2
 

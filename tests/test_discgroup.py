@@ -235,11 +235,11 @@ def test_psi_matches_direct_class_computation():
 
 
 def _shift_cycle(gd, node, br, chi):
-    """The package's D_{chi,i}, read from the parent's adjugate, as a QCycle
-    on the branch."""
+    """The package's D_{chi,i}, read from the numerators of c_1 and the
+    parent's adjugate, as a QCycle on the branch."""
     g = gd.graph
     cols = [g.index(w) for w in br.subgraph.ids]
-    shift = nef_shift(gd.dual, g.index(node), cols, gd.c1_alpha(chi))
+    shift = nef_shift(gd.dual, g.index(node), cols, gd._c1_numerators(chi))
     return QCycle(dict(zip(br.subgraph.ids, shift)))
 
 
@@ -337,6 +337,22 @@ def test_integer_core_matches_fraction_route(g):
                 assert ref.phi_branch(g, br, rep) == expected
                 assert _dual_cycle(br.subgraph,
                                    phi_alpha(gd, br, chi)) == expected
+
+
+@given(random_trees(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_c1_numerators_are_the_adjugate_product(g):
+    # the numerators the nef shift reads are A alpha for the cached alpha,
+    # the E-coefficients in [0, 1) times |det I|, and theta takes c_1(L_chi)
+    # back to chi
+    gd = GroupData(g)
+    assume(gd.order <= 64)
+    det = gd.dual.det_abs
+    for chi in gd.characters():
+        num = gd._c1_numerators(chi)
+        assert num == gd.dual.numerators(gd.c1_alpha(chi))
+        assert all(0 <= r < det for r in num)
+        assert gd.theta_alpha(gd.c1_alpha(chi)) == chi
 
 
 # -- c_1(L_chi) without walking H ----------------------------------------------

@@ -13,6 +13,7 @@ from fixtures import (
     e8,
     exmc,
     fig1,
+    graph_file,
     small_stars,
     splice_quotient_trees,
     star,
@@ -27,7 +28,8 @@ from splicegenus.genus import (
     pg_uac,
 )
 import splicegenus.genus as genus
-from splicegenus.graph import ResolutionGraph
+from splicegenus.cli import run
+from splicegenus.graph import DualData, ResolutionGraph
 from splicegenus.errors import CycleOutOfRange, GraphInputError, NegativeH1
 from splicegenus.molien import P_chi, c_v_chi, group_data, molien_closed
 
@@ -471,6 +473,28 @@ def test_one_branch_term_per_distinct_phi(monkeypatch, make, roots, total):
     assert values == {total}
 
 
+def test_the_recursion_never_multiplies_by_the_adjugate(monkeypatch, capsys):
+    # c_1's numerators feed the nef shift and the twist along v, so neither
+    # pg-uac, pg_uac nor the nef correction reads DualData.numerators
+    stars = [(b, legs, pg_uac(star(b, legs))) for b, legs in small_stars()]
+    twists = {(chi, n): minimal_nef_correction(fig1(), "v0", chi, n)
+              for chi in [(0, 0), (1, 5), (3, 2)] for n in range(4)}
+
+    def adjugate_product(*args):
+        raise AssertionError("the h1 recursion multiplied by the adjugate")
+
+    monkeypatch.setattr(DualData, "numerators", adjugate_product)
+    code = run(["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "pg_uac = 165"
+    for b, legs, total in stars:
+        rep = genus_report(star(b, legs))
+        assert rep.pg == _pinkham_pg(b, legs), (b, legs)
+        assert rep.pg_uac == total, (b, legs)
+    for (chi, n), D in twists.items():
+        assert minimal_nef_correction(fig1(), "v0", chi, n) == D
+
+
 def test_fig1_trace_is_unchanged():
     # a traced call computes every branch term again: the trace lists every
     # step of the recursion, as it did before the branch tables
@@ -499,10 +523,10 @@ def test_negative_h1_from_a_table_read_keeps_its_branches(monkeypatch):
     reached = []
     real_nef = genus.nef_shift
 
-    def nef(dual, k, branch_cols, alpha):
+    def nef(dual, k, branch_cols, num):
         if dual is gd.dual:
             reached[-1].append(list(branch_cols))
-        return real_nef(dual, k, branch_cols, alpha)
+        return real_nef(dual, k, branch_cols, num)
 
     monkeypatch.setattr(genus, "nef_shift", nef)
     errors = []

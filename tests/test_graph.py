@@ -138,6 +138,41 @@ def test_chain_warning_mentions_assumption():
     assert "chain" in rep.warnings[0]
 
 
+# -- intersections and Riemann-Roch ------------------------------------------
+
+@st.composite
+def relabelled_trees(draw, max_n=14):
+    """A random tree (``random_trees``) given again with its vertices and
+    edges in shuffled order, its first edge repeated and its second edge
+    reversed; returns (the original, the rebuilt graph)."""
+    g = draw(random_trees(max_n=max_n))
+    ids = draw(st.permutations(g.ids))
+    es = draw(st.permutations(g.edges))
+    es = [(b, a) if k == 1 else (a, b) for k, (a, b) in enumerate(es)] + es[:1]
+    return g, ResolutionGraph([(v, g.weight[v]) for v in ids], es)
+
+
+@given(relabelled_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_intersections_and_riemann_roch_on_relabelled_trees(pair, data):
+    g, h = pair
+    assert h.edges == g.edges and sorted(h.ids) == sorted(g.ids)
+    n = len(h)
+    I = h.intersection_matrix()
+    ints = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    for _ in range(3):
+        x = data.draw(ints)
+        assert h.intersections(x) == [
+            sum(a * b for a, b in zip(row, x)) for row in I]
+        d = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        D = as_qcycle(h, d)
+        # D.K = sum_w d_w (-E_w^2 - 2), by adjunction on each E_w
+        dk = sum(x * (-ref.intersect(h, unit_cycle(w), unit_cycle(w)) - 2)
+                 for w, x in zip(h.ids, d))
+        want = sum(a * b for a, b in zip(x, d)) - (ref.intersect(h, D, D) + dk) / 2
+        assert h.riemann_roch(d, x) == want
+
+
 # -- dual data -------------------------------------------------------------
 
 def test_single_vertex_dual():
