@@ -29,7 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .discgroup import group_data, nef_shift
-from .errors import CycleOutOfRange, InternalCheckError, NegativeH1
+from .errors import (
+    CycleOutOfRange,
+    GraphInputError,
+    InternalCheckError,
+    NegativeH1,
+)
 from .graph import ResolutionGraph
 from .molien import P_chi, c_v_chi
 
@@ -81,6 +86,8 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     so the loop runs in the integers.
     """
     g.node(v)  # v = None names no vertex: g.index rejects it below
+    if type(n) is not int:  # bool excluded, as for characters
+        raise GraphInputError(f"twist degree must be an int, got {n!r}")
     alpha = group_data(g).c1_alpha(chi)  # checks chi for _floor_c1_shift
     q = _floor_c1_shift(g, v, chi, n)
     base = [x + a for x, a in zip(g.intersections(q), alpha)]
@@ -97,10 +104,9 @@ def _node_record(g, v):
     cache and serves every (graph, root) the branch hangs on."""
     key = ("node_record", v)
     if key not in g._cache:
-        pos = {w: k for k, w in enumerate(g.ids)}
         g._cache[key] = (
-            pos[v], sorted(g.require_valid().nodes),
-            [(br, [pos[w] for w in br.subgraph.ids],
+            g._pos[v], sorted(g.require_valid().nodes),
+            [(br, [g._pos[w] for w in br.subgraph.ids],
               br.subgraph._cache.setdefault("terms", {}))
              for br in g.branches(v)])
     return g._cache[key]

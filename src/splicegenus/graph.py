@@ -10,7 +10,7 @@ integral cycle D = sum_u x_u E_u is the list x of its E-coefficients, with
 held by its integer E*-coordinates alpha_w = -D.E_w, so
 D = sum_w alpha_w E*_w; the integer adjugate A = |det I| (-I^{-1}) turns
 them into numerators over |det I|: D = sum_u (A alpha)_u / |det I| E_u
-(``DualData.numerators``).
+(``DualData.numerators`` for every u; a single u reads row u of A).
 
 The Smith normal form U I V = S is the one decomposition of I, computed
 in ``dual_data`` once per graph whose group or dual cycles are read: |det
@@ -65,12 +65,10 @@ class DualData:
     diag: list             # s_k = S[k][k] > 0, each dividing the next
     V: list                # unimodular, as a list of rows
 
-    def numerators(self, alpha, rows=None):
-        """|det I| times the E-coefficients of sum_w alpha_w E*_w, at the
-        positions ``rows`` (all of them by default)."""
+    def numerators(self, alpha):
+        """|det I| times the E-coefficients of sum_w alpha_w E*_w."""
         nz = [(j, a) for j, a in enumerate(alpha) if a]
-        A = self.adjugate if rows is None else [self.adjugate[i] for i in rows]
-        return [sum(row[j] * a for j, a in nz) for row in A]
+        return [sum(row[j] * a for j, a in nz) for row in self.adjugate]
 
 
 @dataclass
@@ -102,7 +100,11 @@ class ResolutionGraph:
         for vid, w in vertices:
             if vid in self.weight:
                 raise GraphInputError(f"duplicate vertex id {vid!r}")
-            if int(w) != w:
+            try:
+                integral = int(w) == w
+            except (TypeError, ValueError, OverflowError):  # None, "x", nan, inf
+                integral = False
+            if not integral:
                 raise GraphInputError(f"weight of {vid!r} is not an integer")
             self.ids.append(vid)
             self.weight[vid] = int(w)
@@ -123,10 +125,11 @@ class ResolutionGraph:
             self.adj[a].add(b)
             self.adj[b].add(a)
         self.edges.sort()
-        # ids-order weights and edge position pairs, for ``intersections``
-        pos = {v: k for k, v in enumerate(self.ids)}
+        # vertex positions, and the ids-order weights and edge position
+        # pairs that ``intersections`` reads
+        self._pos = {v: k for k, v in enumerate(self.ids)}
         self._weights = [self.weight[v] for v in self.ids]
-        self._edge_pos = [(pos[a], pos[b]) for a, b in self.edges]
+        self._edge_pos = [(self._pos[a], self._pos[b]) for a, b in self.edges]
         self._cache = {}
         self._subgraphs = {frozenset(self.ids): self}  # shared with subgraphs
 
@@ -137,8 +140,8 @@ class ResolutionGraph:
 
     def index(self, v):
         try:
-            return self.ids.index(v)
-        except ValueError:
+            return self._pos[v]
+        except (KeyError, TypeError):  # TypeError: v is unhashable
             raise GraphInputError(f"{v!r} is not a vertex of the graph") from None
 
     def degree(self, v):
@@ -162,13 +165,11 @@ class ResolutionGraph:
 
     def intersection_matrix(self):
         n = len(self.ids)
-        pos = {v: i for i, v in enumerate(self.ids)}
         I = [[0] * n for _ in range(n)]
-        for i, v in enumerate(self.ids):
-            I[i][i] = self.weight[v]
-        for a, b in self.edges:
-            I[pos[a]][pos[b]] = 1
-            I[pos[b]][pos[a]] = 1
+        for i, w in enumerate(self._weights):
+            I[i][i] = w
+        for i, j in self._edge_pos:
+            I[i][j] = I[j][i] = 1
         return I
 
     def intersections(self, x):

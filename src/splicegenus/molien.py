@@ -18,18 +18,20 @@ the work is per character reached, not per element of H.  The same kernel
 expanded at t = infinity gives the polynomial part of H^chi from its first
 a(G) + 1 coefficients, hence c_v^chi = p(1) (the periodic-constant view of
 Braun-Nemethi), with nothing built over all of H.  Route A (partial sums
-P^chi(m a_v) minus a quadratic term, exact in the integers) and Route B
+P^chi(m a_v) of one series, minus a quadratic term read from the
+numerators of K and c_1(L_chi), exact in the integers) and Route B
 (p(1) = sum(p) from the closed rational form, an int tuple over int
 tuples) read the same kernel at t = 0, so they check its expansion at
 infinity against its expansion at 0, not the kernel itself.  This kernel
-is the package's one Molien evaluator; the generic sum over Q(zeta), which
-sums over the group elements and reduces mod Phi_N, and the kernel's dense
-|H|-wide layout are kept in tests/reference.py as the references the tests
-hold it against.
+is the package's one Molien evaluator.  tests/reference.py holds what the
+tests check it against: the sum over Q(zeta) of the group elements, the
+dense |H|-wide layout, and the plain series prod_w (1 - t^{m_vw})^{delta_w-2}
+that the tables of all the characters sum to.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -37,13 +39,14 @@ from dataclasses import dataclass
 from .cyclo import _cyclotomic_exponents, reshape
 from .discgroup import group_data
 from .errors import (
+    GraphInputError,
     InternalCheckError,
     MismatchedRoutes,
     NegativeDimension,
     UnstableInM,
 )
 from .graph import ResolutionGraph
-from .series import RationalFunctionQ, mul, polynomial_part
+from .series import RationalFunctionQ, polynomial_part
 
 
 def a_invariant(g: ResolutionGraph, v) -> int:
@@ -56,9 +59,7 @@ def truncation_m(g: ResolutionGraph, v) -> int:
     """Smallest legal m: the least positive integer with m > a(G)/a_v."""
     a = a_invariant(g, v)
     a_v = g.node_weights(v).a_v
-    m = max(1, a // a_v + 1)
-    assert m * a_v > a
-    return m
+    return max(1, a // a_v + 1)
 
 
 # -- the Z[H^] series kernel ------------------------------------------------
@@ -138,21 +139,9 @@ def molien_coeffs(g: ResolutionGraph, v, up_to):
 def P_chi(g, v, chi, n: int) -> int:
     """P^chi(n) = sum_{i<n} dim G^chi_i."""
     group_data(g).check_character(chi)
-    if n <= 0:
-        return 0
-    return sum(_series(g, v, chi, n - 1))
-
-
-def total_ci_coeffs(g, v, up_to):
-    """Coefficients of prod_nodes (1-t^m)^{delta-2} / prod_ends (1-t^m).
-
-    This is the Hilbert series of the full graded ring (all characters
-    summed); the Koszul identity equates it with sum_chi dim G^chi_i.
-    """
-    nw = g.node_weights(v)
-    factors = [((), nw.m[w], g.degree(w) - 2)
-               for w in g.ids if g.degree(w) != 2]
-    return [row.get((), 0) for row in _zh_product((), factors, up_to)]
+    if type(n) is not int:  # bool excluded, as for characters
+        raise GraphInputError(f"twist degree must be an int, got {n!r}")
+    return sum(_series(g, v, chi, n - 1)) if n > 0 else 0
 
 
 # -- closed forms ----------------------------------------------------------
@@ -213,10 +202,7 @@ def molien_closed(g: ResolutionGraph, v, chi) -> RationalFunctionQ:
             cancel.subtract(p_d)
     A = reshape(A, cancel)
     den_exps.update(cancel)
-    den = reshape([1], den_exps)
-    # the closed form expands back to the table: den * series = A
-    assert mul(den, coeffs, bound) == A + [0] * (bound + 1 - len(A))
-    return RationalFunctionQ(A, den)
+    return RationalFunctionQ(A, reshape([1], den_exps))
 
 
 # -- the constants c_v^chi -------------------------------------------------
@@ -251,24 +237,6 @@ def _cv_at_infinity(g, v):
     return g._cache[key]
 
 
-def _route_a_value(g, v, chi, m):
-    gd = group_data(g)
-    nw = g.node_weights(v)
-    det = gd.dual.det_abs
-    # (K + 2 c_1(L_chi)).E*_v = -N_v / |det I| with N_v = (A alpha)_v, where
-    # K has alpha_w = E_w^2 + 2, so the quadratic term
-    # (m^2 a_v |det I| + m e_v N_v) / (2 |det I|) is an exact division
-    alpha = [g.weight[w] + 2 + 2 * a for w, a in zip(g.ids, gd.c1_alpha(chi))]
-    [n_v] = gd.dual.numerators(alpha, [g.index(v)])
-    top = m * m * nw.a_v * det + m * nw.e * n_v
-    quad, rem = divmod(top, 2 * det)
-    if rem:
-        raise InternalCheckError(
-            f"Route A's quadratic term {top}/{2 * det} is not an integer "
-            f"(node {v}, chi {chi}, m={m})")
-    return P_chi(g, v, chi, m * nw.a_v) - quad
-
-
 def _route_a_degree(g, v):
     """The largest degree the three Route A values read: (m + 2) a_v - 1."""
     return (truncation_m(g, v) + 2) * g.node_weights(v).a_v - 1
@@ -276,17 +244,34 @@ def _route_a_degree(g, v):
 
 def c_v_route_a(g, v, chi) -> int:
     """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
-    asserted stable under m -> m+1, m+2 above the threshold."""
+    asserted stable under m -> m+1, m+2 above the threshold.
+
+    (K + 2 c_1(L_chi)).E*_v = -N_v / |det I|, where N_v is K's numerator
+    at v (row v of the adjugate against E_w^2 + 2) plus twice that of
+    c_1(L_chi), so the quadratic term (m^2 a_v |det I| + m e_v N_v) /
+    (2 |det I|) is an exact division in the integers.
+    """
+    gd = group_data(g)
+    gd.check_character(chi)
+    nw, k, det = g.node_weights(v), g.index(v), gd.dual.det_abs
+    n_v = (sum(a * (g.weight[w] + 2) for a, w in zip(gd.dual.adjugate[k], g.ids))
+           + 2 * gd._c1_numerators(chi)[k])
+    partial = [0, *itertools.accumulate(_series(g, v, chi, _route_a_degree(g, v)))]
     m = truncation_m(g, v)
-    _node_rows(g, v, _route_a_degree(g, v))
-    value = _route_a_value(g, v, chi, m)
-    for mm in (m + 1, m + 2):
-        other = _route_a_value(g, v, chi, mm)
-        if other != value:
+    values = []
+    for mm in (m, m + 1, m + 2):
+        top = mm * mm * nw.a_v * det + mm * nw.e * n_v
+        quad, rem = divmod(top, 2 * det)
+        if rem:
+            raise InternalCheckError(
+                f"Route A's quadratic term {top}/{2 * det} is not an integer "
+                f"(node {v}, chi {chi}, m={mm})")
+        values.append(partial[mm * nw.a_v] - quad)
+        if values[-1] != values[0]:
             raise UnstableInM(
-                f"c_v^chi changed from {value} to {other} at m={mm} "
+                f"c_v^chi changed from {values[0]} to {values[-1]} at m={mm} "
                 f"(node {v}, chi {chi})")
-    return value
+    return values[0]
 
 
 def c_v_chi(g: ResolutionGraph, v, chi) -> int:
@@ -326,13 +311,7 @@ class HilbertData:
 def hilbert_data(g, v, up_to, closed_for=()) -> HilbertData:
     if closed_for:  # build the table once, to the largest degree read
         _node_rows(g, v, max(up_to, _closed_degrees(g, v)[1] + 1))
-    coeffs = molien_coeffs(g, v, up_to)
-    total = total_ci_coeffs(g, v, up_to)
-    for i in range(up_to + 1):
-        s = sum(tab[i] for tab in coeffs.values())
-        if s != total[i]:
-            raise InternalCheckError(
-                f"Koszul identity fails at degree {i}: {s} != {total[i]}")
     closed = {chi: molien_closed(g, v, chi) for chi in closed_for}
     return HilbertData(node=v, a_invariant=a_invariant(g, v),
-                       coefficients=coeffs, closed_forms=closed)
+                       coefficients=molien_coeffs(g, v, up_to),
+                       closed_forms=closed)

@@ -80,7 +80,8 @@ def v_degree(g: ResolutionGraph, v, exponents) -> int:
     nw = g.node_weights(v)
     deg = sum(int(a) * nw.m[w] for w, a in exponents.items())
     dd = g.dual_data()
-    check = nw.e * dd.numerators(_alpha(g, exponents), [g.index(v)])[0]
+    row_v = dd.adjugate[g.index(v)]
+    check = nw.e * sum(x * a for x, a in zip(row_v, _alpha(g, exponents)))
     assert check == deg * dd.det_abs, \
         f"v-degree identity fails: {deg} |det I| != {check}"
     return deg

@@ -38,7 +38,11 @@ so that tests can hold the integer core against them:
   kernel, one row of |H| coefficients per degree and one permutation of
   the characters per factor, fed with this module's theta; it gives every
   character's table at t = 0 (``dense_molien_coeffs``) and every c_v^chi
-  at t = infinity (``dense_cv_at_infinity``).
+  at t = infinity (``dense_cv_at_infinity``);
+- ``total_ci_coeffs`` is the Hilbert series of the whole graded ring at a
+  node, prod_w (1 - t^{m_vw})^{delta_w - 2} as a plain power series in t,
+  with no group and no group ring; by the Koszul identity the
+  characters' tables sum to it.
 
 Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha``,
 ``theta_matrix`` or ``molien_coeffs``.  Group sizes in the tests are small,
@@ -683,3 +687,23 @@ def dense_cv_at_infinity(g, v):
     return {chi: value[tuple((x + y) % d for x, y, d in
                              zip(chi, shift, dims))]
             for chi in chars}
+
+
+# -- the Koszul identity ------------------------------------------------------
+
+def total_ci_coeffs(g, v, up_to):
+    """prod_w (1 - t^{m_vw})^{delta_w - 2} to degree up_to, over the vertices
+    of degree != 2: the Hilbert series of the full graded ring at the node
+    v, all characters summed (one plain power series, no group ring)."""
+    nw = g.node_weights(v)
+    out = [1] + [0] * up_to
+    for w in g.ids:
+        e, m = g.degree(w) - 2, nw.m[w]
+        for _ in range(abs(e)):
+            if e > 0:  # times 1 - t^m
+                out = [c - (out[i - m] if i >= m else 0)
+                       for i, c in enumerate(out)]
+            else:  # times 1 / (1 - t^m) = 1 + t^m + t^2m + ...
+                for i in range(m, up_to + 1):
+                    out[i] += out[i - m]
+    return out

@@ -7,7 +7,7 @@ import time
 
 import reference as ref
 from fixtures import a_chain, d4, e8, exmc, fig1, graph_file
-from reference import HElement
+from reference import HElement, total_ci_coeffs
 from test_molien import _rf
 from splicegenus.cli import run as cli_run
 from splicegenus.genus import genus_report, pg, pg_uac
@@ -18,7 +18,6 @@ from splicegenus.molien import (
     group_data,
     molien_closed,
     molien_coeffs,
-    total_ci_coeffs,
 )
 from splicegenus.oracle import artin_rational, oracle_verify
 from splicegenus.splice import (

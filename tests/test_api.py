@@ -37,6 +37,14 @@ def test_all_is_pinned():
     assert not hasattr(splicegenus, "unit_cycle")
 
 
+def test_molien_keeps_no_self_checks():
+    # the Koszul series is a test reference, and Route A is one function
+    from splicegenus import molien
+
+    assert not hasattr(molien, "total_ci_coeffs")
+    assert not hasattr(molien, "_route_a_value")
+
+
 def test_monomials_and_nef_corrections_are_plain_values():
     # a monomial is its exponent dict and a nef correction its int list
     from splicegenus import genus, splice

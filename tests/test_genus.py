@@ -31,7 +31,13 @@ import splicegenus.genus as genus
 from splicegenus.cli import run
 from splicegenus.graph import DualData, ResolutionGraph
 from splicegenus.errors import CycleOutOfRange, GraphInputError, NegativeH1
-from splicegenus.molien import P_chi, c_v_chi, group_data, molien_closed
+from splicegenus.molien import (
+    P_chi,
+    c_v_chi,
+    c_v_route_a,
+    group_data,
+    molien_closed,
+)
 
 
 def _ints(g, coeffs):
@@ -415,9 +421,26 @@ def test_malformed_character_is_an_input_error(chi, message):
                  lambda: group_data(g).c1_alpha(chi),
                  lambda: c_v_chi(g, "c", chi),
                  lambda: P_chi(g, "c", chi, 3),
+                 lambda: c_v_route_a(g, "c", chi),
                  lambda: molien_closed(g, "c", chi)):
         with pytest.raises(GraphInputError, match=re.escape(message)):
             call()
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None, True],
+                         ids=["2.5", "2.0", "'3'", "None", "True"])
+def test_twist_degree_must_be_an_int(n):
+    g = fig1()
+    chi = group_data(g).trivial_character
+    message = re.escape(f"twist degree must be an int, got {n!r}")
+    for call in (lambda: minimal_nef_correction(g, "v0", chi, n),
+                 lambda: h1_twisted(g, "v0", chi, n, [0] * len(g.ids)),
+                 lambda: P_chi(g, "v0", chi, n)):
+        with pytest.raises(GraphInputError, match=message):
+            call()
+    # an int degree still works
+    assert P_chi(g, "v0", chi, 2) == 1
+    assert len(minimal_nef_correction(g, "v0", chi, 2)) == len(g.ids)
 
 
 # -- one branch term per distinct phi -----------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from fixtures import graph_file
 from splicegenus.cli import run
+from splicegenus.graph import DualData
 
 # a character other than the trivial one where the group allows it
 CHARS = {"a3.dsl": "3", "d4.json": "1,1", "e8.json": "",
@@ -372,6 +373,21 @@ def test_stdout_and_exit_code_pinned(capsys, key):
     out, err = capsys.readouterr()
     assert (code, hashlib.sha256(out.encode()).hexdigest(),
             hashlib.sha256(err.encode()).hexdigest()) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("name", sorted(CHARS))
+def test_cv_needs_no_adjugate_products(monkeypatch, capsys, name):
+    # Route A reads N_v from K's numerator and c_1's, so cv keeps its
+    # output with DualData.numerators out of reach
+    def no_products(*args, **kwargs):
+        raise AssertionError("DualData.numerators called")
+
+    monkeypatch.setattr(DualData, "numerators", no_products)
+    for fmt in ("text", "json"):
+        code = run(_argv("cv", name, fmt))
+        out, err = capsys.readouterr()
+        assert (code, hashlib.sha256(out.encode()).hexdigest(),
+                hashlib.sha256(err.encode()).hexdigest()) == GOLDEN[f"{name} cv {fmt}"]
 
 
 def test_golden_covers_every_command_file_and_format():

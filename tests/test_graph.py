@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -28,6 +29,7 @@ from splicegenus.errors import (
     NotATree,
     NotNegativeDefinite,
 )
+from splicegenus.graph import DualData
 from splicegenus.molien import P_chi, c_v_chi, molien_coeffs
 from splicegenus.splice import v_degree
 
@@ -525,7 +527,40 @@ def test_unknown_vertex_is_an_input_error(call):
         call(d4())
 
 
+@pytest.mark.parametrize("v", ["zz", ["a"], None],
+                         ids=["unknown", "unhashable", "none"])
+def test_index_rejects_what_is_not_a_vertex(v):
+    # one position map serves index, intersection_matrix and the h1 records
+    g = d4()
+    assert [g.index(w) for w in g.ids] == list(range(len(g)))
+    with pytest.raises(GraphInputError,
+                       match=re.escape(f"{v!r} is not a vertex of the graph")):
+        g.index(v)
+
+
+def test_numerators_take_no_rows():
+    # a single position reads its row of the adjugate; see v_degree
+    assert list(inspect.signature(DualData.numerators).parameters) == \
+        ["self", "alpha"]
+
+
 # -- weight constraint ------------------------------------------------------
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"),
+                                    None, "x", "-2", -2.5, [-2]],
+                         ids=repr)
+def test_non_integral_weight_is_an_input_error(weight):
+    with pytest.raises(GraphInputError,
+                       match=re.escape("weight of 'a' is not an integer")):
+        ResolutionGraph([("a", weight)], [])
+
+
+def test_integral_weights_are_kept_as_ints():
+    g = ResolutionGraph([("a", -2.0), ("b", Fraction(-3)), ("c", -2)],
+                        [("a", "b"), ("b", "c")])
+    assert g.weight == {"a": -2, "b": -3, "c": -2}
+    assert all(type(w) is int for w in g.weight.values())
+
 
 def test_weight_zero_rejected_by_validation():
     g = ResolutionGraph([("a", 0)], [])

@@ -17,12 +17,14 @@ from fixtures import (
     splice_quotient_trees,
     star,
 )
-from reference import HElement, molien_ci
+from reference import HElement, molien_ci, total_ci_coeffs
 from splicegenus import GroupData, parse_graph, pg
-from splicegenus.errors import InternalCheckError
+from splicegenus.errors import InternalCheckError, UnstableInM
+from splicegenus.graph import DualData
 from splicegenus.molien import (
     P_chi,
     _cv_at_infinity,
+    _series,
     a_invariant,
     c_v_chi,
     c_v_chi_routes,
@@ -31,7 +33,6 @@ from splicegenus.molien import (
     hilbert_data,
     molien_closed,
     molien_coeffs,
-    total_ci_coeffs,
     truncation_m,
 )
 from splicegenus.series import RationalFunctionQ, divide, mul, polynomial_part
@@ -290,6 +291,32 @@ def test_route_a_raises_on_a_non_exact_quadratic_term(monkeypatch, capsys):
     assert out == "" and err.startswith("internal check failed: Route A's")
 
 
+def test_route_a_raises_when_unstable_in_m(monkeypatch):
+    import splicegenus.molien as M
+
+    # below the threshold the partial sum at m = 0 is empty, so the value
+    # there (0) differs from c_v^chi = 2 at m = 1
+    g = fig1()
+    chi = group_data(g).trivial_character
+    assert c_v_chi(g, "v0", chi) == 2
+    monkeypatch.setattr(M, "truncation_m", lambda g_, v_: 0)
+    with pytest.raises(UnstableInM, match="changed from 0 to 2 at m=1"):
+        c_v_route_a(g, "v0", chi)
+
+
+def test_route_a_needs_no_adjugate_products(monkeypatch):
+    # N_v is K's numerator at v plus 2 r_v from c_1's numerators, so Route
+    # A never multiplies E*-coordinates by the adjugate
+    def no_products(*args, **kwargs):
+        raise AssertionError("DualData.numerators called")
+
+    monkeypatch.setattr(DualData, "numerators", no_products)
+    for g in (d4(), e8(), exmc(), fig1()):
+        for v in sorted(g.nodes()):
+            for chi in group_data(g).characters():
+                assert c_v_route_a(g, v, chi) == c_v_chi(g, v, chi), (v, chi)
+
+
 def _cyclotomic_part(p, d):
     """p mod (t^d - 1), which Phi_d divides iff it divides p; p itself when
     it is no longer than d."""
@@ -303,11 +330,13 @@ def _phi_divides(d, p):
     return not divide(_cyclotomic_part(p, d), phi)[1]
 
 
-def _assert_reduced(g, v, ks, chi):
-    """den(0) = 1, den divides prod (1 - t^k), and no Phi_d divides both
-    num and den, by long division by the reference Phi_d."""
+def _assert_reduced(g, v, ks, chi, tab):
+    """den(0) = 1, the form expands to the start tab of its series, den
+    divides prod (1 - t^k), and no Phi_d divides both num and den, by long
+    division by the reference Phi_d."""
     f = molien_closed(g, v, chi)
     assert f.den[0] == 1 and f.num
+    assert _expands_to(f, tab), chi
     rest = f.den  # divided by each Phi_d while it divides
     for d in sorted({d for k in ks for d in range(1, k + 1) if k % d == 0}):
         phi = ref.cyclotomic_polynomial(d)
@@ -378,13 +407,14 @@ def _cyclotomic_bound(f, d):
     return min(counts)
 
 
-def _assert_reduced_mod_p(g, v, ks, chi):
-    """The claims of _assert_reduced without dividing by Phi_d: bounds u_d on
-    the multiplicities in den, at most the number of k divisible by d; den
-    equal to prod Phi_d^u_d (so every u_d is exact); and num(z) != 0 mod some
-    p wherever u_d > 0."""
+def _assert_reduced_mod_p(g, v, ks, chi, tab):
+    """The claims of _assert_reduced without dividing by Phi_d: the expansion
+    to tab, bounds u_d on the multiplicities in den, at most the number of k
+    divisible by d; den equal to prod Phi_d^u_d (so every u_d is exact); and
+    num(z) != 0 mod some p wherever u_d > 0."""
     f = molien_closed(g, v, chi)
     assert f.den[0] == 1 and f.num
+    assert _expands_to(f, tab), chi
     top = len(f.den) - 1
     powers, degree = {}, 0  # prod Phi_d^u_d = +-prod (1 - t^e)^powers[e]
     for d in sorted({d for k in ks for d in range(1, k + 1) if k % d == 0}):
@@ -431,15 +461,19 @@ def test_closed_forms_are_fully_reduced():
                 ks.append(math.lcm(*(d // math.gcd(d, c) for c, d in
                                      zip(h.coords, ref.invariant_factors(g))))
                           * m[w])
+            # each form expands to its table one coefficient past the
+            # numerator's degree bound
+            up_to = sum(ks) + max(a_invariant(g, v), 0) + 1
             if sum(ks) <= 2000:
+                tabs = molien_coeffs(g, v, up_to)
                 for chi in gd.characters():
-                    _assert_reduced(g, v, ks, chi)
+                    _assert_reduced(g, v, ks, chi, tabs[chi])
                     checked += 1
             else:
                 large += 1
                 others = [c for c in gd.characters() if c != gd.trivial_character]
                 for chi in [gd.trivial_character, *random.Random(v).sample(others, 4)]:
-                    _assert_reduced_mod_p(g, v, ks, chi)
+                    _assert_reduced_mod_p(g, v, ks, chi, _series(g, v, chi, up_to))
                     checked += 1
     assert (checked, large) == (1267 + 3 * 5, 3)
 
@@ -562,24 +596,12 @@ def test_hilbert_data_with_koszul_check():
     hd = hilbert_data(g, "E6", 12, closed_for=[gd.trivial_character])
     assert hd.node == "E6" and hd.a_invariant == 1
     assert set(hd.coefficients) == set(gd.characters())
+    # the Koszul identity, against the reference series
+    assert [sum(col) for col in zip(*hd.coefficients.values())] == \
+        total_ci_coeffs(g, "E6", 12)
     f = hd.closed_forms[gd.trivial_character]
     tab = hd.coefficients[gd.trivial_character]
     assert _expands_to(f, tab)
-
-
-def test_hilbert_data_detects_broken_totals(monkeypatch):
-    import splicegenus.molien as M
-    g = d4()
-    real = M.total_ci_coeffs
-
-    def broken(g_, v_, up_to):
-        out = real(g_, v_, up_to)
-        out[-1] += 1
-        return out
-
-    monkeypatch.setattr(M, "total_ci_coeffs", broken)
-    with pytest.raises(InternalCheckError):
-        M.hilbert_data(g, "c", 6)
 
 
 def test_closed_form_detects_a_short_degree_bound(monkeypatch):

@@ -12,7 +12,8 @@ from fixtures import (
     star_order,
 )
 import splicegenus.oracle as O
-from splicegenus.molien import group_data, molien_coeffs, total_ci_coeffs
+from reference import total_ci_coeffs
+from splicegenus.molien import group_data, molien_coeffs
 from splicegenus.oracle import (
     artin_rational,
     bruteforce_eigendims,
