@@ -73,10 +73,6 @@ class GroupData:
     def trivial_character(self):
         return (0,) * self.rank
 
-    def char_mul(self, a, b):
-        return tuple((x + y) % d for x, y, d in
-                     zip(a, b, self.invariant_factors))
-
     # -- E*-coordinates ---------------------------------------------------
 
     def theta_alpha(self, alpha):

@@ -9,16 +9,18 @@ the gcd of their entries), so entries stay near the size of the input
 instead of growing into the minors a fraction-free elimination carries.
 Definiteness runs the Bareiss step forward only, without row exchanges,
 so that its pivots are the leading principal minors.  Matrices are lists
-of rows of ints.
+of rows of ints, except for ``rank``, which takes sparse rows
+{column: int}, the form it eliminates in.
 """
 
 from math import gcd
 
 
 def rank(rows):
-    """Rank over Q of an integer matrix, by forward elimination.
+    """Rank over Q of an integer matrix given as sparse rows.
 
-    Each row becomes a sparse dict {column: nonzero int}.  The basis holds
+    Each row is a dict {column: int}; absent columns and zero entries are
+    0, and the caller's rows are copied, never changed.  The basis holds
     one primitive row per leading column; an incoming row whose leading
     entry f meets a basis row with leading entry p is replaced by
     (p/g) row - (f/g) basis_row, g = gcd(p, f), until its leading column
@@ -30,20 +32,23 @@ def rank(rows):
     """
     basis = {}
     for row in rows:
-        r = {c: x for c, x in enumerate(row) if x}
-        if not all(isinstance(x, int) for x in r.values()):
-            raise TypeError("rank takes a matrix of ints")
+        r = {c: x for c, x in row.items() if x}
+        for x in r.values():
+            if not isinstance(x, int):
+                raise TypeError("rank takes a matrix of ints")
+        # r is rank's own from here on, so it is changed in place
         while r:
             lead = min(r)
             b = basis.get(lead)
             if b is None:
                 g = gcd(*r.values())
-                basis[lead] = {c: x // g for c, x in r.items()}
+                basis[lead] = r if g == 1 else {c: x // g for c, x in r.items()}
                 break
             f, p = r[lead], b[lead]
             g = gcd(p, f)
             p, f = p // g, f // g
-            r = {c: p * x for c, x in r.items()}
+            if p != 1:
+                r = {c: p * x for c, x in r.items()}
             for c, y in b.items():
                 x = r.get(c, 0) - f * y
                 if x:

@@ -4,24 +4,29 @@ Independent of the Molien machinery: enumerate all end-variable monomials of
 each v-degree, split them into character blocks, span the ideal's graded
 piece by monomial multiples of the leading forms of the emitted equations,
 and count dimensions by exact rank over Q (exact.rank).  One pass per node
-serves every character: the monomial table and the character of each
-monomial are built once.  An exponent vector a is the monomial's
+serves every character.  A monomial prod_j x_j^{a_j} over the ends is one
+int, sum_j a_j R^j with R = up_to + 1: below the degree bound every
+exponent is at most up_to, so the product of two monomials is the sum of
+their codes, with no carry.  The table of codes by degree is filled by the
+coin-change recurrence over the ends, which lists each monomial once, and
+the same loop fills each monomial's character: a is the monomial's
 E*-coordinates at the ends, so its character is
-theta(sum_w a_w E*_w) = sum_w a_w psi_w mod d, read from the ends' columns
-psi_w of the theta matrix.  The table comes from the monomial search's
-enumerator (splice._exponent_vectors, pruned by gcd and capped sum), called
-once per node with a slack exponent of weight 1 so that every degree up to
-the limit is listed in one pass.  Agreement with molien_coeffs is the core
-anti-bug property of the whole package.
+theta(sum_j a_j E*_j) = sum_j a_j psi_j mod d, and multiplying by x_j adds
+psi_j (one lookup in a table over the characters, which are labelled by
+their position in GroupData.characters()).  Each multiple of a leading
+form is a sparse row {position in its block: coefficient}, its block the
+character of the multiple of the form's first term.  Agreement with
+molien_coeffs is the core anti-bug property of the whole package.
 """
 
 from __future__ import annotations
 
 from . import exact
 from .discgroup import group_data
+from .errors import GraphInputError
 from .graph import ResolutionGraph
 from .molien import molien_coeffs
-from .splice import SpliceSystem, _exponent_vectors, emit_splice_system
+from .splice import SpliceSystem, emit_splice_system
 
 
 def artin_rational(g: ResolutionGraph) -> bool:
@@ -43,68 +48,97 @@ def _leading_form(g, v, equation):
     return low, [(c, exps) for (c, exps), d in zip(equation, degs) if d == low]
 
 
-def _monomials_by_degree(weights, up_to):
-    """All exponent tuples of degree d = sum a_j * weights[j] <= up_to, in
-    one call with a slack exponent up_to - d of weight 1."""
-    table = [[] for _ in range(up_to + 1)]
-    for a in _exponent_vectors([*weights, 1], up_to):
-        table[up_to - a[-1]].append(a[:-1])
-    return table
+def _check_degree(up_to):
+    if type(up_to) is not int or up_to < 0:  # bool excluded
+        raise GraphInputError(
+            f"max degree must be a nonnegative int, got {up_to!r}")
 
 
-def _end_theta(g):
-    """exps (over g.ends()) -> sum_w exps_w psi_w mod d, psi_w the ends'
-    columns of the theta matrix."""
+def _shift(dims, psi):
+    """label of chi -> label of chi + psi, over every character, a label
+    being the position in GroupData.characters() (product order)."""
+    out = [0]
+    for d, p in zip(dims, psi):
+        out = [t * d + (x + p) % d for t in out for x in range(d)]
+    return out
+
+
+def _node_table(g, v, up_to):
+    """(codes, chars): codes[i] lists the monomials of v-degree i in the
+    ends (g.ends() order), each packed as sum_j a_j R^j with R = up_to + 1,
+    and chars[i] their character labels.  Coin change over the ends: for
+    end j in turn and i ascending, codes[i] gains codes[i - m_vj] + R^j,
+    whose characters are those of codes[i - m_vj] shifted by psi_j."""
     gd = group_data(g)
-    cols = [g.index(w) for w in g.ends()]
-    theta = [([row[k] for k in cols], d) for row, d in
-             zip(gd.theta_matrix, gd.invariant_factors)]
+    m = g.node_weights(v).m
+    codes = [[0]] + [[] for _ in range(up_to)]
+    chars = [[0]] + [[] for _ in range(up_to)]
+    unit = 1
+    for w in g.ends():
+        step = _shift(gd.invariant_factors, gd.dual_character(w))
+        for i in range(m[w], up_to + 1):
+            codes[i] += [c + unit for c in codes[i - m[w]]]
+            chars[i] += [step[x] for x in chars[i - m[w]]]
+        unit *= up_to + 1
+    return codes, chars
 
-    def char_of(exps):
-        return tuple(sum(t * a for t, a in zip(row, exps)) % d
-                     for row, d in theta)
-    return char_of
 
-
-def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem, up_to):
-    """{chi: [dim G^chi_i for i = 0..up_to]} for every character, by
-    monomial linear algebra."""
+def _generators(g, v, system, up_to):
+    """(v-degree, [(code, coefficient)]) for the v-leading form of each
+    equation of v-degree <= up_to, packed as in _node_table, the
+    coefficients of equal codes summed.  Every leading form must be
+    isotypic and every coefficient an int, also above the degree bound."""
     gd = group_data(g)
     ends = g.ends()
-    char_of = _end_theta(g)
-
     gens = []
     for ns in system.nodes:
         for eq in ns.equations:
             low, terms = _leading_form(g, v, eq)
-            vecs = [(c, tuple(exps.get(w, 0) for w in ends)) for c, exps in terms]
-            chars = {char_of(e) for _, e in vecs}
+            chars = {gd.theta_alpha([exps.get(w, 0) for w in g.ids])
+                     for _, exps in terms}
             assert len(chars) == 1, "leading form is not isotypic"
-            gens.append((low, chars.pop(), vecs))
+            if not all(isinstance(c, int) for c, _ in terms):
+                raise TypeError("equation coefficients must be ints")
+            if low > up_to:
+                continue
+            packed = {}
+            for c, exps in terms:
+                code = 0
+                for w in reversed(ends):
+                    code = code * (up_to + 1) + exps.get(w, 0)
+                packed[code] = packed.get(code, 0) + c
+            gens.append((low, list(packed.items())))
+    return gens
 
-    nw = g.node_weights(v)
-    monos = _monomials_by_degree([nw.m[w] for w in ends], up_to)
-    char = {m: char_of(m) for lst in monos for m in lst}
 
-    dims = {chi: [] for chi in gd.characters()}
+def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem, up_to):
+    """{chi: [dim G^chi_i for i = 0..up_to]} for every character, by
+    monomial linear algebra; v is checked by g.node."""
+    v = g.node(v)
+    _check_degree(up_to)
+    codes, chars = _node_table(g, v, up_to)
+    char = {c: x for cs, xs in zip(codes, chars) for c, x in zip(cs, xs)}
+    gens = _generators(g, v, system, up_to)
+
+    chis = list(group_data(g).characters())
+    out = [[] for _ in chis]
     for i in range(up_to + 1):
-        # degree i split into character blocks, each monomial at its column
-        blocks, pos, rows = {}, {}, {}
-        for m in monos[i]:
-            block = blocks.setdefault(char[m], [])
-            pos[m] = len(block)
-            block.append(m)
-        for low, gchar, vecs in gens:
-            for mu in monos[i - low] if low <= i else ():
-                chi = gd.char_mul(char[mu], gchar)
-                row = [0] * len(blocks[chi])
-                for c, e in vecs:
-                    row[pos[tuple(x + y for x, y in zip(mu, e))]] += c
-                rows.setdefault(chi, []).append(row)
-        for chi, tab in dims.items():
-            rank = exact.rank(rows[chi]) if chi in rows else 0
-            tab.append(len(blocks.get(chi, ())) - rank)
-    return dims
+        # each monomial of degree i at its position in its character block
+        size, at = {}, {}
+        for c, x in zip(codes[i], chars[i]):
+            at[c] = n = size.get(x, 0)
+            size[x] = n + 1
+        rows = {}
+        for low, terms in gens:
+            if low > i:
+                continue
+            e0 = terms[0][0]
+            for mu in codes[i - low]:
+                rows.setdefault(char[mu + e0], []).append(
+                    {at[mu + e]: c for e, c in terms})
+        for x, tab in enumerate(out):
+            tab.append(size.get(x, 0) - (exact.rank(rows[x]) if x in rows else 0))
+    return dict(zip(chis, out))
 
 
 def oracle_verify(g: ResolutionGraph, up_to, seed=0, bound=64):
@@ -112,6 +146,7 @@ def oracle_verify(g: ResolutionGraph, up_to, seed=0, bound=64):
 
     Returns a list of mismatch records (empty means agreement).
     """
+    _check_degree(up_to)
     gd = group_data(g)
     system = emit_splice_system(g, seed=seed, bound=bound)
     diffs = []

@@ -220,7 +220,8 @@ def check_monomial_condition(g: ResolutionGraph, bound=64) -> MonomialConditionR
 
 def _all_maximal_minors_nonzero(F):
     """A square submatrix has a nonzero determinant iff it has full rank."""
-    return all(exact.rank([[row[c] for c in cols] for row in F]) == len(F)
+    return all(exact.rank([{k: row[c] for k, c in enumerate(cols)} for row in F])
+               == len(F)
                for cols in itertools.combinations(range(len(F[0])), len(F)))
 
 

@@ -42,7 +42,11 @@ so that tests can hold the integer core against them:
 - ``total_ci_coeffs`` is the Hilbert series of the whole graded ring at a
   node, prod_w (1 - t^{m_vw})^{delta_w - 2} as a plain power series in t,
   with no group and no group ring; by the Koszul identity the
-  characters' tables sum to it.
+  characters' tables sum to it;
+- ``bruteforce_eigendims`` is the brute-force oracle as it was before it
+  packed monomials into ints: tuple exponent vectors listed by the
+  monomial search's enumerator, each monomial's character a sum over the
+  ends of theta(E*_w), dense rows, ranked by ``eliminate``.
 
 Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha``,
 ``theta_matrix`` or ``molien_coeffs``.  Group sizes in the tests are small,
@@ -60,7 +64,7 @@ from functools import lru_cache
 
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.series import divide
-from splicegenus.splice import validate_witness
+from splicegenus.splice import _exponent_vectors, validate_witness
 
 
 class NotInDualLattice(GraphInputError):
@@ -706,4 +710,71 @@ def total_ci_coeffs(g, v, up_to):
             else:  # times 1 / (1 - t^m) = 1 + t^m + t^2m + ...
                 for i in range(m, up_to + 1):
                     out[i] += out[i - m]
+    return out
+
+
+# -- the brute-force oracle on tuple monomials ---------------------------------
+
+def _monomials_by_degree(weights, up_to):
+    """All exponent tuples of degree d = sum a_j * weights[j] <= up_to, in
+    one call with a slack exponent up_to - d of weight 1."""
+    table = [[] for _ in range(up_to + 1)]
+    for a in _exponent_vectors([*weights, 1], up_to):
+        table[up_to - a[-1]].append(a[:-1])
+    return table
+
+
+def _v_leading_form(g, v, equation):
+    """(minimal v-degree, the terms of that degree) of one equation."""
+    m = g.node_weights(v).m
+    degs = [sum(a * m[w] for w, a in exps.items()) for _, exps in equation]
+    low = min(degs)
+    return low, [(c, exps) for (c, exps), d in zip(equation, degs) if d == low]
+
+
+def bruteforce_eigendims(g, v, system, up_to):
+    """{chi: [dim G^chi_i for i = 0..up_to]}: each degree's monomials split
+    into character blocks, the monomial multiples of the v-leading forms as
+    dense rows, each block's dimension its size minus its rank."""
+    dims = invariant_factors(g)
+    ends = g.ends()
+    psi = [theta(g, dual_cycle(g, w)) for w in ends]
+
+    def char_of(exps):
+        return tuple(sum(p[k] * a for p, a in zip(psi, exps)) % d
+                     for k, d in enumerate(dims))
+
+    def char_mul(a, b):
+        return tuple((x + y) % d for x, y, d in zip(a, b, dims))
+
+    gens = []
+    for ns in system.nodes:
+        for eq in ns.equations:
+            low, terms = _v_leading_form(g, v, eq)
+            vecs = [(c, tuple(exps.get(w, 0) for w in ends)) for c, exps in terms]
+            chars = {char_of(e) for _, e in vecs}
+            assert len(chars) == 1, "leading form is not isotypic"
+            gens.append((low, chars.pop(), vecs))
+
+    m = g.node_weights(v).m
+    monos = _monomials_by_degree([m[w] for w in ends], up_to)
+    char = {mu: char_of(mu) for lst in monos for mu in lst}
+
+    out = {chi: [] for chi in _characters(g)}
+    for i in range(up_to + 1):
+        blocks, pos, rows = {}, {}, {}
+        for mu in monos[i]:
+            block = blocks.setdefault(char[mu], [])
+            pos[mu] = len(block)
+            block.append(mu)
+        for low, gchar, vecs in gens:
+            for mu in monos[i - low] if low <= i else ():
+                chi = char_mul(char[mu], gchar)
+                row = [0] * len(blocks[chi])
+                for c, e in vecs:
+                    row[pos[tuple(x + y for x, y in zip(mu, e))]] += c
+                rows.setdefault(chi, []).append(row)
+        for chi, tab in out.items():
+            rank = len(eliminate(rows[chi])[0]) if chi in rows else 0
+            tab.append(len(blocks.get(chi, ())) - rank)
     return out

@@ -149,6 +149,10 @@ def dependent_matrices(draw):
     return rows
 
 
+def sparse(M):
+    return [dict(enumerate(row)) for row in M]
+
+
 @given(st.one_of(wide_entry_matrices(), dependent_matrices()))
 @example([])
 @example([[0, 0, 0]])
@@ -157,21 +161,52 @@ def dependent_matrices(draw):
 @example([[6, 10, 15], [12, 20, 30], [3, 5, 7]])
 @settings(max_examples=250, deadline=None)
 def test_rank_matches_eliminate(M):
-    assert rank(M) == len(eliminate(M)[0])
+    assert rank(sparse(M)) == len(eliminate(M)[0])
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows {column: int} over up to 8 columns: empty rows, explicit zero
+    entries and repeats of earlier rows (scaled or not) are all drawn."""
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-1000, 1000))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0 and rows:
+            k = draw(st.integers(-2, 2))
+            rows.append({c: k * x for c, x in
+                         draw(st.sampled_from(rows)).items()})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, 7), entry,
+                                             max_size=0 if kind == 1 else 8)))
+    return rows
+
+
+@given(sparse_rows())
+@example([{}, {}])
+@example([{3: 2, 0: 0}, {3: 2, 0: 0}])
+@example([{5: 7, 1: -3}, {1: 3, 5: -7}, {}])
+@settings(max_examples=250, deadline=None)
+def test_sparse_rank_matches_eliminate_and_keeps_its_input(rows):
+    before = [dict(row) for row in rows]
+    width = 1 + max((c for row in rows for c in row), default=0)
+    dense = [[row.get(c, 0) for c in range(width)] for row in rows]
+    assert rank(rows) == len(eliminate(dense)[0])
+    assert rows == before
 
 
 def test_rank_when_every_entry_shares_a_prime():
     # a rank mod p would read 0 here: the rank is taken over Q
-    assert rank([[2, 4], [4, 8]]) == 1
-    assert rank([[3, 0], [0, 3]]) == 2
-    assert rank([[7, 14, 21], [14, 7, 0], [21, 21, 21]]) == 2
+    assert rank(sparse([[2, 4], [4, 8]])) == 1
+    assert rank(sparse([[3, 0], [0, 3]])) == 2
+    assert rank(sparse([[7, 14, 21], [14, 7, 0], [21, 21, 21]])) == 2
 
 
 def test_rank_rejects_non_integers():
     with pytest.raises(TypeError):
-        rank([[1, 0], [Fraction(1, 2), 1]])
+        rank(sparse([[1, 0], [Fraction(1, 2), 1]]))
     with pytest.raises(TypeError):
-        rank([[1.0, 2]])
+        rank(sparse([[1.0, 2]]))
 
 
 # -- negative definiteness --------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from fixtures import (
     a_chain,
     d4,
@@ -12,7 +14,9 @@ from fixtures import (
     star_order,
 )
 import splicegenus.oracle as O
+from reference import bruteforce_eigendims as tuple_reference
 from reference import total_ci_coeffs
+from splicegenus.errors import GraphInputError
 from splicegenus.molien import group_data, molien_coeffs
 from splicegenus.oracle import (
     artin_rational,
@@ -44,21 +48,23 @@ def test_bruteforce_shuffle_invariant(monkeypatch):
     g = fig1()
     system = emit_splice_system(g, seed=0)
     ref = bruteforce_eigendims(g, "v0", system, 8)
-    real = O._monomials_by_degree
+    real = O._node_table
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         moved = []
 
-        def shuffled(weights, up_to):
-            table = real(weights, up_to)
-            for lst in table:
-                before = list(lst)
-                rng.shuffle(lst)
-                if len(lst) >= 2:
-                    moved.append(lst != before)
-            return table
+        def shuffled(g, v, up_to):
+            codes, chars = real(g, v, up_to)
+            for i, (cs, xs) in enumerate(zip(codes, chars)):
+                pairs = list(zip(cs, xs))
+                rng.shuffle(pairs)
+                codes[i] = [c for c, _ in pairs]
+                chars[i] = [x for _, x in pairs]
+                if len(cs) >= 2:
+                    moved.append(codes[i] != cs)
+            return codes, chars
 
-        monkeypatch.setattr(O, "_monomials_by_degree", shuffled)
+        monkeypatch.setattr(O, "_node_table", shuffled)
         assert bruteforce_eigendims(g, "v0", system, 8) == ref
         assert len(moved) >= 5 and 2 * sum(moved) > len(moved), moved
 
@@ -94,13 +100,13 @@ def test_different_seeds_give_same_dimensions():
 
 def test_oracle_builds_monomials_once_per_node(monkeypatch):
     calls = []
-    real = O._monomials_by_degree
+    real = O._node_table
 
-    def counted(weights, up_to):
-        calls.append(weights)
-        return real(weights, up_to)
+    def counted(g, v, up_to):
+        calls.append(v)
+        return real(g, v, up_to)
 
-    monkeypatch.setattr(O, "_monomials_by_degree", counted)
+    monkeypatch.setattr(O, "_node_table", counted)
     g = exmc()
     assert oracle_verify(g, 12) == []
     assert len(calls) == len(g.nodes()) == 2
@@ -152,20 +158,102 @@ def _node_query_stars():
     return [star(*stars[int((k + 0.5) * size)]) for k in range(8)]
 
 
+def _exponents(code, ends, up_to):
+    """The exponent dict (over ends) of a monomial packed in base up_to + 1."""
+    out = {}
+    for w in ends:
+        code, out[w] = divmod(code, up_to + 1)
+    assert code == 0
+    return out
+
+
 def test_end_characters_match_theta_of_alpha():
     # second route: theta of the full E*-coordinate vector, against the
-    # sum of the ends' theta columns
+    # table's characters, built by adding the ends' theta columns
     graphs = [d4(), e8(), exmc(), fig1(), *_node_query_stars()]
     checked = 0
     for g in graphs:
         gd = group_data(g)
+        chis = list(gd.characters())
         ends = g.ends()
-        char_of = O._end_theta(g)
         for v in g.nodes():
             m = g.node_weights(v).m
-            for lst in O._monomials_by_degree([m[w] for w in ends], 12):
-                for exps in lst:
-                    want = gd.theta_alpha(_alpha(g, dict(zip(ends, exps))))
-                    assert char_of(exps) == want, (v, exps)
+            codes, chars = O._node_table(g, v, 12)
+            for i, (cs, xs) in enumerate(zip(codes, chars)):
+                assert len(set(cs)) == len(cs) == len(xs)
+                for code, x in zip(cs, xs):
+                    exps = _exponents(code, ends, 12)
+                    assert sum(a * m[w] for w, a in exps.items()) == i
+                    want = gd.theta_alpha(_alpha(g, exps))
+                    assert chis[x] == want, (v, exps)
                     checked += 1
     assert checked > 500
+
+
+def _reference_cases():
+    """(graph, degrees): the fixtures, the 96 small stars and ten seeded
+    splice-quotient trees, each at degrees 0 and 1 and one larger one."""
+    cases = [(d4(), 15), (exmc(), 25), (fig1(), 8), (e8(), 12)]
+    cases += [(star(*t), 10) for t in small_stars()]
+    cases += [(g, 8) for g in splice_quotient_trees(seed=1, count=10)]
+    return [(g, (0, 1, d)) for g, d in cases]
+
+
+def test_bruteforce_matches_the_tuple_reference():
+    checked = 0
+    for g, degrees in _reference_cases():
+        system = emit_splice_system(g, seed=0)
+        for v in g.nodes():
+            for up_to in degrees:
+                assert (bruteforce_eigendims(g, v, system, up_to)
+                        == tuple_reference(g, v, system, up_to)), (g.ids, v, up_to)
+                checked += 1
+    assert checked == 3 * 124  # (graph, node) pairs, three degrees each
+
+
+def test_packed_exponents_reach_the_degree_bound():
+    # at d4's node every end has m_vw = 1, so a pure power of one end has
+    # exponent up_to, the largest digit base up_to + 1 holds; the reference
+    # test holds d4 at degree 15 to the tuple version
+    g = d4()
+    ends = g.ends()
+    assert all(g.node_weights("c").m[w] == 1 for w in ends)
+    codes, _ = O._node_table(g, "c", 15)
+    for j in range(len(ends)):
+        assert 15 * 16 ** j in codes[15]
+
+
+@pytest.mark.parametrize("make, v, up_to", [(exmc, "E5", 13), (fig1, "v0", 6)])
+def test_generators_above_the_degree_bound_are_skipped(make, v, up_to):
+    # some leading forms fall inside the table and some above it
+    g = make()
+    system = emit_splice_system(g, seed=0)
+    n = sum(len(ns.equations) for ns in system.nodes)
+    assert 0 < len(O._generators(g, v, system, up_to)) < n
+    assert (bruteforce_eigendims(g, v, system, up_to)
+            == tuple_reference(g, v, system, up_to))
+
+
+@pytest.mark.parametrize("up_to", [-1, True, False, 2.5, "3", None])
+def test_degree_bound_must_be_a_nonnegative_int(up_to):
+    g = d4()
+    with pytest.raises(GraphInputError, match="max degree must be"):
+        oracle_verify(g, up_to)
+    with pytest.raises(GraphInputError, match="max degree must be"):
+        bruteforce_eigendims(g, "c", emit_splice_system(g), up_to)
+
+
+@pytest.mark.parametrize("v", ["l1", "zz", 0])
+def test_bruteforce_takes_only_nodes(v):
+    g = d4()
+    with pytest.raises(GraphInputError, match="is not a node"):
+        bruteforce_eigendims(g, v, emit_splice_system(g), 4)
+
+
+def test_non_int_coefficients_are_a_type_error():
+    g = d4()
+    system = emit_splice_system(g, seed=0)
+    (c, exps), *rest = system.nodes[0].equations[0]
+    system.nodes[0].equations[0] = [(c + 0.5, exps), *rest]
+    with pytest.raises(TypeError):
+        bruteforce_eigendims(g, "c", system, 1)
