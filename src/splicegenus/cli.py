@@ -5,7 +5,11 @@ Every command takes one path through ``run``: read the graph, check it
 ``pg-uac`` and ``h1``, then print what the command's handler
 ``_run_<command>(g, args)`` computed, (exit code, JSON body or None, text
 lines), as JSON with ``version`` and ``fingerprint`` added or as text.
-The argument parser is built once per process, on the first ``run``.
+A call whose first argument names a command is parsed by that command's
+parser alone (``_command_parser``); help, ``--version``, an unknown command
+and an argument the command does not take go to the full parser
+(``_build_parser``), so its top-level usage is unchanged.  Each parser is
+built once per process, when a call first needs it.
 
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
 check, 3 Unknown verdict (monomial-condition search hit its bound; for
@@ -60,47 +64,78 @@ _degree = _nonnegative("degree")
 _bound = _nonnegative("bound")
 
 
+# name -> (help, the command's arguments besides --input and --format), in
+# the order the full parser lists them
+_COMMANDS = {
+    "validate": ("check tree-ness and negative definiteness", ()),
+    "invariants": ("determinant, group, node weights, canonical cycle", ()),
+    "hilbert": ("eigenspace Hilbert series at a node",
+                (("--node", {}), ("--char", {}),
+                 ("--max-degree", {"type": _degree}))),
+    "cv": ("the constant c_v^chi by both routes",
+           (("--node", {}), ("--char", {}))),
+    "pg": ("geometric genus p_g(X)",
+           (("--all-nodes", {"action": "store_true"}),)),
+    "pg-uac": ("p_g of the universal abelian cover",
+               (("--all-nodes", {"action": "store_true"}),)),
+    "h1": ("h1(L_chi) for one character",
+           (("--char", {"required": True}),)),
+    "monomial-check": ("search admissible monomials per node/branch",
+                       (("--bound", {"type": _bound, "default": 64}),)),
+    "emit-equations": ("emit a generic splice equation system",
+                       (("--seed", {"type": int, "default": 0}),
+                        ("--bound", {"type": _bound, "default": 64}))),
+    "oracle-verify": ("brute-force check of the Molien dimensions",
+                      (("--max-degree", {"type": _degree, "default": 10}),
+                       ("--seed", {"type": int, "default": 0}),
+                       ("--bound", {"type": _bound, "default": 64}))),
+    "fundamental-cycle": ("Artin's fundamental cycle and p_a(Z)", ()),
+}
+
+
+def _add_arguments(c, name):
+    c.add_argument("--input", required=True, help="graph file (JSON or DSL)")
+    c.add_argument("--format", choices=["text", "json"], default="text")
+    for flag, kw in _COMMANDS[name][1]:
+        c.add_argument(flag, **kw)
+
+
 @functools.cache
 def _build_parser():
+    """The full parser: every command as a subparser."""
     p = argparse.ArgumentParser(
         prog="splicegenus",
         description="Invariants of splice-quotient surface singularities "
                     "from weighted resolution graphs.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def cmd(name, **kw):
-        c = sub.add_parser(name, **kw)
-        c.add_argument("--input", required=True, help="graph file (JSON or DSL)")
-        c.add_argument("--format", choices=["text", "json"], default="text")
-        return c
-
-    cmd("validate", help="check tree-ness and negative definiteness")
-    cmd("invariants", help="determinant, group, node weights, canonical cycle")
-    c = cmd("hilbert", help="eigenspace Hilbert series at a node")
-    c.add_argument("--node")
-    c.add_argument("--char")
-    c.add_argument("--max-degree", type=_degree)
-    c = cmd("cv", help="the constant c_v^chi by both routes")
-    c.add_argument("--node")
-    c.add_argument("--char")
-    c = cmd("pg", help="geometric genus p_g(X)")
-    c.add_argument("--all-nodes", action="store_true")
-    c = cmd("pg-uac", help="p_g of the universal abelian cover")
-    c.add_argument("--all-nodes", action="store_true")
-    c = cmd("h1", help="h1(L_chi) for one character")
-    c.add_argument("--char", required=True)
-    c = cmd("monomial-check", help="search admissible monomials per node/branch")
-    c.add_argument("--bound", type=_bound, default=64)
-    c = cmd("emit-equations", help="emit a generic splice equation system")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=_bound, default=64)
-    c = cmd("oracle-verify", help="brute-force check of the Molien dimensions")
-    c.add_argument("--max-degree", type=_degree, default=10)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--bound", type=_bound, default=64)
-    cmd("fundamental-cycle", help="Artin's fundamental cycle and p_a(Z)")
+    for name, (text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return p
+
+
+@functools.cache
+def _command_parser(name):
+    """The parser of one command, alone: the full parser's subparser for
+    it, with the same prog, so its usage and errors read the same."""
+    p = argparse.ArgumentParser(prog=f"splicegenus {name}")
+    _add_arguments(p, name)
+    p.set_defaults(command=name)
+    return p
+
+
+def _parse_args(argv):
+    """The parsed arguments, through the one command's parser when argv
+    starts with a command and that parser takes every argument.  Anything
+    else (help, --version, an unknown command, an argument the command
+    does not take) goes to the full parser, which alone prints the
+    top-level usage."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _load_graph(path):
@@ -317,7 +352,7 @@ _CHAIN_WARNED = {"validate", "pg", "pg-uac", "h1"}
 
 def run(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; that slot means "internal
         # check failed" here, so remap to the invalid-input code

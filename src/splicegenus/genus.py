@@ -15,8 +15,9 @@ universal abelian cover is the sum over all characters.
 A branch term depends on chi only through phi_i, the E*-coordinates of
 c_1(L_chi) on the branch, and many characters share one phi_i.  Each
 branch graph keeps a table phi -> (psi, h1(branch, psi), Euler term),
-filled on demand; a character costs c_v^chi, its c_1 and one table read
-per branch.  No table over H is built.
+filled on demand; a character costs c_v^chi, its c_1 and, per branch,
+one ``itemgetter`` call that reads phi_i out of c_1's E*-coordinates and
+one table read.  No table over H is built.
 
 Cycles are int lists of E-coefficients in g.ids order, and so are the
 degree lists of line bundles; c_1(L_chi) is held by its E*-coordinates
@@ -27,6 +28,7 @@ degree lists of line bundles; c_1(L_chi) is held by its E*-coordinates
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .discgroup import group_data, nef_shift
 from .errors import (
@@ -94,21 +96,33 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     return g.laufer(base, g.ids)
 
 
+def _picker(cols):
+    """phi_i as a function of alpha: the tuple of alpha's entries at cols.
+    ``itemgetter`` of one index returns the entry itself, so a one-vertex
+    branch wraps it in a 1-tuple."""
+    if len(cols) == 1:
+        j, = cols
+        return lambda alpha: (alpha[j],)
+    return itemgetter(*cols)
+
+
 def _node_record(g, v):
     """(k, nodes, branches) for the node v, built once: k is the position
     of v in g.ids, nodes the graph's nodes in sorted order, and branches
-    one (branch, cols, table) per branch at v, where cols picks the
-    branch's ids, in its own order, out of g.ids, and table maps phi to
-    the branch term (``_branch_term``), filled on demand.  The term depends
-    on the branch graph and phi alone, so the table is kept in the branch's
-    cache and serves every (graph, root) the branch hangs on."""
+    one (branch, cols, pick, table) per branch at v, where cols lists the
+    positions of the branch's ids, in its own order, in g.ids, pick(alpha)
+    is the tuple of alpha's entries there (``_picker``), and table maps
+    phi to the branch term (``_branch_term``), filled on demand.  The term
+    depends on the branch graph and phi alone, so the table is kept in the
+    branch's cache and serves every (graph, root) the branch hangs on."""
     key = ("node_record", v)
     if key not in g._cache:
-        g._cache[key] = (
-            g._pos[v], sorted(g.require_valid().nodes),
-            [(br, [g._pos[w] for w in br.subgraph.ids],
-              br.subgraph._cache.setdefault("terms", {}))
-             for br in g.branches(v)])
+        branches = []
+        for br in g.branches(v):
+            cols = [g._pos[w] for w in br.subgraph.ids]
+            branches.append((br, cols, _picker(cols),
+                             br.subgraph._cache.setdefault("terms", {})))
+        g._cache[key] = (g._pos[v], sorted(g.require_valid().nodes), branches)
     return g._cache[key]
 
 
@@ -129,13 +143,14 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     """h1(L_chi) by the node/branch recursion; chains return 0.
 
     chi is checked before any cached value is read.  A branch enters only
-    through phi_i(c_1(L_chi)), so h1(L_chi) is c_v^chi plus one read per
-    branch of a table that holds one term per distinct phi
-    (``_node_record``); on a miss, D_{chi,i} comes from the numerators of
-    c_1, built once per call, and the parent's adjugate (``nef_shift``),
-    so a chain branch is validated but never decomposed.  A traced call
-    computes every term again, so the trace lists every step; the
-    per-branch steps are built only for a trace or a ``NegativeH1``.
+    through phi_i(c_1(L_chi)), the branch's picker applied to c_1's
+    E*-coordinates, so h1(L_chi) is c_v^chi plus one read per branch of a
+    table that holds one term per distinct phi (``_node_record``); on a
+    miss, D_{chi,i} comes from the numerators of c_1, built once per call,
+    and the parent's adjugate (``nef_shift``), so a chain branch is
+    validated but never decomposed.  A traced call computes every term
+    again, so the trace lists every step; the per-branch steps are built
+    only for a trace or a ``NegativeH1``.
     Values are kept in the graph's cache under ("h1", node, chi); a value
     computed from one root is compared with those already there for the
     other roots; a branch is one graph per vertex set, whichever node or
@@ -156,8 +171,8 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     value = c_v
     terms = []
     num = None  # c_1's numerators, built at the first miss
-    for br, cols, table in branches:
-        phi = tuple(alpha[j] for j in cols)
+    for br, cols, pick, table in branches:
+        phi = pick(alpha)
         term = table.get(phi) if trace is None else None
         if term is None:
             num = gd._c1_numerators(chi) if num is None else num
@@ -167,7 +182,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
         value += term[1] - term[2]
     if value < 0 or trace is not None:
         steps = [{"attach": br.attach, "psi": psi, "h1": h1_br, "euler": e_term}
-                 for (br, _, _), (psi, h1_br, e_term) in zip(branches, terms)]
+                 for (br, *_), (psi, h1_br, e_term) in zip(branches, terms)]
     if value < 0:
         raise NegativeH1(
             f"h1 = {value} at node {v}, chi {chi} (c_v = {c_v})",

@@ -200,8 +200,10 @@ class ResolutionGraph:
 
     def validate(self) -> ValidationReport:
         n = len(self.ids)
-        is_tree = n >= 1 and len(self.edges) == n - 1 and self._connected()
-        if not is_tree:
+        if n == 0:
+            return ValidationReport(False, False, False, False, [], [],
+                                    error="graph has no vertices")
+        if not (len(self.edges) == n - 1 and self._connected()):
             return ValidationReport(False, False, False, False, [], [],
                                     error="graph is not a tree")
         bad = exact.negative_definite_violation(self.intersection_matrix())
@@ -224,8 +226,6 @@ class ResolutionGraph:
                                 nodes, self.ends(), warnings=warnings)
 
     def _connected(self):
-        if not self.ids:
-            return False
         seen = {self.ids[0]}
         stack = [self.ids[0]]
         while stack:

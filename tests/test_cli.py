@@ -42,6 +42,20 @@ def test_version_exits_0(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc", ["", "# nothing\n", '{"vertices": [], "edges": []}'],
+                         ids=["empty-dsl", "comment-dsl", "empty-json"])
+def test_empty_graph_has_no_vertices(tmp_path, capsys, doc):
+    path = tmp_path / "empty.txt"
+    path.write_text(doc)
+    code, out, err = _json_out(capsys, ["pg", "--input", str(path)])
+    assert (code, out, err) == (1, "", "error: graph has no vertices\n")
+    code, data, err = _payload(
+        capsys, ["validate", "--input", str(path), "--format", "json"])
+    assert code == 1 and err == ""
+    assert data["error"] == "graph has no vertices"
+    assert data["valid"] is False and data["isTree"] is False
+
+
 def test_invalid_graph_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices":[{"id":"a","weight":-1},'
@@ -69,33 +83,91 @@ def test_indefinite_tree_names_its_minor(tmp_path, capsys, command, out, err):
     assert _json_out(capsys, [command, "--input", str(path)]) == (1, out, err)
 
 
-def test_parser_reuse_leaks_no_state(tmp_path, capsys, monkeypatch):
+def _fresh_run(argv):
+    """(exit code, stdout, stderr) of the CLI in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-m", "splicegenus.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The ArgumentParsers built from now on, both parser caches cleared."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+    return built
+
+
+def test_parser_reuse_leaks_no_state(tmp_path, capsys, built_parsers):
     bad = tmp_path / "indefinite.dsl"
     bad.write_text(_INDEFINITE_TREE)
     calls = [["pg", "--bogus"], ["--version"], ["pg"],
              ["validate", "--input", str(bad)],
              ["pg-uac", "--input", graph_file("fig1.json"), "--format", "json"]]
-    env = dict(os.environ, PYTHONPATH=os.path.join(
-        os.path.dirname(__file__), os.pardir, "src"))
-    fresh = [subprocess.run([sys.executable, "-m", "splicegenus.cli", *argv],
-                            capture_output=True, text=True, env=env, timeout=60)
-             for argv in calls]
-
-    parsers = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kw):
-        parsers.append(self)
-        init(self, *args, **kw)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli._build_parser.cache_clear()
+    fresh = [_fresh_run(argv) for argv in calls]
     built = []
-    for argv, proc in zip(calls, fresh):
-        assert _json_out(capsys, argv) == (proc.returncode, proc.stdout,
-                                           proc.stderr), argv
-        built.append(len(parsers))
-    assert built[0] > 0 and built[-1] == built[0]
+    for _ in range(2):
+        for argv, expected in zip(calls, fresh):
+            assert _json_out(capsys, argv) == expected, argv
+            built.append(len(built_parsers))
+    # the pg parser alone for "pg --bogus" (it lacks --input, which that
+    # parser reports), the full parser's 12 for --version, then one parser
+    # each for validate and pg-uac; the second round builds none
+    assert built == [1, 13, 13, 14, 15] + [15] * 5
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+_D4 = graph_file("d4.json")
+_PARSER_CASES = [
+    [command, "--input", _D4, "--format", fmt]
+    + (["--char", "1,1"] if command == "h1" else [])
+    for command in cli._COMMANDS for fmt in ("text", "json")] + [
+    ["-h"], ["--version"], ["pg", "-h"], ["bogus"], [],
+    ["pg"], ["pg", "--input", _D4, "--format", "xml"],
+    ["emit-equations", "--input", _D4, "--seed", "q"],
+    ["hilbert", "--input", _D4, "--max-degree", "-1"],
+    ["pg", "--bogus"], ["pg", "--input", _D4, "--bogus"], ["pg", "--version"],
+    ["pg", "--input", _D4, "--version"], ["--format", "json", "pg", "--input", _D4],
+    ["pg", "--inp", _D4], ["hilbert", "--inp", _D4, "--max-d", "3"],
+    ["pg", "--input", _D4, "--", "--all-nodes"], ["pg", "--", "--input", _D4],
+]
+
+
+def _case_id(argv):
+    return " ".join("d4.json" if a == _D4 else a for a in argv) or "(none)"
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=_case_id)
+def test_one_command_parser_matches_the_full_parser(argv, capsys):
+    # a call parsed by its command's parser alone reads, prints and exits
+    # as the full parser does, and as a fresh process does
+    assert _parse_outcome(cli._parse_args, argv, capsys) == _parse_outcome(
+        cli._build_parser().parse_args, argv, capsys)
+    assert _json_out(capsys, argv) == _fresh_run(argv)
+
+
+def test_a_valid_call_builds_one_parser(capsys, built_parsers):
+    assert run(["pg", "--input", _D4]) == 0
+    assert capsys.readouterr().out == "pg = 0\n" and len(built_parsers) == 1
 
 
 def test_monomial_check_bound_zero_exits_3(capsys):

@@ -343,16 +343,29 @@ def test_integer_core_matches_fraction_route(g):
 @settings(max_examples=60, deadline=None)
 def test_c1_numerators_are_the_adjugate_product(g):
     # the numerators the nef shift reads are A alpha for the cached alpha,
-    # the E-coefficients in [0, 1) times |det I|, and theta takes c_1(L_chi)
-    # back to chi
+    # the E-coefficients in [0, 1) times |det I|, theta takes c_1(L_chi)
+    # back to chi, and alpha is the reference c_1's E*-coordinates
     gd = GroupData(g)
     assume(gd.order <= 64)
     det = gd.dual.det_abs
     for chi in gd.characters():
         num = gd._c1_numerators(chi)
-        assert num == gd.dual.numerators(gd.c1_alpha(chi))
+        alpha = gd._c1_alpha(chi)
+        assert num == gd.dual.numerators(alpha)
         assert all(0 <= r < det for r in num)
-        assert gd.theta_alpha(gd.c1_alpha(chi)) == chi
+        assert gd.theta_alpha(alpha) == chi
+        assert alpha == ref.alpha_of(g, ref.fractional_representative(g, chi))
+
+
+def test_c1_off_the_dual_lattice_is_caught(monkeypatch):
+    # numerators r with I r not divisible by |det I| name no class of L*;
+    # alpha = -I r // |det I| would floor them into a wrong c_1
+    gd = GroupData(fig1())
+    real = gd._c1_numerators
+    monkeypatch.setattr(gd, "_c1_numerators",
+                        lambda chi: [real(chi)[0] + 1, *real(chi)[1:]])
+    with pytest.raises(AssertionError, match="not in L"):
+        gd._c1_alpha((1, 5))
 
 
 # -- c_1(L_chi) without walking H ----------------------------------------------

@@ -496,6 +496,47 @@ def test_one_branch_term_per_distinct_phi(monkeypatch, make, roots, total):
     assert values == {total}
 
 
+def _check_branch_keys(g, root, chars):
+    """Every branch of g at root: phi_i(chi) read by the branch's picker is
+    the tuple of c_1's E*-coordinates at the branch's columns, and it keys
+    the branch table, whose every key is a tuple of the branch's length;
+    then the same in every branch the recursion entered.  Returns the
+    lengths of the (graph, root, branch) triples checked."""
+    gd = group_data(g)
+    _, _, branches = g._cache[("node_record", g.node(root))]
+    checked = []
+    for br, cols, pick, table in branches:
+        assert len(cols) == len(br.subgraph.ids)
+        phis = set()
+        for chi in chars:
+            alpha = gd.c1_alpha(chi)
+            phi = pick(alpha)
+            assert phi == tuple(alpha[j] for j in cols) and phi in table
+            phis.add(phi)
+        assert all(type(key) is tuple and len(key) == len(cols)
+                   for key in table)
+        checked.append(len(cols))
+        if not br.subgraph.require_valid().is_chain:
+            checked += _check_branch_keys(
+                br.subgraph, None, {table[phi][0] for phi in phis})
+    return checked
+
+
+def test_branch_keys_are_phi_tuples_from_every_root():
+    # the branch tables are keyed by phi_i(c_1(L_chi)) as a tuple of the
+    # branch's length, one-vertex branches (d4's legs) included
+    graphs = [fig1(), exmc(), d4(), e8()]
+    graphs += [star(b, legs) for b, legs in small_stars()]
+    graphs += splice_quotient_trees(1, 10)
+    lengths = []
+    for g in graphs:
+        for root in sorted(g.nodes()):
+            pg_uac(g, root=root)
+            lengths += _check_branch_keys(
+                g, root, list(group_data(g).characters()))
+    assert len(lengths) > len(graphs) and 1 in lengths and max(lengths) > 2
+
+
 def test_the_recursion_never_multiplies_by_the_adjugate(monkeypatch, capsys):
     # c_1's numerators feed the nef shift and the twist along v, so neither
     # pg-uac, pg_uac nor the nef correction reads DualData.numerators
