@@ -256,10 +256,10 @@ def _run_pg(g, args, uac):
         # the text report is p_g alone, which needs the trivial character only
         return EXIT_OK, None, [f"pg = {pg(g)}"]
     checked = sorted(g.nodes()) if args.all_nodes else []
-    roots = checked or [None]
-    first = genus_report(g, root=roots[0])
-    for root in roots[1:]:
-        # h1_eigensheaf raises if a value differs from another root's
+    first = genus_report(g)  # from the default root, checked[0]
+    for root in checked[1:]:
+        # a named root recomputes the top level of each h1 value, and
+        # h1_eigensheaf raises if it differs from the value cached before
         genus_report(g, root=root)
     body = first.to_json()
     body.pop("trace")

@@ -10,7 +10,8 @@ is Riemann-Roch on the branch.  D_i is read from the parent graph
 enters it.  Chains contribute 0 for every character (their universal
 abelian covers are smooth), so a chain branch is validated but never
 decomposed.  p_g(X) is the value at the trivial character and p_g of the
-universal abelian cover is the sum over all characters.
+universal abelian cover is the sum over all characters.  h1(L_chi) does
+not depend on v (Okuma), so each graph caches it by chi alone.
 
 A branch term depends on chi only through phi_i, the E*-coordinates of
 c_1(L_chi) on the branch, and many characters share one phi_i.  Each
@@ -107,14 +108,14 @@ def _picker(cols):
 
 
 def _node_record(g, v):
-    """(k, nodes, branches) for the node v, built once: k is the position
-    of v in g.ids, nodes the graph's nodes in sorted order, and branches
-    one (branch, cols, pick, table) per branch at v, where cols lists the
-    positions of the branch's ids, in its own order, in g.ids, pick(alpha)
-    is the tuple of alpha's entries there (``_picker``), and table maps
-    phi to the branch term (``_branch_term``), filled on demand.  The term
-    depends on the branch graph and phi alone, so the table is kept in the
-    branch's cache and serves every (graph, root) the branch hangs on."""
+    """(k, branches) for the node v, built once: k is the position of v in
+    g.ids, and branches one (branch, cols, pick, table) per branch at v,
+    where cols lists the positions of the branch's ids, in its own order,
+    in g.ids, pick(alpha) is the tuple of alpha's entries there
+    (``_picker``), and table maps phi to the branch term (``_branch_term``),
+    filled on demand.  The term depends on the branch graph and phi alone,
+    so the table is kept in the branch's cache and serves every (graph,
+    root) the branch hangs on."""
     key = ("node_record", v)
     if key not in g._cache:
         branches = []
@@ -122,7 +123,7 @@ def _node_record(g, v):
             cols = [g._pos[w] for w in br.subgraph.ids]
             branches.append((br, cols, _picker(cols),
                              br.subgraph._cache.setdefault("terms", {})))
-        g._cache[key] = (g._pos[v], sorted(g.require_valid().nodes), branches)
+        g._cache[key] = (g._pos[v], branches)
     return g._cache[key]
 
 
@@ -151,21 +152,21 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     validated but never decomposed.  A traced call computes every term
     again, so the trace lists every step; the per-branch steps are built
     only for a trace or a ``NegativeH1``.
-    Values are kept in the graph's cache under ("h1", node, chi); a value
-    computed from one root is compared with those already there for the
-    other roots; a branch is one graph per vertex set, whichever node or
-    root reaches it.  Nodes and chains are read from the cached validation.
+    h1 does not depend on the node, so it is cached under ("h1", chi) and
+    read when root is None; a named root recomputes the top level and is
+    compared with the cached value.  A branch is one graph per vertex set,
+    entered at its default root.  Nodes and chains come from the validation.
     """
     rep = g.require_valid()
     gd = group_data(g)
     gd.check_character(chi)
     if rep.is_chain:
         return 0
+    prev = g._cache.get(("h1", chi))
+    if prev is not None and root is None and trace is None:
+        return prev
     v = g.node(root)
-    key = ("h1", v, chi)
-    if trace is None and key in g._cache:
-        return g._cache[key]
-    k, nodes, branches = _node_record(g, v)
+    k, branches = _node_record(g, v)
     c_v = c_v_chi(g, v, chi)
     alpha = gd._c1_alpha(chi)
     value = c_v
@@ -191,14 +192,11 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     if trace is not None:
         trace.append({"graph": g.fingerprint(), "node": v, "chi": list(chi),
                       "c_v": c_v, "branches": steps, "h1": value})
-    g._cache[key] = value
-    # node-independence across the roots computed so far
-    for other in nodes:
-        prev = g._cache.get(("h1", other, chi))
-        if prev is not None and prev != value:
-            raise InternalCheckError(
-                f"h1 depends on the root node: {prev} at {other}, "
-                f"{value} at {v} (chi {chi})")
+    if prev is not None and prev != value:
+        raise InternalCheckError(
+            f"h1 depends on the root node: {prev} cached, {value} at root "
+            f"{v} (chi {chi})")
+    g._cache[("h1", chi)] = value
     return value
 
 
@@ -256,7 +254,5 @@ def genus_report(g: ResolutionGraph, root=None, with_trace=False) -> GenusReport
     trace = [] if with_trace else None
     table = {chi: h1_eigensheaf(g, chi, root=root, trace=trace)
              for chi in gd.characters()}
-    pg_val = table[gd.trivial_character]
-    total = sum(table.values())
-    return GenusReport(pg=pg_val, per_character_h1=table, pg_uac=total,
-                       trace=trace or [])
+    return GenusReport(pg=table[gd.trivial_character], per_character_h1=table,
+                       pg_uac=sum(table.values()), trace=trace or [])

@@ -199,6 +199,12 @@ class ResolutionGraph:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """The validation report, built once per graph (one Bareiss pass)."""
+        if "validation" not in self._cache:
+            self._cache["validation"] = self._validation()
+        return self._cache["validation"]
+
+    def _validation(self):
         n = len(self.ids)
         if n == 0:
             return ValidationReport(False, False, False, False, [], [],
@@ -236,17 +242,14 @@ class ResolutionGraph:
         return len(seen) == len(self.ids)
 
     def require_valid(self):
-        key = "validated"
-        if key not in self._cache:
-            rep = self.validate()
-            if not rep.valid:
-                if not rep.is_tree:
-                    raise NotATree(rep.error)
-                if not rep.negative_definite:
-                    raise NotNegativeDefinite(rep.minor_index)
-                raise GraphInputError(rep.error)
-            self._cache[key] = rep
-        return self._cache[key]
+        rep = self.validate()
+        if not rep.valid:
+            if not rep.is_tree:
+                raise NotATree(rep.error)
+            if not rep.negative_definite:
+                raise NotNegativeDefinite(rep.minor_index)
+            raise GraphInputError(rep.error)
+        return rep
 
     # -- dual cycles and weights ------------------------------------------
 

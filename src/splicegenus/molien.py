@@ -14,18 +14,19 @@ Multiplying by a group element [psi] moves the coefficient of chi to
 chi + psi, so every coefficient is an integer by construction: no roots of
 unity and no cyclotomic reduction.  Each degree is a dict over the
 characters it reaches, keyed by their coordinate tuples (discgroup), so
-the work is per character reached, not per element of H.  The same kernel
-expanded at t = infinity gives the polynomial part of H^chi from its first
-a(G) + 1 coefficients, hence c_v^chi = p(1) (the periodic-constant view of
-Braun-Nemethi), with nothing built over all of H.  Route A (partial sums
-P^chi(m a_v) of one series, minus a quadratic term read from the
-numerators of K and c_1(L_chi), exact in the integers) and Route B
-(p(1) = sum(p) from the closed rational form, an int tuple over int
-tuples) read the same kernel at t = 0, so they check its expansion at
-infinity against its expansion at 0, not the kernel itself.  This kernel
-is the package's one Molien evaluator.  tests/reference.py holds what the
-tests check it against: the sum over Q(zeta) of the group elements, the
-dense |H|-wide layout, and the plain series prod_w (1 - t^{m_vw})^{delta_w-2}
+the work is per character reached, not per element of H.  By the duality
+chi -> g - chi (``_cv_table``), the expansion at t = infinity is the same
+product at t = 0, so c_v^chi = p(1), p the polynomial part of H^chi (the
+periodic-constant view of Braun-Nemethi), is the sum of the first a(G) + 1
+coefficients of the [g - chi] table, with nothing built over all of H.
+Route A (partial sums P^chi(m a_v) of one series, minus a quadratic term
+read from the numerators of K and c_1(L_chi), exact in the integers) and
+Route B (p(1) = sum(p) from the closed rational form, an int tuple over
+int tuples) read chi's own table, so they check the duality, not the
+kernel.  This kernel is the package's one Molien evaluator.
+tests/reference.py holds what the tests check it against: the sum over
+Q(zeta) of the group elements, the dense |H|-wide layout (also at
+t = infinity), and the plain series prod_w (1 - t^{m_vw})^{delta_w-2}
 that the tables of all the characters sum to.
 """
 
@@ -208,16 +209,16 @@ def molien_closed(g: ResolutionGraph, v, chi) -> RationalFunctionQ:
 # -- the constants c_v^chi -------------------------------------------------
 
 
-def _cv_at_infinity(g, v):
-    """c_v^chi for the characters reached, read off the expansion at
-    t = infinity, as a dict from coordinates to values (0 if absent).
+def _cv_table(g, v):
+    """c_v^chi = p(1), p the polynomial part of H^chi, for the characters
+    reached, as a dict from coordinates to values (0 if absent).
 
     With s = 1/t, H^chi is the [chi] coefficient of
     t^a(G) [g] prod_w (1 - [-psi_w] s^{m_vw})^{delta_w - 2}, where
     g = sum_w (delta_w - 2) psi_w (the sign is +1 because
-    sum_w (delta_w - 2) = -2 on a tree).  The polynomial part p of H^chi
-    is t^a(G) times the s^0 .. s^a(G) part of the [chi - g] coefficient, so
-    c_v^chi = p(1) is the sum of those a(G) + 1 coefficients.
+    sum_w (delta_w - 2) = -2 on a tree), so p(1) sums the s^0 .. s^a(G)
+    terms of its [chi - g] coefficient.  Negating the characters maps that
+    product onto the t = 0 one, so c_v^chi = P^{g - chi}(a(G) + 1).
     """
     key = ("cv", v)
     if key not in g._cache:
@@ -226,13 +227,11 @@ def _cv_at_infinity(g, v):
         factors = _node_factors(g, v)
         shift = [sum(e * psi[i] for psi, _, e in factors)  # g
                  for i in range(len(dims))]
-        inverse = [(tuple(-x % d for x, d in zip(psi, dims)), m, e)
-                   for psi, m, e in factors]
         sums = {}
-        for row in _zh_product(dims, inverse, a) if a >= 0 else ():
+        for row in _zh_product(dims, factors, a) if a >= 0 else ():
             for c, x in row.items():
                 sums[c] = sums.get(c, 0) + x
-        g._cache[key] = {tuple((y + z) % d for y, z, d in zip(c, shift, dims)): x
+        g._cache[key] = {tuple((y - z) % d for y, z, d in zip(shift, c, dims)): x
                          for c, x in sums.items()}
     return g._cache[key]
 
@@ -275,9 +274,9 @@ def c_v_route_a(g, v, chi) -> int:
 
 
 def c_v_chi(g: ResolutionGraph, v, chi) -> int:
-    """c_v^chi = p(1), p the polynomial part of H^chi, read at t = infinity."""
+    """c_v^chi = p(1), p the polynomial part of H^chi (``_cv_table``)."""
     group_data(g).check_character(chi)
-    return _cv_at_infinity(g, v).get(chi, 0)
+    return _cv_table(g, v).get(chi, 0)
 
 
 def c_v_chi_routes(g, v, chi):

@@ -56,7 +56,7 @@ def divide(a, b):
     return _poly(quot), _poly(rem)
 
 
-def render_poly(p, var="t"):
+def render_poly(p):
     parts = []
     for e in range(len(p) - 1, -1, -1):
         c = p[e]
@@ -65,7 +65,7 @@ def render_poly(p, var="t"):
         if e == 0:
             term = str(c)
         else:
-            mono = var if e == 1 else f"{var}^{e}"
+            mono = "t" if e == 1 else f"t^{e}"
             if c == 1:
                 term = mono
             elif c == -1:

@@ -10,8 +10,8 @@ The search is finite: C does not contain v, so an admissible D has the
 v-coefficient of E*_v and its v-degree is sum_w alpha_w m_vw = m_vv.  Every
 m_vw > 0, so alpha_w <= m_vv // m_vw, and only the branch's ends carry
 exponents; the candidates are the solutions of this one equation, listed
-by _exponent_vectors (pruned by gcd and capped sum), which also lists the
-oracle's monomials.  A monomial is its exponent dict {end id: positive int}.
+by _exponent_vectors (pruned by gcd and capped sum).  A monomial is its
+exponent dict {end id: positive int}.
 
 Everything here runs in the integers: the exponent vector of D is its
 E*-coordinates alpha, A alpha (A the graph's adjugate) is |det I| times its

@@ -197,6 +197,35 @@ def test_validate_json_payload(capsys):
     assert data["version"] and data["fingerprint"]
 
 
+_NOT_A_TREE = "vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c\nedge a c\n"
+
+
+@pytest.mark.parametrize("doc, passes, code, out", [
+    (None, 1, 0, "valid: True\ntree: True\nnegative definite: True\n"
+                 "chain: False\nnodes: E5 E6\nends: E1 E2 E3 E4\n"),
+    (_INDEFINITE_TREE, 1, 1, "valid: False\ntree: True\nnegative definite: False\n"
+                             "chain: False\nnodes: -\nends: -\n"
+                             "error: not negative definite (minor 3)\n"),
+    (_NOT_A_TREE, 0, 1, "valid: False\ntree: False\nnegative definite: False\n"
+                        "chain: False\nnodes: -\nends: -\n"
+                        "error: graph is not a tree\n"),
+], ids=["valid", "indefinite", "not-a-tree"])
+def test_validate_runs_one_bareiss_pass(tmp_path, capsys, monkeypatch,
+                                        doc, passes, code, out):
+    from splicegenus import exact
+
+    path = graph_file("exmc.json")
+    if doc is not None:
+        path = tmp_path / "graph.dsl"
+        path.write_text(doc)
+    calls = []
+    real = exact.negative_definite_violation
+    monkeypatch.setattr(exact, "negative_definite_violation",
+                        lambda I: calls.append(I) or real(I))
+    assert _json_out(capsys, ["validate", "--input", str(path)]) == (code, out, "")
+    assert len(calls) == passes
+
+
 def test_chain_warning_on_stderr(capsys):
     code, _, err = _json_out(
         capsys, ["validate", "--input", graph_file("a3.dsl")])
@@ -512,6 +541,26 @@ def test_pg_uac_all_nodes_detects_root_dependence(monkeypatch, capsys):
         capsys, ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"])
     assert code == 2 and out == ""
     assert err.startswith("internal check failed: h1 depends on the root node")
+
+
+def test_pg_uac_all_nodes_names_the_root_and_character(monkeypatch, capsys):
+    # c_v shifted at root v2 of the top graph, for one nontrivial character
+    import splicegenus.genus as genus
+
+    top = fig1().fingerprint()
+    real = genus.c_v_chi
+
+    def shifted(g, v, chi):
+        value = real(g, v, chi)
+        return value + 1 if (v, chi) == ("v2", (1, 2)) and g.fingerprint() == top \
+            else value
+
+    monkeypatch.setattr(genus, "c_v_chi", shifted)
+    code, out, err = _json_out(
+        capsys, ["pg-uac", "--input", graph_file("fig1.json"), "--all-nodes"])
+    assert code == 2 and out == ""
+    assert err.startswith("internal check failed: h1 depends on the root node")
+    assert err.endswith(" at root v2 (chi (1, 2))\n")
 
 
 def test_negative_h1_exits_2_with_integer_trace(monkeypatch, capsys):

@@ -30,7 +30,12 @@ from splicegenus.genus import (
 import splicegenus.genus as genus
 from splicegenus.cli import run
 from splicegenus.graph import DualData, ResolutionGraph
-from splicegenus.errors import CycleOutOfRange, GraphInputError, NegativeH1
+from splicegenus.errors import (
+    CycleOutOfRange,
+    GraphInputError,
+    InternalCheckError,
+    NegativeH1,
+)
 from splicegenus.molien import (
     P_chi,
     c_v_chi,
@@ -247,6 +252,40 @@ def test_h1_independent_of_root_on_generated_splice_quotients():
                   for r in sorted(g.nodes())]
         assert all(t == tables[0] for t in tables[1:]), g.fingerprint()
         assert min(tables[0].values()) >= 0, g.fingerprint()
+
+
+def test_h1_is_cached_by_character_alone():
+    # three roots leave one cached value per character of fig1, not three
+    g = fig1()
+    for root in ("v0", "v1", "v2"):
+        genus_report(g, root=root)
+    keys = [k for k in g._cache if isinstance(k, tuple) and k[0] == "h1"]
+    assert len(keys) == group_data(g).order == 36
+    assert sorted(k[1:] for k in keys) == sorted(
+        (chi,) for chi in group_data(g).characters())
+
+
+def test_a_named_root_is_compared_with_the_cached_value(monkeypatch):
+    # c_v shifted at root v2 for one nontrivial character alone: the
+    # root=None table (from v0) and every other (root, character) agree,
+    # and that one call names v2 and the character
+    g = fig1()
+    chars = list(group_data(g).characters())
+    chi = (1, 2)
+    real = genus.c_v_chi
+    monkeypatch.setattr(genus, "c_v_chi", lambda h, v, c: real(h, v, c) + (
+        h is g and v == "v2" and c == chi))
+    table = {c: h1_eigensheaf(g, c) for c in chars}
+    for root in ("v0", "v1", "v2"):
+        for c in chars:
+            if (root, c) != ("v2", chi):
+                assert h1_eigensheaf(g, c, root=root) == table[c]
+    with pytest.raises(InternalCheckError) as info:
+        h1_eigensheaf(g, chi, root="v2")
+    assert str(info.value) == (
+        f"h1 depends on the root node: {table[chi]} cached, "
+        f"{table[chi] + 1} at root v2 (chi (1, 2))")
+    assert h1_eigensheaf(g, chi) == table[chi]
 
 
 def test_fig1_h1_values_nonnegative_and_bounded_by_pg():
@@ -503,7 +542,7 @@ def _check_branch_keys(g, root, chars):
     then the same in every branch the recursion entered.  Returns the
     lengths of the (graph, root, branch) triples checked."""
     gd = group_data(g)
-    _, _, branches = g._cache[("node_record", g.node(root))]
+    _, branches = g._cache[("node_record", g.node(root))]
     checked = []
     for br, cols, pick, table in branches:
         assert len(cols) == len(br.subgraph.ids)

@@ -23,7 +23,7 @@ from splicegenus.errors import InternalCheckError, UnstableInM
 from splicegenus.graph import DualData
 from splicegenus.molien import (
     P_chi,
-    _cv_at_infinity,
+    _cv_table,
     _series,
     a_invariant,
     c_v_chi,
@@ -570,22 +570,65 @@ def test_pg_does_no_work_over_h(monkeypatch):
         assert group_data(g).order == order
         found[order] = pg(g)
         for v in sorted(g.nodes()):
-            assert sum(_cv_at_infinity(g, v).values()) == \
+            assert sum(_cv_table(g, v).values()) == \
                 _cv_sum_without_group(g, v), (order, v)
     assert found == {19273: 0, 34908: 0, 119154: 1}
 
 
 # -- the sparse kernel against the dense reference -------------------------
 
+def _graphs_of_the_dense_check():
+    return [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
+            *(star(b, legs) for b, legs in small_stars()),
+            *splice_quotient_trees(seed=1, count=10)]
+
+
 def test_sparse_kernel_matches_dense_reference():
-    graphs = [d4(), e8(), exmc(), *_recursion_graphs(fig1()),
-              *(star(b, legs) for b, legs in small_stars()),
-              *splice_quotient_trees(seed=1, count=10)]
-    for g in graphs:
+    for g in _graphs_of_the_dense_check():
         for v in sorted(g.nodes()):
             assert molien_coeffs(g, v, 16) == ref.dense_molien_coeffs(g, v, 16)
             assert {chi: c_v_chi(g, v, chi) for chi in group_data(g).characters()} \
                 == ref.dense_cv_at_infinity(g, v), (g.fingerprint(), v)
+
+
+def test_c_v_kernel_expands_the_node_factors_as_they_are(monkeypatch):
+    # c_v reads the t = 0 product itself, not a list with negated characters
+    import splicegenus.molien as molien
+
+    calls = []
+    real = molien._zh_product
+    monkeypatch.setattr(molien, "_zh_product", lambda dims, factors, up_to: (
+        calls.append(factors) or real(dims, factors, up_to)))
+    negated = 0
+    for g in [exmc(), fig1(), *(star(b, legs) for b, legs in small_stars()[::8])]:
+        dims = group_data(g).invariant_factors
+        for v in sorted(g.nodes()):
+            calls.clear()
+            c_v_chi(g, v, group_data(g).trivial_character)
+            factors = molien._node_factors(g, v)
+            assert calls == ([factors] if a_invariant(g, v) >= 0 else [])
+            negated += any(tuple(-x % d for x, d in zip(psi, dims)) != psi
+                           for psi, _, _ in factors)
+    assert negated  # a negated list would differ from these
+
+
+def test_c_v_is_a_partial_sum_of_the_dual_character_table():
+    # c_v^chi = P^{g - chi}(a(G) + 1) with g = sum_w (delta_w - 2) psi_w,
+    # at every node and character; a(G) < 0 gives 0
+    below = 0
+    for g in _graphs_of_the_dense_check():
+        gd = group_data(g)
+        dims = gd.invariant_factors
+        shift = [sum((g.degree(w) - 2) * gd.dual_character(w)[i] for w in g.ids)
+                 for i in range(len(dims))]
+        for v in sorted(g.nodes()):
+            n = a_invariant(g, v) + 1
+            below += n <= 0
+            for chi in gd.characters():
+                dual = tuple((s - c) % d for s, c, d in zip(shift, chi, dims))
+                assert c_v_chi(g, v, chi) == P_chi(g, v, dual, n), \
+                    (g.fingerprint(), v, chi)
+    assert below
 
 
 # -- bundled data ----------------------------------------------------------
