@@ -64,35 +64,6 @@ _degree = _nonnegative("degree")
 _bound = _nonnegative("bound")
 
 
-# name -> (help, the command's arguments besides --input and --format), in
-# the order the full parser lists them
-_COMMANDS = {
-    "validate": ("check tree-ness and negative definiteness", ()),
-    "invariants": ("determinant, group, node weights, canonical cycle", ()),
-    "hilbert": ("eigenspace Hilbert series at a node",
-                (("--node", {}), ("--char", {}),
-                 ("--max-degree", {"type": _degree}))),
-    "cv": ("the constant c_v^chi by both routes",
-           (("--node", {}), ("--char", {}))),
-    "pg": ("geometric genus p_g(X)",
-           (("--all-nodes", {"action": "store_true"}),)),
-    "pg-uac": ("p_g of the universal abelian cover",
-               (("--all-nodes", {"action": "store_true"}),)),
-    "h1": ("h1(L_chi) for one character",
-           (("--char", {"required": True}),)),
-    "monomial-check": ("search admissible monomials per node/branch",
-                       (("--bound", {"type": _bound, "default": 64}),)),
-    "emit-equations": ("emit a generic splice equation system",
-                       (("--seed", {"type": int, "default": 0}),
-                        ("--bound", {"type": _bound, "default": 64}))),
-    "oracle-verify": ("brute-force check of the Molien dimensions",
-                      (("--max-degree", {"type": _degree, "default": 10}),
-                       ("--seed", {"type": int, "default": 0}),
-                       ("--bound", {"type": _bound, "default": 64}))),
-    "fundamental-cycle": ("Artin's fundamental cycle and p_a(Z)", ()),
-}
-
-
 def _add_arguments(c, name):
     c.add_argument("--input", required=True, help="graph file (JSON or DSL)")
     c.add_argument("--format", choices=["text", "json"], default="text")
@@ -109,7 +80,7 @@ def _build_parser():
                     "from weighted resolution graphs.")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (text, _) in _COMMANDS.items():
+    for name, (text, *_) in _COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=text), name)
     return p
 
@@ -251,7 +222,8 @@ def _run_cv(g, args):
                            f"{route_b} (Route B), agree: {agree}"]
 
 
-def _run_pg(g, args, uac):
+def _run_pg(g, args):
+    uac = args.command == "pg-uac"
     if not uac and not args.all_nodes and args.format == "text":
         # the text report is p_g alone, which needs the trivial character only
         return EXIT_OK, None, [f"pg = {pg(g)}"]
@@ -332,22 +304,41 @@ def _run_fundamental_cycle(g, args):
         [f"Z = {cycle}", f"p_a(Z) = {pa}"]
 
 
-_HANDLERS = {
-    "validate": _run_validate,
-    "invariants": _run_invariants,
-    "hilbert": _run_hilbert,
-    "cv": _run_cv,
-    "pg": lambda g, a: _run_pg(g, a, uac=False),
-    "pg-uac": lambda g, a: _run_pg(g, a, uac=True),
-    "h1": _run_h1,
-    "monomial-check": _run_monomial_check,
-    "emit-equations": _run_emit_equations,
-    "oracle-verify": _run_oracle_verify,
-    "fundamental-cycle": _run_fundamental_cycle,
+# name -> (help, the command's arguments besides --input and --format,
+# handler, whether it warns on a chain, which is outside Assumption 2.1),
+# in the order the full parser lists them
+_COMMANDS = {
+    "validate": ("check tree-ness and negative definiteness", (),
+                 _run_validate, True),
+    "invariants": ("determinant, group, node weights, canonical cycle", (),
+                   _run_invariants, False),
+    "hilbert": ("eigenspace Hilbert series at a node",
+                (("--node", {}), ("--char", {}),
+                 ("--max-degree", {"type": _degree})),
+                _run_hilbert, False),
+    "cv": ("the constant c_v^chi by both routes",
+           (("--node", {}), ("--char", {})), _run_cv, False),
+    "pg": ("geometric genus p_g(X)",
+           (("--all-nodes", {"action": "store_true"}),), _run_pg, True),
+    "pg-uac": ("p_g of the universal abelian cover",
+               (("--all-nodes", {"action": "store_true"}),), _run_pg, True),
+    "h1": ("h1(L_chi) for one character",
+           (("--char", {"required": True}),), _run_h1, True),
+    "monomial-check": ("search admissible monomials per node/branch",
+                       (("--bound", {"type": _bound, "default": 64}),),
+                       _run_monomial_check, False),
+    "emit-equations": ("emit a generic splice equation system",
+                       (("--seed", {"type": int, "default": 0}),
+                        ("--bound", {"type": _bound, "default": 64})),
+                       _run_emit_equations, False),
+    "oracle-verify": ("brute-force check of the Molien dimensions",
+                      (("--max-degree", {"type": _degree, "default": 10}),
+                       ("--seed", {"type": int, "default": 0}),
+                       ("--bound", {"type": _bound, "default": 64})),
+                      _run_oracle_verify, False),
+    "fundamental-cycle": ("Artin's fundamental cycle and p_a(Z)", (),
+                          _run_fundamental_cycle, False),
 }
-
-# commands that warn when the graph is a chain (outside Assumption 2.1)
-_CHAIN_WARNED = {"validate", "pg", "pg-uac", "h1"}
 
 
 def run(argv=None) -> int:
@@ -360,10 +351,10 @@ def run(argv=None) -> int:
     try:
         g = _load_graph(args.input)
         rep = g.validate() if args.command == "validate" else g.require_valid()
-        if args.command in _CHAIN_WARNED:
-            for w in rep.warnings:
-                print(f"warning: {w}", file=sys.stderr)
-        code, body, lines = _HANDLERS[args.command](g, args)
+        _, _, handler, warns = _COMMANDS[args.command]
+        for w in rep.warnings if warns else ():
+            print(f"warning: {w}", file=sys.stderr)
+        code, body, lines = handler(g, args)
         if args.format == "json":
             print(json.dumps({"version": __version__,
                               "fingerprint": g.fingerprint(), **body},

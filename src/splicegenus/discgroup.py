@@ -149,11 +149,10 @@ def nef_shift(dual, k, cols, num):
         D_w = -floor((N_w A_vv - N_v A_vw) / (|det I| A_vv)),
 
     so only row v of the parent's adjugate A is read, and the branch
-    needs no dual data of its own.
+    needs no dual data of its own.  D is effective: 0 <= N_w < |det I|
+    and A > 0 put the floor's argument below 1.
     """
     row_v = dual.adjugate[k]
     a_vv, n_v = row_v[k], num[k]
     den = dual.det_abs * a_vv
-    D = [-((num[w] * a_vv - n_v * row_v[w]) // den) for w in cols]
-    assert all(c >= 0 for c in D), "D_{chi,i} is not effective"
-    return D
+    return [-((num[w] * a_vv - n_v * row_v[w]) // den) for w in cols]

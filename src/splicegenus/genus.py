@@ -8,7 +8,7 @@ where D_i = -[phi_i(c_1(L_chi))] is effective and the Euler characteristic
 is Riemann-Roch on the branch.  D_i is read from the parent graph
 (``discgroup.nef_shift``), so a branch is decomposed only if the recursion
 enters it.  Chains contribute 0 for every character (their universal
-abelian covers are smooth), so a chain branch is validated but never
+abelian covers are smooth), so a chain branch is neither validated nor
 decomposed.  p_g(X) is the value at the trivial character and p_g of the
 universal abelian cover is the sum over all characters.  h1(L_chi) does
 not depend on v (Okuma), so each graph caches it by chi alone.
@@ -91,6 +91,8 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     g.node(v)  # v = None names no vertex: g.index rejects it below
     if type(n) is not int:  # bool excluded, as for characters
         raise GraphInputError(f"twist degree must be an int, got {n!r}")
+    if n < 0:
+        raise GraphInputError(f"twist degree must be >= 0, got {n}")
     alpha = group_data(g).c1_alpha(chi)  # checks chi for _floor_c1_shift
     q = _floor_c1_shift(g, v, chi, n)
     base = [x + a for x, a in zip(g.intersections(q), alpha)]
@@ -133,7 +135,7 @@ def _branch_term(br, phi, D, trace):
     also the degrees of -L_chi, and D = D_{chi,i} = -[phi] (``nef_shift``)."""
     sub = br.subgraph
     e_term = sub.riemann_roch(D, phi)
-    if sub.require_valid().is_chain:
+    if br.is_chain:
         return None, 0, e_term
     # psi_i(chi) = theta_i(phi_i(c_1(L_chi)))
     psi = group_data(sub).theta_alpha(phi)
@@ -149,7 +151,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     table that holds one term per distinct phi (``_node_record``); on a
     miss, D_{chi,i} comes from the numerators of c_1, built once per call,
     and the parent's adjugate (``nef_shift``), so a chain branch is
-    validated but never decomposed.  A traced call computes every term
+    neither validated nor decomposed.  A traced call computes every term
     again, so the trace lists every step; the per-branch steps are built
     only for a trace or a ``NegativeH1``.
     h1 does not depend on the node, so it is cached under ("h1", chi) and
@@ -216,8 +218,9 @@ def h1_twisted(g: ResolutionGraph, v, chi, n: int, d):
 
     h0drop = P^chi(n) is the codimension of sections vanishing to v-order n;
     h1 uses Riemann-Roch on D' = D - [c_1(L_chi) - (n/e_v)E_v], which is
-    effective, and requires 0 <= D <= D_{chi,n} for the int list d of
-    E-coefficients of D in g.ids order.
+    effective (r_v < |det I| and n >= 0 make the floor <= 0), and requires
+    0 <= D <= D_{chi,n} for the int list d of E-coefficients of D in g.ids
+    order.
     """
     _check_ints(g, d, "cycle", effective=True)
     bound = minimal_nef_correction(g, v, chi, n)
@@ -225,7 +228,6 @@ def h1_twisted(g: ResolutionGraph, v, chi, n: int, d):
         raise CycleOutOfRange(
             f"cycle exceeds the minimal nef correction {bound!r}")
     d_prime = [x - y for x, y in zip(d, _floor_c1_shift(g, v, chi, n))]
-    assert all(x >= 0 for x in d_prime)
     h0drop = P_chi(g, v, chi, n)
     # the degree of -L_chi on E_w is -c_1(L_chi).E_w = alpha_w
     h1 = g.riemann_roch(d_prime, group_data(g).c1_alpha(chi)) - h0drop

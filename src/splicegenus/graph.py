@@ -18,9 +18,10 @@ I| is the product of the s_k, and I^{-1} = V S^{-1} U gives
 A = -V diag(|det I| / s_k) U, summed from the rows of U at the nonzero
 entries of V.  ``DualData`` keeps U, the diagonal of S and V, from which
 ``discgroup`` reads H = L*/L.  A chain reached as a branch of the h1
-recursion is validated but never decomposed: its nef shifts come from the
-parent's adjugate (``discgroup.nef_shift``).  ``intersections`` is one
-pass over the edges, as position pairs built once per graph.
+recursion is neither validated nor decomposed: ``branches`` marks it,
+and its nef shifts come from the parent's adjugate
+(``discgroup.nef_shift``).  ``intersections`` is one pass over the edges,
+as position pairs built once per graph.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class Branch:
 
     attach: str            # the branch vertex adjacent to the node
     subgraph: "ResolutionGraph"
+    is_chain: bool         # no node: a branch of a valid tree is valid
 
 
 class ResolutionGraph:
@@ -187,7 +189,6 @@ class ResolutionGraph:
         D.(D+K) = 2 p_a(D) - 2 is even."""
         dd_k = sum(x * (y - w - 2)
                    for w, x, y in zip(self._weights, d, self.intersections(d)) if x)
-        assert dd_k % 2 == 0, f"D.(D+K) = {dd_k} is odd for D = {d}"
         return sum(x * l for x, l in zip(d, ldeg) if x) - dd_k // 2
 
     def fingerprint(self):
@@ -260,8 +261,7 @@ class ResolutionGraph:
         self.require_valid()
         U, S, V = exact.smith_normal_form(self.intersection_matrix())
         n = len(S)
-        diag = [S[k][k] for k in range(n)]
-        assert all(diag), "intersection matrix is singular"
+        diag = [S[k][k] for k in range(n)]  # nonzero: I is negative definite
         det_abs = math.prod(diag)
         # A = -V diag(|det I| / s_k) U, from I^{-1} = V S^{-1} U: row i of
         # A sums the scaled rows of U at the nonzero entries of row i of V
@@ -290,13 +290,9 @@ class ResolutionGraph:
         dd = self.dual_data()
         det = dd.det_abs
         ell = dict(zip(self.ids, dd.adjugate[self.index(v)]))
+        # I ell = -|det I| e_v (``dual_data``): m is integral, with gcd 1
         e = det // math.gcd(*ell.values())
-        m = {}
-        for w, l in ell.items():
-            mv, rem = divmod(e * l, det)
-            assert rem == 0, f"m_vw not integral at ({v},{w})"
-            m[w] = mv
-        assert math.gcd(*m.values()) == 1, f"gcd of m_{v}w weights is not 1"
+        m = {w: e * l // det for w, l in ell.items()}
         a_v = e * m[v]
         nw = NodeWeights(v=v, ell=ell, e=e, m=m, a_v=a_v)
         self._cache[key] = nw
@@ -312,8 +308,6 @@ class ResolutionGraph:
         """
         dd = self.dual_data()
         num = dd.numerators([self.weight[w] + 2 for w in self.ids])
-        assert self.intersections(num) == [
-            dd.det_abs * (-self.weight[w] - 2) for w in self.ids]
         return num, all(c % dd.det_abs == 0 for c in num)
 
     def fundamental_cycle(self):
@@ -374,7 +368,8 @@ class ResolutionGraph:
                     if x != v and x not in comp:
                         comp.add(x)
                         stack.append(x)
-            out.append(Branch(attach=u, subgraph=self.subgraph(comp)))
+            sub = self.subgraph(comp)
+            out.append(Branch(attach=u, subgraph=sub, is_chain=not sub.nodes()))
         self._cache[key] = out
         return out
 

@@ -51,8 +51,9 @@ from .series import RationalFunctionQ, polynomial_part
 
 
 def a_invariant(g: ResolutionGraph, v) -> int:
-    """a(G) = sum_w (delta_w - 2) m_vw."""
+    """a(G) = sum_w (delta_w - 2) m_vw, for a node v."""
     nw = g.node_weights(v)
+    g.node(v)  # after the vertex lookup, which names an unknown id
     return sum((g.degree(w) - 2) * nw.m[w] for w in g.ids)
 
 
@@ -99,9 +100,10 @@ def _zh_product(dims, factors, up_to):
 
 def _node_factors(g, v):
     """(psi_w, m_vw, delta_w - 2) for the vertices w of degree != 2, with
-    psi_w = theta(E*_w)."""
+    psi_w = theta(E*_w), for a node v."""
     gd = group_data(g)
     nw = g.node_weights(v)
+    g.node(v)
     return [(gd.dual_character(w), nw.m[w], g.degree(w) - 2)
             for w in g.ids if g.degree(w) != 2]
 

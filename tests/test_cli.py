@@ -353,7 +353,8 @@ def test_resource_exhaustion_exits_2_without_traceback(monkeypatch, capsys,
     def exhausted(*args):
         raise error("maximum depth" if error is RecursionError else "")
 
-    monkeypatch.setitem(cli._HANDLERS, "pg", exhausted)
+    text, arguments, _, warns = cli._COMMANDS["pg"]
+    monkeypatch.setitem(cli._COMMANDS, "pg", (text, arguments, exhausted, warns))
     code, out, err = _json_out(
         capsys, ["pg", "--input", graph_file("fig1.json")])
     assert code == 2 and out == ""

@@ -429,6 +429,24 @@ def test_pg_uac_scans_for_nodes_once_per_graph(monkeypatch):
     assert all(len(set(map(id, s))) == len(s) == 5 for s in scanned)
 
 
+def test_chain_branches_are_never_validated(monkeypatch):
+    # a branch of a valid tree is valid, and whether it is a chain is read
+    # off its degrees: pg_uac on a star validates the star alone (it ran one
+    # Bareiss pass per leg as well), on all 96 small stars once per star
+    from splicegenus import exact
+
+    calls = []
+    real = exact.negative_definite_violation
+    monkeypatch.setattr(exact, "negative_definite_violation",
+                        lambda M: calls.append(M) or real(M))
+    g = star(3, [(2, 1)] * 4)
+    assert pg_uac(g) == 1 and calls == [g.intersection_matrix()]
+    calls.clear()
+    for b, legs in small_stars():
+        pg_uac(star(b, legs))
+    assert len(calls) == len(small_stars()) == 96
+
+
 @pytest.mark.parametrize("root", ["l1", "nope"], ids=["leaf", "unknown"])
 def test_root_that_is_not_a_node_is_an_input_error(root):
     g = d4()
@@ -480,6 +498,18 @@ def test_twist_degree_must_be_an_int(n):
     # an int degree still works
     assert P_chi(g, "v0", chi, 2) == 1
     assert len(minimal_nef_correction(g, "v0", chi, 2)) == len(g.ids)
+
+
+def test_negative_twist_degree_is_an_input_error():
+    g = fig1()
+    chi = group_data(g).trivial_character
+    message = re.escape("twist degree must be >= 0, got -5")
+    for call in (lambda: minimal_nef_correction(g, "v0", chi, -5),
+                 lambda: h1_twisted(g, "v0", chi, -5, [0] * len(g.ids))):
+        with pytest.raises(GraphInputError, match=message):
+            call()
+    assert P_chi(g, "v0", chi, -5) == 0
+    assert len(minimal_nef_correction(g, "v0", chi, 0)) == len(g.ids)
 
 
 # -- one branch term per distinct phi -----------------------------------------

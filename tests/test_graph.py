@@ -1,5 +1,7 @@
 import inspect
 import json
+import math
+import random
 import re
 from fractions import Fraction
 
@@ -19,19 +21,32 @@ from fixtures import (
     graph_file,
     single,
     small_stars,
+    splice_quotient_trees,
     star,
 )
 from reference import QCycle, as_qcycle, unit_cycle
-from splicegenus import ResolutionGraph, parse_graph
+from splicegenus import ResolutionGraph, exact, parse_graph
+from splicegenus.discgroup import group_data, nef_shift
 from splicegenus.errors import (
     GraphInputError,
     GraphSyntaxError,
     NotATree,
     NotNegativeDefinite,
 )
+from splicegenus.genus import _floor_c1_shift
 from splicegenus.graph import DualData
-from splicegenus.molien import P_chi, c_v_chi, molien_coeffs
-from splicegenus.splice import v_degree
+from splicegenus.molien import (
+    P_chi,
+    a_invariant,
+    c_v_chi,
+    c_v_chi_routes,
+    c_v_route_a,
+    hilbert_data,
+    molien_closed,
+    molien_coeffs,
+    truncation_m,
+)
+from splicegenus.splice import find_admissible_monomial, v_degree
 
 
 @st.composite
@@ -332,6 +347,100 @@ def test_det_sign_alternates(g):
     assert abs(det) == g.dual_data().det_abs
 
 
+def _check_implied_identities(g, rng):
+    """What follows from I A = -|det I| Id and A > 0, which ``dual_data``
+    checks, or holds for every integer cycle; ``src/`` asserts none of it."""
+    dd = g.dual_data()
+    det, A = dd.det_abs, dd.adjugate
+    assert all(dd.diag)  # I is nonsingular
+    for row in A:  # node_weights: m = e_v A_v / |det I|, integral, gcd 1
+        e = det // math.gcd(*row)
+        assert all(e * x % det == 0 for x in row)
+        assert math.gcd(*(e * x // det for x in row)) == 1
+    K, _ = g.canonical_cycle()
+    assert g.intersections(K) == [det * (-g.weight[w] - 2) for w in g.ids]
+    for _ in range(4):  # Riemann-Roch: D.(D+K) is even for every integral D
+        d = [rng.randint(-3, 3) for _ in g.ids]
+        assert sum(x * (y - g.weight[w] - 2) for w, x, y
+                   in zip(g.ids, d, g.intersections(d))) % 2 == 0
+    if not g.nodes():
+        return
+    gd = group_data(g)
+    chars = (list(gd.characters()) if gd.order <= 500 else
+             [tuple(rng.randrange(d) for d in gd.invariant_factors)
+              for _ in range(20)])
+    for v in g.nodes():
+        nw, k = g.node_weights(v), g.index(v)
+        # v_degree: sum_w alpha_w m_vw |det I| = e_v (A alpha)_v
+        exps = {w: rng.randint(0, 4) for w in g.ends()}
+        assert v_degree(g, v, exps) * det == nw.e * sum(
+            A[k][g.index(w)] * a for w, a in exps.items())
+        cols = [[g.index(w) for w in br.subgraph.ids] for br in g.branches(v)]
+        for chi in chars:
+            num = gd._c1_numerators(chi)
+            # nef_shift: D_{chi,i} is effective
+            assert all(c >= 0 for b in cols for c in nef_shift(dd, k, b, num))
+            # h1_twisted: [c_1 - (n/e_v) E_v] <= 0, so D' = D - it is >= 0
+            for n in (0, 1, nw.e, nw.a_v + 1):
+                assert max(_floor_c1_shift(g, v, chi, n)) <= 0
+
+
+@pytest.mark.parametrize("family", ["d4", "e8", "exmc", "fig1", "stars",
+                                    "seeded"])
+def test_identities_the_adjugate_check_implies(family):
+    # each identity was an assert in src/ on every call; they hold on the
+    # graph and every subgraph its recursion reaches
+    tops = {
+        "d4": lambda: [d4()],
+        "e8": lambda: [e8()],
+        "exmc": lambda: [exmc()],
+        "fig1": lambda: [fig1()],
+        "stars": lambda: [star(b, legs) for b, legs in small_stars()],
+        "seeded": lambda: list(splice_quotient_trees(1, 10)),
+    }[family]()
+    rng = random.Random(family)
+    for top in tops:
+        for g in _recursion_subgraphs(top):
+            _check_implied_identities(g, rng)
+
+
+@given(random_trees(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_identities_the_adjugate_check_implies_on_random_trees(g):
+    for h in _recursion_subgraphs(g):
+        _check_implied_identities(h, random.Random(len(h)))
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["too large", "too small"])
+@pytest.mark.parametrize("make", [d4, e8, fig1], ids=["d4", "e8", "fig1"])
+def test_dual_data_catches_a_wrong_adjugate_entry(monkeypatch, make, sign):
+    # V' = V - sign e_i (row j of I V) in the Smith form moves A = -V D U,
+    # D = diag(|det I| / s_k), by sign |det I| at (i, j) alone, because
+    # I V D U = |det I| Id; I A = -|det I| Id no longer holds
+    good = make().dual_data()
+    real = exact.smith_normal_form
+    i, j = 0, len(good.adjugate) - 1
+
+    def patched(M):
+        U, S, V = real(M)
+        n = len(M)
+        row_j = [sum(M[j][t] * V[t][c] for t in range(n)) for c in range(n)]
+        V = [r[:] for r in V]
+        V[i] = [x - sign * y for x, y in zip(V[i], row_j)]
+        return U, S, V
+
+    U, S, V = patched(make().intersection_matrix())
+    n, det = len(S), good.det_abs
+    wrong = [[-sum(V[r][k] * (det // S[k][k]) * U[k][c] for k in range(n))
+              for c in range(n)] for r in range(n)]
+    assert [(r, c, wrong[r][c] - good.adjugate[r][c])
+            for r in range(n) for c in range(n)
+            if wrong[r][c] != good.adjugate[r][c]] == [(i, j, sign * det)]
+    monkeypatch.setattr(exact, "smith_normal_form", patched)
+    with pytest.raises(AssertionError):
+        make().dual_data()
+
+
 # -- node weights ----------------------------------------------------------
 
 def test_single_vertex_node_weights():
@@ -507,6 +616,7 @@ def test_branches_partition_and_validate(g):
         seen = set()
         for b in brs:
             assert b.subgraph.validate().valid
+            assert b.is_chain == b.subgraph.validate().is_chain
             assert not seen & set(b.subgraph.ids)
             seen |= set(b.subgraph.ids)
         assert seen == set(g.ids) - {v}
@@ -525,6 +635,30 @@ def test_unknown_vertex_is_an_input_error(call):
     with pytest.raises(GraphInputError,
                        match=re.escape("'zz' is not a vertex of the graph")):
         call(d4())
+
+
+@pytest.mark.parametrize("call", [
+    a_invariant,
+    truncation_m,
+    lambda g, v: P_chi(g, v, (0, 0), 3),
+    lambda g, v: molien_coeffs(g, v, 3),
+    lambda g, v: molien_closed(g, v, (0, 0)),
+    lambda g, v: c_v_chi(g, v, (0, 0)),
+    lambda g, v: c_v_route_a(g, v, (0, 0)),
+    lambda g, v: c_v_chi_routes(g, v, (0, 0)),
+    lambda g, v: hilbert_data(g, v, 3),
+    lambda g, v: find_admissible_monomial(g, v, g.branches("c")[0]),
+], ids=["a_invariant", "truncation_m", "P_chi", "molien_coeffs",
+        "molien_closed", "c_v_chi", "c_v_route_a", "c_v_chi_routes",
+        "hilbert_data", "find_admissible_monomial"])
+def test_node_taking_functions_reject_a_leaf(call):
+    # the vertex lookup comes first, so an unknown id is named as such
+    with pytest.raises(GraphInputError,
+                       match=re.escape("'l1' is not a node of the graph")):
+        call(d4(), "l1")
+    with pytest.raises(GraphInputError,
+                       match=re.escape("'zz' is not a vertex of the graph")):
+        call(d4(), "zz")
 
 
 @pytest.mark.parametrize("v", ["zz", ["a"], None],
