@@ -277,7 +277,9 @@ def _render_equation(eq):
 def _run_emit_equations(g, args):
     system = emit_splice_system(g, seed=args.seed, bound=args.bound)
     ok, offender = verify_equivariance(g, system)
-    assert ok, f"emitted system is not equivariant: {offender}"
+    if not ok:
+        raise InternalCheckError(
+            f"emitted system is not equivariant: {offender}")
     lines = []
     for ns in system.nodes:
         lines.append(f"node {ns.node} (v-degree {ns.v_degree}):")
@@ -369,7 +371,7 @@ def run(argv=None) -> int:
     except MonomialConditionUnknown as exc:
         print(f"unknown: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (InternalCheckError, AssertionError) as exc:
+    except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         trace = getattr(exc, "trace", None)
         if trace is not None:

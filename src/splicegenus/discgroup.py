@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import GraphInputError
+from .errors import GraphInputError, InternalCheckError
 from .graph import ResolutionGraph
 
 
@@ -125,7 +125,8 @@ class GroupData:
             # back to E*-coordinates: alpha = -I r / |det I|
             det = self.dual.det_abs
             ir = self.graph.intersections(self._c1_numerators(chi))
-            assert not any(x % det for x in ir), "c_1(L_chi) is not in L*"
+            if any(x % det for x in ir):
+                raise InternalCheckError("c_1(L_chi) is not in L*")
             alpha = [-x // det for x in ir]
             # the slice has no spare slots, the comprehension does: 3 MB
             # over the 119,154 characters pg_uac caches on the largest

@@ -1,10 +1,12 @@
 """Exception hierarchy.
 
 User-facing input problems derive from ``GraphInputError`` (CLI exit 1).
-Violated internal consistency checks derive from ``InternalCheckError``
-(CLI exit 2); these signal implementation bugs or a graph outside the
-theory's hypotheses, never bad user input.  ``MonomialConditionUnknown``
-(CLI exit 3) means a search hit its bound without a verdict.
+Every violated internal consistency check raises ``InternalCheckError``
+(CLI exit 2), never an ``assert``, so ``python -O`` keeps it; these signal
+implementation bugs or a graph outside the theory's hypotheses, never bad
+user input.  Its one subclass, ``NegativeH1``, carries the trace the CLI
+prints.  ``MonomialConditionUnknown`` (CLI exit 3) means a search hit its
+bound without a verdict.
 """
 
 
@@ -50,25 +52,9 @@ class InternalCheckError(SpliceGenusError):
     pass
 
 
-class NegativeDimension(InternalCheckError):
-    """A computed eigenspace dimension came out negative."""
-
-
-class MismatchedRoutes(InternalCheckError):
-    """The two independent computations of c_v disagree."""
-
-
-class UnstableInM(InternalCheckError):
-    """c_v changed when the truncation parameter m was increased."""
-
-
 class NegativeH1(InternalCheckError):
     """The h1 recursion produced a negative value; carries the trace."""
 
     def __init__(self, message, trace=None):
         self.trace = trace
         super().__init__(message)
-
-
-class DegenerateCoefficients(InternalCheckError):
-    """Could not draw a coefficient matrix with all maximal minors nonzero."""

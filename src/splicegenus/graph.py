@@ -34,6 +34,7 @@ from . import exact
 from .errors import (
     GraphInputError,
     GraphSyntaxError,
+    InternalCheckError,
     NotATree,
     NotNegativeDefinite,
 )
@@ -74,8 +75,6 @@ class DualData:
 
 @dataclass
 class NodeWeights:
-    v: str
-    ell: dict              # w -> l_vw = |det I| * a_vw
     e: int                 # e_v
     m: dict                # w -> m_vw = e_v * a_vw
     a_v: int               # e_v * m_vv
@@ -273,12 +272,15 @@ class ResolutionGraph:
                 if v:
                     acc = [a + v * x for a, x in zip(acc, row)]
             A.append(acc)
-        assert all(x > 0 for row in A for x in row), \
-            "entries of |det I| (-I^{-1}) must be positive integers"
+        if not all(x > 0 for row in A for x in row):
+            raise InternalCheckError(
+                "entries of |det I| (-I^{-1}) must be positive integers")
         # I A = -|det I| Id, checked in the integers (A is symmetric)
         for i, col in enumerate(A):
-            assert self.intersections(col) == [
-                -det_abs if j == i else 0 for j in range(n)]
+            if self.intersections(col) != [
+                    -det_abs if j == i else 0 for j in range(n)]:
+                raise InternalCheckError(
+                    f"I A != -|det I| Id in column {self.ids[i]!r}")
         data = DualData(adjugate=A, det_abs=det_abs, U=U, diag=diag, V=V)
         self._cache[key] = data
         return data
@@ -289,12 +291,11 @@ class ResolutionGraph:
             return self._cache[key]
         dd = self.dual_data()
         det = dd.det_abs
-        ell = dict(zip(self.ids, dd.adjugate[self.index(v)]))
-        # I ell = -|det I| e_v (``dual_data``): m is integral, with gcd 1
-        e = det // math.gcd(*ell.values())
-        m = {w: e * l // det for w, l in ell.items()}
-        a_v = e * m[v]
-        nw = NodeWeights(v=v, ell=ell, e=e, m=m, a_v=a_v)
+        row = dd.adjugate[self.index(v)]  # l_vw = |det I| a_vw
+        # I row = -|det I| e_v (``dual_data``): m is integral, with gcd 1
+        e = det // math.gcd(*row)
+        m = {w: e * l // det for w, l in zip(self.ids, row)}
+        nw = NodeWeights(e=e, m=m, a_v=e * m[v])
         self._cache[key] = nw
         return nw
 

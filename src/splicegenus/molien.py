@@ -39,13 +39,7 @@ from dataclasses import dataclass
 
 from .cyclo import _cyclotomic_exponents, reshape
 from .discgroup import group_data
-from .errors import (
-    GraphInputError,
-    InternalCheckError,
-    MismatchedRoutes,
-    NegativeDimension,
-    UnstableInM,
-)
+from .errors import GraphInputError, InternalCheckError
 from .graph import ResolutionGraph
 from .series import RationalFunctionQ, polynomial_part
 
@@ -119,7 +113,7 @@ def _node_rows(g, v, up_to):
         for i, row in enumerate(rows):
             for c, x in row.items():
                 if x < 0:
-                    raise NegativeDimension(f"dim G^{c}_{i} = {x}")
+                    raise InternalCheckError(f"dim G^{c}_{i} = {x}")
         g._cache[key] = rows
     return rows
 
@@ -144,6 +138,8 @@ def P_chi(g, v, chi, n: int) -> int:
     group_data(g).check_character(chi)
     if type(n) is not int:  # bool excluded, as for characters
         raise GraphInputError(f"twist degree must be an int, got {n!r}")
+    g.index(v)  # an unknown id is named as a vertex, then a leaf is refused
+    g.node(v)
     return sum(_series(g, v, chi, n - 1)) if n > 0 else 0
 
 
@@ -269,7 +265,7 @@ def c_v_route_a(g, v, chi) -> int:
                 f"(node {v}, chi {chi}, m={mm})")
         values.append(partial[mm * nw.a_v] - quad)
         if values[-1] != values[0]:
-            raise UnstableInM(
+            raise InternalCheckError(
                 f"c_v^chi changed from {values[0]} to {values[-1]} at m={mm} "
                 f"(node {v}, chi {chi})")
     return values[0]
@@ -293,7 +289,7 @@ def c_v_chi_routes(g, v, chi):
     p, _ = polynomial_part(molien_closed(g, v, chi))
     route_b = sum(p)
     if not any(chi) and route_a != route_b:
-        raise MismatchedRoutes(
+        raise InternalCheckError(
             f"c_v at node {v}: Route A {route_a} != Route B {route_b}")
     return route_a, route_b
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from . import exact
 from .discgroup import group_data
-from .errors import GraphInputError
+from .errors import GraphInputError, InternalCheckError
 from .graph import ResolutionGraph
 from .molien import molien_coeffs
-from .splice import SpliceSystem, emit_splice_system
+from .splice import SpliceSystem, _alpha, emit_splice_system, v_degree
 
 
 def artin_rational(g: ResolutionGraph) -> bool:
@@ -42,8 +42,7 @@ def _leading_form(g, v, equation):
     in v's; the associated graded ideal is generated by these v-leading
     forms (the dropped term is the one from the branch containing v).
     """
-    nw = g.node_weights(v)
-    degs = [sum(a * nw.m[w] for w, a in exps.items()) for _, exps in equation]
+    degs = [v_degree(g, v, exps) for _, exps in equation]
     low = min(degs)
     return low, [(c, exps) for (c, exps), d in zip(equation, degs) if d == low]
 
@@ -94,9 +93,9 @@ def _generators(g, v, system, up_to):
     for ns in system.nodes:
         for eq in ns.equations:
             low, terms = _leading_form(g, v, eq)
-            chars = {gd.theta_alpha([exps.get(w, 0) for w in g.ids])
-                     for _, exps in terms}
-            assert len(chars) == 1, "leading form is not isotypic"
+            chars = {gd.theta_alpha(_alpha(g, exps)) for _, exps in terms}
+            if len(chars) != 1:
+                raise InternalCheckError("leading form is not isotypic")
             if not all(isinstance(c, int) for c, _ in terms):
                 raise TypeError("equation coefficients must be ints")
             if low > up_to:

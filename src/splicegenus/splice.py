@@ -29,7 +29,7 @@ from math import gcd
 
 from . import exact
 from .discgroup import group_data
-from .errors import DegenerateCoefficients, MonomialConditionUnknown
+from .errors import InternalCheckError, MonomialConditionUnknown
 from .graph import ResolutionGraph
 
 
@@ -79,6 +79,7 @@ def v_degree(g: ResolutionGraph, v, exponents) -> int:
     since m_vw |det I| = e_v A_vw: row v of the adjugate, which
     ``dual_data`` checks."""
     m = g.node_weights(v).m
+    g.node(v)
     return sum(int(a) * m[w] for w, a in exponents.items())
 
 
@@ -238,7 +239,9 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
         monos = [report.witnesses[(v, br.attach)].exponents
                  for br in g.branches(v)]
         degs = {v_degree(g, v, m) for m in monos}
-        assert len(degs) == 1, f"monomials at {v} are not quasihomogeneous"
+        if len(degs) != 1:
+            raise InternalCheckError(
+                f"monomials at {v} are not quasihomogeneous")
         delta = len(monos)
         F = []
         if delta > 2:
@@ -248,7 +251,7 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
                 if _all_maximal_minors_nonzero(F):
                     break
             else:
-                raise DegenerateCoefficients(
+                raise InternalCheckError(
                     f"no generic coefficient matrix found at node {v}")
         equations = [[(row[j], dict(monos[j])) for j in range(delta)]
                      for row in F]

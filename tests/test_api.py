@@ -70,6 +70,19 @@ def test_package_does_not_import_fractions():
             assert "fractions" not in names, f"{path.name} imports fractions"
 
 
+def test_package_has_no_assert():
+    # python -O drops an assert; every internal check raises
+    # InternalCheckError, and cli.run catches that alone
+    sources = sorted(Path(splicegenus.__file__).parent.glob("*.py"))
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), \
+                f"{path.name}:{node.lineno} asserts"
+            assert not (isinstance(node, ast.Name)
+                        and node.id == "AssertionError"), \
+                f"{path.name}:{node.lineno} names AssertionError"
+
+
 def test_only_graph_builds_graphs():
     # a graph and the subgraphs it builds share one object per vertex set
     # (ResolutionGraph.subgraph); a ResolutionGraph(...) call elsewhere in

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fixtures import GRAPHS_DIR, fig1, graph_file
 from splicegenus import cli
 from splicegenus.cli import run
+from splicegenus.errors import InternalCheckError
 
 
 def _json_out(capsys, argv):
@@ -83,13 +84,24 @@ def test_indefinite_tree_names_its_minor(tmp_path, capsys, command, out, err):
     assert _json_out(capsys, [command, "--input", str(path)]) == (1, out, err)
 
 
-def _fresh_run(argv):
-    """(exit code, stdout, stderr) of the CLI in a fresh process."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(
+def _fresh_run(argv, flags=()):
+    """(exit code, stdout, stderr) of the CLI in a fresh process, run with
+    the interpreter flags ``flags``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.path.join(
         os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.run([sys.executable, "-m", "splicegenus.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "splicegenus.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_pg_uac_prints_the_same_bytes_under_python_O():
+    # every internal check raises InternalCheckError, which -O keeps
+    argv = ["pg-uac", "--input", graph_file("fig1.json"), "--format", "json"]
+    plain, optimized = _fresh_run(argv), _fresh_run(argv, ["-O"])
+    assert plain[0] == 0 and plain[1]
+    assert optimized == plain
 
 
 @pytest.fixture
@@ -330,6 +342,20 @@ def test_emit_equations_deterministic(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["seed"] == 5 and len(data["nodes"]) == 2
+
+
+def test_emit_equations_catches_a_non_equivariant_system(monkeypatch, capsys):
+    offender = ((1, 0), "v1", {"v3": 1})
+    monkeypatch.setattr(cli, "verify_equivariance",
+                        lambda g, system: (False, offender))
+    with pytest.raises(InternalCheckError,
+                       match="emitted system is not equivariant"):
+        cli._run_emit_equations(fig1(), argparse.Namespace(seed=0, bound=64))
+    code, out, err = _json_out(
+        capsys, ["emit-equations", "--input", graph_file("fig1.json")])
+    assert code == 2 and out == ""
+    assert err == ("internal check failed: emitted system is not "
+                   f"equivariant: {offender}\n")
 
 
 def test_oracle_verify_agrees(capsys):

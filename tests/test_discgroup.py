@@ -33,6 +33,7 @@ from splicegenus.discgroup import (
     group_data,
     nef_shift,
 )
+from splicegenus.errors import InternalCheckError
 
 
 def test_mod1():
@@ -364,7 +365,7 @@ def test_c1_off_the_dual_lattice_is_caught(monkeypatch):
     real = gd._c1_numerators
     monkeypatch.setattr(gd, "_c1_numerators",
                         lambda chi: [real(chi)[0] + 1, *real(chi)[1:]])
-    with pytest.raises(AssertionError, match="not in L"):
+    with pytest.raises(InternalCheckError, match="not in L"):
         gd._c1_alpha((1, 5))
 
 

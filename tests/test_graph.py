@@ -1,8 +1,11 @@
 import inspect
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,7 @@ from splicegenus.discgroup import group_data, nef_shift
 from splicegenus.errors import (
     GraphInputError,
     GraphSyntaxError,
+    InternalCheckError,
     NotATree,
     NotNegativeDefinite,
 )
@@ -418,17 +422,8 @@ def test_dual_data_catches_a_wrong_adjugate_entry(monkeypatch, make, sign):
     # D = diag(|det I| / s_k), by sign |det I| at (i, j) alone, because
     # I V D U = |det I| Id; I A = -|det I| Id no longer holds
     good = make().dual_data()
-    real = exact.smith_normal_form
     i, j = 0, len(good.adjugate) - 1
-
-    def patched(M):
-        U, S, V = real(M)
-        n = len(M)
-        row_j = [sum(M[j][t] * V[t][c] for t in range(n)) for c in range(n)]
-        V = [r[:] for r in V]
-        V[i] = [x - sign * y for x, y in zip(V[i], row_j)]
-        return U, S, V
-
+    patched = _wrong_smith_form(exact.smith_normal_form, i, j, sign)
     U, S, V = patched(make().intersection_matrix())
     n, det = len(S), good.det_abs
     wrong = [[-sum(V[r][k] * (det // S[k][k]) * U[k][c] for k in range(n))
@@ -437,21 +432,63 @@ def test_dual_data_catches_a_wrong_adjugate_entry(monkeypatch, make, sign):
             for r in range(n) for c in range(n)
             if wrong[r][c] != good.adjugate[r][c]] == [(i, j, sign * det)]
     monkeypatch.setattr(exact, "smith_normal_form", patched)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalCheckError):
         make().dual_data()
+
+
+def _wrong_smith_form(real, i, j, sign):
+    """``real`` with V' = V - sign e_i (row j of I V): A moves by
+    sign |det I| at (i, j) alone (``test_dual_data_catches_...``)."""
+    def patched(M):
+        U, S, V = real(M)
+        n = len(M)
+        row_j = [sum(M[j][t] * V[t][c] for t in range(n)) for c in range(n)]
+        V = [r[:] for r in V]
+        V[i] = [x - sign * y for x, y in zip(V[i], row_j)]
+        return U, S, V
+    return patched
+
+
+_WRONG_ADJUGATE_ON_D4 = """
+import sys
+from fixtures import d4
+from splicegenus import exact
+from splicegenus.errors import InternalCheckError
+from test_graph import _wrong_smith_form
+exact.smith_normal_form = _wrong_smith_form(exact.smith_normal_form, 0, 3, 1)
+try:
+    print(sys.flags.optimize, d4().dual_data().adjugate[0])
+except InternalCheckError as exc:
+    print(sys.flags.optimize, "InternalCheckError:", exc)
+"""
+
+
+def test_adjugate_check_is_kept_under_python_O():
+    # an assert would vanish under -O and d4 would return row [8, 4, 4, 8]
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(here, os.pardir, "src"), here]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_ADJUGATE_ON_D4],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("1 InternalCheckError: "
+                           "I A != -|det I| Id in column 'c'\n")
 
 
 # -- node weights ----------------------------------------------------------
 
 def test_single_vertex_node_weights():
-    nw = single().node_weights("e")
-    assert nw.ell == {"e": 1} and nw.e == 2 and nw.m == {"e": 1}
+    g = single()
+    nw = g.node_weights("e")
+    assert g.dual_data().adjugate == [[1]]
+    assert nw.e == 2 and nw.m == {"e": 1}
     assert nw.a_v == 2
 
 
 def test_d4_center_node_weights():
-    nw = d4().node_weights("c")
-    assert nw.ell == {"c": 8, "l1": 4, "l2": 4, "l3": 4}
+    g = d4()
+    nw = g.node_weights("c")
+    assert g.dual_data().adjugate[g.index("c")] == [8, 4, 4, 4]
     assert nw.e == 1
     assert nw.m == {"c": 2, "l1": 1, "l2": 1, "l3": 1}
     assert nw.a_v == 2
@@ -648,17 +685,20 @@ def test_unknown_vertex_is_an_input_error(call):
     lambda g, v: c_v_chi_routes(g, v, (0, 0)),
     lambda g, v: hilbert_data(g, v, 3),
     lambda g, v: find_admissible_monomial(g, v, g.branches("c")[0]),
+    lambda g, v: P_chi(g, v, (0, 0), 0),
+    lambda g, v: v_degree(g, v, {"l2": 1, "l3": 2}),
 ], ids=["a_invariant", "truncation_m", "P_chi", "molien_coeffs",
         "molien_closed", "c_v_chi", "c_v_route_a", "c_v_chi_routes",
-        "hilbert_data", "find_admissible_monomial"])
+        "hilbert_data", "find_admissible_monomial", "P_chi_at_0", "v_degree"])
 def test_node_taking_functions_reject_a_leaf(call):
     # the vertex lookup comes first, so an unknown id is named as such
     with pytest.raises(GraphInputError,
                        match=re.escape("'l1' is not a node of the graph")):
         call(d4(), "l1")
-    with pytest.raises(GraphInputError,
-                       match=re.escape("'zz' is not a vertex of the graph")):
-        call(d4(), "zz")
+    for v in ("zz", None):
+        with pytest.raises(GraphInputError,
+                           match=re.escape(f"{v!r} is not a vertex of the graph")):
+            call(d4(), v)
 
 
 @pytest.mark.parametrize("v", ["zz", ["a"], None],

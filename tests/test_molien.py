@@ -19,7 +19,7 @@ from fixtures import (
 )
 from reference import HElement, molien_ci, total_ci_coeffs
 from splicegenus import GroupData, parse_graph, pg
-from splicegenus.errors import InternalCheckError, UnstableInM
+from splicegenus.errors import InternalCheckError
 from splicegenus.graph import DualData
 from splicegenus.molien import (
     P_chi,
@@ -300,7 +300,7 @@ def test_route_a_raises_when_unstable_in_m(monkeypatch):
     chi = group_data(g).trivial_character
     assert c_v_chi(g, "v0", chi) == 2
     monkeypatch.setattr(M, "truncation_m", lambda g_, v_: 0)
-    with pytest.raises(UnstableInM, match="changed from 0 to 2 at m=1"):
+    with pytest.raises(InternalCheckError, match="changed from 0 to 2 at m=1"):
         c_v_route_a(g, "v0", chi)
 
 

@@ -16,14 +16,19 @@ from fixtures import (
 import splicegenus.oracle as O
 from reference import bruteforce_eigendims as tuple_reference
 from reference import total_ci_coeffs
-from splicegenus.errors import GraphInputError
+from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.molien import group_data, molien_coeffs
 from splicegenus.oracle import (
     artin_rational,
     bruteforce_eigendims,
     oracle_verify,
 )
-from splicegenus.splice import _alpha, emit_splice_system
+from splicegenus.splice import (
+    NodeSystem,
+    SpliceSystem,
+    _alpha,
+    emit_splice_system,
+)
 
 
 def test_artin_rational_values():
@@ -257,3 +262,14 @@ def test_non_int_coefficients_are_a_type_error():
     system.nodes[0].equations[0] = [(c + 0.5, exps), *rest]
     with pytest.raises(TypeError):
         bruteforce_eigendims(g, "c", system, 1)
+
+
+def test_non_isotypic_leading_form_is_caught():
+    # l1 and l2 both have v-degree 1 at c, and different characters
+    g = d4()
+    assert group_data(g).dual_character("l1") != group_data(g).dual_character("l2")
+    eq = [(1, {"l1": 1}), (1, {"l2": 1})]
+    system = SpliceSystem(nodes=[NodeSystem(node="c", monomials=[], v_degree=1,
+                                            equations=[eq])], seed=0)
+    with pytest.raises(InternalCheckError, match="leading form is not isotypic"):
+        bruteforce_eigendims(g, "c", system, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -19,6 +20,7 @@ from fixtures import (
 )
 from splicegenus import splice
 from splicegenus.discgroup import group_data
+from splicegenus.errors import InternalCheckError
 from splicegenus.graph import parse_graph
 from splicegenus.splice import (
     check_monomial_condition,
@@ -234,6 +236,24 @@ def test_equivariance_detects_corruption():
     # the Fraction pairing over every h agrees, and names the same theta(D)
     assert not _equivariant_by_pairing(g, system)
     assert offender[0] == ref.theta(g, ref.class_of(g, _cycle(g, bad)))
+
+
+def test_emit_catches_monomials_of_unequal_degree(monkeypatch):
+    # one witness at E5 scaled by 2 has twice the v-degree of the others
+    real = splice.check_monomial_condition
+
+    def scaled(g, bound=64):
+        report = real(g, bound=bound)
+        key = ("E5", g.branches("E5")[0].attach)
+        report.witnesses[key] = dataclasses.replace(
+            report.witnesses[key], exponents={
+                w: 2 * a for w, a in report.witnesses[key].exponents.items()})
+        return report
+
+    monkeypatch.setattr(splice, "check_monomial_condition", scaled)
+    with pytest.raises(InternalCheckError,
+                       match="monomials at E5 are not quasihomogeneous"):
+        emit_splice_system(exmc())
 
 
 def test_emit_requires_monomial_condition():
