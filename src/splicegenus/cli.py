@@ -5,11 +5,13 @@ Every command takes one path through ``run``: read the graph, check it
 ``pg-uac`` and ``h1``, then print what the command's handler
 ``_run_<command>(g, args)`` computed, (exit code, JSON body or None, text
 lines), as JSON with ``version`` and ``fingerprint`` added or as text.
-A call whose first argument names a command is parsed by that command's
-parser alone (``_command_parser``); help, ``--version``, an unknown command
-and an argument the command does not take go to the full parser
-(``_build_parser``), so its top-level usage is unchanged.  Each parser is
-built once per process, when a call first needs it.
+A well-formed call, a command followed only by its own options, each
+spelled in full and with a value that does not start with ``-``, is read
+straight from the command table (``_plain_args``), so it builds no
+``ArgumentParser``.  Anything else (help, ``--version``, an abbreviation,
+``--opt=value``, ``--``, an unknown or missing argument, a value that does
+not convert) goes to the full parser (``_build_parser``, built once per
+process), so every usage message, error and exit code is argparse's own.
 
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
 check, 3 Unknown verdict (monomial-condition search hit its bound; for
@@ -64,10 +66,13 @@ _degree = _nonnegative("degree")
 _bound = _nonnegative("bound")
 
 
+# the arguments every command takes, before its own in _COMMANDS
+_SHARED = (("--input", {"required": True, "help": "graph file (JSON or DSL)"}),
+           ("--format", {"choices": ["text", "json"], "default": "text"}))
+
+
 def _add_arguments(c, name):
-    c.add_argument("--input", required=True, help="graph file (JSON or DSL)")
-    c.add_argument("--format", choices=["text", "json"], default="text")
-    for flag, kw in _COMMANDS[name][1]:
+    for flag, kw in _SHARED + _COMMANDS[name][1]:
         c.add_argument(flag, **kw)
 
 
@@ -85,28 +90,51 @@ def _build_parser():
     return p
 
 
-@functools.cache
-def _command_parser(name):
-    """The parser of one command, alone: the full parser's subparser for
-    it, with the same prog, so its usage and errors read the same."""
-    p = argparse.ArgumentParser(prog=f"splicegenus {name}")
-    _add_arguments(p, name)
-    p.set_defaults(command=name)
-    return p
+def _plain_args(argv):
+    """The namespace the full parser returns for argv, read from the
+    command table when argv is a command followed only by its options,
+    each spelled in full: a flag alone, any other option with the next
+    token, which must not start with "-" and must convert by the option's
+    type into its choices; the last of a repeated option wins.  None for
+    anything else, and when a required option is missing."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    specs = dict(_SHARED + _COMMANDS[argv[0]][1])
+    switches = {f for f, kw in specs.items() if kw.get("action") == "store_true"}
+    values = {f: kw.get("default", False if f in switches else None)
+              for f, kw in specs.items()}
+    missing = {f for f, kw in specs.items() if kw.get("required")}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kw = specs.get(flag)
+        if kw is None:
+            return None
+        missing.discard(flag)
+        if flag in switches:
+            values[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            values[flag] = kw.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kw and values[flag] not in kw["choices"]:
+            return None
+    if missing:
+        return None
+    return argparse.Namespace(command=argv[0], **{
+        f[2:].replace("-", "_"): value for f, value in values.items()})
 
 
 def _parse_args(argv):
-    """The parsed arguments, through the one command's parser when argv
-    starts with a command and that parser takes every argument.  Anything
-    else (help, --version, an unknown command, an argument the command
-    does not take) goes to the full parser, which alone prints the
-    top-level usage."""
+    """The parsed arguments, read from the command table when argv is a
+    well-formed call (``_plain_args``); anything else goes to the full
+    parser, which alone prints usage, help and errors."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in _COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return _build_parser().parse_args(argv)
+    args = _plain_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def _load_graph(path):
@@ -306,7 +334,7 @@ def _run_fundamental_cycle(g, args):
         [f"Z = {cycle}", f"p_a(Z) = {pa}"]
 
 
-# name -> (help, the command's arguments besides --input and --format,
+# name -> (help, the command's arguments besides those in _SHARED,
 # handler, whether it warns on a chain, which is outside Assumption 2.1),
 # in the order the full parser lists them
 _COMMANDS = {

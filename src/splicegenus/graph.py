@@ -20,7 +20,8 @@ entries of V.  ``DualData`` keeps U, the diagonal of S and V, from which
 ``discgroup`` reads H = L*/L.  A chain reached as a branch of the h1
 recursion is neither validated nor decomposed: ``branches`` marks it,
 and its nef shifts come from the parent's adjugate
-(``discgroup.nef_shift``).  ``intersections`` is one pass over the edges,
+(``discgroup.nef_shift``); a branch with a node inherits its validation
+from the parent.  ``intersections`` is one pass over the edges,
 as position pairs built once per graph.
 """
 
@@ -355,7 +356,9 @@ class ResolutionGraph:
 
     def branches(self, v):
         """Connected components of E - E_v, ordered by attaching-vertex id;
-        each is the one shared graph of its vertex set (``subgraph``)."""
+        each is the one shared graph of its vertex set (``subgraph``).  A
+        branch with a node is given its validation report unless it has
+        one, so it runs no Bareiss pass."""
         key = ("branches", v)
         if key in self._cache:
             return self._cache[key]
@@ -370,7 +373,13 @@ class ResolutionGraph:
                         comp.add(x)
                         stack.append(x)
             sub = self.subgraph(comp)
-            out.append(Branch(attach=u, subgraph=sub, is_chain=not sub.nodes()))
+            nodes = sub.nodes()
+            if nodes and "validation" not in sub._cache:
+                # a connected induced subtree of a valid tree, its matrix a
+                # principal submatrix of a negative definite one
+                sub._cache["validation"] = ValidationReport(
+                    True, True, True, False, nodes, sub.ends())
+            out.append(Branch(attach=u, subgraph=sub, is_chain=not nodes))
         self._cache[key] = out
         return out
 

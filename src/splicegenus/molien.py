@@ -154,7 +154,7 @@ def _closed_degrees(g, v):
     nw = g.node_weights(v)
     ks = [math.lcm(*(d // math.gcd(d, c) for c, d in
                      zip(gd.dual_character(w), gd.invariant_factors)))
-          * nw.m[w] for w in g.ends()]
+          * nw.m[w] for w in g.require_valid().ends]
     return ks, sum(ks) + max(a_invariant(g, v), 0)
 
 

@@ -64,7 +64,7 @@ def _shift(dims, psi):
 
 def _node_table(g, v, up_to):
     """(codes, chars): codes[i] lists the monomials of v-degree i in the
-    ends (g.ends() order), each packed as sum_j a_j R^j with R = up_to + 1,
+    ends (ids order), each packed as sum_j a_j R^j with R = up_to + 1,
     and chars[i] their character labels.  Coin change over the ends: for
     end j in turn and i ascending, codes[i] gains codes[i - m_vj] + R^j,
     whose characters are those of codes[i - m_vj] shifted by psi_j."""
@@ -73,7 +73,7 @@ def _node_table(g, v, up_to):
     codes = [[0]] + [[] for _ in range(up_to)]
     chars = [[0]] + [[] for _ in range(up_to)]
     unit = 1
-    for w in g.ends():
+    for w in g.require_valid().ends:
         step = _shift(gd.invariant_factors, gd.dual_character(w))
         for i in range(m[w], up_to + 1):
             codes[i] += [c + unit for c in codes[i - m[w]]]
@@ -88,7 +88,7 @@ def _generators(g, v, system, up_to):
     coefficients of equal codes summed.  Every leading form must be
     isotypic and every coefficient an int, also above the degree bound."""
     gd = group_data(g)
-    ends = g.ends()
+    ends = g.require_valid().ends
     gens = []
     for ns in system.nodes:
         for eq in ns.equations:

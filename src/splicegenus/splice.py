@@ -91,7 +91,7 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
     A alpha - A_v (A_v column v of the adjugate); each must be >= 0,
     divisible by |det I|, and 0 off the branch.
     """
-    ends = set(g.ends())
+    ends = g.require_valid().ends
     branch_vs = set(branch.subgraph.ids)
     # only ends on the branch may carry exponents
     if any(w not in ends or int(a) < 0 or (a and w not in branch_vs)
@@ -162,14 +162,14 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     solutions of this bounded knapsack over the branch's ends, listed with
     the ends by decreasing m_vw (so the computed last exponent has the
     smallest weight), are validated by the independent path in key order
-    (total exponent, then lex over g.ends()); the first valid one is
-    returned.  None means not found within the bound; a bound of at least
-    every m_vv // m_vw makes the search exhaustive.
+    (total exponent, then lex over the ends in ids order); the first valid
+    one is returned.  None means not found within the bound; a bound of at
+    least every m_vv // m_vw makes the search exhaustive.
     """
     m = g.node_weights(v).m
     g.node(v)
     branch_vs = set(branch.subgraph.ids)
-    ends = [w for w in g.ends() if w in branch_vs]
+    ends = [w for w in g.require_valid().ends if w in branch_vs]
     by_m = sorted(ends, key=lambda w: -m[w])
     pos = [by_m.index(w) for w in ends]
     vecs = _exponent_vectors([m[w] for w in by_m], m[v],

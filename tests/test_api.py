@@ -97,6 +97,28 @@ def test_only_graph_builds_graphs():
                     f"{path.name}:{node.lineno} calls ResolutionGraph(...)"
 
 
+def test_only_the_full_parser_builds_a_parser():
+    # a well-formed call is read from the command table (cli._plain_args);
+    # an ArgumentParser(...) call outside cli._build_parser would bring
+    # back a parser build, and its locale import, on every call
+    sources = sorted(Path(splicegenus.__file__).parent.glob("*.py"))
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {}
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(f):
+                    inside.setdefault(node, f.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "ArgumentParser":
+                    found.append((path.name, inside.get(node)))
+    assert found == [("cli.py", "_build_parser")]
+
+
 def test_names_the_benchmark_uses_resolve():
     from splicegenus import check_monomial_condition, parse_graph, pg
     from splicegenus.cli import run

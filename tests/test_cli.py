@@ -106,7 +106,8 @@ def test_pg_uac_prints_the_same_bytes_under_python_O():
 
 @pytest.fixture
 def built_parsers(monkeypatch):
-    """The ArgumentParsers built from now on, both parser caches cleared."""
+    """The ArgumentParsers built from now on, the full parser's cache
+    cleared."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -116,7 +117,6 @@ def built_parsers(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._build_parser.cache_clear()
-    cli._command_parser.cache_clear()
     return built
 
 
@@ -132,10 +132,11 @@ def test_parser_reuse_leaks_no_state(tmp_path, capsys, built_parsers):
         for argv, expected in zip(calls, fresh):
             assert _json_out(capsys, argv) == expected, argv
             built.append(len(built_parsers))
-    # the pg parser alone for "pg --bogus" (it lacks --input, which that
-    # parser reports), the full parser's 12 for --version, then one parser
-    # each for validate and pg-uac; the second round builds none
-    assert built == [1, 13, 13, 14, 15] + [15] * 5
+    # the full parser's 12 (its own and one per command) for the first
+    # call, the error "pg --bogus", reused for --version and the usage
+    # error "pg"; the valid validate and pg-uac calls and the second round
+    # build none
+    assert built == [12] * 10
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -170,16 +171,117 @@ def _case_id(argv):
 
 @pytest.mark.parametrize("argv", _PARSER_CASES, ids=_case_id)
 def test_one_command_parser_matches_the_full_parser(argv, capsys):
-    # a call parsed by its command's parser alone reads, prints and exits
-    # as the full parser does, and as a fresh process does
+    # a call read from the command table reads, prints and exits as the
+    # full parser does, and as a fresh process does
     assert _parse_outcome(cli._parse_args, argv, capsys) == _parse_outcome(
         cli._build_parser().parse_args, argv, capsys)
     assert _json_out(capsys, argv) == _fresh_run(argv)
 
 
-def test_a_valid_call_builds_one_parser(capsys, built_parsers):
+def test_a_valid_call_builds_no_parser(capsys, built_parsers):
     assert run(["pg", "--input", _D4]) == 0
-    assert capsys.readouterr().out == "pg = 0\n" and len(built_parsers) == 1
+    assert capsys.readouterr().out == "pg = 0\n" and built_parsers == []
+
+
+def test_a_valid_call_imports_no_locale():
+    # building an ArgumentParser imports locale (through gettext); a fresh
+    # process that runs one valid call does not
+    script = ("import sys; from splicegenus.cli import run; "
+              "code = run(sys.argv[1:]); "
+              "print('locale' in sys.modules, file=sys.stderr); "
+              "sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "pg-uac", "--input",
+         graph_file("fig1.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "False\n")
+    assert proc.stdout.startswith("pg_uac = ")
+
+
+def test_a_valid_call_runs_one_definiteness_pass(capsys, monkeypatch):
+    # every branch with a node inherits the validation of fig1, and the
+    # chain branches are never validated: one Bareiss pass for all roots
+    from splicegenus import exact
+
+    calls = []
+    real = exact.negative_definite_violation
+    monkeypatch.setattr(exact, "negative_definite_violation",
+                        lambda M: calls.append(M) or real(M))
+    assert run(["pg-uac", "--input", graph_file("fig1.json"),
+                "--all-nodes"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+# the tokens of a call: commands and one unknown name; every option in
+# full, abbreviated and as --opt=value; help, --version and --; values
+_SPECS = {flag: kw for _, specs, *_ in cli._COMMANDS.values()
+          for flag, kw in cli._SHARED + specs}
+_OPTIONS = sorted(_SPECS)
+_VALUES = st.sampled_from(["", "-", "0", "3", "-1", "-7", "12", "word", "a,b",
+                           "json", "text", "xml", _D4]) | st.integers(
+                               -20, 70).map(str)
+_TOKENS = st.one_of(
+    st.sampled_from([*cli._COMMANDS, "bogus"]),
+    st.sampled_from(_OPTIONS),
+    st.sampled_from(_OPTIONS).map(lambda f: f[:4]),
+    st.builds(lambda f, v: f"{f}={v}", st.sampled_from(_OPTIONS), _VALUES),
+    st.sampled_from(["-h", "--help", "--version", "--"]),
+    _VALUES)
+
+
+def _values_for(kw):
+    """Values aimed at an option with spec kw: its choices and one outside
+    them; for a typed option ints (a few negative) and texts that int()
+    reads (" -1" is negative without starting with "-") or does not; words
+    otherwise."""
+    if "choices" in kw:
+        return st.sampled_from([*kw["choices"], "xml"])
+    if "type" in kw:
+        return st.integers(-2, 70).map(str) | st.sampled_from(
+            [" -1", "+5", "1_0", "q"])
+    return st.sampled_from([_D4, "word", "0,1"])
+
+
+@st.composite
+def _command_call(draw):
+    """A command (or the unknown name), mostly with its required options,
+    then its options (any option for the unknown name) in any order, each
+    with a value unless it is a switch (mostly one aimed at the option,
+    else any token), and sometimes one stray token."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    specs = dict(cli._SHARED + cli._COMMANDS[command][1]) \
+        if command in cli._COMMANDS else _SPECS
+    flags = [f for f, kw in specs.items() if kw.get("required")] \
+        if draw(st.integers(0, 3)) else []
+    flags += draw(st.lists(st.sampled_from(sorted(specs)), max_size=4))
+    argv = [command]
+    for f in draw(st.permutations(flags)):
+        argv.append(f)
+        if not specs[f].get("action"):
+            argv.append(draw(_values_for(specs[f]) if draw(st.integers(0, 3))
+                             else _TOKENS))
+    return argv + ([] if draw(st.integers(0, 3)) else [draw(_TOKENS)])
+
+
+_CALLS = _command_call() | st.lists(_TOKENS, max_size=8)
+
+
+@given(_CALLS)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_reader_agrees_with_the_full_parser(capsys, argv):
+    # the command-table reader returns the full parser's namespace or
+    # declines, and it declines whenever the full parser exits
+    plain = cli._plain_args(argv)
+    try:
+        full = vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        full = None
+    capsys.readouterr()
+    assert plain is None or vars(plain) == full
 
 
 def test_monomial_check_bound_zero_exits_3(capsys):

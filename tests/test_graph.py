@@ -659,6 +659,48 @@ def test_branches_partition_and_validate(g):
         assert seen == set(g.ids) - {v}
 
 
+def _recursion_graphs(g):
+    """g and every branch with a node of a graph in the list, each once."""
+    out, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        if all(h is not x for x in out):
+            out.append(h)
+            stack += [b.subgraph for v in h.nodes() for b in h.branches(v)
+                      if not b.is_chain]
+    return out
+
+
+@pytest.mark.parametrize("graphs", [
+    lambda: [d4(), e8(), exmc(), fig1()],
+    lambda: [star(b, legs) for b, legs in small_stars()],
+    lambda: list(splice_quotient_trees(1, 10)),
+    lambda: [caterpillar(k) for k in (3, 4, 5)],
+], ids=["fixtures", "small-stars", "splice-quotient-trees", "caterpillars"])
+def test_branches_record_the_validation_the_branch_would_compute(
+        graphs, monkeypatch):
+    # a branch of a valid tree is a connected induced subtree with a
+    # principal submatrix of a negative definite matrix: valid and
+    # negative definite, a chain exactly when it has no node.  No branch
+    # computes its own report, and the recorded one is the one it would
+    graphs = graphs()
+    computed = []
+    real = ResolutionGraph._validation
+    monkeypatch.setattr(ResolutionGraph, "_validation",
+                        lambda self: computed.append(self) or real(self))
+    for g in graphs:
+        for h in _recursion_graphs(g):
+            for v in h.nodes():
+                for b in h.branches(v):
+                    recorded = b.subgraph._cache.get("validation")
+                    if b.is_chain:
+                        assert recorded is None
+                    else:
+                        assert recorded == real(b.subgraph)
+                        assert b.subgraph.require_valid() is recorded
+    assert all(any(h is g for g in graphs) for h in computed)
+
+
 # -- vertex ids -------------------------------------------------------------
 
 @pytest.mark.parametrize("call", [
