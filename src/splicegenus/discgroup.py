@@ -15,10 +15,13 @@ character.  As A I = -|det I| Id, that lift has E-coefficients
 -U_k / s_k, numerators -(|det I| / s_k) U_k over |det I|: c_1(L_chi) is
 the fractional part of one combination of rows of U.
 Characters are the one representation of H, and a character is the tuple
-of its coordinates c_j in [0, d_j): the c_1 cache, the h1 cache and the
-Molien kernel rows are keyed by these tuples.  All work stays in the
-integers: a class of L* is an int list of E*-coordinates, c_1(L_chi) one
-such list, -I r / |det I| for its numerators r (``_c1_numerators``, not
+of its coordinates c_j in [0, d_j): the c_1 cache and the h1 cache are
+keyed by these tuples.  Inside the Molien kernel and the oracle a
+character is its label sum_j c_j s_j, its position in
+``GroupData.characters()``, with the place values s_j = d_{j+1} ... d_r
+(``_places``); adding psi to a label takes one carry per coordinate
+(``_mover``).  All work stays in the integers: a class of L* is an int
+list of E*-coordinates, c_1(L_chi) one such list, -I r / |det I| for its numerators r (``_c1_numerators``, not
 cached), from one ``intersections`` pass whose every entry must divide by
 |det I| (else c_1 is not in L*), and D_{chi,i} an int list of
 E-coefficients, read from r and row v of the parent's adjugate
@@ -33,9 +36,34 @@ cycle) live in tests/reference.py as the independent reference.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import GraphInputError, InternalCheckError
 from .graph import ResolutionGraph
+
+
+def _places(dims):
+    """The place values s_j = d_{j+1} ... d_r of the invariant factors
+    dims: a character c has the label sum_j c_j s_j, its position in
+    ``GroupData.characters()``."""
+    return [math.prod(dims[j + 1:]) for j in range(len(dims))]
+
+
+def _mover(dims, psi):
+    """The map label of c -> label of c + psi, on ints: add psi's label,
+    then take d_j s_j off for each coordinate j whose digit wraps, which
+    is when c mod d_j s_j >= (d_j - psi_j) s_j."""
+    places = _places(dims)
+    step = sum(p * s for p, s in zip(psi, places))
+    carries = [(d * s, (d - p) * s) for d, p, s in zip(dims, psi, places) if p]
+
+    def move(x):
+        y = x + step
+        for q, b in carries:
+            if x % q >= b:
+                y -= q
+        return y
+    return move
 
 
 def group_data(g: ResolutionGraph) -> GroupData:
@@ -62,6 +90,7 @@ class GroupData:
         self._unit_numerators = [
             [-(dd.det_abs // dd.diag[k]) * x % dd.det_abs for x in dd.U[k]]
             for k in kept]
+        self._places = _places(self.invariant_factors)
         self._c1 = {}
 
     @property
@@ -74,6 +103,10 @@ class GroupData:
     @property
     def trivial_character(self):
         return (0,) * self.rank
+
+    def _label(self, chi):
+        """chi's position in ``characters()``, for a checked character."""
+        return sum(c * s for c, s in zip(chi, self._places))
 
     # -- E*-coordinates ---------------------------------------------------
 
@@ -119,12 +152,15 @@ class GroupData:
         det = self.dual.det_abs
         return [r % det for r in rep]
 
-    def _c1_alpha(self, chi):
-        """``c1_alpha`` for a character the caller has already checked."""
+    def _c1_alpha(self, chi, num=None):
+        """``c1_alpha`` for a character the caller has already checked;
+        num, if given, is ``_c1_numerators(chi)``, read on a cache miss."""
         if chi not in self._c1:
             # back to E*-coordinates: alpha = -I r / |det I|
             det = self.dual.det_abs
-            ir = self.graph.intersections(self._c1_numerators(chi))
+            if num is None:
+                num = self._c1_numerators(chi)
+            ir = self.graph.intersections(num)
             if any(x % det for x in ir):
                 raise InternalCheckError("c_1(L_chi) is not in L*")
             alpha = [-x // det for x in ir]

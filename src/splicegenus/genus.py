@@ -149,9 +149,11 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     through phi_i(c_1(L_chi)), the branch's picker applied to c_1's
     E*-coordinates, so h1(L_chi) is c_v^chi plus one read per branch of a
     table that holds one term per distinct phi (``_node_record``); on a
-    miss, D_{chi,i} comes from the numerators of c_1, built once per call,
-    and the parent's adjugate (``nef_shift``), so a chain branch is
-    neither validated nor decomposed.  A traced call computes every term
+    miss, D_{chi,i} comes from the numerators of c_1 and the parent's
+    adjugate (``nef_shift``), so a chain branch is neither validated nor
+    decomposed.  The numerators are built at most once per call, and are
+    never cached; c_1's E*-coordinates, cached per chi, are read off them
+    when they are not cached yet.  A traced call computes every term
     again, so the trace lists every step; the per-branch steps are built
     only for a trace or a ``NegativeH1``.
     h1 does not depend on the node, so it is cached under ("h1", chi) and
@@ -170,10 +172,13 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     v = g.node(root)
     k, branches = _node_record(g, v)
     c_v = c_v_chi(g, v, chi)
-    alpha = gd._c1_alpha(chi)
+    alpha = gd._c1.get(chi)
+    num = None  # c_1's numerators, built at most once: for alpha or a miss
+    if alpha is None:
+        num = gd._c1_numerators(chi)
+        alpha = gd._c1_alpha(chi, num)
     value = c_v
     terms = []
-    num = None  # c_1's numerators, built at the first miss
     for br, cols, pick, table in branches:
         phi = pick(alpha)
         term = table.get(phi) if trace is None else None

@@ -13,8 +13,11 @@ of the character group H^:
 Multiplying by a group element [psi] moves the coefficient of chi to
 chi + psi, so every coefficient is an integer by construction: no roots of
 unity and no cyclotomic reduction.  Each degree is a dict over the
-characters it reaches, keyed by their coordinate tuples (discgroup), so
-the work is per character reached, not per element of H.  By the duality
+characters it reaches, keyed by their labels (positions in
+GroupData.characters(), ``discgroup._places``), and a degree no term
+reaches holds none, so the work is per character reached, not per element
+of H.  A reader converts the one chi it is asked for: characters stay
+coordinate tuples at every interface.  By the duality
 chi -> g - chi (``_cv_table``), the expansion at t = infinity is the same
 product at t = 0, so c_v^chi = p(1), p the polynomial part of H^chi (the
 periodic-constant view of Braun-Nemethi), is the sum of the first a(G) + 1
@@ -36,9 +39,10 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cyclo import _cyclotomic_exponents, reshape
-from .discgroup import group_data
+from .discgroup import _mover, group_data
 from .errors import GraphInputError, InternalCheckError
 from .graph import ResolutionGraph
 from .series import RationalFunctionQ, polynomial_part
@@ -64,30 +68,36 @@ def truncation_m(g: ResolutionGraph, v) -> int:
 def _zh_product(dims, factors, up_to):
     """Expand prod (1 - [psi] t^m)^e in Z[H^][[t]] to degree up_to.
 
-    dims: invariant factors of the character group; characters are their
-    coordinate tuples.  factors: (psi, m, e) with m >= 1; e may be
-    negative.  Returns one dict per degree 0..up_to, mapping each character
+    dims: invariant factors of the character group.  factors: (psi, m, e)
+    with psi a coordinate tuple, m >= 1 and e possibly negative.  Returns
+    one entry per degree 0..up_to: None if no term reaches the degree,
+    else a dict from the label (``discgroup._places``) of each character
     reached to its coefficient; characters not reached have coefficient 0.
     The work is per character reached, never per element of H.
     """
-    rows = [{} for _ in range(up_to + 1)]
-    rows[0][(0,) * len(dims)] = 1
+    rows = [None] * (up_to + 1)
+    rows[0] = {0: 1}
     for psi, m, e in factors:
         if e == 0 or m > up_to:
             continue
-        moved = {}  # c -> c + psi, over the characters reached
+        move = _mover(dims, psi)
+        moved = {}  # c -> c + psi, over the labels reached
         if e > 0:  # times (1 - [psi] t^m), top-down
             sign, degrees = -1, range(up_to, m - 1, -1)
         else:  # divided by it: the geometric series, bottom-up
             sign, degrees = 1, range(m, up_to + 1)
         for _ in range(abs(e)):
             for i in degrees:
+                src = rows[i - m]
+                if src is None:
+                    continue
                 row = rows[i]
-                for c, x in rows[i - m].items():
+                if row is None:
+                    row = rows[i] = {}
+                for c, x in src.items():
                     t = moved.get(c)
                     if t is None:
-                        t = moved[c] = tuple((a + b) % d
-                                             for a, b, d in zip(c, psi, dims))
+                        t = moved[c] = move(c)
                     row[t] = row.get(t, 0) + sign * x
     return rows
 
@@ -108,20 +118,23 @@ def _node_rows(g, v, up_to):
     key = ("molien", v)
     rows = g._cache.get(key)
     if rows is None or len(rows) <= up_to:
-        rows = _zh_product(group_data(g).invariant_factors,
-                           _node_factors(g, v), up_to)
+        gd = group_data(g)
+        rows = _zh_product(gd.invariant_factors, _node_factors(g, v), up_to)
         for i, row in enumerate(rows):
-            for c, x in row.items():
-                if x < 0:
-                    raise InternalCheckError(f"dim G^{c}_{i} = {x}")
+            if row and min(row.values()) < 0:
+                c, x = min(row.items(), key=itemgetter(1))
+                chi = tuple(c // s % d for s, d in
+                            zip(gd._places, gd.invariant_factors))
+                raise InternalCheckError(f"dim G^{chi}_{i} = {x}")
         g._cache[key] = rows
     return rows
 
 
 def _series(g, v, chi, up_to):
-    """dim G^chi_i for i <= up_to."""
-    rows = _node_rows(g, v, up_to)
-    return [row.get(chi, 0) for row in rows[: up_to + 1]]
+    """dim G^chi_i for i <= up_to, for a checked chi."""
+    x = group_data(g)._label(chi)
+    return [row.get(x, 0) if row else 0
+            for row in _node_rows(g, v, up_to)[: up_to + 1]]
 
 
 def molien_coeffs(g: ResolutionGraph, v, up_to):
@@ -130,7 +143,10 @@ def molien_coeffs(g: ResolutionGraph, v, up_to):
     Returns a dict character -> list of nonnegative ints (length up_to+1).
     H^chi is the [chi] coefficient of prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2}.
     """
-    return {chi: _series(g, v, chi, up_to) for chi in group_data(g).characters()}
+    rows = _node_rows(g, v, up_to)[: up_to + 1]
+    # a character's label is its position in characters()
+    return {chi: [row.get(x, 0) if row else 0 for row in rows]
+            for x, chi in enumerate(group_data(g).characters())}
 
 
 def P_chi(g, v, chi, n: int) -> int:
@@ -208,30 +224,35 @@ def molien_closed(g: ResolutionGraph, v, chi) -> RationalFunctionQ:
 
 
 def _cv_table(g, v):
-    """c_v^chi = p(1), p the polynomial part of H^chi, for the characters
-    reached, as a dict from coordinates to values (0 if absent).
+    """(digits, sums) with c_v^chi = sums[label of g - chi] (0 if absent),
+    for c_v^chi = p(1), p the polynomial part of H^chi; digits lists
+    (g_j, d_j, s_j), s_j the place values (``discgroup._places``), so that
+    label is sum_j ((g_j - chi_j) mod d_j) s_j.
 
     With s = 1/t, H^chi is the [chi] coefficient of
     t^a(G) [g] prod_w (1 - [-psi_w] s^{m_vw})^{delta_w - 2}, where
     g = sum_w (delta_w - 2) psi_w (the sign is +1 because
     sum_w (delta_w - 2) = -2 on a tree), so p(1) sums the s^0 .. s^a(G)
     terms of its [chi - g] coefficient.  Negating the characters maps that
-    product onto the t = 0 one, so c_v^chi = P^{g - chi}(a(G) + 1).
+    product onto the t = 0 one, so c_v^chi = P^{g - chi}(a(G) + 1): sums
+    holds those partial sums by the kernel's labels, and nothing is
+    relabelled.
     """
     key = ("cv", v)
-    if key not in g._cache:
-        dims = group_data(g).invariant_factors
+    table = g._cache.get(key)
+    if table is None:
+        gd = group_data(g)
+        dims = gd.invariant_factors
         a = a_invariant(g, v)
         factors = _node_factors(g, v)
-        shift = [sum(e * psi[i] for psi, _, e in factors)  # g
-                 for i in range(len(dims))]
+        digits = [(sum(e * psi[i] for psi, _, e in factors), d, s)  # g
+                  for i, (d, s) in enumerate(zip(dims, gd._places))]
         sums = {}
         for row in _zh_product(dims, factors, a) if a >= 0 else ():
-            for c, x in row.items():
+            for c, x in row.items() if row else ():
                 sums[c] = sums.get(c, 0) + x
-        g._cache[key] = {tuple((y - z) % d for y, z, d in zip(shift, c, dims)): x
-                         for c, x in sums.items()}
-    return g._cache[key]
+        table = g._cache[key] = digits, sums
+    return table
 
 
 def _route_a_degree(g, v):
@@ -274,7 +295,11 @@ def c_v_route_a(g, v, chi) -> int:
 def c_v_chi(g: ResolutionGraph, v, chi) -> int:
     """c_v^chi = p(1), p the polynomial part of H^chi (``_cv_table``)."""
     group_data(g).check_character(chi)
-    return _cv_table(g, v).get(chi, 0)
+    digits, sums = _cv_table(g, v)
+    x = 0  # the label of g - chi
+    for (y, d, s), c in zip(digits, chi):
+        x += (y - c) % d * s
+    return sums.get(x, 0)
 
 
 def c_v_chi_routes(g, v, chi):

@@ -13,7 +13,9 @@ the same loop fills each monomial's character: a is the monomial's
 E*-coordinates at the ends, so its character is
 theta(sum_j a_j E*_j) = sum_j a_j psi_j mod d, and multiplying by x_j adds
 psi_j (one lookup in a table over the characters, which are labelled by
-their position in GroupData.characters()).  Each multiple of a leading
+their position in GroupData.characters(): the labels of the Molien
+kernel, from the one definition of their place values in
+``discgroup._places``).  Each multiple of a leading
 form is a sparse row {position in its block: coefficient}, its block the
 character of the multiple of the form's first term.  Agreement with
 molien_coeffs is the core anti-bug property of the whole package.
@@ -53,12 +55,14 @@ def _check_degree(up_to):
             f"max degree must be a nonnegative int, got {up_to!r}")
 
 
-def _shift(dims, psi):
+def _shift(gd, psi):
     """label of chi -> label of chi + psi, over every character, a label
-    being the position in GroupData.characters() (product order)."""
+    being sum_j c_j s_j, the position in GroupData.characters() (place
+    values s_j: ``GroupData._places``); added in coordinates, so it does
+    not share the kernel's carries."""
     out = [0]
-    for d, p in zip(dims, psi):
-        out = [t * d + (x + p) % d for t in out for x in range(d)]
+    for d, p, s in zip(gd.invariant_factors, psi, gd._places):
+        out = [t + (x + p) % d * s for t in out for x in range(d)]
     return out
 
 
@@ -74,7 +78,7 @@ def _node_table(g, v, up_to):
     chars = [[0]] + [[] for _ in range(up_to)]
     unit = 1
     for w in g.require_valid().ends:
-        step = _shift(gd.invariant_factors, gd.dual_character(w))
+        step = _shift(gd, gd.dual_character(w))
         for i in range(m[w], up_to + 1):
             codes[i] += [c + unit for c in codes[i - m[w]]]
             chars[i] += [step[x] for x in chars[i - m[w]]]

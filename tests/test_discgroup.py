@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 import reference as ref
 from fixtures import (
@@ -28,8 +28,10 @@ from reference import (
 )
 from test_graph import _recursion_subgraphs, random_trees
 from splicegenus import parse_graph
+import splicegenus.oracle as oracle
 from splicegenus.discgroup import (
     GroupData,
+    _mover,
     group_data,
     nef_shift,
 )
@@ -356,6 +358,28 @@ def test_c1_numerators_are_the_adjugate_product(g):
         assert all(0 <= r < det for r in num)
         assert gd.theta_alpha(alpha) == chi
         assert alpha == ref.alpha_of(g, ref.fractional_representative(g, chi))
+
+
+@given(random_trees(max_n=8))
+@example(fig1())
+@example(d4())
+@settings(max_examples=60, deadline=None)
+def test_labels_are_positions_and_the_kernel_adds_psi(g):
+    # the Molien kernel and the oracle key a character by its label, its
+    # position in characters(); the kernel adds psi to a label with one
+    # carry per coordinate, the oracle in coordinates, and both agree
+    gd = GroupData(g)
+    assume(gd.order <= 400)
+    dims = gd.invariant_factors
+    chars = list(gd.characters())
+    position = {chi: x for x, chi in enumerate(chars)}
+    assert [gd._label(chi) for chi in chars] == list(range(len(chars)))
+    for psi in {*map(gd.dual_character, g.ids), *chars[:: len(chars) // 7 + 1]}:
+        move, table = _mover(dims, psi), oracle._shift(gd, psi)
+        assert [move(x) for x in range(len(chars))] == table
+        assert table == [position[tuple((c + p) % d for c, p, d in
+                                        zip(chi, psi, dims))]
+                         for chi in chars]
 
 
 def test_c1_off_the_dual_lattice_is_caught(monkeypatch):

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 import reference as ref
+import splicegenus.molien as molien
 from fixtures import (
     HUGE_H_TREES,
+    caterpillar,
     d4,
     e8,
     exmc,
@@ -570,7 +572,7 @@ def test_pg_does_no_work_over_h(monkeypatch):
         assert group_data(g).order == order
         found[order] = pg(g)
         for v in sorted(g.nodes()):
-            assert sum(_cv_table(g, v).values()) == \
+            assert sum(_cv_table(g, v)[1].values()) == \
                 _cv_sum_without_group(g, v), (order, v)
     assert found == {19273: 0, 34908: 0, 119154: 1}
 
@@ -584,17 +586,48 @@ def _graphs_of_the_dense_check():
 
 
 def test_sparse_kernel_matches_dense_reference():
-    for g in _graphs_of_the_dense_check():
-        for v in sorted(g.nodes()):
-            assert molien_coeffs(g, v, 16) == ref.dense_molien_coeffs(g, v, 16)
+    # to degree 16 on the corpus; then where labels can go wrong: fig1's
+    # nearly full rows to Route A's degree at v1, the large cyclic group of
+    # caterpillar(3), and the rank-2 groups (Z/6)^2 of fig1 and (Z/2)^2 of
+    # d4 well past the degree where every character is reached
+    cases = [(g, sorted(g.nodes()), 16) for g in _graphs_of_the_dense_check()]
+    g = fig1()
+    assert group_data(g).invariant_factors == [6, 6]
+    assert molien._route_a_degree(g, "v1") == 179
+    cases.append((g, ["v1"], 179))
+    g = caterpillar(3)
+    assert group_data(g).invariant_factors == [2857]
+    cases.append((g, sorted(g.nodes()), 48))
+    g = d4()
+    assert group_data(g).invariant_factors == [2, 2]
+    cases.append((g, ["c"], 60))
+    for g, nodes, up_to in cases:
+        for v in nodes:
+            assert molien_coeffs(g, v, up_to) == \
+                ref.dense_molien_coeffs(g, v, up_to), (g.fingerprint(), v)
             assert {chi: c_v_chi(g, v, chi) for chi in group_data(g).characters()} \
                 == ref.dense_cv_at_infinity(g, v), (g.fingerprint(), v)
 
 
+def test_a_negative_coefficient_is_named_by_its_character(monkeypatch):
+    # the kernel's rows are keyed by labels; the diagnostic decodes the
+    # offending one back to its coordinates
+    real = molien._zh_product
+
+    def one_negative(dims, factors, up_to):
+        rows = real(dims, factors, up_to)
+        rows[3][group_data(g)._label((2, 5))] = -1
+        return rows
+
+    g = fig1()
+    monkeypatch.setattr(molien, "_zh_product", one_negative)
+    with pytest.raises(InternalCheckError) as err:
+        molien_coeffs(g, "v0", 5)
+    assert str(err.value) == "dim G^(2, 5)_3 = -1"
+
+
 def test_c_v_kernel_expands_the_node_factors_as_they_are(monkeypatch):
     # c_v reads the t = 0 product itself, not a list with negated characters
-    import splicegenus.molien as molien
-
     calls = []
     real = molien._zh_product
     monkeypatch.setattr(molien, "_zh_product", lambda dims, factors, up_to: (

@@ -4,6 +4,7 @@ import pytest
 
 from fixtures import (
     a_chain,
+    caterpillar,
     d4,
     e8,
     exmc,
@@ -16,6 +17,7 @@ from fixtures import (
 import splicegenus.oracle as O
 from reference import bruteforce_eigendims as tuple_reference
 from reference import total_ci_coeffs
+from splicegenus import pg
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.molien import group_data, molien_coeffs
 from splicegenus.oracle import (
@@ -37,6 +39,18 @@ def test_artin_rational_values():
     assert artin_rational(a_chain(5))
     assert artin_rational(exmc()) is False
     assert artin_rational(fig1()) is False
+
+
+def test_artin_rational_iff_pg_is_zero():
+    # Artin's criterion reads only the fundamental cycle, so it checks
+    # p_g = 0 from outside the recursion and the Molien kernel
+    graphs = [a_chain(3), d4(), e8(), exmc(), fig1(),
+              *(star(b, legs) for b, legs in small_stars()),
+              *splice_quotient_trees(seed=1, count=10),
+              *map(caterpillar, (3, 4, 5))]
+    rational = [artin_rational(g) for g in graphs]
+    assert rational == [pg(g) == 0 for g in graphs]
+    assert 0 < sum(rational) < len(graphs)
 
 
 def test_bruteforce_matches_molien_on_two_node_graph():
