@@ -15,22 +15,24 @@ character.  As A I = -|det I| Id, that lift has E-coefficients
 -U_k / s_k, numerators -(|det I| / s_k) U_k over |det I|: c_1(L_chi) is
 the fractional part of one combination of rows of U.
 Characters are the one representation of H, and a character is the tuple
-of its coordinates c_j in [0, d_j): the c_1 cache and the h1 cache are
-keyed by these tuples.  Inside the Molien kernel and the oracle a
-character is its label sum_j c_j s_j, its position in
-``GroupData.characters()``, with the place values s_j = d_{j+1} ... d_r
-(``_places``); adding psi to a label takes one carry per coordinate
-(``_mover``).  All work stays in the integers: a class of L* is an int
-list of E*-coordinates, c_1(L_chi) one such list, -I r / |det I| for its numerators r (``_c1_numerators``, not
-cached), from one ``intersections`` pass whose every entry must divide by
-|det I| (else c_1 is not in L*), and D_{chi,i} an int list of
-E-coefficients, read from r and row v of the parent's adjugate
-(``nef_shift``), so nothing multiplies by A.
-``c1_alpha`` checks its character; the package's callers, which have
-checked it already, read ``_c1_alpha``; theta(c_1(L_chi)) = chi is left
-to the tests.  The rational routes from the definitions (classes of
-rational cycles, the pairing and its reduction mod 1, c_1 as a rational
-cycle) live in tests/reference.py as the independent reference.
+of its coordinates c_j in [0, d_j): the h1 cache is keyed by these
+tuples, and nothing here is kept per character.  Inside the Molien
+kernel and the oracle a character is its label sum_j c_j s_j, its
+position in ``GroupData.characters()``, with the place values
+s_j = d_{j+1} ... d_r (``_places``); adding psi to a label takes one
+carry per coordinate (``_mover``).  All work stays in the integers: a
+class of L* is an int list of E*-coordinates, c_1(L_chi) one such list,
+-I r / |det I| for its numerators r (``_c1_numerators``), from one
+``intersections`` pass whose every entry must divide by |det I| (else
+c_1 is not in L*), and D_{chi,i} an int list of E-coefficients, read
+from r and row v of the parent's adjugate (``nef_shift``), so nothing
+multiplies by A.  c_1 is a value, computed per call: ``c1_alpha``
+checks its character, and the package's callers, which have checked it
+already, build r once and read ``_c1_alpha(r)`` and all else off it;
+theta(c_1(L_chi)) = chi is left to the tests.  The rational routes from
+the definitions (classes of rational cycles, the pairing and its
+reduction mod 1, c_1 as a rational cycle) live in tests/reference.py as
+the independent reference.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class GroupData:
             [-(dd.det_abs // dd.diag[k]) * x % dd.det_abs for x in dd.U[k]]
             for k in kept]
         self._places = _places(self.invariant_factors)
-        self._c1 = {}
 
     @property
     def rank(self):
@@ -138,13 +139,12 @@ class GroupData:
     def c1_alpha(self, chi):
         """E*-coordinates of c_1(L_chi), the representative of chi with
         E-coefficients in [0, 1)."""
-        # checked before the lookup: (0.0, 1) hashes and compares as (0, 1)
         self.check_character(chi)
-        return self._c1_alpha(chi)
+        return self._c1_alpha(self._c1_numerators(chi))
 
     def _c1_numerators(self, chi):
         """|det I| times the E-coefficients of c_1(L_chi), each in
-        [0, |det I|), for a checked character; not cached."""
+        [0, |det I|), for a checked character."""
         rep = [0] * len(self.graph.ids)
         for c, row in zip(chi, self._unit_numerators):
             if c:
@@ -152,23 +152,14 @@ class GroupData:
         det = self.dual.det_abs
         return [r % det for r in rep]
 
-    def _c1_alpha(self, chi, num=None):
-        """``c1_alpha`` for a character the caller has already checked;
-        num, if given, is ``_c1_numerators(chi)``, read on a cache miss."""
-        if chi not in self._c1:
-            # back to E*-coordinates: alpha = -I r / |det I|
-            det = self.dual.det_abs
-            if num is None:
-                num = self._c1_numerators(chi)
-            ir = self.graph.intersections(num)
-            if any(x % det for x in ir):
-                raise InternalCheckError("c_1(L_chi) is not in L*")
-            alpha = [-x // det for x in ir]
-            # the slice has no spare slots, the comprehension does: 3 MB
-            # over the 119,154 characters pg_uac caches on the largest
-            # tree of the test fixtures
-            self._c1[chi] = alpha[:]
-        return self._c1[chi]
+    def _c1_alpha(self, num):
+        """E*-coordinates of c_1(L_chi) from its numerators num
+        (``_c1_numerators``): alpha = -I num / |det I|."""
+        det = self.dual.det_abs
+        ir = self.graph.intersections(num)
+        if any(x % det for x in ir):
+            raise InternalCheckError("c_1(L_chi) is not in L*")
+        return [-x // det for x in ir]
 
 
 def nef_shift(dual, k, cols, num):

@@ -21,9 +21,9 @@ one ``itemgetter`` call that reads phi_i out of c_1's E*-coordinates and
 one table read.  No table over H is built.
 
 Cycles are int lists of E-coefficients in g.ids order, and so are the
-degree lists of line bundles; c_1(L_chi) is held by its E*-coordinates
-(``GroupData.c1_alpha``), and its floors read its numerators over |det I|
-(``GroupData._c1_numerators``), so every term is an integer.
+degree lists of line bundles; c_1(L_chi), built once per step, gives its
+numerators over |det I| to the floors (``GroupData._c1_numerators``) and
+E*-coordinates read off them (``GroupData._c1_alpha``): all is integral.
 """
 
 from __future__ import annotations
@@ -67,15 +67,26 @@ def euler_char_on_cycle(g: ResolutionGraph, d, ldeg=None) -> int:
     return g.riemann_roch(d, ldeg)
 
 
-def _floor_c1_shift(g, v, chi, n):
-    """q = [c_1(L_chi) - (n/e_v)E_v] as integer E-coefficients in g.ids
-    order, for a checked chi; only the coefficient at v can be nonzero."""
+def _twist(g, v, chi, n):
+    """(alpha, q, D) for the degree-n twist along the node v, with v, n
+    and chi checked, from one build of c_1's numerators: alpha holds the
+    E*-coordinates of c_1(L_chi), q = [c_1(L_chi) - (n/e_v)E_v] its
+    integer E-coefficients in g.ids order, of which only the one at v can
+    be nonzero, and D the minimal nef correction."""
+    g.node(v)  # v = None names no vertex: g.index rejects it below
+    if type(n) is not int:  # bool excluded, as for characters
+        raise GraphInputError(f"twist degree must be an int, got {n!r}")
+    if n < 0:
+        raise GraphInputError(f"twist degree must be >= 0, got {n}")
     gd = group_data(g)
+    gd.check_character(chi)
+    num = gd._c1_numerators(chi)
     det, e_v, k = gd.dual.det_abs, g.node_weights(v).e, g.index(v)
-    r_v = gd._c1_numerators(chi)[k]
     q = [0] * len(g.ids)
-    q[k] = (r_v * e_v - n * det) // (det * e_v)
-    return q
+    q[k] = (num[k] * e_v - n * det) // (det * e_v)
+    alpha = gd._c1_alpha(num)
+    base = [x + a for x, a in zip(g.intersections(q), alpha)]
+    return alpha, q, g.laufer(base, g.ids)
 
 
 def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
@@ -86,17 +97,9 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     intersection with the corrected class, add E_w to D; the result does
     not depend on the scan order.  The class base = [c_1 - (n/e_v)E_v] - c_1
     has base.E_w = (I q)_w + alpha_w, with alpha the E*-coordinates of c_1,
-    so the loop runs in the integers.
+    so the loop runs in the integers (``_twist``).
     """
-    g.node(v)  # v = None names no vertex: g.index rejects it below
-    if type(n) is not int:  # bool excluded, as for characters
-        raise GraphInputError(f"twist degree must be an int, got {n!r}")
-    if n < 0:
-        raise GraphInputError(f"twist degree must be >= 0, got {n}")
-    alpha = group_data(g).c1_alpha(chi)  # checks chi for _floor_c1_shift
-    q = _floor_c1_shift(g, v, chi, n)
-    base = [x + a for x, a in zip(g.intersections(q), alpha)]
-    return g.laufer(base, g.ids)
+    return _twist(g, v, chi, n)[2]
 
 
 def _picker(cols):
@@ -151,11 +154,11 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     table that holds one term per distinct phi (``_node_record``); on a
     miss, D_{chi,i} comes from the numerators of c_1 and the parent's
     adjugate (``nef_shift``), so a chain branch is neither validated nor
-    decomposed.  The numerators are built at most once per call, and are
-    never cached; c_1's E*-coordinates, cached per chi, are read off them
-    when they are not cached yet.  A traced call computes every term
-    again, so the trace lists every step; the per-branch steps are built
-    only for a trace or a ``NegativeH1``.
+    decomposed.  Each step that is not read from the h1 cache builds the
+    numerators once and c_1's E*-coordinates once from them; neither is
+    kept.  A traced call computes every term again, so the trace lists
+    every step; the per-branch steps are built only for a trace or a
+    ``NegativeH1``.
     h1 does not depend on the node, so it is cached under ("h1", chi) and
     read when root is None; a named root recomputes the top level and is
     compared with the cached value.  A branch is one graph per vertex set,
@@ -172,18 +175,14 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     v = g.node(root)
     k, branches = _node_record(g, v)
     c_v = c_v_chi(g, v, chi)
-    alpha = gd._c1.get(chi)
-    num = None  # c_1's numerators, built at most once: for alpha or a miss
-    if alpha is None:
-        num = gd._c1_numerators(chi)
-        alpha = gd._c1_alpha(chi, num)
+    num = gd._c1_numerators(chi)
+    alpha = gd._c1_alpha(num)
     value = c_v
     terms = []
     for br, cols, pick, table in branches:
         phi = pick(alpha)
         term = table.get(phi) if trace is None else None
         if term is None:
-            num = gd._c1_numerators(chi) if num is None else num
             D = nef_shift(gd.dual, k, cols, num)
             term = table[phi] = _branch_term(br, phi, D, trace)
         terms.append(term)
@@ -228,14 +227,14 @@ def h1_twisted(g: ResolutionGraph, v, chi, n: int, d):
     order.
     """
     _check_ints(g, d, "cycle", effective=True)
-    bound = minimal_nef_correction(g, v, chi, n)
+    alpha, q, bound = _twist(g, v, chi, n)
     if any(x > b for x, b in zip(d, bound)):
         raise CycleOutOfRange(
             f"cycle exceeds the minimal nef correction {bound!r}")
-    d_prime = [x - y for x, y in zip(d, _floor_c1_shift(g, v, chi, n))]
+    d_prime = [x - y for x, y in zip(d, q)]
     h0drop = P_chi(g, v, chi, n)
     # the degree of -L_chi on E_w is -c_1(L_chi).E_w = alpha_w
-    h1 = g.riemann_roch(d_prime, group_data(g).c1_alpha(chi)) - h0drop
+    h1 = g.riemann_roch(d_prime, alpha) - h0drop
     return h0drop, h1 + h1_eigensheaf(g, chi)
 
 

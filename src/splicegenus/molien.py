@@ -130,6 +130,12 @@ def _node_rows(g, v, up_to):
     return rows
 
 
+def _check_degree(up_to):
+    if type(up_to) is not int or up_to < 0:  # bool excluded
+        raise GraphInputError(
+            f"max degree must be a nonnegative int, got {up_to!r}")
+
+
 def _series(g, v, chi, up_to):
     """dim G^chi_i for i <= up_to, for a checked chi."""
     x = group_data(g)._label(chi)
@@ -143,6 +149,7 @@ def molien_coeffs(g: ResolutionGraph, v, up_to):
     Returns a dict character -> list of nonnegative ints (length up_to+1).
     H^chi is the [chi] coefficient of prod_w (1 - [psi_w] t^{m_vw})^{delta_w - 2}.
     """
+    _check_degree(up_to)
     rows = _node_rows(g, v, up_to)[: up_to + 1]
     # a character's label is its position in characters()
     return {chi: [row.get(x, 0) if row else 0 for row in rows]
@@ -331,6 +338,7 @@ class HilbertData:
 
 
 def hilbert_data(g, v, up_to, closed_for=()) -> HilbertData:
+    _check_degree(up_to)
     if closed_for:  # build the table once, to the largest degree read
         _node_rows(g, v, max(up_to, _closed_degrees(g, v)[1] + 1))
     closed = {chi: molien_closed(g, v, chi) for chi in closed_for}

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from . import exact
 from .discgroup import group_data
-from .errors import GraphInputError, InternalCheckError
+from .errors import InternalCheckError
 from .graph import ResolutionGraph
-from .molien import molien_coeffs
+from .molien import _check_degree, molien_coeffs
 from .splice import SpliceSystem, _alpha, emit_splice_system, v_degree
 
 
@@ -47,12 +47,6 @@ def _leading_form(g, v, equation):
     degs = [v_degree(g, v, exps) for _, exps in equation]
     low = min(degs)
     return low, [(c, exps) for (c, exps), d in zip(equation, degs) if d == low]
-
-
-def _check_degree(up_to):
-    if type(up_to) is not int or up_to < 0:  # bool excluded
-        raise GraphInputError(
-            f"max degree must be a nonnegative int, got {up_to!r}")
 
 
 def _shift(gd, psi):

@@ -29,7 +29,11 @@ from math import gcd
 
 from . import exact
 from .discgroup import group_data
-from .errors import InternalCheckError, MonomialConditionUnknown
+from .errors import (
+    GraphInputError,
+    InternalCheckError,
+    MonomialConditionUnknown,
+)
 from .graph import ResolutionGraph
 
 
@@ -71,16 +75,18 @@ class SpliceSystem:
 
 def _alpha(g: ResolutionGraph, exponents):
     """The exponent vector as E*-coordinates, in g.ids order."""
-    return [int(exponents.get(w, 0)) for w in g.ids]
+    return [exponents.get(w, 0) for w in g.ids]
 
 
 def v_degree(g: ResolutionGraph, v, exponents) -> int:
     """Sum of alpha_w m_vw; equals -e_v D.E*_v = e_v (coefficient of D at v),
     since m_vw |det I| = e_v A_vw: row v of the adjugate, which
-    ``dual_data`` checks."""
+    ``dual_data`` checks.  Exponents must be ints, bool excluded."""
     m = g.node_weights(v).m
     g.node(v)
-    return sum(int(a) * m[w] for w, a in exponents.items())
+    if any(type(a) is not int for a in exponents.values()):
+        raise GraphInputError(f"exponents must be ints, got {exponents!r}")
+    return sum(a * m[w] for w, a in exponents.items())
 
 
 def validate_witness(g: ResolutionGraph, v, branch, exponents):
@@ -89,13 +95,13 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
     Deliberately a separate code path from the search: recomputes the
     residual from scratch.  |det I| (D - E*_v) has E-coefficients
     A alpha - A_v (A_v column v of the adjugate); each must be >= 0,
-    divisible by |det I|, and 0 off the branch.
+    divisible by |det I|, and 0 off the branch.  Exponents are ints >= 0.
     """
     ends = g.require_valid().ends
     branch_vs = set(branch.subgraph.ids)
     # only ends on the branch may carry exponents
-    if any(w not in ends or int(a) < 0 or (a and w not in branch_vs)
-           for w, a in exponents.items()):
+    if any(w not in ends or type(a) is not int or a < 0
+           or (a and w not in branch_vs) for w, a in exponents.items()):
         return None
     dd = g.dual_data()
     det = dd.det_abs
@@ -107,7 +113,7 @@ def validate_witness(g: ResolutionGraph, v, branch, exponents):
             return None
         residual.append(r)
     return AdmissibilityWitness(node=v, attach=branch.attach,
-                                exponents={w: int(a) for w, a in
+                                exponents={w: a for w, a in
                                            exponents.items() if a},
                                 residual=residual)
 

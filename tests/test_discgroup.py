@@ -36,6 +36,7 @@ from splicegenus.discgroup import (
     nef_shift,
 )
 from splicegenus.errors import InternalCheckError
+from splicegenus.genus import h1_eigensheaf, pg_uac
 
 
 def test_mod1():
@@ -345,15 +346,15 @@ def test_integer_core_matches_fraction_route(g):
 @given(random_trees(max_n=8))
 @settings(max_examples=60, deadline=None)
 def test_c1_numerators_are_the_adjugate_product(g):
-    # the numerators the nef shift reads are A alpha for the cached alpha,
-    # the E-coefficients in [0, 1) times |det I|, theta takes c_1(L_chi)
-    # back to chi, and alpha is the reference c_1's E*-coordinates
+    # the numerators the nef shift reads are A alpha for the alpha read off
+    # them, the E-coefficients in [0, 1) times |det I|, theta takes
+    # c_1(L_chi) back to chi, and alpha is the reference c_1's E*-coordinates
     gd = GroupData(g)
     assume(gd.order <= 64)
     det = gd.dual.det_abs
     for chi in gd.characters():
         num = gd._c1_numerators(chi)
-        alpha = gd._c1_alpha(chi)
+        alpha = gd._c1_alpha(num)
         assert num == gd.dual.numerators(alpha)
         assert all(0 <= r < det for r in num)
         assert gd.theta_alpha(alpha) == chi
@@ -384,13 +385,30 @@ def test_labels_are_positions_and_the_kernel_adds_psi(g):
 
 def test_c1_off_the_dual_lattice_is_caught(monkeypatch):
     # numerators r with I r not divisible by |det I| name no class of L*;
-    # alpha = -I r // |det I| would floor them into a wrong c_1
-    gd = GroupData(fig1())
+    # alpha = -I r // |det I| would floor them into a wrong c_1, both where
+    # c1_alpha reads them and where an h1 step does
+    g = fig1()
+    gd = group_data(g)
     real = gd._c1_numerators
     monkeypatch.setattr(gd, "_c1_numerators",
                         lambda chi: [real(chi)[0] + 1, *real(chi)[1:]])
-    with pytest.raises(InternalCheckError, match="not in L"):
-        gd._c1_alpha((1, 5))
+    with pytest.raises(InternalCheckError, match="c_1\\(L_chi\\) is not in L"):
+        gd.c1_alpha((1, 5))
+    with pytest.raises(InternalCheckError, match="c_1\\(L_chi\\) is not in L"):
+        h1_eigensheaf(g, (1, 5))
+
+
+def test_group_data_keeps_nothing_per_character():
+    # c_1(L_chi) is a value, not a cache: once pg_uac has evaluated every
+    # character, no container on the graph's GroupData holds |H| items
+    g = fig1()
+    pg_uac(g)
+    gd = group_data(g)
+    assert gd.order == 36
+    assert all(("h1", chi) in g._cache for chi in gd.characters())
+    sizes = {name: len(x) for name, x in vars(gd).items()
+             if isinstance(x, (dict, list, tuple, set))}
+    assert sizes and max(sizes.values()) < gd.order, sizes
 
 
 # -- c_1(L_chi) without walking H ----------------------------------------------

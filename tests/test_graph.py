@@ -37,7 +37,7 @@ from splicegenus.errors import (
     NotATree,
     NotNegativeDefinite,
 )
-from splicegenus.genus import _floor_c1_shift
+from splicegenus.genus import _twist
 from splicegenus.graph import DualData
 from splicegenus.molien import (
     P_chi,
@@ -386,7 +386,7 @@ def _check_implied_identities(g, rng):
             assert all(c >= 0 for b in cols for c in nef_shift(dd, k, b, num))
             # h1_twisted: [c_1 - (n/e_v) E_v] <= 0, so D' = D - it is >= 0
             for n in (0, 1, nw.e, nw.a_v + 1):
-                assert max(_floor_c1_shift(g, v, chi, n)) <= 0
+                assert max(_twist(g, v, chi, n)[1]) <= 0
 
 
 @pytest.mark.parametrize("family", ["d4", "e8", "exmc", "fig1", "stars",

@@ -19,7 +19,7 @@ from reference import bruteforce_eigendims as tuple_reference
 from reference import total_ci_coeffs
 from splicegenus import pg
 from splicegenus.errors import GraphInputError, InternalCheckError
-from splicegenus.molien import group_data, molien_coeffs
+from splicegenus.molien import group_data, hilbert_data, molien_coeffs
 from splicegenus.oracle import (
     artin_rational,
     bruteforce_eigendims,
@@ -255,11 +255,15 @@ def test_generators_above_the_degree_bound_are_skipped(make, v, up_to):
 
 @pytest.mark.parametrize("up_to", [-1, True, False, 2.5, "3", None])
 def test_degree_bound_must_be_a_nonnegative_int(up_to):
+    # one check for every reader of a degree bound, Molien's and the oracle's
     g = d4()
-    with pytest.raises(GraphInputError, match="max degree must be"):
-        oracle_verify(g, up_to)
-    with pytest.raises(GraphInputError, match="max degree must be"):
-        bruteforce_eigendims(g, "c", emit_splice_system(g), up_to)
+    for call in (lambda: oracle_verify(g, up_to),
+                 lambda: bruteforce_eigendims(g, "c", emit_splice_system(g), up_to),
+                 lambda: molien_coeffs(g, "c", up_to),
+                 lambda: hilbert_data(g, "c", up_to),
+                 lambda: hilbert_data(g, "c", up_to, closed_for=[(0, 1)])):
+        with pytest.raises(GraphInputError, match="max degree must be"):
+            call()
 
 
 @pytest.mark.parametrize("v", ["l1", "zz", 0])

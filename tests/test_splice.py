@@ -20,7 +20,7 @@ from fixtures import (
 )
 from splicegenus import splice
 from splicegenus.discgroup import group_data
-from splicegenus.errors import InternalCheckError
+from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.graph import parse_graph
 from splicegenus.splice import (
     check_monomial_condition,
@@ -123,6 +123,17 @@ def test_validate_rejects_bad_witnesses():
     # residual not effective / not integral
     assert validate_witness(g, "E5", br, {"E1": 1}) is None
     assert validate_witness(g, "E5", br, {"E1": 3}) is None
+
+
+@pytest.mark.parametrize("a", [1.5, True, 2.0])
+def test_non_int_exponents_are_refused_not_truncated(a):
+    # {"w1": 1} is a witness at (v0, u4) on fig1, and no non-int stands for 1
+    g = fig1()
+    br = _branch(g, "v0", "u4")
+    assert validate_witness(g, "v0", br, {"w1": 1}) is not None
+    assert validate_witness(g, "v0", br, {"w1": a}) is None
+    with pytest.raises(GraphInputError, match="exponents must be ints"):
+        v_degree(g, "v0", {"w1": a})
 
 
 # -- the search ------------------------------------------------------------
