@@ -41,7 +41,7 @@ import itertools
 import math
 
 from .errors import GraphInputError, InternalCheckError
-from .graph import ResolutionGraph
+from .graph import ResolutionGraph, _per_graph
 
 
 def _places(dims):
@@ -68,11 +68,10 @@ def _mover(dims, psi):
     return move
 
 
+@_per_graph("group")
 def group_data(g: ResolutionGraph) -> GroupData:
     """The graph's GroupData, built once and kept in its cache."""
-    if "group" not in g._cache:
-        g._cache["group"] = GroupData(g)
-    return g._cache["group"]
+    return GroupData(g)
 
 
 class GroupData:

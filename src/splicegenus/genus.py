@@ -38,7 +38,7 @@ from .errors import (
     InternalCheckError,
     NegativeH1,
 )
-from .graph import ResolutionGraph
+from .graph import ResolutionGraph, _per_graph
 from .molien import P_chi, c_v_chi
 
 
@@ -73,7 +73,8 @@ def _twist(g, v, chi, n):
     E*-coordinates of c_1(L_chi), q = [c_1(L_chi) - (n/e_v)E_v] its
     integer E-coefficients in g.ids order, of which only the one at v can
     be nonzero, and D the minimal nef correction."""
-    g.node(v)  # v = None names no vertex: g.index rejects it below
+    k = g.index(v)  # an unknown id, None included, is named as a vertex
+    g.node(v)
     if type(n) is not int:  # bool excluded, as for characters
         raise GraphInputError(f"twist degree must be an int, got {n!r}")
     if n < 0:
@@ -81,7 +82,7 @@ def _twist(g, v, chi, n):
     gd = group_data(g)
     gd.check_character(chi)
     num = gd._c1_numerators(chi)
-    det, e_v, k = gd.dual.det_abs, g.node_weights(v).e, g.index(v)
+    det, e_v = gd.dual.det_abs, g.node_weights(v).e
     q = [0] * len(g.ids)
     q[k] = (num[k] * e_v - n * det) // (det * e_v)
     alpha = gd._c1_alpha(num)
@@ -112,6 +113,7 @@ def _picker(cols):
     return itemgetter(*cols)
 
 
+@_per_graph("node_record")
 def _node_record(g, v):
     """(k, branches) for the node v, built once: k is the position of v in
     g.ids, and branches one (branch, cols, pick, table) per branch at v,
@@ -121,15 +123,12 @@ def _node_record(g, v):
     filled on demand.  The term depends on the branch graph and phi alone,
     so the table is kept in the branch's cache and serves every (graph,
     root) the branch hangs on."""
-    key = ("node_record", v)
-    if key not in g._cache:
-        branches = []
-        for br in g.branches(v):
-            cols = [g._pos[w] for w in br.subgraph.ids]
-            branches.append((br, cols, _picker(cols),
-                             br.subgraph._cache.setdefault("terms", {})))
-        g._cache[key] = (g._pos[v], branches)
-    return g._cache[key]
+    branches = []
+    for br in g.branches(v):
+        cols = [g._pos[w] for w in br.subgraph.ids]
+        branches.append((br, cols, _picker(cols),
+                         br.subgraph._cache.setdefault("terms", {})))
+    return g._pos[v], branches
 
 
 def _branch_term(br, phi, D, trace):

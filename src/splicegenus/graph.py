@@ -27,6 +27,7 @@ as position pairs built once per graph.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -91,6 +92,21 @@ class Branch:
     attach: str            # the branch vertex adjacent to the node
     subgraph: "ResolutionGraph"
     is_chain: bool         # no node: a branch of a valid tree is valid
+
+
+def _per_graph(key):
+    """Memoise f(g, *args) in g._cache under key, or under (key, *args),
+    built on the first call; no value it builds is None."""
+    def memo(f):
+        @functools.wraps(f)
+        def cached(g, *args):
+            k = (key, *args) if args else key
+            value = g._cache.get(k)
+            if value is None:
+                value = g._cache[k] = f(g, *args)
+            return value
+        return cached
+    return memo
 
 
 class ResolutionGraph:
@@ -199,13 +215,11 @@ class ResolutionGraph:
 
     # -- validation -------------------------------------------------------
 
+    @_per_graph("validation")
     def validate(self) -> ValidationReport:
-        """The validation report, built once per graph (one Bareiss pass)."""
-        if "validation" not in self._cache:
-            self._cache["validation"] = self._validation()
-        return self._cache["validation"]
-
-    def _validation(self):
+        """The validation report, built once per graph (one Bareiss pass).
+        A tree whose leading minors are all correctly signed is negative
+        definite, so every weight E_v^2 is <= -1."""
         n = len(self.ids)
         if n == 0:
             return ValidationReport(False, False, False, False, [], [],
@@ -225,10 +239,6 @@ class ResolutionGraph:
             warnings.append(
                 "chain (cyclic quotient): excluded by Assumption 2.1 at top level"
             )
-        for v in self.ids:
-            if self.weight[v] > -1:
-                return ValidationReport(False, True, True, chain, [], [],
-                                        error=f"weight of {v!r} must be <= -1")
         return ValidationReport(True, True, True, chain,
                                 nodes, self.ends(), warnings=warnings)
 
@@ -247,17 +257,13 @@ class ResolutionGraph:
         if not rep.valid:
             if not rep.is_tree:
                 raise NotATree(rep.error)
-            if not rep.negative_definite:
-                raise NotNegativeDefinite(rep.minor_index)
-            raise GraphInputError(rep.error)
+            raise NotNegativeDefinite(rep.minor_index)
         return rep
 
     # -- dual cycles and weights ------------------------------------------
 
+    @_per_graph("dual")
     def dual_data(self) -> DualData:
-        key = "dual"
-        if key in self._cache:
-            return self._cache[key]
         self.require_valid()
         U, S, V = exact.smith_normal_form(self.intersection_matrix())
         n = len(S)
@@ -282,23 +288,17 @@ class ResolutionGraph:
                     -det_abs if j == i else 0 for j in range(n)]:
                 raise InternalCheckError(
                     f"I A != -|det I| Id in column {self.ids[i]!r}")
-        data = DualData(adjugate=A, det_abs=det_abs, U=U, diag=diag, V=V)
-        self._cache[key] = data
-        return data
+        return DualData(adjugate=A, det_abs=det_abs, U=U, diag=diag, V=V)
 
+    @_per_graph("nw")
     def node_weights(self, v) -> NodeWeights:
-        key = ("nw", v)
-        if key in self._cache:
-            return self._cache[key]
         dd = self.dual_data()
         det = dd.det_abs
         row = dd.adjugate[self.index(v)]  # l_vw = |det I| a_vw
         # I row = -|det I| e_v (``dual_data``): m is integral, with gcd 1
         e = det // math.gcd(*row)
         m = {w: e * l // det for w, l in zip(self.ids, row)}
-        nw = NodeWeights(e=e, m=m, a_v=e * m[v])
-        self._cache[key] = nw
-        return nw
+        return NodeWeights(e=e, m=m, a_v=e * m[v])
 
     # -- canonical and fundamental cycles ---------------------------------
 
@@ -354,14 +354,12 @@ class ResolutionGraph:
             sub._subgraphs = self._subgraphs
         return self._subgraphs[keep]
 
+    @_per_graph("branches")
     def branches(self, v):
         """Connected components of E - E_v, ordered by attaching-vertex id;
         each is the one shared graph of its vertex set (``subgraph``).  A
         branch with a node is given its validation report unless it has
         one, so it runs no Bareiss pass."""
-        key = ("branches", v)
-        if key in self._cache:
-            return self._cache[key]
         self.require_valid()
         out = []
         for u in sorted(self.adj[v]):
@@ -380,7 +378,6 @@ class ResolutionGraph:
                 sub._cache["validation"] = ValidationReport(
                     True, True, True, False, nodes, sub.ends())
             out.append(Branch(attach=u, subgraph=sub, is_chain=not nodes))
-        self._cache[key] = out
         return out
 
     # -- serialization -----------------------------------------------------

@@ -44,7 +44,7 @@ from operator import itemgetter
 from .cyclo import _cyclotomic_exponents, reshape
 from .discgroup import _mover, group_data
 from .errors import GraphInputError, InternalCheckError
-from .graph import ResolutionGraph
+from .graph import ResolutionGraph, _per_graph
 from .series import RationalFunctionQ, polynomial_part
 
 
@@ -230,6 +230,7 @@ def molien_closed(g: ResolutionGraph, v, chi) -> RationalFunctionQ:
 # -- the constants c_v^chi -------------------------------------------------
 
 
+@_per_graph("cv")
 def _cv_table(g, v):
     """(digits, sums) with c_v^chi = sums[label of g - chi] (0 if absent),
     for c_v^chi = p(1), p the polynomial part of H^chi; digits lists
@@ -245,21 +246,17 @@ def _cv_table(g, v):
     holds those partial sums by the kernel's labels, and nothing is
     relabelled.
     """
-    key = ("cv", v)
-    table = g._cache.get(key)
-    if table is None:
-        gd = group_data(g)
-        dims = gd.invariant_factors
-        a = a_invariant(g, v)
-        factors = _node_factors(g, v)
-        digits = [(sum(e * psi[i] for psi, _, e in factors), d, s)  # g
-                  for i, (d, s) in enumerate(zip(dims, gd._places))]
-        sums = {}
-        for row in _zh_product(dims, factors, a) if a >= 0 else ():
-            for c, x in row.items() if row else ():
-                sums[c] = sums.get(c, 0) + x
-        table = g._cache[key] = digits, sums
-    return table
+    gd = group_data(g)
+    dims = gd.invariant_factors
+    a = a_invariant(g, v)
+    factors = _node_factors(g, v)
+    digits = [(sum(e * psi[i] for psi, _, e in factors), d, s)  # g
+              for i, (d, s) in enumerate(zip(dims, gd._places))]
+    sums = {}
+    for row in _zh_product(dims, factors, a) if a >= 0 else ():
+        for c, x in row.items() if row else ():
+            sums[c] = sums.get(c, 0) + x
+    return digits, sums
 
 
 def _route_a_degree(g, v):

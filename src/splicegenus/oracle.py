@@ -110,8 +110,9 @@ def _generators(g, v, system, up_to):
 
 def bruteforce_eigendims(g: ResolutionGraph, v, system: SpliceSystem, up_to):
     """{chi: [dim G^chi_i for i = 0..up_to]} for every character, by
-    monomial linear algebra; v is checked by g.node."""
-    v = g.node(v)
+    monomial linear algebra, at the node v."""
+    g.index(v)  # an unknown id, None included, is named as a vertex
+    g.node(v)
     _check_degree(up_to)
     codes, chars = _node_table(g, v, up_to)
     char = {c: x for cs, xs in zip(codes, chars) for c, x in zip(cs, xs)}

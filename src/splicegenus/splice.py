@@ -81,11 +81,15 @@ def _alpha(g: ResolutionGraph, exponents):
 def v_degree(g: ResolutionGraph, v, exponents) -> int:
     """Sum of alpha_w m_vw; equals -e_v D.E*_v = e_v (coefficient of D at v),
     since m_vw |det I| = e_v A_vw: row v of the adjugate, which
-    ``dual_data`` checks.  Exponents must be ints, bool excluded."""
+    ``dual_data`` checks.  Exponents are ints >= 0, bool excluded, at ends."""
     m = g.node_weights(v).m
     g.node(v)
-    if any(type(a) is not int for a in exponents.values()):
-        raise GraphInputError(f"exponents must be ints, got {exponents!r}")
+    for w, a in exponents.items():
+        if type(a) is not int or a < 0:
+            raise GraphInputError(f"exponents must be ints >= 0, got {exponents!r}")
+        g.index(w)  # an id that is not a vertex is named as such
+        if g.degree(w) > 1:
+            raise GraphInputError(f"{w!r} is not an end of the graph")
     return sum(a * m[w] for w, a in exponents.items())
 
 
@@ -244,10 +248,6 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
     for v in g.nodes():
         monos = [report.witnesses[(v, br.attach)].exponents
                  for br in g.branches(v)]
-        degs = {v_degree(g, v, m) for m in monos}
-        if len(degs) != 1:
-            raise InternalCheckError(
-                f"monomials at {v} are not quasihomogeneous")
         delta = len(monos)
         F = []
         if delta > 2:
@@ -261,7 +261,8 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
                     f"no generic coefficient matrix found at node {v}")
         equations = [[(row[j], dict(monos[j])) for j in range(delta)]
                      for row in F]
-        out.append(NodeSystem(node=v, monomials=monos, v_degree=degs.pop(),
+        out.append(NodeSystem(node=v, monomials=monos,
+                              v_degree=g.node_weights(v).m[v],
                               equations=equations))
     return SpliceSystem(nodes=out, seed=seed)
 

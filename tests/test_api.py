@@ -97,6 +97,29 @@ def test_only_graph_builds_graphs():
                     f"{path.name}:{node.lineno} calls ResolutionGraph(...)"
 
 
+def test_only_the_memo_and_the_growing_caches_touch_a_graph_cache():
+    # every per-graph value is built by graph._per_graph; the others read
+    # or write g._cache because they are not plain memos: the report a
+    # branch is given, the kernel rows kept for the largest degree, the h1
+    # values compared at a named root and the branch term tables
+    sources = sorted(Path(splicegenus.__file__).parent.glob("*.py"))
+    found = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        inside = {}
+        for f in ast.walk(tree):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(f):
+                    inside.setdefault(node, f.name)  # the outermost function
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_cache":
+                found.add((path.name, inside.get(node)))
+    assert found == {("graph.py", "__init__"), ("graph.py", "_per_graph"),
+                     ("graph.py", "branches"), ("molien.py", "_node_rows"),
+                     ("genus.py", "h1_eigensheaf"),
+                     ("genus.py", "_node_record")}
+
+
 def test_only_the_full_parser_builds_a_parser():
     # a well-formed call is read from the command table (cli._plain_args);
     # an ArgumentParser(...) call outside cli._build_parser would bring

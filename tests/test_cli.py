@@ -298,6 +298,10 @@ def test_bad_character_exits_1(capsys):
     code, _, err = _json_out(
         capsys, ["h1", "--input", graph_file("exmc.json"), "--char", "1,1"])
     assert code == 1 and "coordinates" in err
+    code, _, err = _json_out(
+        capsys, ["h1", "--input", graph_file("exmc.json"), "--char", "1,x"])
+    assert code == 1
+    assert err == "error: bad character '1,x': expected integers\n"
 
 
 # -- outputs ---------------------------------------------------------------
@@ -370,6 +374,18 @@ def test_cv_both_routes(capsys):
     assert code == 0
     assert data["routeA"] == "2" and data["routeB"] == "2"
     assert data["routesAgree"] is True
+
+
+def test_cv_reports_routes_that_disagree(monkeypatch, capsys):
+    # a nontrivial character's disagreement is a warning, not an error
+    monkeypatch.setattr(cli, "c_v_chi_routes", lambda g, v, chi: (3, 4))
+    code, data, err = _payload(
+        capsys, ["cv", "--input", graph_file("fig1.json"), "--node", "v0",
+                 "--char", "5,5", "--format", "json"])
+    assert code == 0
+    assert err == "warning: routes disagree for chi [5, 5]: A=3 B=4\n"
+    assert (data["routeA"], data["routeB"], data["routesAgree"]) == \
+        ("3", "4", False)
 
 
 def test_hilbert_text_output(capsys):
@@ -465,6 +481,18 @@ def test_oracle_verify_agrees(capsys):
         capsys, ["oracle-verify", "--input", graph_file("d4.json"),
                  "--max-degree", "10", "--format", "json"])
     assert code == 0 and data["mismatches"] == []
+
+
+def test_oracle_verify_reports_mismatches(monkeypatch, capsys):
+    record = {"node": "c", "char": [0, 1], "molien": [1], "bruteforce": [0]}
+    monkeypatch.setattr(cli, "oracle_verify", lambda g, up_to, seed, bound:
+                        [record])
+    code, out, _ = _json_out(
+        capsys, ["oracle-verify", "--input", graph_file("d4.json"),
+                 "--max-degree", "0"])
+    assert code == 2
+    assert out.splitlines() == ["1 mismatches",
+                                json.dumps(record, sort_keys=True)]
 
 
 def test_pg_on_chain_is_zero_with_warning(capsys):

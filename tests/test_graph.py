@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -37,7 +37,7 @@ from splicegenus.errors import (
     NotATree,
     NotNegativeDefinite,
 )
-from splicegenus.genus import _twist
+from splicegenus.genus import _twist, h1_twisted, minimal_nef_correction
 from splicegenus.graph import DualData
 from splicegenus.molien import (
     P_chi,
@@ -50,7 +50,12 @@ from splicegenus.molien import (
     molien_coeffs,
     truncation_m,
 )
-from splicegenus.splice import find_admissible_monomial, v_degree
+from splicegenus.oracle import bruteforce_eigendims
+from splicegenus.splice import (
+    emit_splice_system,
+    find_admissible_monomial,
+    v_degree,
+)
 
 
 @st.composite
@@ -682,23 +687,29 @@ def test_branches_record_the_validation_the_branch_would_compute(
     # a branch of a valid tree is a connected induced subtree with a
     # principal submatrix of a negative definite matrix: valid and
     # negative definite, a chain exactly when it has no node.  No branch
-    # computes its own report, and the recorded one is the one it would
+    # runs its own Bareiss pass, and the recorded report is the one it
+    # would build
     graphs = graphs()
-    computed = []
-    real = ResolutionGraph._validation
-    monkeypatch.setattr(ResolutionGraph, "_validation",
-                        lambda self: computed.append(self) or real(self))
+    # splice_quotient_trees validates its trees as it draws them
+    fresh = [g for g in graphs if "validation" not in g._cache]
+    passes = []
+    real = exact.negative_definite_violation
+    monkeypatch.setattr(exact, "negative_definite_violation",
+                        lambda I: passes.append(I) or real(I))
+    recorded = []
     for g in graphs:
         for h in _recursion_graphs(g):
             for v in h.nodes():
                 for b in h.branches(v):
-                    recorded = b.subgraph._cache.get("validation")
-                    if b.is_chain:
-                        assert recorded is None
-                    else:
-                        assert recorded == real(b.subgraph)
-                        assert b.subgraph.require_valid() is recorded
-    assert all(any(h is g for g in graphs) for h in computed)
+                    rep = b.subgraph._cache.get("validation")
+                    assert (rep is None) == b.is_chain
+                    if rep is not None:
+                        assert b.subgraph.require_valid() is rep
+                        recorded.append((b.subgraph, rep))
+    # one pass per input graph, in input order, and none per branch
+    assert passes == [g.intersection_matrix() for g in fresh]
+    for sub, rep in recorded:
+        assert rep == ResolutionGraph.validate.__wrapped__(sub)
 
 
 # -- vertex ids -------------------------------------------------------------
@@ -729,9 +740,13 @@ def test_unknown_vertex_is_an_input_error(call):
     lambda g, v: find_admissible_monomial(g, v, g.branches("c")[0]),
     lambda g, v: P_chi(g, v, (0, 0), 0),
     lambda g, v: v_degree(g, v, {"l2": 1, "l3": 2}),
+    lambda g, v: minimal_nef_correction(g, v, (0, 0), 1),
+    lambda g, v: h1_twisted(g, v, (0, 0), 1, [0, 0, 0, 0]),
+    lambda g, v: bruteforce_eigendims(g, v, emit_splice_system(g), 3),
 ], ids=["a_invariant", "truncation_m", "P_chi", "molien_coeffs",
         "molien_closed", "c_v_chi", "c_v_route_a", "c_v_chi_routes",
-        "hilbert_data", "find_admissible_monomial", "P_chi_at_0", "v_degree"])
+        "hilbert_data", "find_admissible_monomial", "P_chi_at_0", "v_degree",
+        "minimal_nef_correction", "h1_twisted", "bruteforce_eigendims"])
 def test_node_taking_functions_reject_a_leaf(call):
     # the vertex lookup comes first, so an unknown id is named as such
     with pytest.raises(GraphInputError,
@@ -781,3 +796,27 @@ def test_integral_weights_are_kept_as_ints():
 def test_weight_zero_rejected_by_validation():
     g = ResolutionGraph([("a", 0)], [])
     assert not g.validate().valid
+
+
+@st.composite
+def _trees_with_a_weight_above_minus_one(draw):
+    g = draw(random_trees(max_n=7))
+    u = draw(st.sampled_from(g.ids))
+    w = draw(st.integers(0, 3))
+    return ResolutionGraph([(v, w if v == u else g.weight[v]) for v in g.ids],
+                           g.edges), u
+
+
+@given(_trees_with_a_weight_above_minus_one())
+@example((ResolutionGraph([("a", 0)], []), "a"))
+@settings(max_examples=50, deadline=None)
+def test_a_weight_above_minus_one_fails_the_definiteness_pass(case):
+    # E_u^2 >= 0 on the diagonal: the leading block through u is not
+    # negative definite, so a minor up to u's is wrongly signed and
+    # validation needs no separate weight bound
+    g, u = case
+    rep = g.validate()
+    assert rep.is_tree and not rep.valid and not rep.negative_definite
+    assert 1 <= rep.minor_index <= g.index(u) + 1
+    with pytest.raises(NotNegativeDefinite):
+        g.require_valid()

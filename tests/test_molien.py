@@ -138,6 +138,9 @@ def test_closed_form_at_central_node():
          (9, -1), (6, 1), (3, -1), (0, 1)],
         [(15, 1), (12, -1), (3, -1), (0, 1)])
     assert f == expect
+    # the form the README's library example prints
+    assert repr(f) == ("(t^24 - t^21 + t^18 - t^15 + 3*t^12 - t^9 + t^6 - t^3 "
+                       "+ 1) / (t^15 - t^12 - t^3 + 1)")
 
 
 def test_closed_forms_on_the_two_branches():

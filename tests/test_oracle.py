@@ -266,10 +266,12 @@ def test_degree_bound_must_be_a_nonnegative_int(up_to):
             call()
 
 
-@pytest.mark.parametrize("v", ["l1", "zz", 0])
-def test_bruteforce_takes_only_nodes(v):
+@pytest.mark.parametrize("v, what", [("l1", "node"), ("zz", "vertex"),
+                                     (0, "vertex")], ids=["l1", "zz", "0"])
+def test_bruteforce_takes_only_nodes(v, what):
+    # the vertex lookup comes first, as in every node-taking function
     g = d4()
-    with pytest.raises(GraphInputError, match="is not a node"):
+    with pytest.raises(GraphInputError, match=f"is not a {what} of the graph"):
         bruteforce_eigendims(g, v, emit_splice_system(g), 4)
 
 

@@ -1,7 +1,7 @@
-import dataclasses
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from fixtures import (
 )
 from splicegenus import splice
 from splicegenus.discgroup import group_data
-from splicegenus.errors import GraphInputError, InternalCheckError
+from splicegenus.errors import GraphInputError
 from splicegenus.graph import parse_graph
 from splicegenus.splice import (
     check_monomial_condition,
@@ -136,6 +136,19 @@ def test_non_int_exponents_are_refused_not_truncated(a):
         v_degree(g, "v0", {"w1": a})
 
 
+@pytest.mark.parametrize("exps, message", [
+    ({"zz": 1}, "'zz' is not a vertex of the graph"),
+    ({"w1": -1}, "exponents must be ints >= 0"),
+    ({"v1": 1}, "'v1' is not an end of the graph"),
+], ids=["unknown", "negative", "node"])
+def test_v_degree_refuses_what_no_monomial_has(exps, message):
+    # validate_witness refuses each of these as well
+    g = fig1()
+    assert validate_witness(g, "v0", _branch(g, "v0", "u4"), exps) is None
+    with pytest.raises(GraphInputError, match=re.escape(message)):
+        v_degree(g, "v0", exps)
+
+
 # -- the search ------------------------------------------------------------
 
 @st.composite
@@ -249,22 +262,15 @@ def test_equivariance_detects_corruption():
     assert offender[0] == ref.theta(g, ref.class_of(g, _cycle(g, bad)))
 
 
-def test_emit_catches_monomials_of_unequal_degree(monkeypatch):
-    # one witness at E5 scaled by 2 has twice the v-degree of the others
-    real = splice.check_monomial_condition
-
-    def scaled(g, bound=64):
-        report = real(g, bound=bound)
-        key = ("E5", g.branches("E5")[0].attach)
-        report.witnesses[key] = dataclasses.replace(
-            report.witnesses[key], exponents={
-                w: 2 * a for w, a in report.witnesses[key].exponents.items()})
-        return report
-
-    monkeypatch.setattr(splice, "check_monomial_condition", scaled)
-    with pytest.raises(InternalCheckError,
-                       match="monomials at E5 are not quasihomogeneous"):
-        emit_splice_system(exmc())
+def test_emitted_v_degree_is_m_vv_for_every_monomial():
+    # every witness solves sum_w a_w m_vw = m_vv, the search's one
+    # equation, so the system reads its v-degree off the node weights
+    for g in [d4(), e8(), exmc(), fig1(), *splice_quotient_trees(1, 10)]:
+        for ns in emit_splice_system(g).nodes:
+            m_vv = g.node_weights(ns.node).m[ns.node]
+            assert ns.v_degree == m_vv
+            assert [v_degree(g, ns.node, mono) for mono in ns.monomials] == \
+                [m_vv] * len(ns.monomials)
 
 
 def test_emit_requires_monomial_condition():
