@@ -29,7 +29,6 @@ E*-coordinates read off them (``GroupData._c1_alpha``): all is integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .discgroup import group_data, nef_shift
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     InternalCheckError,
     NegativeH1,
 )
-from .graph import ResolutionGraph, _per_graph
+from .graph import ResolutionGraph
 from .molien import P_chi, c_v_chi
 
 
@@ -103,34 +102,6 @@ def minimal_nef_correction(g: ResolutionGraph, v, chi, n: int) -> list:
     return _twist(g, v, chi, n)[2]
 
 
-def _picker(cols):
-    """phi_i as a function of alpha: the tuple of alpha's entries at cols.
-    ``itemgetter`` of one index returns the entry itself, so a one-vertex
-    branch wraps it in a 1-tuple."""
-    if len(cols) == 1:
-        j, = cols
-        return lambda alpha: (alpha[j],)
-    return itemgetter(*cols)
-
-
-@_per_graph("node_record")
-def _node_record(g, v):
-    """(k, branches) for the node v, built once: k is the position of v in
-    g.ids, and branches one (branch, cols, pick, table) per branch at v,
-    where cols lists the positions of the branch's ids, in its own order,
-    in g.ids, pick(alpha) is the tuple of alpha's entries there
-    (``_picker``), and table maps phi to the branch term (``_branch_term``),
-    filled on demand.  The term depends on the branch graph and phi alone,
-    so the table is kept in the branch's cache and serves every (graph,
-    root) the branch hangs on."""
-    branches = []
-    for br in g.branches(v):
-        cols = [g._pos[w] for w in br.subgraph.ids]
-        branches.append((br, cols, _picker(cols),
-                         br.subgraph._cache.setdefault("terms", {})))
-    return g._pos[v], branches
-
-
 def _branch_term(br, phi, D, trace):
     """(psi, h1(branch, psi), chi(O_D(-L_chi))) for phi = phi_i(c_1(L_chi)),
     the E*-coordinates alpha_w = -c_1(L_chi).E_w on the branch, which are
@@ -150,7 +121,7 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     chi is checked before any cached value is read.  A branch enters only
     through phi_i(c_1(L_chi)), the branch's picker applied to c_1's
     E*-coordinates, so h1(L_chi) is c_v^chi plus one read per branch of a
-    table that holds one term per distinct phi (``_node_record``); on a
+    table that holds one term per distinct phi (``Branch.terms``); on a
     miss, D_{chi,i} comes from the numerators of c_1 and the parent's
     adjugate (``nef_shift``), so a chain branch is neither validated nor
     decomposed.  Each step that is not read from the h1 cache builds the
@@ -172,23 +143,23 @@ def h1_eigensheaf(g: ResolutionGraph, chi, root=None, trace=None) -> int:
     if prev is not None and root is None and trace is None:
         return prev
     v = g.node(root)
-    k, branches = _node_record(g, v)
+    k, branches = g.index(v), g.branches(v)
     c_v = c_v_chi(g, v, chi)
     num = gd._c1_numerators(chi)
     alpha = gd._c1_alpha(num)
     value = c_v
     terms = []
-    for br, cols, pick, table in branches:
-        phi = pick(alpha)
-        term = table.get(phi) if trace is None else None
+    for br in branches:
+        phi = br.pick(alpha)
+        term = br.terms.get(phi) if trace is None else None
         if term is None:
-            D = nef_shift(gd.dual, k, cols, num)
-            term = table[phi] = _branch_term(br, phi, D, trace)
+            D = nef_shift(gd.dual, k, br.cols, num)
+            term = br.terms[phi] = _branch_term(br, phi, D, trace)
         terms.append(term)
         value += term[1] - term[2]
     if value < 0 or trace is not None:
         steps = [{"attach": br.attach, "psi": psi, "h1": h1_br, "euler": e_term}
-                 for (br, *_), (psi, h1_br, e_term) in zip(branches, terms)]
+                 for br, (psi, h1_br, e_term) in zip(branches, terms)]
     if value < 0:
         raise NegativeH1(
             f"h1 = {value} at node {v}, chi {chi} (c_v = {c_v})",

@@ -31,6 +31,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import exact
 from .errors import (
@@ -84,7 +85,8 @@ class NodeWeights:
 
 @dataclass
 class Branch:
-    """A connected component of E - E_v, as a standalone graph.
+    """A connected component of E - E_v, as a standalone graph, with what
+    the h1 recursion reads of it at v.
 
     Vertex ids are shared with the parent graph.
     """
@@ -92,6 +94,9 @@ class Branch:
     attach: str            # the branch vertex adjacent to the node
     subgraph: "ResolutionGraph"
     is_chain: bool         # no node: a branch of a valid tree is valid
+    cols: list             # the positions of its ids, in its order, in the parent
+    pick: object = field(repr=False)   # phi_i: alpha -> alpha's entries at cols
+    terms: dict = field(repr=False)    # phi -> branch term, one per branch graph
 
 
 def _per_graph(key):
@@ -101,7 +106,11 @@ def _per_graph(key):
         @functools.wraps(f)
         def cached(g, *args):
             k = (key, *args) if args else key
-            value = g._cache.get(k)
+            try:
+                value = g._cache.get(k)
+            except TypeError:  # an unhashable argument: no vertex id
+                g.index(*args)
+                raise
             if value is None:
                 value = g._cache[k] = f(g, *args)
             return value
@@ -224,7 +233,7 @@ class ResolutionGraph:
         if n == 0:
             return ValidationReport(False, False, False, False, [], [],
                                     error="graph has no vertices")
-        if not (len(self.edges) == n - 1 and self._connected()):
+        if not (len(self.edges) == n - 1 and len(self._reach(self.ids[0])) == n):
             return ValidationReport(False, False, False, False, [], [],
                                     error="graph is not a tree")
         bad = exact.negative_definite_violation(self.intersection_matrix())
@@ -242,15 +251,17 @@ class ResolutionGraph:
         return ValidationReport(True, True, True, chain,
                                 nodes, self.ends(), warnings=warnings)
 
-    def _connected(self):
-        seen = {self.ids[0]}
-        stack = [self.ids[0]]
+    def _reach(self, u, cut=()):
+        """The vertices reached from u without passing through a vertex of
+        cut (u itself not in cut)."""
+        seen = {u, *cut}
+        stack = [u]
         while stack:
-            for u in self.adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.ids)
+            for x in self.adj[stack.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        return seen.difference(cut)
 
     def require_valid(self):
         rep = self.validate()
@@ -359,25 +370,27 @@ class ResolutionGraph:
         """Connected components of E - E_v, ordered by attaching-vertex id;
         each is the one shared graph of its vertex set (``subgraph``).  A
         branch with a node is given its validation report unless it has
-        one, so it runs no Bareiss pass."""
+        one, so it runs no Bareiss pass.  Its picker reads phi_i out of
+        c_1's E*-coordinates (``itemgetter`` of one index returns the entry
+        itself, so a one-vertex branch wraps it in a 1-tuple), and its term
+        table is kept in the branch graph's cache, so it serves every
+        (graph, root) the branch hangs on."""
+        self.index(v)  # an unknown id is named as a vertex
         self.require_valid()
         out = []
         for u in sorted(self.adj[v]):
-            comp = {u}
-            stack = [u]
-            while stack:
-                for x in self.adj[stack.pop()]:
-                    if x != v and x not in comp:
-                        comp.add(x)
-                        stack.append(x)
-            sub = self.subgraph(comp)
+            sub = self.subgraph(self._reach(u, (v,)))
             nodes = sub.nodes()
             if nodes and "validation" not in sub._cache:
                 # a connected induced subtree of a valid tree, its matrix a
                 # principal submatrix of a negative definite one
                 sub._cache["validation"] = ValidationReport(
                     True, True, True, False, nodes, sub.ends())
-            out.append(Branch(attach=u, subgraph=sub, is_chain=not nodes))
+            cols = [self._pos[w] for w in sub.ids]
+            pick = (itemgetter(*cols) if len(cols) > 1
+                    else lambda alpha, j=cols[0]: (alpha[j],))
+            out.append(Branch(u, sub, not nodes, cols, pick,
+                              sub._cache.setdefault("terms", {})))
         return out
 
     # -- serialization -----------------------------------------------------

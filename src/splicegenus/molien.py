@@ -116,7 +116,11 @@ def _node_rows(g, v, up_to):
     """The kernel's rows at node v to at least degree up_to, cached for the
     largest degree asked for; every coefficient must be a dimension."""
     key = ("molien", v)
-    rows = g._cache.get(key)
+    try:
+        rows = g._cache.get(key)
+    except TypeError:  # an unhashable v: no vertex id
+        g.index(v)
+        raise
     if rows is None or len(rows) <= up_to:
         gd = group_data(g)
         rows = _zh_product(gd.invariant_factors, _node_factors(g, v), up_to)
@@ -130,10 +134,9 @@ def _node_rows(g, v, up_to):
     return rows
 
 
-def _check_degree(up_to):
-    if type(up_to) is not int or up_to < 0:  # bool excluded
-        raise GraphInputError(
-            f"max degree must be a nonnegative int, got {up_to!r}")
+def _check_degree(x, what="max degree"):
+    if type(x) is not int or x < 0:  # bool excluded
+        raise GraphInputError(f"{what} must be a nonnegative int, got {x!r}")
 
 
 def _series(g, v, chi, up_to):

@@ -57,28 +57,17 @@ def divide(a, b):
 
 
 def render_poly(p):
-    parts = []
+    """p as text, highest degree first, each sign written once:
+    "-t^3 + 2*t - 1"; the zero polynomial is "0"."""
+    out = ""
     for e in range(len(p) - 1, -1, -1):
         c = p[e]
-        if c == 0:
-            continue
-        if e == 0:
-            term = str(c)
-        else:
+        if c:
+            sign = (" - " if c < 0 else " + ") if out else "-" * (c < 0)
             mono = "t" if e == 1 else f"t^{e}"
-            if c == 1:
-                term = mono
-            elif c == -1:
-                term = f"-{mono}"
-            else:
-                term = f"{c}*{mono}"
-        parts.append(term)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+            a = abs(c)
+            out += sign + (str(a) if e == 0 else mono if a == 1 else f"{a}*{mono}")
+    return out or "0"
 
 
 class RationalFunctionQ:

@@ -35,6 +35,7 @@ from .errors import (
     MonomialConditionUnknown,
 )
 from .graph import ResolutionGraph
+from .molien import _check_degree
 
 
 @dataclass
@@ -176,6 +177,7 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     one is returned.  None means not found within the bound; a bound of at
     least every m_vv // m_vw makes the search exhaustive.
     """
+    _check_degree(bound, "bound")
     m = g.node_weights(v).m
     g.node(v)
     branch_vs = set(branch.subgraph.ids)
@@ -211,6 +213,7 @@ class MonomialConditionReport:
 
 
 def check_monomial_condition(g: ResolutionGraph, bound=64) -> MonomialConditionReport:
+    _check_degree(bound, "bound")
     g.require_valid()
     witnesses = {}
     verdict = "satisfied"

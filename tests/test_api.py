@@ -116,8 +116,7 @@ def test_only_the_memo_and_the_growing_caches_touch_a_graph_cache():
                 found.add((path.name, inside.get(node)))
     assert found == {("graph.py", "__init__"), ("graph.py", "_per_graph"),
                      ("graph.py", "branches"), ("molien.py", "_node_rows"),
-                     ("genus.py", "h1_eigensheaf"),
-                     ("genus.py", "_node_record")}
+                     ("genus.py", "h1_eigensheaf")}
 
 
 def test_only_the_full_parser_builds_a_parser():

@@ -572,14 +572,14 @@ def _check_branch_keys(g, root, chars):
     then the same in every branch the recursion entered.  Returns the
     lengths of the (graph, root, branch) triples checked."""
     gd = group_data(g)
-    _, branches = g._cache[("node_record", g.node(root))]
     checked = []
-    for br, cols, pick, table in branches:
+    for br in g.branches(g.node(root)):
+        cols, table = br.cols, br.terms
         assert len(cols) == len(br.subgraph.ids)
         phis = set()
         for chi in chars:
             alpha = gd.c1_alpha(chi)
-            phi = pick(alpha)
+            phi = br.pick(alpha)
             assert phi == tuple(alpha[j] for j in cols) and phi in table
             phis.add(phi)
         assert all(type(key) is tuple and len(key) == len(cols)

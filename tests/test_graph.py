@@ -752,7 +752,7 @@ def test_node_taking_functions_reject_a_leaf(call):
     with pytest.raises(GraphInputError,
                        match=re.escape("'l1' is not a node of the graph")):
         call(d4(), "l1")
-    for v in ("zz", None):
+    for v in ("zz", ["a"], None):
         with pytest.raises(GraphInputError,
                            match=re.escape(f"{v!r} is not a vertex of the graph")):
             call(d4(), v)
@@ -761,12 +761,14 @@ def test_node_taking_functions_reject_a_leaf(call):
 @pytest.mark.parametrize("v", ["zz", ["a"], None],
                          ids=["unknown", "unhashable", "none"])
 def test_index_rejects_what_is_not_a_vertex(v):
-    # one position map serves index, intersection_matrix and the h1 records
+    # one position map serves index, intersection_matrix and the branch
+    # records; the memo names an unhashable id through index
     g = d4()
     assert [g.index(w) for w in g.ids] == list(range(len(g)))
-    with pytest.raises(GraphInputError,
-                       match=re.escape(f"{v!r} is not a vertex of the graph")):
-        g.index(v)
+    for call in (g.index, g.node_weights, g.branches):
+        with pytest.raises(GraphInputError,
+                           match=re.escape(f"{v!r} is not a vertex of the graph")):
+            call(v)
 
 
 def test_numerators_take_no_rows():

@@ -85,6 +85,15 @@ def test_render_poly():
     assert render_poly(()) == "0"
 
 
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8).map(_trim))
+@settings(deadline=None)
+def test_render_poly_evaluates_to_p(p):
+    # the text, read as Python with t^e as t**e, is p at every t
+    text = render_poly(p).replace("^", "**")
+    for x in (2, -3):
+        assert eval(text, {"t": x}) == _at(p, x)
+
+
 # -- rational functions ----------------------------------------------------
 
 def test_reduce_false_keeps_factors_but_eq_holds():

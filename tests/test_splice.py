@@ -220,6 +220,18 @@ def test_condition_unknown_when_bound_too_small():
     assert rep.to_json()["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("bound", [None, "3", -1, True, 2.5], ids=repr)
+def test_bound_must_be_a_nonnegative_int(bound):
+    # the library checks the bound as the CLI's --bound does; 0 and 64
+    # stay valid (above and test_search_returns_none_at_bound_zero)
+    g = fig1()
+    msg = re.escape(f"bound must be a nonnegative int, got {bound!r}")
+    with pytest.raises(GraphInputError, match=msg):
+        check_monomial_condition(g, bound=bound)
+    with pytest.raises(GraphInputError, match=msg):
+        find_admissible_monomial(g, "v0", g.branches("v0")[0], bound=bound)
+
+
 # -- emitted systems -------------------------------------------------------
 
 def test_emitted_system_shape_and_quasihomogeneity():
