@@ -7,11 +7,14 @@ Every command takes one path through ``run``: read the graph, check it
 lines), as JSON with ``version`` and ``fingerprint`` added or as text.
 A well-formed call, a command followed only by its own options, each
 spelled in full and with a value that does not start with ``-``, is read
-straight from the command table (``_plain_args``), so it builds no
-``ArgumentParser``.  Anything else (help, ``--version``, an abbreviation,
+straight from the command table (``_plain_args``), so it imports no
+``argparse``.  Anything else (help, ``--version``, an abbreviation,
 ``--opt=value``, ``--``, an unknown or missing argument, a value that does
 not convert) goes to the full parser (``_build_parser``, built once per
-process), so every usage message, error and exit code is argparse's own.
+process), so every usage message, error and exit code is argparse's own;
+only that parser and a rejected value (``_nonnegative``) load ``argparse``.
+The package's records are ``types.SimpleNamespace`` subclasses, so no call
+imports ``dataclasses`` either.
 
 Exit codes: 0 success, 1 invalid input, 2 violated internal consistency
 check, 3 Unknown verdict (monomial-condition search hit its bound; for
@@ -24,12 +27,11 @@ Reports go to standard output, diagnostics to standard error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
-import signal
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .discgroup import group_data
@@ -56,7 +58,8 @@ def _nonnegative(what):
     def parse(text):
         value = int(text)
         if value < 0:
-            raise argparse.ArgumentTypeError(f"{what} must be >= 0, got {value}")
+            from argparse import ArgumentTypeError
+            raise ArgumentTypeError(f"{what} must be >= 0, got {value}")
         return value
     parse.__name__ = what  # argparse names it in "invalid <what> value"
     return parse
@@ -79,6 +82,7 @@ def _add_arguments(c, name):
 @functools.cache
 def _build_parser():
     """The full parser: every command as a subparser."""
+    import argparse
     p = argparse.ArgumentParser(
         prog="splicegenus",
         description="Invariants of splice-quotient surface singularities "
@@ -118,13 +122,13 @@ def _plain_args(argv):
             return None
         try:
             values[flag] = kw.get("type", str)(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        except Exception:  # the full parser converts again and reports it
             return None
         if "choices" in kw and values[flag] not in kw["choices"]:
             return None
     if missing:
         return None
-    return argparse.Namespace(command=argv[0], **{
+    return SimpleNamespace(command=argv[0], **{
         f[2:].replace("-", "_"): value for f, value in values.items()})
 
 
@@ -413,6 +417,7 @@ def run(argv=None) -> int:
 
 
 def main():
+    import signal
     if hasattr(signal, "SIGPIPE"):
         # a reader that closes the pipe early (``| head``) ends the process
         # quietly, as it does other filters, instead of a BrokenPipeError

@@ -28,7 +28,7 @@ E*-coordinates read off them (``GroupData._c1_alpha``): all is integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .discgroup import group_data, nef_shift
 from .errors import (
@@ -208,12 +208,11 @@ def h1_twisted(g: ResolutionGraph, v, chi, n: int, d):
     return h0drop, h1 + h1_eigensheaf(g, chi)
 
 
-@dataclass
-class GenusReport:
+class GenusReport(SimpleNamespace):
     pg: int
     per_character_h1: dict          # character tuple -> int
     pg_uac: int
-    trace: list = field(default_factory=list)
+    trace = ()                      # the h1 steps (with_trace); a class default
 
     def to_json(self):
         return {
@@ -221,7 +220,7 @@ class GenusReport:
             "pgUAC": self.pg_uac,
             "h1": [{"char": list(chi), "value": h}
                    for chi, h in sorted(self.per_character_h1.items())],
-            "trace": self.trace,
+            "trace": list(self.trace),
         }
 
 

@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
+from types import SimpleNamespace
 
 from . import exact
 from .errors import (
@@ -43,21 +43,21 @@ from .errors import (
 )
 
 
-@dataclass
-class ValidationReport:
+# A record is a SimpleNamespace built by keyword with every field given (a
+# class attribute is a default); the annotations name the fields.
+class ValidationReport(SimpleNamespace):
     valid: bool
     is_tree: bool
     negative_definite: bool
     is_chain: bool
     nodes: list
     ends: list
-    error: str | None = None
-    warnings: list = field(default_factory=list)
-    minor_index: int | None = None  # first wrongly signed leading minor
+    error: str | None
+    warnings: list
+    minor_index: int | None  # first wrongly signed leading minor
 
 
-@dataclass
-class DualData:
+class DualData(SimpleNamespace):
     """|det I|, the integer adjugate A = |det I| (-I^{-1}) and the Smith
     form U I V = S it is read from.
 
@@ -76,15 +76,13 @@ class DualData:
         return [sum(row[j] * a for j, a in nz) for row in self.adjugate]
 
 
-@dataclass
-class NodeWeights:
+class NodeWeights(SimpleNamespace):
     e: int                 # e_v
     m: dict                # w -> m_vw = e_v * a_vw
     a_v: int               # e_v * m_vv
 
 
-@dataclass
-class Branch:
+class Branch(SimpleNamespace):
     """A connected component of E - E_v, as a standalone graph, with what
     the h1 recursion reads of it at v.
 
@@ -95,8 +93,8 @@ class Branch:
     subgraph: "ResolutionGraph"
     is_chain: bool         # no node: a branch of a valid tree is valid
     cols: list             # the positions of its ids, in its order, in the parent
-    pick: object = field(repr=False)   # phi_i: alpha -> alpha's entries at cols
-    terms: dict = field(repr=False)    # phi -> branch term, one per branch graph
+    pick: object           # phi_i: alpha -> alpha's entries at cols
+    terms: dict            # phi -> branch term, one per branch graph
 
 
 def _per_graph(key):
@@ -230,26 +228,25 @@ class ResolutionGraph:
         A tree whose leading minors are all correctly signed is negative
         definite, so every weight E_v^2 is <= -1."""
         n = len(self.ids)
-        if n == 0:
-            return ValidationReport(False, False, False, False, [], [],
-                                    error="graph has no vertices")
-        if not (len(self.edges) == n - 1 and len(self._reach(self.ids[0])) == n):
-            return ValidationReport(False, False, False, False, [], [],
-                                    error="graph is not a tree")
-        bad = exact.negative_definite_violation(self.intersection_matrix())
-        if bad is not None:
-            return ValidationReport(False, True, False, False, [], [],
-                                    error=f"not negative definite (minor {bad})",
-                                    minor_index=bad)
+        tree = (n > 0 and len(self.edges) == n - 1
+                and len(self._reach(self.ids[0])) == n)
+        bad = (exact.negative_definite_violation(self.intersection_matrix())
+               if tree else None)
+        if not tree or bad is not None:
+            error = ("graph has no vertices" if n == 0 else
+                     "graph is not a tree" if not tree else
+                     f"not negative definite (minor {bad})")
+            return ValidationReport(
+                valid=False, is_tree=tree, negative_definite=False,
+                is_chain=False, nodes=[], ends=[], error=error, warnings=[],
+                minor_index=bad)
         nodes = self.nodes()
-        chain = not nodes
-        warnings = []
-        if chain:
-            warnings.append(
-                "chain (cyclic quotient): excluded by Assumption 2.1 at top level"
-            )
-        return ValidationReport(True, True, True, chain,
-                                nodes, self.ends(), warnings=warnings)
+        warnings = [] if nodes else [
+            "chain (cyclic quotient): excluded by Assumption 2.1 at top level"]
+        return ValidationReport(
+            valid=True, is_tree=True, negative_definite=True,
+            is_chain=not nodes, nodes=nodes, ends=self.ends(), error=None,
+            warnings=warnings, minor_index=None)
 
     def _reach(self, u, cut=()):
         """The vertices reached from u without passing through a vertex of
@@ -385,12 +382,15 @@ class ResolutionGraph:
                 # a connected induced subtree of a valid tree, its matrix a
                 # principal submatrix of a negative definite one
                 sub._cache["validation"] = ValidationReport(
-                    True, True, True, False, nodes, sub.ends())
+                    valid=True, is_tree=True, negative_definite=True,
+                    is_chain=False, nodes=nodes, ends=sub.ends(), error=None,
+                    warnings=[], minor_index=None)
             cols = [self._pos[w] for w in sub.ids]
             pick = (itemgetter(*cols) if len(cols) > 1
                     else lambda alpha, j=cols[0]: (alpha[j],))
-            out.append(Branch(u, sub, not nodes, cols, pick,
-                              sub._cache.setdefault("terms", {})))
+            out.append(Branch(attach=u, subgraph=sub, is_chain=not nodes,
+                              cols=cols, pick=pick,
+                              terms=sub._cache.setdefault("terms", {})))
         return out
 
     # -- serialization -----------------------------------------------------

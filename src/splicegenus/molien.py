@@ -38,8 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .cyclo import _cyclotomic_exponents, reshape
 from .discgroup import _mover, group_data
@@ -329,8 +329,7 @@ def c_v_chi_routes(g, v, chi):
 # -- bundled per-node data -------------------------------------------------
 
 
-@dataclass
-class HilbertData:
+class HilbertData(SimpleNamespace):
     node: str
     a_invariant: int
     coefficients: dict      # character tuple -> list[int]

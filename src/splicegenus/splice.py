@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import gcd
+from types import SimpleNamespace
 
 from . import exact
 from .discgroup import group_data
@@ -38,24 +38,21 @@ from .graph import ResolutionGraph
 from .molien import _check_degree
 
 
-@dataclass
-class AdmissibilityWitness:
+class AdmissibilityWitness(SimpleNamespace):
     node: str
     attach: str                # identifies the branch
     exponents: dict            # end id -> positive int
     residual: list             # D - E*_v, E-coefficients in g.ids order
 
 
-@dataclass
-class NodeSystem:
+class NodeSystem(SimpleNamespace):
     node: str
     monomials: list            # one exponent dict per branch, branch order
     v_degree: int
     equations: list            # per row: list of (coeff, exponents dict)
 
 
-@dataclass
-class SpliceSystem:
+class SpliceSystem(SimpleNamespace):
     nodes: list                # list of NodeSystem
     seed: int
 
@@ -194,8 +191,7 @@ def find_admissible_monomial(g: ResolutionGraph, v, branch, bound=64):
     return None
 
 
-@dataclass
-class MonomialConditionReport:
+class MonomialConditionReport(SimpleNamespace):
     verdict: str               # "satisfied" or "unknown"
     witnesses: dict            # (node, attach) -> AdmissibilityWitness or None
     bound: int

@@ -70,6 +70,38 @@ def test_package_does_not_import_fractions():
             assert "fractions" not in names, f"{path.name} imports fractions"
 
 
+def test_records_build_by_keyword_and_compare_by_value():
+    # the records are SimpleNamespace subclasses: built by keyword, equal
+    # when their fields are, and their to_json is what the CLI prints
+    from splicegenus.splice import NodeSystem, SpliceSystem
+
+    eq = [(1, {"l1": 1}), (1, {"l2": 1})]
+
+    def system(seed):
+        return SpliceSystem(nodes=[NodeSystem(node="c", monomials=[],
+                                              v_degree=1, equations=[eq])],
+                            seed=seed)
+
+    assert system(0) == system(0) and system(0) != system(1)
+    assert system(0).nodes[0].v_degree == 1
+    assert system(0).to_json() == {"seed": 0, "nodes": [{
+        "node": "c", "vDegree": 1, "monomials": [],
+        "equations": [[{"coefficient": "1", "exponents": {"l1": 1}},
+                       {"coefficient": "1", "exponents": {"l2": 1}}]]}]}
+    assert repr(system(0)) == (
+        "SpliceSystem(nodes=[NodeSystem(node='c', monomials=[], v_degree=1, "
+        "equations=[[(1, {'l1': 1}), (1, {'l2': 1})]])], seed=0)")
+
+    report = splicegenus.genus_report(
+        splicegenus.parse_graph(json.dumps(BRIESKORN_237)))
+    assert report == splicegenus.GenusReport(
+        pg=1, per_character_h1={(): 1}, pg_uac=1, trace=[])
+    # trace defaults to empty
+    bare = splicegenus.GenusReport(pg=1, per_character_h1={(): 1}, pg_uac=1)
+    assert bare.to_json() == report.to_json() == {
+        "pg": 1, "pgUAC": 1, "h1": [{"char": [], "value": 1}], "trace": []}
+
+
 def test_package_has_no_assert():
     # python -O drops an assert; every internal check raises
     # InternalCheckError, and cli.run catches that alone

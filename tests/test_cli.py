@@ -183,21 +183,47 @@ def test_a_valid_call_builds_no_parser(capsys, built_parsers):
     assert capsys.readouterr().out == "pg = 0\n" and built_parsers == []
 
 
-def test_a_valid_call_imports_no_locale():
-    # building an ArgumentParser imports locale (through gettext); a fresh
-    # process that runs one valid call does not
-    script = ("import sys; from splicegenus.cli import run; "
-              "code = run(sys.argv[1:]); "
-              "print('locale' in sys.modules, file=sys.stderr); "
-              "sys.exit(code)")
+# modules a well-formed call or a bare import must not load: argparse (and
+# with it gettext and locale) serves only help, --version and usage errors,
+# and the records are SimpleNamespace subclasses, not dataclasses (which
+# load inspect)
+_COLD_START_FREE = {"argparse", "gettext", "locale", "dataclasses", "inspect"}
+
+
+def _added_modules(body, *argv):
+    """The modules a fresh interpreter running body (with sys imported and
+    code, its exit code, set to 0) on argv has loaded beyond those of a
+    fresh ``python -c pass``, its exit code and its standard output; src
+    is on the path."""
     env = dict(os.environ, PYTHONPATH=os.path.join(
         os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "pg-uac", "--input",
-         graph_file("fig1.json")],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "False\n")
-    assert proc.stdout.startswith("pg_uac = ")
+
+    def loaded(body, *argv):
+        script = (f"import sys; code = 0; {body}; "
+                  "print(*sorted(sys.modules), file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        return set(proc.stderr.split()), proc.returncode, proc.stdout
+
+    baseline, _, _ = loaded("pass")
+    modules, code, out = loaded(body, *argv)
+    return modules - baseline, code, out
+
+
+def test_a_valid_call_imports_no_locale():
+    added, code, out = _added_modules(
+        "from splicegenus.cli import run; code = run(sys.argv[1:])",
+        "pg-uac", "--input", graph_file("fig1.json"))
+    assert code == 0 and out.startswith("pg_uac = ")
+    assert "splicegenus.cli" in added
+    assert not added & _COLD_START_FREE
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    added, code, _ = _added_modules("import splicegenus")
+    assert code == 0 and "splicegenus.genus" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_a_valid_call_runs_one_definiteness_pass(capsys, monkeypatch):
