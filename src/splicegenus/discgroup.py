@@ -23,16 +23,15 @@ s_j = d_{j+1} ... d_r (``_places``); adding psi to a label takes one
 carry per coordinate (``_mover``).  All work stays in the integers: a
 class of L* is an int list of E*-coordinates, c_1(L_chi) one such list,
 -I r / |det I| for its numerators r (``_c1_numerators``), from one
-``intersections`` pass whose every entry must divide by |det I| (else
-c_1 is not in L*), and D_{chi,i} an int list of E-coefficients, read
-from r and row v of the parent's adjugate (``nef_shift``), so nothing
-multiplies by A.  c_1 is a value, computed per call: ``c1_alpha``
-checks its character, and the package's callers, which have checked it
-already, build r once and read ``_c1_alpha(r)`` and all else off it;
-theta(c_1(L_chi)) = chi is left to the tests.  The rational routes from
-the definitions (classes of rational cycles, the pairing and its
-reduction mod 1, c_1 as a rational cycle) live in tests/reference.py as
-the independent reference.
+``intersections`` pass that divides exactly as V is unimodular, and
+D_{chi,i} an int list of E-coefficients, read from r and row v of the
+parent's adjugate (``nef_shift``), so nothing multiplies by A.  c_1 is
+a value, computed per call: ``c1_alpha`` checks its character, and the
+package's callers, which have checked it already, build r once and read
+``_c1_alpha(r)`` and all else off it; theta(c_1(L_chi)) = chi is left
+to the tests.  The rational routes from the definitions (classes of
+rational cycles, the pairing and its reduction mod 1, c_1 as a rational
+cycle) live in tests/reference.py as the independent reference.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import GraphInputError, InternalCheckError
+from .errors import GraphInputError
 from .graph import ResolutionGraph, _per_graph
 
 
@@ -153,12 +152,9 @@ class GroupData:
 
     def _c1_alpha(self, num):
         """E*-coordinates of c_1(L_chi) from its numerators num
-        (``_c1_numerators``): alpha = -I num / |det I|."""
-        det = self.dual.det_abs
-        ir = self.graph.intersections(num)
-        if any(x % det for x in ir):
-            raise InternalCheckError("c_1(L_chi) is not in L*")
-        return [-x // det for x in ir]
+        (``_c1_numerators``): alpha = -I num / |det I|, exact because
+        U I = S V^{-1} (``dual_data``'s check) with V unimodular."""
+        return [-x // self.dual.det_abs for x in self.graph.intersections(num)]
 
 
 def nef_shift(dual, k, cols, num):
@@ -177,7 +173,7 @@ def nef_shift(dual, k, cols, num):
 
     so only row v of the parent's adjugate A is read, and the branch
     needs no dual data of its own.  D is effective: 0 <= N_w < |det I|
-    and A > 0 put the floor's argument below 1.
+    and A > 0 (``DualData``) put the floor's argument below 1.
     """
     row_v = dual.adjugate[k]
     a_vv, n_v = row_v[k], num[k]

@@ -61,7 +61,8 @@ class DualData(SimpleNamespace):
     """|det I|, the integer adjugate A = |det I| (-I^{-1}) and the Smith
     form U I V = S it is read from.
 
-    A is symmetric with positive entries, and row v of A is |det I| E*_v.
+    A is symmetric, row v of A is |det I| E*_v, and A > 0 follows from
+    the one check, I A = -|det I| Id: -I is an irreducible Stieltjes matrix.
     """
 
     adjugate: list         # A as a list of rows, in ids order
@@ -287,9 +288,6 @@ class ResolutionGraph:
                 if v:
                     acc = [a + v * x for a, x in zip(acc, row)]
             A.append(acc)
-        if not all(x > 0 for row in A for x in row):
-            raise InternalCheckError(
-                "entries of |det I| (-I^{-1}) must be positive integers")
         # I A = -|det I| Id, checked in the integers (A is symmetric)
         for i, col in enumerate(A):
             if self.intersections(col) != [

@@ -22,7 +22,7 @@ chi -> g - chi (``_cv_table``), the expansion at t = infinity is the same
 product at t = 0, so c_v^chi = p(1), p the polynomial part of H^chi (the
 periodic-constant view of Braun-Nemethi), is the sum of the first a(G) + 1
 coefficients of the [g - chi] table, with nothing built over all of H.
-Route A (partial sums P^chi(m a_v) of one series, minus a quadratic term
+Route A (the partial sum P^chi(m a_v) of one series, minus a quadratic term
 read from the numerators of K and c_1(L_chi), exact in the integers) and
 Route B (p(1) = sum(p) from the closed rational form, an int tuple over
 int tuples) read chi's own table, so they check the duality, not the
@@ -35,7 +35,6 @@ that the tables of all the characters sum to.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from operator import itemgetter
@@ -262,14 +261,9 @@ def _cv_table(g, v):
     return digits, sums
 
 
-def _route_a_degree(g, v):
-    """The largest degree the three Route A values read: (m + 2) a_v - 1."""
-    return (truncation_m(g, v) + 2) * g.node_weights(v).a_v - 1
-
-
 def c_v_route_a(g, v, chi) -> int:
-    """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2,
-    asserted stable under m -> m+1, m+2 above the threshold.
+    """Route A: c_v^chi = P^chi(m a_v) - (m^2 a_v - m e_v (K+2L_chi).E*_v)/2
+    at m = ``truncation_m`` (a wrong m shows in ``c_v_chi_routes``).
 
     (K + 2 c_1(L_chi)).E*_v = -N_v / |det I|, where N_v is K's numerator
     at v (row v of the adjugate against E_w^2 + 2) plus twice that of
@@ -281,22 +275,14 @@ def c_v_route_a(g, v, chi) -> int:
     nw, k, det = g.node_weights(v), g.index(v), gd.dual.det_abs
     n_v = (sum(a * (g.weight[w] + 2) for a, w in zip(gd.dual.adjugate[k], g.ids))
            + 2 * gd._c1_numerators(chi)[k])
-    partial = [0, *itertools.accumulate(_series(g, v, chi, _route_a_degree(g, v)))]
     m = truncation_m(g, v)
-    values = []
-    for mm in (m, m + 1, m + 2):
-        top = mm * mm * nw.a_v * det + mm * nw.e * n_v
-        quad, rem = divmod(top, 2 * det)
-        if rem:
-            raise InternalCheckError(
-                f"Route A's quadratic term {top}/{2 * det} is not an integer "
-                f"(node {v}, chi {chi}, m={mm})")
-        values.append(partial[mm * nw.a_v] - quad)
-        if values[-1] != values[0]:
-            raise InternalCheckError(
-                f"c_v^chi changed from {values[0]} to {values[-1]} at m={mm} "
-                f"(node {v}, chi {chi})")
-    return values[0]
+    top = m * m * nw.a_v * det + m * nw.e * n_v
+    quad, rem = divmod(top, 2 * det)
+    if rem:
+        raise InternalCheckError(
+            f"Route A's quadratic term {top}/{2 * det} is not an integer "
+            f"(node {v}, chi {chi}, m={m})")
+    return sum(_series(g, v, chi, m * nw.a_v - 1)) - quad
 
 
 def c_v_chi(g: ResolutionGraph, v, chi) -> int:
@@ -316,7 +302,8 @@ def c_v_chi_routes(g, v, chi):
     characters the caller decides how to report a discrepancy.
     """
     # build the table once, to the largest degree either route reads
-    _node_rows(g, v, max(_route_a_degree(g, v), _closed_degrees(g, v)[1] + 1))
+    _node_rows(g, v, max(truncation_m(g, v) * g.node_weights(v).a_v - 1,
+                         _closed_degrees(g, v)[1] + 1))
     route_a = c_v_route_a(g, v, chi)
     p, _ = polynomial_part(molien_closed(g, v, chi))
     route_b = sum(p)

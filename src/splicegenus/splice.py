@@ -234,7 +234,8 @@ def emit_splice_system(g: ResolutionGraph, seed=0, bound=64) -> SpliceSystem:
     """One admissible monomial per branch per node, with generic coefficients.
 
     Coefficient rows are drawn from a seeded generator and redrawn until
-    every maximal minor is nonzero (checked exactly).
+    every maximal minor is nonzero (checked exactly).  Each monomial passed
+    ``validate_witness``: D - E*_v is integral, so theta(D) = psi_v.
     """
     report = check_monomial_condition(g, bound=bound)
     if report.verdict != "satisfied":

@@ -44,9 +44,14 @@ so that tests can hold the integer core against them:
   with no group and no group ring; by the Koszul identity the
   characters' tables sum to it;
 - ``bruteforce_eigendims`` is the brute-force oracle as it was before it
-  packed monomials into ints: tuple exponent vectors listed by the
-  monomial search's enumerator, each monomial's character a sum over the
-  ends of theta(E*_w), dense rows, ranked by ``eliminate``.
+  packed monomials into ints: tuple exponent vectors listed by its own
+  enumerator (``_monomials_by_degree``; it shares none with the monomial
+  search), each monomial's character a sum over the ends of theta(E*_w),
+  dense rows, ranked by ``eliminate``;
+- ``lattice_h1`` is Route T, h1(L_chi) as the normalized Euler
+  characteristic of lattice cohomology reduced to the nodes: it reads the
+  intersection matrix, K from a Fraction inverse and the alpha it is
+  given, and nothing of the recursion, the Smith form or the kernel.
 
 Nothing here calls ``GroupData.c1_alpha``, ``theta_alpha``,
 ``theta_matrix`` or ``molien_coeffs``.  Group sizes in the tests are small,
@@ -64,7 +69,7 @@ from functools import lru_cache
 
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.series import divide
-from splicegenus.splice import _exponent_vectors, validate_witness
+from splicegenus.splice import validate_witness
 
 
 class NotInDualLattice(GraphInputError):
@@ -713,14 +718,121 @@ def total_ci_coeffs(g, v, up_to):
     return out
 
 
+# -- Route T: h1(L_chi) by lattice cohomology reduced to the nodes ------------
+
+@lru_cache(maxsize=256)
+def _node_reduction(g):
+    """(I, adjacency, nodes, box tops, pieces) for ``lattice_h1``: the box
+    is 0 <= y <= tops on the nodes, tops_v = max(0, floor(Z_K)_v) with
+    Z_K = -K = -I^{-1} (-E_w^2 - 2) from a Fraction inverse, and the pieces
+    are the components of the graph without its nodes, each with the edges
+    (node position, vertex) that attach it.  Positions are in ids order."""
+    I = g.intersection_matrix()
+    n = len(I)
+    adj = [[j for j in range(n) if j != i and I[i][j]] for i in range(n)]
+    nodes = [i for i in range(n) if len(adj[i]) >= 3]
+    inv = _inverse(I)
+    tops = [max(0, math.floor(sum(x * (I[j][j] + 2) for j, x in enumerate(inv[v]))))
+            for v in nodes]
+    at = {v: j for j, v in enumerate(nodes)}
+    pieces, seen = [], set(nodes)
+    for s in range(n):
+        if s in seen:
+            continue
+        piece, stack = [], [s]
+        seen.add(s)
+        while stack:
+            u = stack.pop()
+            piece.append(u)
+            for t in adj[u]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        pieces.append((piece, [(at[t], u) for u in piece
+                               for t in adj[u] if t in at]))
+    return I, adj, nodes, tops, pieces
+
+
+def lattice_h1(g, alpha):
+    """h1(L_chi) by Route T, for alpha (ids order) the E*-coordinates of
+    c_1(L_chi), alpha_v = -c_1(L_chi).E_v: the normalized Euler
+    characteristic of the lattice cohomology of the weight
+    w(x) = -(x.x + K.x)/2 + alpha.x, reduced to the nodes (Laszlo-Nemethi,
+    Geom. Topol. 18, 2014), which is h1 on a splice quotient
+    (Nemethi-Okuma, J. London Math. Soc. 78, 2008).
+
+    For y >= 0 on the nodes, x(y) is the least cycle equal to y there with
+    x.E_u <= alpha_u at every other vertex u; off the nodes it splits into
+    the pieces, each read from the values of y where it attaches.  Over
+    the cubes y + {0,1}^J of the box (``_node_reduction``), each cube adds
+    (-1)^{|J|+1} times the largest w(x(y')) at its vertices y'; the
+    maximum over a cube is the larger of those over two of its faces."""
+    I, adj, nodes, tops, pieces = _node_reduction(g)
+
+    def twice_weight(piece, edges, ys):
+        # Laufer from below, the nodes fixed at ys: raising x_u by k lowers
+        # x.E_u by k |E_u^2| and raises it at u's neighbours, so the least k
+        # that brings x.E_u down to alpha_u never passes the least cycle
+        x, ix = dict.fromkeys(piece, 0), dict.fromkeys(piece, 0)
+        for (_, u), y in zip(edges, ys):
+            ix[u] += y
+        todo = [u for u in piece if ix[u] > alpha[u]]
+        while todo:
+            u = todo.pop()
+            if ix[u] > alpha[u]:
+                k = (ix[u] - alpha[u] - I[u][u] - 1) // -I[u][u]
+                x[u] += k
+                ix[u] += k * I[u][u]
+                for t in adj[u]:
+                    if t in x:
+                        ix[t] += k
+                        todo.append(t)
+        # the piece's share of 2 w(x): its own terms, and the edges to the
+        # nodes, which both ends' x.E count
+        return (sum(a * (I[u][u] + 2 + 2 * alpha[u] - ix[u]) for u, a in x.items())
+                - sum(x[u] * y for (_, u), y in zip(edges, ys)))
+
+    points = list(itertools.product(*(range(t + 1) for t in tops)))
+    links = [(a, b) for a, v in enumerate(nodes) for b, u in enumerate(nodes)
+             if a < b and I[v][u]]
+    twice = [sum(c * (I[v][v] * (1 - c) + 2 + 2 * alpha[v])
+                 for v, c in zip(nodes, y))
+             - 2 * sum(y[a] * y[b] for a, b in links) for y in points]
+    for piece, edges in pieces:
+        cols = [j for j, _ in edges]
+        share = {ys: twice_weight(piece, edges, ys)
+                 for ys in itertools.product(*(range(tops[j] + 1) for j in cols))}
+        twice = [w + share[tuple(y[j] for j in cols)] for w, y in zip(twice, points)]
+    # cube maxima by dimension, keyed by the set J as a bit mask; None
+    # where the cube leaves the box
+    maxima = {0: [w // 2 for w in twice]}
+    total = -sum(maxima[0])
+    strides = [math.prod(t + 1 for t in tops[j + 1:]) for j in range(len(nodes))]
+    for J in range(1, 1 << len(nodes)):
+        j = J.bit_length() - 1
+        face, cube = maxima[J ^ (1 << j)], [None] * len(points)
+        sign = 1 if bin(J).count("1") % 2 else -1
+        for p, y in enumerate(points):
+            if y[j] < tops[j] and face[p] is not None:
+                cube[p] = max(face[p], face[p + strides[j]])
+                total += sign * cube[p]
+        maxima[J] = cube
+    return total
+
+
 # -- the brute-force oracle on tuple monomials ---------------------------------
 
 def _monomials_by_degree(weights, up_to):
-    """All exponent tuples of degree d = sum a_j * weights[j] <= up_to, in
-    one call with a slack exponent up_to - d of weight 1."""
+    """All exponent tuples of degree d = sum a_j * weights[j] <= up_to,
+    listed by degree: each tuple of the first j exponents grows by every
+    exponent of weight j + 1 that keeps d <= up_to."""
+    partial = [((), 0)]
+    for w in weights:
+        partial = [(a + (e,), d + e * w) for a, d in partial
+                   for e in range((up_to - d) // w + 1)]
     table = [[] for _ in range(up_to + 1)]
-    for a in _exponent_vectors([*weights, 1], up_to):
-        table[up_to - a[-1]].append(a[:-1])
+    for a, d in partial:
+        table[d].append(a)
     return table
 
 

@@ -8,7 +8,7 @@ import time
 import reference as ref
 from fixtures import a_chain, d4, e8, exmc, fig1, graph_file
 from reference import HElement, total_ci_coeffs
-from test_molien import _rf
+from test_molien import _rf, _route_a_at
 from splicegenus.cli import run as cli_run
 from splicegenus.genus import genus_report, pg, pg_uac
 from splicegenus.molien import (
@@ -18,6 +18,7 @@ from splicegenus.molien import (
     group_data,
     molien_closed,
     molien_coeffs,
+    truncation_m,
 )
 from splicegenus.oracle import artin_rational, oracle_verify
 from splicegenus.splice import (
@@ -142,9 +143,10 @@ def test_criterion_8_node_and_m_independence():
     tables = [rep.per_character_h1 for rep in reports.values()]
     same = tables[0] == tables[1] == tables[2]
     pgs = {rep.pg for rep in reports.values()}
-    # Route A asserts stability at m, m+1, m+2 internally
-    stable = c_v_route_a(g, "v0", gd.trivial_character) == \
-        c_v_chi(g, "v0", gd.trivial_character) == 2
+    # Route A at m, m+1 and m+2
+    triv, m = gd.trivial_character, truncation_m(g, "v0")
+    stable = c_v_route_a(g, "v0", triv) == c_v_chi(g, "v0", triv) == 2 == \
+        _route_a_at(g, "v0", triv, m + 1) == _route_a_at(g, "v0", triv, m + 2)
     _report(8, same and pgs == {7} and stable,
             f"identical h1 tables at roots v0/v1/v2: {same}, "
             f"pg = {pgs}, c_v stable in m: {stable}")

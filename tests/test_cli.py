@@ -67,6 +67,16 @@ def test_invalid_graph_exits_1(tmp_path, capsys):
     assert data["valid"] is False and data["negativeDefinite"] is False
 
 
+@pytest.mark.parametrize("edges", ['[["a"]]', '["ab"]'], ids=["one-id", "string"])
+def test_an_edge_that_is_not_a_pair_exits_1(tmp_path, capsys, edges):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices":[{"id":"a","weight":-2},'
+                   f'{{"id":"b","weight":-2}}],"edges":{edges}}}')
+    code, out, err = _json_out(capsys, ["pg", "--input", str(bad)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad edge entry")
+
+
 # the chain -2, -1, -2: leading minors -2, 1, 0
 _INDEFINITE_TREE = "vertex a -2\nvertex b -1\nvertex c -2\nedge a b\nedge b c\n"
 
@@ -488,18 +498,21 @@ def test_emit_equations_deterministic(capsys):
     assert data["seed"] == 5 and len(data["nodes"]) == 2
 
 
-def test_emit_equations_catches_a_non_equivariant_system(monkeypatch, capsys):
-    offender = ((1, 0), "v1", {"v3": 1})
-    monkeypatch.setattr(cli, "verify_equivariance",
-                        lambda g, system: (False, offender))
+def test_emit_equations_without_a_generic_coefficient_matrix_exits_2(
+        monkeypatch, capsys):
+    # fig1's nodes have three branches, so each draws one coefficient row;
+    # when no draw has every maximal minor nonzero the emission gives up
+    import splicegenus.splice as S
+
+    monkeypatch.setattr(S, "_all_maximal_minors_nonzero", lambda F: False)
     with pytest.raises(InternalCheckError,
-                       match="emitted system is not equivariant"):
-        cli._run_emit_equations(fig1(), argparse.Namespace(seed=0, bound=64))
+                       match="no generic coefficient matrix found at node"):
+        S.emit_splice_system(fig1())
     code, out, err = _json_out(
         capsys, ["emit-equations", "--input", graph_file("fig1.json")])
     assert code == 2 and out == ""
-    assert err == ("internal check failed: emitted system is not "
-                   f"equivariant: {offender}\n")
+    assert err.startswith("internal check failed: no generic coefficient "
+                          "matrix found at node")
 
 
 def test_oracle_verify_agrees(capsys):

@@ -35,8 +35,7 @@ from splicegenus.discgroup import (
     group_data,
     nef_shift,
 )
-from splicegenus.errors import InternalCheckError
-from splicegenus.genus import h1_eigensheaf, pg_uac
+from splicegenus.genus import pg_uac
 
 
 def test_mod1():
@@ -383,19 +382,32 @@ def test_labels_are_positions_and_the_kernel_adds_psi(g):
                          for chi in chars]
 
 
-def test_c1_off_the_dual_lattice_is_caught(monkeypatch):
-    # numerators r with I r not divisible by |det I| name no class of L*;
-    # alpha = -I r // |det I| would floor them into a wrong c_1, both where
-    # c1_alpha reads them and where an h1 step does
-    g = fig1()
-    gd = group_data(g)
-    real = gd._c1_numerators
-    monkeypatch.setattr(gd, "_c1_numerators",
-                        lambda chi: [real(chi)[0] + 1, *real(chi)[1:]])
-    with pytest.raises(InternalCheckError, match="c_1\\(L_chi\\) is not in L"):
-        gd.c1_alpha((1, 5))
-    with pytest.raises(InternalCheckError, match="c_1\\(L_chi\\) is not in L"):
-        h1_eigensheaf(g, (1, 5))
+def test_c1_numerators_lie_on_the_dual_lattice():
+    # _c1_alpha divides I r by |det I| unchecked: U I = S V^{-1} follows
+    # from dual_data's adjugate check, so I (-(|det I| / s_k) U_k) is
+    # -|det I| times row k of V^{-1}, integral as V is unimodular
+    rng = random.Random(5)
+    graphs = [d4(), e8(), exmc(), fig1(),
+              *(star(b, legs) for b, legs in small_stars()),
+              *splice_quotient_trees(1, 10),
+              *(parse_graph(text) for text in HUGE_H_TREES.values())]
+    checked = 0
+    for g in graphs:
+        gd = group_data(g)
+        dd, det = gd.dual, gd.order
+        assert ref.det_bareiss(dd.U) in (1, -1)
+        assert ref.det_bareiss(dd.V) in (1, -1)
+        chars = (list(gd.characters()) if det <= 500 else
+                 [tuple(rng.randrange(d) for d in gd.invariant_factors)
+                  for _ in range(5)])
+        for chi in chars:
+            num = gd._c1_numerators(chi)
+            assert all(x % det == 0 for x in g.intersections(num))
+            if det <= 100:
+                assert gd._c1_alpha(num) == ref.alpha_of(
+                    g, ref.fractional_representative(g, chi))
+            checked += 1
+    assert checked > 2000
 
 
 def test_group_data_keeps_nothing_per_character():

@@ -97,6 +97,15 @@ def test_parse_rejects_bad_json():
         parse_graph("{not json")
 
 
+@pytest.mark.parametrize("edges", ['[["a"]]', '["ab"]', '[["a", "b", "c"]]'],
+                         ids=["one-id", "string", "three-ids"])
+def test_parse_json_rejects_an_edge_that_is_not_a_pair(edges):
+    doc = '{"vertices":[{"id":"a","weight":-2},{"id":"b","weight":-2}],' \
+        f'"edges":{edges}}}'
+    with pytest.raises(GraphSyntaxError, match="bad edge entry"):
+        parse_graph(doc)
+
+
 def test_duplicate_vertex_rejected():
     with pytest.raises(GraphInputError):
         ResolutionGraph([("a", -2), ("a", -3)], [])
@@ -128,6 +137,8 @@ def test_dump_roundtrip_both_formats():
             h = parse_graph(g.dump(fmt))
             assert h.fingerprint() == g.fingerprint()
             assert h.dump(fmt) == g.dump(fmt)
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        single().dump("xml")
 
 
 # -- validation ------------------------------------------------------------
@@ -357,11 +368,14 @@ def test_det_sign_alternates(g):
 
 
 def _check_implied_identities(g, rng):
-    """What follows from I A = -|det I| Id and A > 0, which ``dual_data``
-    checks, or holds for every integer cycle; ``src/`` asserts none of it."""
+    """What follows from I A = -|det I| Id, which ``dual_data`` checks, or
+    holds for every integer cycle; ``src/`` asserts none of it."""
     dd = g.dual_data()
     det, A = dd.det_abs, dd.adjugate
     assert all(dd.diag)  # I is nonsingular
+    # -I is an irreducible Stieltjes matrix on a connected negative definite
+    # tree, so its inverse, A / |det I|, is entrywise positive
+    assert all(x > 0 for row in A for x in row)
     for row in A:  # node_weights: m = e_v A_v / |det I|, integral, gcd 1
         e = det // math.gcd(*row)
         assert all(e * x % det == 0 for x in row)

@@ -234,11 +234,25 @@ def _recursion_graphs(g, seen=None):
     return list(seen.values())
 
 
+def _route_a_at(g, v, chi, m):
+    """Route A at a given m, in Fractions from the reference c_1(L_chi):
+    P^chi(m a_v) - (m^2 a_v + m e_v (K + 2 c_1(L_chi))_v) / 2, as
+    D.E*_v = -D_v."""
+    nw, k = g.node_weights(v), g.index(v)
+    K_v = Fraction(g.canonical_cycle()[0][k], g.dual_data().det_abs)
+    c1_v = ref.fractional_representative(g, chi)[v]
+    quad = Fraction(m * m * nw.a_v + m * nw.e * (K_v + 2 * c1_v), 2)
+    assert quad.denominator == 1
+    return P_chi(g, v, chi, m * nw.a_v) - int(quad)
+
+
 def _assert_cv_consistent(g, v, chi):
-    """t = infinity equals Route A at m, m+1, m+2, is a nonnegative integer,
-    and for the trivial character equals Route B."""
+    """t = infinity equals Route A, which is stable at m + 1 and m + 2, is
+    a nonnegative integer, and for the trivial character equals Route B."""
     value = c_v_chi(g, v, chi)
-    assert c_v_route_a(g, v, chi) == c_v_chi(g, v, chi)
+    assert c_v_route_a(g, v, chi) == value
+    m = truncation_m(g, v)
+    assert _route_a_at(g, v, chi, m + 1) == _route_a_at(g, v, chi, m + 2) == value
     assert type(value) is int and value >= 0
     if chi == group_data(g).trivial_character:
         assert c_v_chi_routes(g, v, chi)[1] == value
@@ -296,17 +310,22 @@ def test_route_a_raises_on_a_non_exact_quadratic_term(monkeypatch, capsys):
     assert out == "" and err.startswith("internal check failed: Route A's")
 
 
-def test_route_a_raises_when_unstable_in_m(monkeypatch):
+def test_route_a_raises_when_unstable_in_m(monkeypatch, capsys):
     import splicegenus.molien as M
+    from splicegenus.cli import run
 
-    # below the threshold the partial sum at m = 0 is empty, so the value
-    # there (0) differs from c_v^chi = 2 at m = 1
+    # below the threshold the partial sum at m = 0 is empty, so Route A
+    # there (0) differs from Route B, c_v^chi = 2, for the trivial character
     g = fig1()
     chi = group_data(g).trivial_character
     assert c_v_chi(g, "v0", chi) == 2
     monkeypatch.setattr(M, "truncation_m", lambda g_, v_: 0)
-    with pytest.raises(InternalCheckError, match="changed from 0 to 2 at m=1"):
-        c_v_route_a(g, "v0", chi)
+    with pytest.raises(InternalCheckError, match="Route A 0 != Route B 2"):
+        c_v_chi_routes(g, "v0", chi)
+    assert run(["cv", "--input", graph_file("fig1.json"), "--node", "v0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "internal check failed: c_v at node v0: Route A 0 != Route B 2\n")
 
 
 def test_route_a_needs_no_adjugate_products(monkeypatch):
@@ -590,13 +609,13 @@ def _graphs_of_the_dense_check():
 
 def test_sparse_kernel_matches_dense_reference():
     # to degree 16 on the corpus; then where labels can go wrong: fig1's
-    # nearly full rows to Route A's degree at v1, the large cyclic group of
-    # caterpillar(3), and the rank-2 groups (Z/6)^2 of fig1 and (Z/2)^2 of
-    # d4 well past the degree where every character is reached
+    # nearly full rows to degree 179 = (m + 2) a_v - 1 at v1, the large
+    # cyclic group of caterpillar(3), and the rank-2 groups (Z/6)^2 of fig1
+    # and (Z/2)^2 of d4 well past the degree where every character is
+    # reached
     cases = [(g, sorted(g.nodes()), 16) for g in _graphs_of_the_dense_check()]
     g = fig1()
     assert group_data(g).invariant_factors == [6, 6]
-    assert molien._route_a_degree(g, "v1") == 179
     cases.append((g, ["v1"], 179))
     g = caterpillar(3)
     assert group_data(g).invariant_factors == [2857]

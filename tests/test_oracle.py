@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fixtures import (
+    HUGE_H_TREES,
     a_chain,
     caterpillar,
     d4,
@@ -17,7 +18,7 @@ from fixtures import (
 import splicegenus.oracle as O
 from reference import bruteforce_eigendims as tuple_reference
 from reference import total_ci_coeffs
-from splicegenus import pg
+from splicegenus import parse_graph, pg
 from splicegenus.errors import GraphInputError, InternalCheckError
 from splicegenus.molien import group_data, hilbert_data, molien_coeffs
 from splicegenus.oracle import (
@@ -43,14 +44,20 @@ def test_artin_rational_values():
 
 def test_artin_rational_iff_pg_is_zero():
     # Artin's criterion reads only the fundamental cycle, so it checks
-    # p_g = 0 from outside the recursion and the Molien kernel
+    # p_g = 0 from outside the recursion and the Molien kernel; the huge-|H|
+    # trees are held to their recorded p_g (0, 0, 1), which the recursion
+    # takes seconds to recompute
     graphs = [a_chain(3), d4(), e8(), exmc(), fig1(),
               *(star(b, legs) for b, legs in small_stars()),
               *splice_quotient_trees(seed=1, count=10),
+              *splice_quotient_trees(seed=2, count=20),
               *map(caterpillar, (3, 4, 5))]
     rational = [artin_rational(g) for g in graphs]
     assert rational == [pg(g) == 0 for g in graphs]
     assert 0 < sum(rational) < len(graphs)
+    huge = {order: artin_rational(parse_graph(text))
+            for order, text in HUGE_H_TREES.items()}
+    assert huge == {19273: True, 34908: True, 119154: False}
 
 
 def test_bruteforce_matches_molien_on_two_node_graph():

@@ -255,7 +255,12 @@ def test_emitted_system_deterministic():
 
 
 def test_equivariance_of_emitted_systems():
-    for g in (exmc(), fig1()):
+    # every emitted monomial passed validate_witness, so D - E*_v is
+    # integral and theta(D) = psi_v
+    graphs = [d4(), e8(), exmc(), fig1(),
+              *(star(b, legs) for b, legs in small_stars()),
+              *splice_quotient_trees(1, 10), *splice_quotient_trees(2, 20)]
+    for g in graphs:
         system = emit_splice_system(g, seed=0)
         ok, offender = verify_equivariance(g, system)
         assert ok and offender is None
