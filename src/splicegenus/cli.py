@@ -5,6 +5,8 @@ Every command takes one path through ``run``: read the graph, check it
 ``pg-uac`` and ``h1``, then print what the command's handler
 ``_run_<command>(g, args)`` computed, (exit code, JSON body or None, text
 lines), as JSON with ``version`` and ``fingerprint`` added or as text.
+Where a table's text lines are many (``pg-uac``, ``hilbert``) they come as
+a generator, which only text output consumes.
 A well-formed call, a command followed only by its own options, each
 spelled in full and with a value that does not start with ``-``, is read
 straight from the command table (``_plain_args``), so it imports no
@@ -232,11 +234,14 @@ def _run_hilbert(g, args):
         "maxDegree": up_to,
         "coefficients": [{"char": list(c), "dims": tab} for c, tab in tables],
         "closedForm": {"char": list(chi), **closed.to_json()}}
-    lines = [f"node {v}: a(G) = {data.a_invariant}",
-             f"H^{list(chi)}(t) = ({render_poly(closed.num)}) / "
-             f"({render_poly(closed.den)})"]
-    lines += [f"chi {list(c)}: {tab}" for c, tab in tables]
-    return EXIT_OK, body, lines
+
+    def lines():
+        yield f"node {v}: a(G) = {data.a_invariant}"
+        yield (f"H^{list(chi)}(t) = ({render_poly(closed.num)}) / "
+               f"({render_poly(closed.den)})")
+        for c, tab in tables:
+            yield f"chi {list(c)}: {tab}"
+    return EXIT_OK, body, lines()
 
 
 def _run_cv(g, args):
@@ -269,12 +274,14 @@ def _run_pg(g, args):
     body.pop("trace")
     if args.all_nodes:
         body["rootsChecked"] = checked
-    if uac:
-        lines = [f"pg_uac = {first.pg_uac}"]
-        lines += [f"chi {e['char']}: h1 = {e['value']}" for e in body["h1"]]
-    else:
-        lines = [f"pg = {first.pg}"]
-    return EXIT_OK, body, lines
+    if not uac:
+        return EXIT_OK, body, [f"pg = {first.pg}"]
+
+    def lines():
+        yield f"pg_uac = {first.pg_uac}"
+        for e in body["h1"]:
+            yield f"chi {e['char']}: h1 = {e['value']}"
+    return EXIT_OK, body, lines()
 
 
 def _run_h1(g, args):

@@ -1,16 +1,18 @@
 """Exact linear algebra over the integers.
 
 ``smith_normal_form`` is the one decomposition of a graph's intersection
-matrix I: ``ResolutionGraph.dual_data`` calls it once per graph and reads
-|det I|, the adjugate and the discriminant group H = L*/L off U I V = S.
+matrix I: ``ResolutionGraph`` calls it once per graph it validates or whose
+group it reads, and reads |det I|, the adjugate (whose signs decide
+negative definiteness) and the discriminant group H = L*/L off U I V = S.
 Callers that need only a rank use ``rank``, a forward pass over sparse
 rows that keeps no reduced form; its rows are kept primitive (divided by
 the gcd of their entries), so entries stay near the size of the input
 instead of growing into the minors a fraction-free elimination carries.
-Definiteness runs the Bareiss step forward only, without row exchanges,
-so that its pivots are the leading principal minors.  Matrices are lists
-of rows of ints, except for ``rank``, which takes sparse rows
-{column: int}, the form it eliminates in.
+``negative_definite_violation`` runs only on a tree that fails that sign
+test, to name the first wrongly signed leading principal minor: the
+Bareiss step forward only, without row exchanges, so that its pivots are
+those minors.  Matrices are lists of rows of ints, except for ``rank``,
+which takes sparse rows {column: int}, the form it eliminates in.
 """
 
 from math import gcd

@@ -13,13 +13,16 @@ them into numerators over |det I|: D = sum_u (A alpha)_u / |det I| E_u
 (``DualData.numerators`` for every u; a single u reads row u of A).
 
 The Smith normal form U I V = S is the one decomposition of I, computed
-in ``dual_data`` once per graph whose group or dual cycles are read: |det
-I| is the product of the s_k, and I^{-1} = V S^{-1} U gives
+once per graph that is validated or whose group or dual cycles are read:
+|det I| is the product of the s_k, and I^{-1} = V S^{-1} U gives
 A = -V diag(|det I| / s_k) U, summed from the rows of U at the nonzero
 entries of V.  ``DualData`` keeps U, the diagonal of S and V, from which
-``discgroup`` reads H = L*/L.  A chain reached as a branch of the h1
-recursion is neither validated nor decomposed: ``branches`` marks it,
-and its nef shifts come from the parent's adjugate
+``discgroup`` reads H = L*/L.  ``validate`` reads negative definiteness off
+the signs of that checked A, so a valid input is decomposed once and
+``dual_data`` reuses it; only a tree that fails runs the Bareiss pass that
+names the first wrongly signed leading minor.  A chain reached as a branch
+of the h1 recursion is neither validated nor decomposed: ``branches``
+marks it, and its nef shifts come from the parent's adjugate
 (``discgroup.nef_shift``); a branch with a node inherits its validation
 from the parent.  ``intersections`` is one pass over the edges,
 as position pairs built once per graph.
@@ -61,8 +64,9 @@ class DualData(SimpleNamespace):
     """|det I|, the integer adjugate A = |det I| (-I^{-1}) and the Smith
     form U I V = S it is read from.
 
-    A is symmetric, row v of A is |det I| E*_v, and A > 0 follows from
-    the one check, I A = -|det I| Id: -I is an irreducible Stieltjes matrix.
+    A is symmetric and row v of A is |det I| E*_v, by the one check,
+    I A = -|det I| Id; A > 0 is ``validate``'s test of negative
+    definiteness, so it holds on every graph ``dual_data`` serves.
     """
 
     adjugate: list         # A as a list of rows, in ids order
@@ -225,14 +229,27 @@ class ResolutionGraph:
 
     @_per_graph("validation")
     def validate(self) -> ValidationReport:
-        """The validation report, built once per graph (one Bareiss pass).
-        A tree whose leading minors are all correctly signed is negative
-        definite, so every weight E_v^2 is <= -1."""
+        """The validation report, built once per graph.
+
+        A tree is negative definite iff |det I| != 0 and every entry of
+        the adjugate A = |det I| (-I)^{-1} of its decomposition is > 0:
+        -I is a symmetric Z-matrix, positive definite exactly when its
+        inverse is >= 0 (a Stieltjes matrix), and irreducible on a tree, so
+        that inverse is then > 0.  Only a tree that fails runs the Bareiss
+        pass, which names the first wrongly signed leading minor.  Every
+        weight E_v^2 of a valid graph is <= -1."""
         n = len(self.ids)
         tree = (n > 0 and len(self.edges) == n - 1
                 and len(self._reach(self.ids[0])) == n)
-        bad = (exact.negative_definite_violation(self.intersection_matrix())
-               if tree else None)
+        bad = None
+        if tree:
+            dd = self._decomposition()
+            if not dd.det_abs or min(map(min, dd.adjugate)) <= 0:
+                bad = exact.negative_definite_violation(self.intersection_matrix())
+                if bad is None:
+                    raise InternalCheckError(
+                        "the adjugate's signs and the leading minors "
+                        "disagree on negative definiteness")
         if not tree or bad is not None:
             error = ("graph has no vertices" if n == 0 else
                      "graph is not a tree" if not tree else
@@ -271,13 +288,22 @@ class ResolutionGraph:
 
     # -- dual cycles and weights ------------------------------------------
 
-    @_per_graph("dual")
     def dual_data(self) -> DualData:
+        """The decomposition of a valid graph's I."""
         self.require_valid()
+        return self._decomposition()
+
+    @_per_graph("dual")
+    def _decomposition(self) -> DualData:
+        """The Smith form of I and, when I is nonsingular, its checked
+        adjugate; no validation, so ``validate`` reads it.  A singular I has
+        a zero on the diagonal of S, |det I| = 0 and no adjugate."""
         U, S, V = exact.smith_normal_form(self.intersection_matrix())
         n = len(S)
-        diag = [S[k][k] for k in range(n)]  # nonzero: I is negative definite
+        diag = [S[k][k] for k in range(n)]
         det_abs = math.prod(diag)
+        if not det_abs:
+            return DualData(adjugate=None, det_abs=0, U=U, diag=diag, V=V)
         # A = -V diag(|det I| / s_k) U, from I^{-1} = V S^{-1} U: row i of
         # A sums the scaled rows of U at the nonzero entries of row i of V
         scaled = [[-(det_abs // s) * x for x in row] for s, row in zip(diag, U)]
@@ -365,11 +391,11 @@ class ResolutionGraph:
         """Connected components of E - E_v, ordered by attaching-vertex id;
         each is the one shared graph of its vertex set (``subgraph``).  A
         branch with a node is given its validation report unless it has
-        one, so it runs no Bareiss pass.  Its picker reads phi_i out of
-        c_1's E*-coordinates (``itemgetter`` of one index returns the entry
-        itself, so a one-vertex branch wraps it in a 1-tuple), and its term
-        table is kept in the branch graph's cache, so it serves every
-        (graph, root) the branch hangs on."""
+        one, so it is not decomposed to be validated.  Its picker reads
+        phi_i out of c_1's E*-coordinates (``itemgetter`` of one index
+        returns the entry itself, so a one-vertex branch wraps it in a
+        1-tuple), and its term table is kept in the branch graph's cache,
+        so it serves every (graph, root) the branch hangs on."""
         self.index(v)  # an unknown id is named as a vertex
         self.require_valid()
         out = []

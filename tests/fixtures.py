@@ -10,6 +10,8 @@ HUGE_H_TREES: three trees with |H| = 19,273, 34,908 and 119,154, as JSON
       text; too large for any table over H.
 caterpillar: a spine of k nodes, each with two leaves; |H| grows about
       tenfold per node.
+record_eliminations: the matrices a call hands to the Bareiss pass and to
+      the Smith form.
 """
 
 import itertools
@@ -18,7 +20,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from splicegenus import ResolutionGraph
+from splicegenus import ResolutionGraph, exact
 from splicegenus.discgroup import group_data
 from splicegenus.errors import GraphInputError
 from splicegenus.splice import check_monomial_condition
@@ -177,6 +179,19 @@ HUGE_H_TREES = {
             '["x3","x5"],["x2","x6"],["x1","x7"],["x2","x8"],["x3","x9"],'
             '["x5","x10"],["x8","x11"]]}',
 }
+
+
+def record_eliminations(monkeypatch):
+    """Two lists that collect, while monkeypatch is in effect, the matrices
+    handed to ``exact.negative_definite_violation`` (the Bareiss pass) and
+    to ``exact.smith_normal_form``."""
+    bareiss, smith = [], []
+    for name, calls in (("negative_definite_violation", bareiss),
+                        ("smith_normal_form", smith)):
+        real = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda M, real=real, calls=calls:
+                            calls.append(M) or real(M))
+    return bareiss, smith
 
 
 def graph_file(name) -> str:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fixtures import GRAPHS_DIR, fig1, graph_file
+from fixtures import GRAPHS_DIR, fig1, graph_file, record_eliminations
 from splicegenus import cli
 from splicegenus.cli import run
 from splicegenus.errors import InternalCheckError
@@ -237,18 +237,16 @@ def test_importing_the_package_loads_no_dataclasses():
 
 
 def test_a_valid_call_runs_one_definiteness_pass(capsys, monkeypatch):
-    # every branch with a node inherits the validation of fig1, and the
-    # chain branches are never validated: one Bareiss pass for all roots
-    from splicegenus import exact
-
-    calls = []
-    real = exact.negative_definite_violation
-    monkeypatch.setattr(exact, "negative_definite_violation",
-                        lambda M: calls.append(M) or real(M))
+    # fig1's definiteness is read off the signs of its checked adjugate, so
+    # a valid call runs no Bareiss pass; every branch with a node inherits
+    # that validation, chain branches are never validated, and the Smith
+    # form runs once per graph with a node, fig1's own first
+    bareiss, smith = record_eliminations(monkeypatch)
     assert run(["pg-uac", "--input", graph_file("fig1.json"),
                 "--all-nodes"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert bareiss == [] and len(smith) == 5
+    assert smith[0] == fig1().intersection_matrix()
 
 
 # the tokens of a call: commands and one unknown name; every option in
@@ -354,30 +352,39 @@ def test_validate_json_payload(capsys):
 _NOT_A_TREE = "vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c\nedge a c\n"
 
 
-@pytest.mark.parametrize("doc, passes, code, out", [
-    (None, 1, 0, "valid: True\ntree: True\nnegative definite: True\n"
-                 "chain: False\nnodes: E5 E6\nends: E1 E2 E3 E4\n"),
-    (_INDEFINITE_TREE, 1, 1, "valid: False\ntree: True\nnegative definite: False\n"
-                             "chain: False\nnodes: -\nends: -\n"
-                             "error: not negative definite (minor 3)\n"),
-    (_NOT_A_TREE, 0, 1, "valid: False\ntree: False\nnegative definite: False\n"
-                        "chain: False\nnodes: -\nends: -\n"
-                        "error: graph is not a tree\n"),
-], ids=["valid", "indefinite", "not-a-tree"])
-def test_validate_runs_one_bareiss_pass(tmp_path, capsys, monkeypatch,
-                                        doc, passes, code, out):
-    from splicegenus import exact
+# a chain whose second leading minor is 0 and whose I is nonsingular
+_INDEFINITE_NONSINGULAR = ("vertex a -1\nvertex b -1\nvertex c -1\n"
+                           "edge a b\nedge b c\n")
 
+
+@pytest.mark.parametrize("doc, passes, smiths, code, out", [
+    (None, 0, 1, 0, "valid: True\ntree: True\nnegative definite: True\n"
+                    "chain: False\nnodes: E5 E6\nends: E1 E2 E3 E4\n"),
+    (_INDEFINITE_TREE, 1, 1, 1, "valid: False\ntree: True\n"
+                                "negative definite: False\n"
+                                "chain: False\nnodes: -\nends: -\n"
+                                "error: not negative definite (minor 3)\n"),
+    (_INDEFINITE_NONSINGULAR, 1, 1, 1,
+     "valid: False\ntree: True\nnegative definite: False\n"
+     "chain: False\nnodes: -\nends: -\n"
+     "error: not negative definite (minor 2)\n"),
+    (_NOT_A_TREE, 0, 0, 1, "valid: False\ntree: False\n"
+                           "negative definite: False\n"
+                           "chain: False\nnodes: -\nends: -\n"
+                           "error: graph is not a tree\n"),
+], ids=["valid", "indefinite", "indefinite-nonsingular", "not-a-tree"])
+def test_validate_runs_one_bareiss_pass(tmp_path, capsys, monkeypatch,
+                                        doc, passes, smiths, code, out):
+    # a tree is decomposed once, and its definiteness read off the signs of
+    # the adjugate; only a tree that fails runs the Bareiss pass, to name
+    # the minor (the -2, -1, -2 chain is singular: no adjugate is built)
     path = graph_file("exmc.json")
     if doc is not None:
         path = tmp_path / "graph.dsl"
         path.write_text(doc)
-    calls = []
-    real = exact.negative_definite_violation
-    monkeypatch.setattr(exact, "negative_definite_violation",
-                        lambda I: calls.append(I) or real(I))
+    bareiss, smith = record_eliminations(monkeypatch)
     assert _json_out(capsys, ["validate", "--input", str(path)]) == (code, out, "")
-    assert len(calls) == passes
+    assert (len(bareiss), len(smith)) == (passes, smiths)
 
 
 def test_chain_warning_on_stderr(capsys):

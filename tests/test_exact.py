@@ -1,5 +1,7 @@
 import itertools
 import os
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from fixtures import (
     e8,
     exmc,
     fig1,
+    single,
     small_stars,
     splice_quotient_trees,
     star,
@@ -23,7 +26,7 @@ from reference import smith_normal_form as ref_smith_normal_form
 from test_graph import _recursion_subgraphs, random_trees
 from splicegenus import exact
 from splicegenus.exact import negative_definite_violation, rank
-from splicegenus.graph import parse_graph
+from splicegenus.graph import ResolutionGraph, parse_graph
 from splicegenus.splice import find_admissible_monomial, validate_witness
 
 
@@ -268,6 +271,39 @@ def test_graph_files_are_negative_definite(name):
 @settings(max_examples=100, deadline=None)
 def test_random_trees_are_negative_definite(g):
     assert negative_definite_violation(g.intersection_matrix()) is None
+
+
+def _weighted_trees(seed, count, max_n=10):
+    """Seeded random trees on 1 to max_n vertices with weights in [-7, 2]:
+    valid, indefinite and singular ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        vs = [(f"t{i}", rng.randint(-7, 2)) for i in range(n)]
+        es = [(f"t{i}", f"t{rng.randrange(i)}") for i in range(1, n)]
+        out.append(ResolutionGraph(vs, es))
+    return out
+
+
+def test_validate_agrees_with_the_leading_minors_on_random_trees():
+    # validate reads negative definiteness off the signs of the checked
+    # adjugate and runs the Bareiss pass only to name the minor; the
+    # reference takes one determinant per leading minor
+    chain = parse_graph("vertex a -2\nvertex b -1\nvertex c -2\n"
+                        "edge a b\nedge b c\n")
+    assert single(0).validate().minor_index == 1
+    assert chain.validate().minor_index == 3
+    kinds = Counter()
+    for g in [single(0), chain, *_weighted_trees(37, 3000)]:
+        I = g.intersection_matrix()
+        bad = violation_by_minors(I)
+        rep = g.validate()
+        assert (rep.valid, rep.negative_definite, rep.minor_index) == (
+            bad is None, bad is None, bad)
+        kinds["valid" if bad is None else
+              "singular" if det_bareiss(I) == 0 else "indefinite"] += 1
+    assert min(kinds["valid"], kinds["indefinite"], kinds["singular"]) >= 50
 
 
 # -- the monomial search against a brute force over the box -----------------

@@ -14,6 +14,7 @@ from fixtures import (
     exmc,
     fig1,
     graph_file,
+    record_eliminations,
     small_stars,
     splice_quotient_trees,
     star,
@@ -431,20 +432,17 @@ def test_pg_uac_scans_for_nodes_once_per_graph(monkeypatch):
 
 def test_chain_branches_are_never_validated(monkeypatch):
     # a branch of a valid tree is valid, and whether it is a chain is read
-    # off its degrees: pg_uac on a star validates the star alone (it ran one
-    # Bareiss pass per leg as well), on all 96 small stars once per star
-    from splicegenus import exact
-
-    calls = []
-    real = exact.negative_definite_violation
-    monkeypatch.setattr(exact, "negative_definite_violation",
-                        lambda M: calls.append(M) or real(M))
+    # off its degrees: pg_uac on a star decomposes the star alone, on all 96
+    # small stars once per star, and the star's definiteness is read off its
+    # adjugate, with no Bareiss pass
+    bareiss, smith = record_eliminations(monkeypatch)
     g = star(3, [(2, 1)] * 4)
-    assert pg_uac(g) == 1 and calls == [g.intersection_matrix()]
-    calls.clear()
+    assert pg_uac(g) == 1 and smith == [g.intersection_matrix()]
+    smith.clear()
     for b, legs in small_stars():
         pg_uac(star(b, legs))
-    assert len(calls) == len(small_stars()) == 96
+    assert len(smith) == len(small_stars()) == 96
+    assert bareiss == []
 
 
 @pytest.mark.parametrize("root", ["l1", "nope"], ids=["leaf", "unknown"])

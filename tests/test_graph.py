@@ -22,6 +22,7 @@ from fixtures import (
     exmc,
     fig1,
     graph_file,
+    record_eliminations,
     single,
     small_stars,
     splice_quotient_trees,
@@ -161,6 +162,18 @@ def test_singular_pair_not_negative_definite():
     assert not rep.valid and not rep.negative_definite
     with pytest.raises(NotNegativeDefinite):
         g.require_valid()
+
+
+@pytest.mark.parametrize("weights", [(-1, -1), (-1, 2)],
+                         ids=["singular", "indefinite"])
+def test_validate_raises_when_the_minors_find_no_violation(monkeypatch,
+                                                           weights):
+    # the adjugate's signs fail, so the Bareiss pass must name a minor; a
+    # pass that finds none means the two routes disagree
+    monkeypatch.setattr(exact, "negative_definite_violation", lambda I: None)
+    g = ResolutionGraph(list(zip("ab", weights)), [("a", "b")])
+    with pytest.raises(InternalCheckError, match="disagree"):
+        g.validate()
 
 
 def test_disconnected_not_a_tree():
@@ -701,15 +714,12 @@ def test_branches_record_the_validation_the_branch_would_compute(
     # a branch of a valid tree is a connected induced subtree with a
     # principal submatrix of a negative definite matrix: valid and
     # negative definite, a chain exactly when it has no node.  No branch
-    # runs its own Bareiss pass, and the recorded report is the one it
+    # is decomposed to be validated, and the recorded report is the one it
     # would build
     graphs = graphs()
     # splice_quotient_trees validates its trees as it draws them
     fresh = [g for g in graphs if "validation" not in g._cache]
-    passes = []
-    real = exact.negative_definite_violation
-    monkeypatch.setattr(exact, "negative_definite_violation",
-                        lambda I: passes.append(I) or real(I))
+    bareiss, smith = record_eliminations(monkeypatch)
     recorded = []
     for g in graphs:
         for h in _recursion_graphs(g):
@@ -720,8 +730,10 @@ def test_branches_record_the_validation_the_branch_would_compute(
                     if rep is not None:
                         assert b.subgraph.require_valid() is rep
                         recorded.append((b.subgraph, rep))
-    # one pass per input graph, in input order, and none per branch
-    assert passes == [g.intersection_matrix() for g in fresh]
+    # one Smith form per input graph, in input order, none per branch, and
+    # no Bareiss pass: each input's definiteness is read off its adjugate
+    assert smith == [g.intersection_matrix() for g in fresh]
+    assert bareiss == []
     for sub, rep in recorded:
         assert rep == ResolutionGraph.validate.__wrapped__(sub)
 
